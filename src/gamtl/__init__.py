@@ -3,9 +3,9 @@
 Fits one linear model per task while learning a weighted task-adjacency
 matrix that says which tasks inform each other.  The two are estimated
 together by alternating exact block minimizations of a single bi-convex
-objective: a graph-regularized least-squares solve for the weights and a
-primal-dual solve with a log-degree barrier for the graph.  An optional
-shared RBF feature lift handles nonlinear tasks.
+objective: a graph-regularized least-squares solve for the weights and an
+accelerated dual proximal-gradient solve with a log-degree barrier for the
+graph.  An optional shared RBF feature lift handles nonlinear tasks.
 """
 
 from .data import (
@@ -52,7 +52,6 @@ from .model import (
     fit,
     joint_objective,
     load_model,
-    predict,
     save_model,
 )
 from .rbf import (
@@ -64,7 +63,6 @@ from .rbf import (
 )
 from .weight_solver import (
     TaskDataset,
-    assemble_system,
     ridge_independent,
     solve_weights,
     validate_tasks,
@@ -85,7 +83,6 @@ __all__ = [
     "SynSpec",
     "TaskDataset",
     "WienerNetworkSpec",
-    "assemble_system",
     "benchmark",
     "default_initial_graph",
     "export_graph",
@@ -108,7 +105,6 @@ __all__ = [
     "optimal_widths",
     "outlier_candidates",
     "pairwise_sq_distances",
-    "predict",
     "ridge_independent",
     "rmse",
     "save_model",

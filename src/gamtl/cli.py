@@ -67,7 +67,6 @@ MODEL_SCHEMA = {
         "gamma": _NONNEG,
         "alpha": _POSITIVE,
         "beta": _POSITIVE,
-        "step": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "graph_tol": _POSITIVE,
         "graph_max_iter": {"type": "integer", "minimum": 1},
         "outer_tol": _POSITIVE,
@@ -189,7 +188,6 @@ def _gamtl_config(model_cfg: dict) -> GamtlConfig:
     graph = GraphLearningParams(
         alpha=model_cfg.get("alpha", 1.0),
         beta=model_cfg.get("beta", 1.0),
-        step=model_cfg.get("step"),
         tol=model_cfg.get("graph_tol", 1e-6),
         max_iter=model_cfg.get("graph_max_iter", 10000),
     )
@@ -306,6 +304,8 @@ def cmd_fit(args) -> int:
     save_model(model, out_dir / "model.json")
     _write_json(out_dir / "trace.json", {"config": config, "trace": model.trace.to_dict()})
     print(f"wrote {out_dir / 'model.json'}, {out_dir / 'trace.json'}")
+    if not model.converged:
+        print(f"warning: fit did not converge: {'; '.join(model.notes)}", file=sys.stderr)
     return 0
 
 

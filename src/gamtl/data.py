@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .weight_solver import TaskDataset
 
@@ -243,6 +242,18 @@ def wiener_nonlinearity(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def wiener_state(drive: np.ndarray) -> np.ndarray:
+    """Hidden state ``y_i + 0.2 y_{i-1} - 0.35 y_{i-2} = drive_i`` from rest.
+
+    The sum is grouped as ``scipy.signal.lfilter`` groups it, so the result
+    matches that filter bit for bit.
+    """
+    y = [0.0, 0.0]
+    for drive_n in np.asarray(drive, dtype=float).tolist():
+        y.append(drive_n + (-0.2 * y[-1] + 0.35 * y[-2]))
+    return np.array(y[2:])
+
+
 def gen_wiener_network(spec: WienerNetworkSpec):
     """Simulate the agent network; returns (tasks, truth).
 
@@ -280,9 +291,7 @@ def gen_wiener_network(spec: WienerNetworkSpec):
         x1 = spec.rho * x2 + v
         z = math.sqrt(noise_var[k]) * rng.standard_normal(total)
         drive = W_star[0, k] * x1 + W_star[1, k] * x2
-        # y_i + 0.2 y_{i-1} - 0.35 y_{i-2} = drive_i, zero initial state
-        y = scipy.signal.lfilter([1.0], [1.0, 0.2, -0.35], drive)
-        d = wiener_nonlinearity(y) + z
+        d = wiener_nonlinearity(wiener_state(drive)) + z
         idx = np.arange(spec.burn_in, total)
         X = np.vstack([x1[idx], x2[idx], d[idx - 1], d[idx - 2]])
         tasks.append(TaskDataset(k, X, d[idx]))

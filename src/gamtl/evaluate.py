@@ -118,6 +118,7 @@ class BenchmarkReport:
     config: dict = field(default_factory=dict)
     failures: tuple = ()
     flagged: bool = False
+    nonconverged: tuple = ()
 
 
 def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, config: dict | None = None) -> BenchmarkReport:
@@ -127,11 +128,12 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
     ``make_model(train_tasks, seed) -> model`` define one replicate; run r
     uses seed ``base_seed + r``.  A replicate that raises is recorded in
     ``failures`` and flags the report, while the statistics cover the
-    successful runs.
+    successful runs.  Seeds whose model reports ``converged=False`` are
+    listed in ``nonconverged``; models without the flag count as converged.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    seeds, values, per_task, per_task_means, failures = [], [], [], [], []
+    seeds, values, per_task, per_task_means, failures, nonconverged = [], [], [], [], [], []
     for r in range(n_runs):
         seed = base_seed + r
         try:
@@ -142,6 +144,8 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
             failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
             continue
         seeds.append(seed)
+        if not getattr(model, "converged", True):
+            nonconverged.append(seed)
         values.append(result.aggregate)
         per_task.append(tuple(result.per_task))
         per_task_means.append(result.per_task_mean)
@@ -159,6 +163,7 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
         config=dict(config or {}),
         failures=tuple(failures),
         flagged=bool(failures),
+        nonconverged=tuple(nonconverged),
     )
 
 
@@ -174,6 +179,7 @@ def report_to_dict(report: BenchmarkReport) -> dict:
         "config": report.config,
         "failures": [dict(f) for f in report.failures],
         "flagged": report.flagged,
+        "nonconverged": list(report.nonconverged),
     }
 
 

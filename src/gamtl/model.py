@@ -10,8 +10,8 @@ A (T x T) is
 
 with Z(W) the pairwise squared column distances.  F is bi-convex: quadratic
 in W for fixed A and convex in A for fixed W.  The fit alternates exact block
-minimizations -- a preconditioned CG solve for W and a primal-dual solve for
-A -- so the objective never increases.  gamma enters the W step as the
+minimizations -- a preconditioned CG solve for W and an accelerated dual
+solve for A -- so the objective never increases.  gamma enters the W step as the
 smoothness multiplier and the A step by pre-scaling Z, which makes each step
 minimize F itself in its block.
 
@@ -48,7 +48,6 @@ __all__ = [
     "GamtlModel",
     "joint_objective",
     "fit",
-    "predict",
     "save_model",
     "load_model",
 ]
@@ -168,11 +167,6 @@ class GamtlModel:
         return float(out[0]) if single else out
 
 
-def predict(model: GamtlModel, task_id, x):
-    """Scalar prediction for one input vector (or a vector for a batch)."""
-    return model.predict_task(task_id, x)
-
-
 def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) -> float:
     """Evaluate the full objective F(W, A) on a task collection."""
     tasks = list(tasks)
@@ -263,7 +257,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
                 "outer": outer,
                 "iterations": greport.iterations,
                 "converged": greport.converged,
-                "final_relative_change": greport.final_relative_change,
+                "final_residual": greport.final_residual,
             }
         )
         if not greport.converged:
@@ -299,7 +293,6 @@ def _config_to_dict(config: GamtlConfig) -> dict:
         "graph_params": {
             "alpha": gp.alpha,
             "beta": gp.beta,
-            "step": gp.step,
             "tol": gp.tol,
             "max_iter": gp.max_iter,
         },
@@ -313,7 +306,8 @@ def _config_to_dict(config: GamtlConfig) -> dict:
 
 def config_from_dict(payload: dict) -> GamtlConfig:
     payload = dict(payload)
-    gp = payload.pop("graph_params", {})
+    gp = dict(payload.pop("graph_params", {}))
+    gp.pop("step", None)  # files written with the former step-size knob still load
     return GamtlConfig(graph_params=GraphLearningParams(**gp), **payload)
 
 

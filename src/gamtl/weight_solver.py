@@ -14,8 +14,7 @@ definite when task data are rank deficient.
 The system is solved by preconditioned conjugate gradient with a Jacobi
 (diagonal) preconditioner.  Matrix-vector products exploit the Kronecker
 structure implicitly: per-task data products plus a Laplacian product on the
-task axis, never materializing the dT x dT matrix.  :func:`assemble_system`
-builds the sparse matrix explicitly for small instances and tests.
+task axis, never materializing the dT x dT matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .graph import laplacian, validate_adjacency
@@ -33,8 +31,6 @@ __all__ = [
     "TaskDataset",
     "validate_tasks",
     "ridge_independent",
-    "SystemAssembly",
-    "assemble_system",
     "WeightSolveReport",
     "solve_weights",
 ]
@@ -48,7 +44,7 @@ class TaskDataset:
     """One task: design matrix ``X`` (d x N, columns are samples), targets ``y``.
 
     ``N = 0`` is allowed here so that pure-regularizer systems can be
-    assembled; collections entering a fit must pass :func:`validate_tasks`,
+    solved; collections entering a fit must pass :func:`validate_tasks`,
     which requires at least one sample per task.
     """
 
@@ -127,15 +123,6 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
-class SystemAssembly:
-    """Explicit sparse form of the weight-step linear system."""
-
-    M: sp.csr_matrix
-    rhs: np.ndarray
-    ridge: float
-
-
 def ridge_floor(tasks, A: np.ndarray, gamma: float) -> float:
     """Automatic ridge: 1e-8 times the mean diagonal entry of C + gamma*B."""
     d = tasks[0].dim
@@ -156,24 +143,6 @@ def _check_fit_inputs(tasks, A: np.ndarray, gamma: float):
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     return tasks, A, d, T
-
-
-def assemble_system(tasks, A: np.ndarray, gamma: float, ridge: float | None = None) -> SystemAssembly:
-    """Build the sparse dT x dT system matrix and right-hand side explicitly.
-
-    ``ridge=None`` selects the automatic floor; pass an explicit value
-    (0 allowed) to override.
-    """
-    tasks, A, d, T = _check_fit_inputs(tasks, A, gamma)
-    if ridge is None:
-        ridge = ridge_floor(tasks, A, gamma)
-    elif ridge < 0.0:
-        raise ValueError("ridge must be nonnegative")
-    C = sp.block_diag([t.X @ t.X.T for t in tasks], format="csr")
-    B = 2.0 * sp.kron(sp.csr_matrix(laplacian(A)), sp.identity(d), format="csr")
-    M = (C + gamma * B + ridge * sp.identity(d * T)).tocsr()
-    rhs = np.concatenate([t.X @ t.y for t in tasks])
-    return SystemAssembly(M=M, rhs=rhs, ridge=ridge)
 
 
 @dataclass

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamtl
 from gamtl.cli import main
 from gamtl.data import save_tasks_csv
 from gamtl.model import FitTrace, GamtlConfig, GamtlModel, load_model, save_model
@@ -102,7 +107,7 @@ def test_synth_unwritable_target_is_usage_error(tmp_path, capsys):
 # fit
 
 
-def test_fit_writes_model_and_trace(tmp_path):
+def test_fit_writes_model_and_trace(tmp_path, capsys):
     train_csv = tmp_path / "train.csv"
     small_csv(train_csv)
     config_path, config = fit_config(tmp_path, train_csv)
@@ -110,6 +115,8 @@ def test_fit_writes_model_and_trace(tmp_path):
     out = tmp_path / "run"
     model = load_model(out / "model.json")  # validates the adjacency on load
     assert model.W.shape == (2, 3)
+    assert model.converged
+    assert "warning" not in capsys.readouterr().err
     trace_doc = json.loads((out / "trace.json").read_text())
     assert trace_doc["config"]["model"]["gamma"] == 0.5
     objective = trace_doc["trace"]["objective"]
@@ -136,6 +143,27 @@ def test_fit_gamma_zero_warns(tmp_path):
     config_path, _ = fit_config(tmp_path, train_csv)
     with pytest.warns(UserWarning, match="gamma = 0"):
         assert main(["fit", "--config", str(config_path), "--gamma", "0"]) == 0
+
+
+def test_fit_warns_when_not_converged(tmp_path, capsys):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    argv = ["fit", "--config", str(config_path), "--set", "model.graph_max_iter=1"]
+    assert main(argv) == 0
+    model = load_model(tmp_path / "run" / "model.json")
+    assert not model.converged
+    err = capsys.readouterr().err
+    assert err.count("warning: fit did not converge") == 1
+    assert "graph solve hit its iteration limit" in err
+
+
+def test_fit_rejects_step_key(tmp_path, capsys):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv, step=0.1)
+    assert main(["fit", "--config", str(config_path)]) == 1
+    assert "step" in capsys.readouterr().err
 
 
 def test_fit_set_overrides_land_in_echo(tmp_path):
@@ -381,6 +409,16 @@ def test_bench_tiny_run_writes_report(tmp_path):
     assert not report["flagged"]
 
 
+def test_bench_lists_nonconverged_seeds(tmp_path):
+    config_path = bench_config(tmp_path, n_runs=2, include_baseline=True)
+    argv = ["bench", "--config", str(config_path), "--set", "model.graph_max_iter=1"]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "bench" / "benchmark.json").read_text())
+    gamtl_report, ridge_report = payload["reports"]
+    assert gamtl_report["nonconverged"] == [0, 1]
+    assert ridge_report["nonconverged"] == []
+
+
 def test_bench_includes_baseline_when_asked(tmp_path):
     config_path = bench_config(tmp_path, include_baseline=True)
     assert main(["bench", "--config", str(config_path)]) == 0
@@ -397,6 +435,15 @@ def test_bench_schema_error_names_field(tmp_path, capsys):
 
 # --------------------------------------------------------------------------
 # Top-level parsing
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    env = dict(os.environ, PYTHONPATH=str(Path(gamtl.__file__).parents[1]))
+    probe = "import sys, gamtl.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -20,6 +20,7 @@ from gamtl.data import (
     save_tasks_csv,
     train_test_split,
     wiener_nonlinearity,
+    wiener_state,
     write_dataset,
 )
 
@@ -264,6 +265,16 @@ def test_wiener_deterministic():
         assert np.array_equal(ta.X, tb.X)
         assert np.array_equal(ta.y, tb.y)
     assert np.array_equal(a_truth.input_var, b_truth.input_var)
+
+
+def test_wiener_state_matches_lfilter_bit_for_bit():
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        drive = rng.standard_normal(1200)
+        expected = lfilter([1.0], [1.0, 0.2, -0.35], drive)
+        assert np.array_equal(wiener_state(drive), expected)
 
 
 # --------------------------------------------------------------------------

@@ -36,12 +36,12 @@ def random_distances(rng, n_tasks, d=3, scale=1.0):
         {"alpha": -1.0},
         {"beta": 0.0},
         {"beta": -0.5},
-        {"step": 0.0},
-        {"step": -1e-3},
         {"tol": 0.0},
         {"tol": 1.0},
         {"tol": -1e-9},
         {"max_iter": 0},
+        {"alpha": float("nan")},
+        {"beta": float("nan")},
     ],
 )
 def test_params_reject_invalid(kwargs):
@@ -53,7 +53,6 @@ def test_params_defaults():
     params = GraphLearningParams()
     assert params.alpha == 1.0
     assert params.beta == 1.0
-    assert params.step is None
     assert params.max_iter == 10000
 
 
@@ -213,16 +212,6 @@ def test_non_convergence_flagged_with_best_iterate():
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params) + 1e-9
 
 
-def test_objective_trace_non_increasing():
-    rng = np.random.default_rng(10)
-    Z = random_distances(rng, 5)
-    params = GraphLearningParams(alpha=1.0, beta=0.5, tol=1e-8)
-    A, report = learn_graph(Z, params)
-    trace = report.objective_trace
-    assert trace.size == report.iterations
-    assert np.all(np.diff(trace) <= 1e-12)
-
-
 def test_converged_solution_improves_on_warm_start():
     rng = np.random.default_rng(11)
     Z = random_distances(rng, 5)
@@ -232,17 +221,6 @@ def test_converged_solution_improves_on_warm_start():
     assert report.converged
     assert report.iterations <= params.max_iter
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params) + 1e-10
-
-
-def test_manual_step_converges_to_same_solution():
-    rng = np.random.default_rng(12)
-    Z = random_distances(rng, 4)
-    auto = GraphLearningParams(alpha=1.0, beta=1.0, tol=1e-9, max_iter=300000)
-    manual = GraphLearningParams(alpha=1.0, beta=1.0, step=0.05, tol=1e-9, max_iter=300000)
-    A_auto, rep_auto = learn_graph(Z, auto)
-    A_manual, rep_manual = learn_graph(Z, manual)
-    assert rep_auto.converged and rep_manual.converged
-    np.testing.assert_allclose(A_auto, A_manual, atol=1e-5)
 
 
 def test_warm_start_at_solution_is_cheap():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gamtl.data import SynSpec, gen_syn1
 from gamtl.graph import laplacian, pairwise_sq_distances, vectorform
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import (
@@ -13,8 +14,8 @@ from gamtl.model import (
     fit,
     joint_objective,
     load_model,
+    model_from_dict,
     model_to_dict,
-    predict,
     save_model,
 )
 from gamtl.model import grid_search_cv
@@ -230,6 +231,18 @@ def test_fit_reaches_block_stationarity():
     assert residual < 1e-3
 
 
+def test_pinned_syn1_fits_converge():
+    # The pinned syn1 operating point, with the default graph max_iter.
+    config = GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.01))
+    notes = {}
+    for seed in range(10):
+        train, _, _ = gen_syn1(SynSpec(seed=seed))
+        model = fit(train, config)
+        if not model.converged:
+            notes[seed] = model.notes
+    assert notes == {}
+
+
 # --------------------------------------------------------------------------
 # Prediction
 
@@ -247,25 +260,25 @@ def linear_model():
 def test_predict_linear_hand_values():
     model = linear_model()
     # [DERIVED] w_0 = (1, 2) so x = (3, 4) gives 1*3 + 2*4 = 11.
-    assert predict(model, 0, np.array([3.0, 4.0])) == 11.0
-    assert predict(model, 1, np.array([5.0, 6.0])) == 0.0
+    assert model.predict_task(0, np.array([3.0, 4.0])) == 11.0
+    assert model.predict_task(1, np.array([5.0, 6.0])) == 0.0
 
 
 def test_predict_batch_shape():
     model = linear_model()
     X = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-    out = predict(model, 0, X)
+    out = model.predict_task(0, X)
     np.testing.assert_allclose(out, [1.0, 2.0, 4.0], atol=0.0)
 
 
 def test_predict_unknown_task_raises():
     with pytest.raises(KeyError, match="unknown task_id"):
-        predict(linear_model(), 2, np.zeros(2))
+        linear_model().predict_task(2, np.zeros(2))
 
 
 def test_predict_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="feature dimension"):
-        predict(linear_model(), 0, np.zeros(3))
+        linear_model().predict_task(0, np.zeros(3))
 
 
 def test_predict_rbf_one_hot_head():
@@ -280,10 +293,10 @@ def test_predict_rbf_one_hot_head():
         trace=FitTrace(),
         feature_map=fm,
     )
-    assert predict(model, 0, np.array([0.0])) == 1.0
-    assert predict(model, 1, np.array([5.0])) == 1.0
+    assert model.predict_task(0, np.array([0.0])) == 1.0
+    assert model.predict_task(1, np.array([5.0])) == 1.0
     # One width away from the center the activation drops to exp(-1/2).
-    assert predict(model, 0, np.array([1.0])) == pytest.approx(np.exp(-0.5), rel=1e-12)
+    assert model.predict_task(0, np.array([1.0])) == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +342,14 @@ def test_save_load_preserves_feature_map(tmp_path):
     assert np.array_equal(loaded.feature_map.centers, fm.centers)
     assert np.array_equal(loaded.feature_map.widths, fm.widths)
     x = np.array([0.4, -1.0])
-    assert predict(loaded, "a", x) == predict(model, "a", x)
+    assert loaded.predict_task("a", x) == model.predict_task("a", x)
+
+
+def test_model_with_legacy_step_key_loads():
+    payload = model_to_dict(linear_model())
+    payload["config"]["graph_params"]["step"] = None
+    loaded = model_from_dict(payload)
+    assert loaded.config == linear_model().config
 
 
 def test_saved_file_is_stable_json(tmp_path):

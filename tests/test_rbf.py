@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gamtl.graph_learning import GraphLearningParams
-from gamtl.model import GamtlConfig, fit, predict
+from gamtl.model import GamtlConfig, fit
 from gamtl.rbf import (
     RbfFeatureMap,
     default_center_count,
@@ -267,7 +267,7 @@ def test_fit_rbf_attaches_feature_map_and_predicts_raw_inputs():
     assert model.feature_map is not None
     assert model.feature_map.num_centers == 8
     assert model.W.shape[0] == 9  # P features plus the bias row
-    preds = predict(model, 0, tasks[0].X)
+    preds = model.predict_task(0, tasks[0].X)
     assert preds.shape == (tasks[0].n_samples,)
     obj = np.asarray(model.trace.objective)
     assert np.all(np.diff(obj) <= 1e-9 * max(1.0, abs(obj[0])))
@@ -293,7 +293,7 @@ def test_fit_rbf_captures_shared_nonlinearity():
     def rmse(m):
         sq, n = 0.0, 0
         for t in test_tasks:
-            err = predict(m, t.task_id, t.X) - t.y
+            err = m.predict_task(t.task_id, t.X) - t.y
             sq += float(err @ err)
             n += t.n_samples
         return np.sqrt(sq / n)
@@ -343,7 +343,7 @@ def test_fit_rbf_oversized_smooth_features_lose_to_linear():
     def rmse(m):
         sq, n = 0.0, 0
         for t in test:
-            err = predict(m, t.task_id, t.X) - t.y
+            err = m.predict_task(t.task_id, t.X) - t.y
             sq += float(err @ err)
             n += t.n_samples
         return np.sqrt(sq / n)

@@ -12,9 +12,7 @@ import pytest
 
 import oracles
 from gamtl.weight_solver import (
-    SystemAssembly,
     TaskDataset,
-    assemble_system,
     ridge_floor,
     ridge_independent,
     solve_weights,
@@ -167,69 +165,6 @@ def test_ridge_floor_zero_data_fallback():
         TaskDataset(task_id=1, X=np.zeros((1, 0)), y=np.zeros(0)),
     ]
     assert ridge_floor(tasks, np.zeros((2, 2)), gamma=0.0) == 1e-12
-
-
-# --------------------------------------------------------------------------
-# Explicit assembly
-
-
-def test_assemble_system_block_diagonal_when_uncoupled():
-    rng = np.random.default_rng(5)
-    tasks = make_tasks(rng, d=2, T=3, N=8)
-    sys = assemble_system(tasks, np.zeros((3, 3)), gamma=1.0, ridge=0.0)
-    M = sys.M.toarray()
-    expected = np.zeros((6, 6))
-    for t, task in enumerate(tasks):
-        expected[2 * t : 2 * t + 2, 2 * t : 2 * t + 2] = task.X @ task.X.T
-    np.testing.assert_allclose(M, expected, atol=1e-12)
-    np.testing.assert_allclose(
-        sys.rhs, np.concatenate([t.X @ t.y for t in tasks]), atol=0.0
-    )
-
-
-def test_assemble_system_pure_coupling_two_tasks():
-    # Two sample-free scalar tasks joined by a unit edge: the system reduces
-    # to twice the graph Laplacian.
-    tasks = [
-        TaskDataset(task_id=0, X=np.zeros((1, 0)), y=np.zeros(0)),
-        TaskDataset(task_id=1, X=np.zeros((1, 0)), y=np.zeros(0)),
-    ]
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sys = assemble_system(tasks, A, gamma=1.0, ridge=0.0)
-    np.testing.assert_allclose(
-        sys.M.toarray(), np.array([[2.0, -2.0], [-2.0, 2.0]]), atol=0.0
-    )
-    np.testing.assert_allclose(sys.rhs, np.zeros(2), atol=0.0)
-    assert sys.ridge == 0.0
-
-
-def test_assemble_system_matches_dense_oracle():
-    rng = np.random.default_rng(6)
-    tasks = make_tasks(rng, d=3, T=4, N=10)
-    A = random_adjacency(rng, 4)
-    gamma, mu = 0.7, 1e-4
-    sys = assemble_system(tasks, A, gamma=gamma, ridge=mu)
-    M_ref, rhs_ref = oracles.dense_weight_system(tasks, A, gamma, mu)
-    np.testing.assert_allclose(sys.M.toarray(), M_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sys.rhs, rhs_ref, atol=0.0)
-
-
-def test_assemble_system_symmetric_positive_definite():
-    rng = np.random.default_rng(7)
-    tasks = make_tasks(rng, d=3, T=4, N=6)
-    A = random_adjacency(rng, 4)
-    sys = assemble_system(tasks, A, gamma=1.3)
-    M = sys.M.toarray()
-    assert np.array_equal(M, M.T)
-    assert np.linalg.eigvalsh(M).min() > 0.0
-    assert sys.ridge > 0.0  # automatic floor engaged
-
-
-def test_assemble_system_rejects_negative_ridge():
-    rng = np.random.default_rng(8)
-    tasks = make_tasks(rng, d=2, T=2, N=4)
-    with pytest.raises(ValueError):
-        assemble_system(tasks, np.zeros((2, 2)), gamma=1.0, ridge=-1e-9)
 
 
 # --------------------------------------------------------------------------
