@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gamtl.data import SynSpec, gen_syn1, gen_syn2
+from gamtl.data import benchmark_splits
 from gamtl.evaluate import (
     benchmark,
     fit_independent_ridge,
@@ -24,14 +24,8 @@ from gamtl.evaluate import (
     outlier_candidates,
     report_to_dict,
 )
-from gamtl.graph_learning import GraphLearningParams
-from gamtl.model import GamtlConfig, fit
+from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit
 
-PINNED = {
-    "syn1": GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.01)),
-    "syn2": GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.2)),
-}
-GENERATORS = {"syn1": gen_syn1, "syn2": gen_syn2}
 SYN1_GROUPS = (tuple(range(12)), tuple(range(12, 18)), (18,), (19,))
 OUTLIER_SCALE = 0.02
 
@@ -48,14 +42,13 @@ def ring_top3_fraction(A):
 
 
 def run_family(name, args):
-    gen = GENERATORS[name]
-    config = PINNED[name]
+    config = PINNED_CONFIGS[name]
+    options = {
+        k: getattr(args, k) for k in ("n_train", "n_test", "noise_std") if getattr(args, k) is not None
+    }
 
     def make_data(seed):
-        train, test, _ = gen(
-            SynSpec(seed=seed, n_train=args.n_train, n_test=args.n_test, noise_std=args.noise_std)
-        )
-        return train, test
+        return benchmark_splits(name, seed, **options)
 
     models = []
 
@@ -104,16 +97,18 @@ def run_family(name, args):
     }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--n-train", type=int, default=20)
-    parser.add_argument("--n-test", type=int, default=80)
-    parser.add_argument("--noise-std", type=float, default=1.0)
-    parser.add_argument("--ridge", type=float, default=1.0, help="baseline ridge strength")
+    parser.add_argument("--n-train", type=int, help="default: SynSpec's")
+    parser.add_argument("--n-test", type=int, help="default: SynSpec's")
+    parser.add_argument("--noise-std", type=float, help="default: SynSpec's")
+    parser.add_argument(
+        "--ridge", type=float, default=GamtlConfig.ridge_lambda, help="baseline ridge strength"
+    )
     parser.add_argument("--out", type=Path, default=None, help="directory for JSON reports")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     payload = {name: run_family(name, args) for name in ("syn1", "syn2")}
     if args.out is not None:
@@ -121,7 +116,8 @@ def main():
         path = args.out / "synthetic_benchmarks.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

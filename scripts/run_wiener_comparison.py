@@ -14,29 +14,30 @@ import argparse
 import json
 from pathlib import Path
 
-from gamtl.data import WienerNetworkSpec, gen_wiener_network, train_test_split
+from gamtl.data import WIENER_SPLIT_RATIO, benchmark_splits
 from gamtl.evaluate import benchmark, fit_independent_ridge, report_to_dict
-from gamtl.graph_learning import GraphLearningParams
-from gamtl.model import GamtlConfig, fit
+from gamtl.model import PINNED_CONFIGS, fit
 from gamtl.rbf import fit_rbf
 
-PINNED = GamtlConfig(gamma=1.0, graph_params=GraphLearningParams(alpha=1.0, beta=0.1))
+PINNED = PINNED_CONFIGS["wiener"]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--split", type=float, default=0.5)
+    parser.add_argument("--samples", type=int, help="samples per agent (default: WienerNetworkSpec's)")
+    parser.add_argument("--split", type=float, default=WIENER_SPLIT_RATIO)
     parser.add_argument("--centers", type=int, default=None, help="RBF centers (default sqrt rule)")
     parser.add_argument("--with-ridge", action="store_true", help="also run the ridge baseline")
     parser.add_argument("--out", type=Path, default=None, help="directory for the JSON report")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    options = {"split_ratio": args.split}
+    if args.samples is not None:
+        options["n_samples"] = args.samples
 
     def make_data(seed):
-        tasks, _ = gen_wiener_network(WienerNetworkSpec(seed=seed, n_samples=args.samples))
-        return train_test_split(tasks, args.split, seed=seed)
+        return benchmark_splits("wiener", seed, **options)
 
     echo = {
         "gamma": PINNED.gamma,
@@ -60,11 +61,11 @@ def main():
         reports.append(
             benchmark(
                 make_data,
-                lambda train, seed: fit_independent_ridge(train, 1.0),
+                lambda train, seed: fit_independent_ridge(train, PINNED.ridge_lambda),
                 "independent-ridge",
                 args.runs,
                 args.base_seed,
-                {"ridge_lambda": 1.0},
+                {"ridge_lambda": PINNED.ridge_lambda},
             )
         )
 
@@ -84,7 +85,8 @@ def main():
         payload = {"reports": [report_to_dict(r) for r in reports], "rbf_wins": wins}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

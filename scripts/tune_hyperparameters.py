@@ -3,7 +3,7 @@
 Draws one seeded training set from the requested generator and scores every
 grid point by k-fold cross-validated pooled RMSE, printing the best
 configuration and the top of the leaderboard.  Use this to re-derive or
-extend the pinned configurations in the benchmark scripts.
+extend ``gamtl.model.PINNED_CONFIGS``.
 
 Usage:
     python3 scripts/tune_hyperparameters.py syn1 --folds 5 --top 10
@@ -13,7 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
-from gamtl.data import SynSpec, WienerNetworkSpec, gen_syn1, gen_syn2, gen_wiener_network, train_test_split
+from gamtl.data import benchmark_splits
 from gamtl.model import GamtlConfig, grid_search_cv
 
 
@@ -21,17 +21,7 @@ def parse_grid(text):
     return tuple(float(v) for v in text.split(","))
 
 
-def training_tasks(name, seed):
-    if name == "syn1":
-        return gen_syn1(SynSpec(seed=seed))[0]
-    if name == "syn2":
-        return gen_syn2(SynSpec(seed=seed))[0]
-    tasks, _ = gen_wiener_network(WienerNetworkSpec(seed=seed))
-    train, _ = train_test_split(tasks, 0.5, seed=seed)
-    return train
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("benchmark", choices=("syn1", "syn2", "wiener"))
     parser.add_argument("--seed", type=int, default=0)
@@ -41,9 +31,9 @@ def main():
     parser.add_argument("--betas", type=parse_grid, default=(1e-2, 1e-1, 1.0))
     parser.add_argument("--top", type=int, default=10, help="leaderboard rows to print")
     parser.add_argument("--out", type=Path, default=None, help="file for the full JSON leaderboard")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    tasks = training_tasks(args.benchmark, args.seed)
+    tasks, _ = benchmark_splits(args.benchmark, args.seed)
     best, results = grid_search_cv(
         tasks,
         GamtlConfig(),
@@ -67,7 +57,8 @@ def main():
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -21,7 +21,6 @@ from .data import (
 )
 from .evaluate import (
     BenchmarkReport,
-    IndependentRidgeModel,
     benchmark,
     export_graph,
     fit_independent_ridge,
@@ -78,7 +77,6 @@ __all__ = [
     "GamtlModel",
     "GraphLearningParams",
     "GraphSolveReport",
-    "IndependentRidgeModel",
     "RbfFeatureMap",
     "SynSpec",
     "TaskDataset",

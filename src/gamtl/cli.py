@@ -35,7 +35,7 @@ from .evaluate import (
     rmse,
 )
 from .graph_learning import GraphLearningParams
-from .model import GamtlConfig, fit, load_model, model_to_dict, save_model
+from .model import GamtlConfig, fit, load_model, save_model
 from .rbf import fit_rbf
 
 __all__ = ["main"]
@@ -184,22 +184,23 @@ def _load_config(path: str, overrides) -> dict:
     return config
 
 
+# Keys of a config's model block that name GraphLearningParams fields; every
+# other key names a GamtlConfig field.
+_GRAPH_KEYS = {"alpha": "alpha", "beta": "beta", "graph_tol": "tol", "graph_max_iter": "max_iter"}
+# Settings of the generated benchmarks, shared by `synth` flags and `bench` configs.
+_DATA_OPTIONS = ("n_train", "n_test", "noise_std", "n_samples", "split_ratio")
+
+
 def _gamtl_config(model_cfg: dict) -> GamtlConfig:
-    graph = GraphLearningParams(
-        alpha=model_cfg.get("alpha", 1.0),
-        beta=model_cfg.get("beta", 1.0),
-        tol=model_cfg.get("graph_tol", 1e-6),
-        max_iter=model_cfg.get("graph_max_iter", 10000),
-    )
-    return GamtlConfig(
-        gamma=model_cfg.get("gamma", 1.0),
-        graph_params=graph,
-        outer_tol=model_cfg.get("outer_tol", 1e-5),
-        max_outer_iter=model_cfg.get("max_outer_iter", 50),
-        weight_solver_tol=model_cfg.get("weight_solver_tol", 1e-8),
-        ridge_lambda=model_cfg.get("ridge_lambda", 1.0),
-        seed=model_cfg.get("seed", 0),
-    )
+    graph = {_GRAPH_KEYS[k]: v for k, v in model_cfg.items() if k in _GRAPH_KEYS}
+    rest = {k: v for k, v in model_cfg.items() if k not in _GRAPH_KEYS}
+    return GamtlConfig(graph_params=GraphLearningParams(**graph), **rest)
+
+
+def _rbf_options(rbf_cfg: dict) -> dict:
+    """``fit_rbf`` keyword arguments for the lift settings a config sets."""
+    names = {"num_centers": "P", "width_factor": "width_factor"}
+    return {names[k]: v for k, v in rbf_cfg.items() if k in names}
 
 
 def _apply_flag_overrides(config: dict, args):
@@ -231,8 +232,7 @@ def _csv_schema_from_config(data_cfg: dict, csv_path: Path) -> data_mod.CsvSchem
         task_column=task_col,
         target_column=target_col,
         feature_columns=tuple(features),
-        standardize=data_cfg.get("standardize", False),
-        standardize_target=data_cfg.get("standardize_target", False),
+        **{k: data_cfg[k] for k in ("standardize", "standardize_target") if k in data_cfg},
     )
 
 
@@ -245,20 +245,9 @@ def _write_json(path: Path, payload: dict):
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
+    options = {k: getattr(args, k) for k in _DATA_OPTIONS if getattr(args, k) is not None}
     try:
-        if args.name in ("syn1", "syn2"):
-            spec = data_mod.SynSpec(
-                seed=args.seed,
-                n_train=args.n_train,
-                n_test=args.n_test,
-                noise_std=args.noise_std,
-            )
-            generator = data_mod.gen_syn1 if args.name == "syn1" else data_mod.gen_syn2
-            train, test, _ = generator(spec)
-        else:
-            spec = data_mod.WienerNetworkSpec(seed=args.seed, n_samples=args.n_samples)
-            tasks, _ = data_mod.gen_wiener_network(spec)
-            train, test = data_mod.train_test_split(tasks, args.split_ratio, seed=args.seed)
+        train, test = data_mod.benchmark_splits(args.name, args.seed, **options)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -288,16 +277,12 @@ def cmd_fit(args) -> int:
     rbf_cfg = config.get("rbf", {})
     try:
         if rbf_cfg.get("enabled", False):
-            model = fit_rbf(
-                loaded.tasks,
-                gamtl_config,
-                P=rbf_cfg.get("num_centers"),
-                width_factor=rbf_cfg.get("width_factor", 1.0),
-            )
+            model = fit_rbf(loaded.tasks, gamtl_config, **_rbf_options(rbf_cfg))
         else:
             model = fit(loaded.tasks, gamtl_config)
     except Exception as exc:
         raise RuntimeFailure(f"fit failed: {exc}") from exc
+    model.task_labels = loaded.task_labels
 
     out_dir = Path(config.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,14 +315,18 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    model_ids = set(model.task_ids)
-    data_ids = {t.task_id for t in loaded.tasks}
-    if not data_ids <= model_ids:
-        raise UsageError(
-            f"task ids in data not covered by model: {sorted(data_ids - model_ids)}"
-        )
+    # A model saved without labels names its tasks by id, as save_tasks_csv does.
+    labels = model.task_labels or tuple(str(t) for t in model.task_ids)
+    column = {label: c for c, label in enumerate(labels)}
+    unknown = [label for label in loaded.task_labels if label not in column]
+    if unknown:
+        raise UsageError(f"task labels in data not covered by model: {unknown}")
+    tasks = [
+        replace(task, task_id=model.task_ids[column[label]])
+        for label, task in zip(loaded.task_labels, loaded.tasks)
+    ]
     try:
-        result = rmse(model, loaded.tasks)
+        result = rmse(model, tasks)
     except Exception as exc:
         raise RuntimeFailure(f"evaluation failed: {exc}") from exc
     report = {
@@ -379,35 +368,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _bench_data_factory(bench_cfg: dict):
-    name = bench_cfg["name"]
-    if name in ("syn1", "syn2"):
-        generator = data_mod.gen_syn1 if name == "syn1" else data_mod.gen_syn2
-
-        def make_data(seed):
-            spec = data_mod.SynSpec(
-                seed=seed,
-                n_train=bench_cfg.get("n_train", 20),
-                n_test=bench_cfg.get("n_test", 80),
-                noise_std=bench_cfg.get("noise_std", 1.0),
-            )
-            train, test, _ = generator(spec)
-            return train, test
-
-        return make_data
-
-    def make_data(seed):
-        spec = data_mod.WienerNetworkSpec(
-            seed=seed, n_samples=bench_cfg.get("n_samples", 1000)
-        )
-        tasks, _ = data_mod.gen_wiener_network(spec)
-        return data_mod.train_test_split(
-            tasks, bench_cfg.get("split_ratio", 0.5), seed=seed
-        )
-
-    return make_data
-
-
 def cmd_bench(args) -> int:
     config = _load_config(args.config, args.set)
     _apply_flag_overrides(config, args)
@@ -416,7 +376,11 @@ def cmd_bench(args) -> int:
     bench_cfg = config["benchmark"]
     gamtl_config = _gamtl_config(config.get("model", {}))
     rbf_cfg = config.get("rbf", {})
-    make_data = _bench_data_factory(bench_cfg)
+    options = {k: bench_cfg[k] for k in _DATA_OPTIONS if k in bench_cfg}
+
+    def make_data(seed):
+        return data_mod.benchmark_splits(bench_cfg["name"], seed, **options)
+
     n_runs = bench_cfg.get("n_runs", 10)
     base_seed = bench_cfg.get("base_seed", 0)
 
@@ -424,12 +388,7 @@ def cmd_bench(args) -> int:
         method = "rbf-gamtl"
 
         def make_model(train_tasks, seed):
-            return fit_rbf(
-                train_tasks,
-                replace(gamtl_config, seed=seed),
-                P=rbf_cfg.get("num_centers"),
-                width_factor=rbf_cfg.get("width_factor", 1.0),
-            )
+            return fit_rbf(train_tasks, replace(gamtl_config, seed=seed), **_rbf_options(rbf_cfg))
 
     else:
         method = "gamtl"
@@ -474,13 +433,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("name", choices=["syn1", "syn2", "wiener"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=data_mod.SynSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-train", type=int, default=20)
-    p.add_argument("--n-test", type=int, default=80)
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--n-samples", type=int, default=1000, help="wiener samples per agent")
-    p.add_argument("--split-ratio", type=float, default=0.5, help="wiener train fraction")
+    # Unset data flags keep the defaults of SynSpec, WienerNetworkSpec and the split.
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--n-samples", type=int, help="wiener samples per agent")
+    p.add_argument("--split-ratio", type=float, help="wiener train fraction")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model from a JSON config")

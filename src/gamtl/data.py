@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,8 @@ __all__ = [
     "save_tasks_csv",
     "write_dataset",
     "train_test_split",
+    "WIENER_SPLIT_RATIO",
+    "benchmark_splits",
 ]
 
 SYN_TASKS = 20
@@ -494,4 +496,33 @@ def train_test_split(tasks, ratio: float, seed: int):
         te = np.sort(perm[n_train:])
         train.append(TaskDataset(task.task_id, task.X[:, tr], task.y[tr]))
         test.append(TaskDataset(task.task_id, task.X[:, te], task.y[te]))
+    return train, test
+
+
+WIENER_SPLIT_RATIO = 0.5  # train fraction of each agent's stream
+
+
+def benchmark_splits(name: str, seed: int, **options):
+    """Seeded ``(train, test)`` tasks of the syn1, syn2 or wiener benchmark.
+
+    ``options`` holds the settings the caller chose; every other setting
+    keeps its default.  syn1 and syn2 read the :class:`SynSpec` fields,
+    wiener the :class:`WienerNetworkSpec` fields and ``split_ratio``, the
+    train fraction of each agent's stream.  A setting that only the other
+    kind of benchmark reads is ignored, so one set of options serves all
+    three; a setting that none reads raises ``TypeError``.
+    """
+    if name not in ("syn1", "syn2", "wiener"):
+        raise ValueError(f"unknown benchmark {name!r}, expected syn1, syn2 or wiener")
+    spec_cls = WienerNetworkSpec if name == "wiener" else SynSpec
+    known = {f.name for cls in (SynSpec, WienerNetworkSpec) for f in fields(cls)}
+    unknown = set(options) - known - {"split_ratio"}
+    if unknown:
+        raise TypeError(f"unknown benchmark options {sorted(unknown)}")
+    own = {f.name for f in fields(spec_cls)}
+    spec = spec_cls(seed=seed, **{k: v for k, v in options.items() if k in own})
+    if name == "wiener":
+        tasks, _ = gen_wiener_network(spec)
+        return train_test_split(tasks, options.get("split_ratio", WIENER_SPLIT_RATIO), seed=seed)
+    train, test, _ = (gen_syn1 if name == "syn1" else gen_syn2)(spec)
     return train, test

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import validate_adjacency
+from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent, validate_tasks
 
 __all__ = [
     "RmseResult",
     "rmse",
-    "IndependentRidgeModel",
     "fit_independent_ridge",
     "BenchmarkReport",
     "benchmark",
@@ -73,34 +73,16 @@ def rmse(model, test_tasks) -> RmseResult:
     )
 
 
-@dataclass(frozen=True)
-class IndependentRidgeModel:
-    """Per-task ridge baseline with the same prediction interface as a fit."""
-
-    W: np.ndarray
-    task_ids: tuple
-    ridge_lambda: float
-
-    def column_of(self, task_id) -> int:
-        try:
-            return self.task_ids.index(task_id)
-        except ValueError:
-            raise KeyError(f"unknown task_id {task_id!r}") from None
-
-    def predict_task(self, task_id, X) -> np.ndarray:
-        w = self.W[:, self.column_of(task_id)]
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return float(X @ w)
-        return X.T @ w
-
-
-def fit_independent_ridge(tasks, ridge_lambda: float) -> IndependentRidgeModel:
+def fit_independent_ridge(tasks, ridge_lambda: float) -> GamtlModel:
+    """Per-task ridge baseline as a model with an empty task graph."""
     tasks = list(tasks)
     validate_tasks(tasks)
-    W = ridge_independent(tasks, ridge_lambda)
-    return IndependentRidgeModel(
-        W=W, task_ids=tuple(t.task_id for t in tasks), ridge_lambda=ridge_lambda
+    return GamtlModel(
+        W=ridge_independent(tasks, ridge_lambda),
+        A=np.zeros((len(tasks), len(tasks))),
+        task_ids=tuple(t.task_id for t in tasks),
+        config=GamtlConfig(gamma=0.0, ridge_lambda=ridge_lambda),
+        trace=FitTrace(),
     )
 
 

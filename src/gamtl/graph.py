@@ -50,26 +50,27 @@ def edge_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def validate_adjacency(A: np.ndarray) -> np.ndarray:
+def validate_adjacency(A: np.ndarray, name: str = "adjacency") -> np.ndarray:
     """Check that ``A`` is a valid weighted adjacency matrix.
 
     Valid means: square with at least two nodes, finite, exactly symmetric,
-    zero diagonal, and nonnegative off-diagonal entries.  Returns ``A``
-    unchanged so calls can be chained.
+    zero diagonal, and nonnegative off-diagonal entries.  Pairwise distance
+    matrices obey the same rules.  Error messages start with ``name``.
+    Returns ``A`` unchanged so calls can be chained.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {A.shape}")
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] < 2:
-        raise ValueError("adjacency needs at least 2 nodes")
+        raise ValueError(f"{name} needs at least 2 nodes")
     if not np.isfinite(A).all():
-        raise ValueError("adjacency contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     if not np.array_equal(A, A.T):
-        raise ValueError("adjacency is not symmetric")
+        raise ValueError(f"{name} is not symmetric")
     if np.any(np.diagonal(A) != 0.0):
-        raise ValueError("adjacency diagonal must be zero")
+        raise ValueError(f"{name} diagonal must be zero")
     if np.any(A < 0.0):
-        raise ValueError("adjacency has negative edge weights")
+        raise ValueError(f"{name} has negative entries")
     return A
 
 
@@ -108,18 +109,12 @@ def laplacian(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def smoothness(W: np.ndarray, A: np.ndarray, form: str = "hadamard") -> float:
-    """Weighted sum of squared parameter distances across edges.
+def smoothness(W: np.ndarray, A: np.ndarray) -> float:
+    """Weighted sum of squared parameter distances across edges, ``sum(A * Z)``.
 
-    Three equivalent computations are exposed for cross-checking:
-
-    - ``"hadamard"``: ``sum(A * Z)`` with ``Z`` from
-      :func:`pairwise_sq_distances` (the default),
-    - ``"double_sum"``: explicit loop over ordered node pairs,
-    - ``"trace"``: ``2 * tr(W L W^T)`` through the Laplacian.
-
-    All count each undirected edge twice, matching the neighbor-sum
-    convention of the joint objective.
+    ``Z`` comes from :func:`pairwise_sq_distances`, so each undirected edge
+    counts twice, matching the neighbor-sum convention of the joint
+    objective.
     """
     W = np.asarray(W, dtype=float)
     A = validate_adjacency(A)
@@ -127,20 +122,7 @@ def smoothness(W: np.ndarray, A: np.ndarray, form: str = "hadamard") -> float:
         raise ValueError(
             f"dimension mismatch: W has shape {W.shape}, adjacency has {A.shape[0]} nodes"
         )
-    if form == "hadamard":
-        return float(np.sum(A * pairwise_sq_distances(W)))
-    if form == "double_sum":
-        total = 0.0
-        T = A.shape[0]
-        for i in range(T):
-            for j in range(T):
-                d = W[:, i] - W[:, j]
-                total += A[i, j] * float(d @ d)
-        return total
-    if form == "trace":
-        L = laplacian(A)
-        return 2.0 * float(np.sum((W @ L) * W))
-    raise ValueError(f"unknown smoothness form {form!r}")
+    return float(np.sum(A * pairwise_sq_distances(W)))
 
 
 def vectorform(A: np.ndarray) -> np.ndarray:

@@ -79,27 +79,10 @@ class GraphSolveReport:
     final_residual: float
 
 
-def _validate_distances(Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {Z.shape}")
-    if Z.shape[0] < 2:
-        raise ValueError("distance matrix needs at least 2 tasks")
-    if not np.isfinite(Z).all():
-        raise ValueError("distance matrix contains non-finite entries")
-    if not np.array_equal(Z, Z.T):
-        raise ValueError("distance matrix is not symmetric")
-    if np.any(np.diagonal(Z) != 0.0):
-        raise ValueError("distance matrix diagonal must be zero")
-    if np.any(Z < 0.0):
-        raise ValueError("distance matrix has negative entries")
-    return Z
-
-
 def graph_objective(A: np.ndarray, Z: np.ndarray, params: GraphLearningParams) -> float:
     """Graph subproblem objective at ``A``; degrees must be strictly positive."""
     A = validate_adjacency(A)
-    Z = _validate_distances(Z)
+    Z = validate_adjacency(Z, "distance matrix")
     if A.shape != Z.shape:
         raise ValueError(f"shape mismatch: A {A.shape} vs Z {Z.shape}")
     degrees = A.sum(axis=1)
@@ -128,7 +111,7 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     task pairs start with stronger edges.  When all distances are zero the
     weights are uniformly 1.
     """
-    Z = _validate_distances(Z)
+    Z = validate_adjacency(Z, "distance matrix")
     z = vectorform(Z)
     scale = float(z.mean())
     w0 = np.exp(-z / scale) if scale > 0.0 else np.ones_like(z)
@@ -160,7 +143,7 @@ def learn_graph(
         never worse than the warm start.  If the residual test never fires
         within ``max_iter`` the report is flagged ``converged=False``.
     """
-    Z = _validate_distances(Z)
+    Z = validate_adjacency(Z, "distance matrix")
     T = Z.shape[0]
     if A0 is None:
         A0 = default_initial_graph(Z)

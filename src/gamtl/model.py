@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .weight_solver import (
 
 __all__ = [
     "GamtlConfig",
+    "PINNED_CONFIGS",
     "FitTrace",
     "GamtlModel",
     "joint_objective",
@@ -84,6 +85,15 @@ class GamtlConfig:
             raise ValueError("ridge_lambda must be nonnegative")
 
 
+# Tuned operating points of the shipped benchmarks, selected by grid search
+# over gamma/alpha/beta on held-out seeds and pinned for reproducibility.
+PINNED_CONFIGS = {
+    "syn1": GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.01)),
+    "syn2": GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.2)),
+    "wiener": GamtlConfig(gamma=1.0, graph_params=GraphLearningParams(alpha=1.0, beta=0.1)),
+}
+
+
 @dataclass
 class FitTrace:
     """Objective values after every half step, plus subproblem summaries.
@@ -122,7 +132,11 @@ class FitTrace:
 
 @dataclass
 class GamtlModel:
-    """Fitted weights, task graph, and the optional shared feature map."""
+    """Fitted weights, task graph, and the optional shared feature map.
+
+    ``task_labels``, when given, names the task of each column as it was
+    labelled in the training file; it is empty for tasks built in code.
+    """
 
     W: np.ndarray
     A: np.ndarray
@@ -132,11 +146,15 @@ class GamtlModel:
     feature_map: "object | None" = None
     converged: bool = True
     notes: tuple = ()
+    task_labels: tuple = ()
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
         self.A = validate_adjacency(self.A)
         self.task_ids = tuple(self.task_ids)
+        self.task_labels = tuple(self.task_labels)
+        if self.task_labels and len(self.task_labels) != len(self.task_ids):
+            raise ValueError("task_labels count does not match task_ids")
         if self.W.shape[1] != len(self.task_ids):
             raise ValueError("W column count does not match task_ids")
         if self.A.shape[0] != len(self.task_ids):
@@ -286,24 +304,6 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     )
 
 
-def _config_to_dict(config: GamtlConfig) -> dict:
-    gp = config.graph_params
-    return {
-        "gamma": config.gamma,
-        "graph_params": {
-            "alpha": gp.alpha,
-            "beta": gp.beta,
-            "tol": gp.tol,
-            "max_iter": gp.max_iter,
-        },
-        "outer_tol": config.outer_tol,
-        "max_outer_iter": config.max_outer_iter,
-        "weight_solver_tol": config.weight_solver_tol,
-        "ridge_lambda": config.ridge_lambda,
-        "seed": config.seed,
-    }
-
-
 def config_from_dict(payload: dict) -> GamtlConfig:
     payload = dict(payload)
     gp = dict(payload.pop("graph_params", {}))
@@ -321,11 +321,13 @@ def model_to_dict(model: GamtlModel) -> dict:
         "task_ids": list(model.task_ids),
         "W": model.W.tolist(),
         "A": vectorform(model.A).tolist(),
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "trace": model.trace.to_dict(),
         "converged": model.converged,
         "notes": list(model.notes),
     }
+    if model.task_labels:
+        payload["task_labels"] = list(model.task_labels)
     if model.feature_map is not None:
         payload["dims"]["P"] = len(model.feature_map.widths)
         payload["feature_map"] = {
@@ -356,6 +358,7 @@ def model_from_dict(payload: dict) -> GamtlModel:
         feature_map=feature_map,
         converged=bool(payload.get("converged", True)),
         notes=tuple(payload.get("notes", ())),
+        task_labels=tuple(payload.get("task_labels", ())),
     )
 
 

@@ -180,6 +180,12 @@ def smoothness_loops(W: np.ndarray, A: np.ndarray) -> float:
     return total
 
 
+def smoothness_trace(W: np.ndarray, A: np.ndarray) -> float:
+    """2 tr(W L W') through a dense Laplacian L = diag(A 1) - A."""
+    L = np.diag(A.sum(axis=1)) - A
+    return 2.0 * float(np.sum((W @ L) * W))
+
+
 def joint_objective_loops(W, A, tasks, gamma, alpha, beta) -> float:
     """Full objective: data term + gamma*smoothness - barrier + Frobenius."""
     data = 0.0

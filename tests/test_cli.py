@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,19 @@ def test_fit_writes_model_and_trace(tmp_path, capsys):
     objective = trace_doc["trace"]["objective"]
     assert len(objective) >= 3
     assert objective == sorted(objective, reverse=True)
+
+
+def test_fit_without_model_block_uses_config_defaults(tmp_path):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path = tmp_path / "config.json"
+    config = {"data": {"train_csv": str(train_csv)}, "out_dir": str(tmp_path / "run")}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path)]) == 0
+    payload = json.loads((tmp_path / "run" / "model.json").read_text())
+    assert payload["config"] == asdict(GamtlConfig())
+    assert payload["task_ids"] == [0, 1, 2]
+    assert payload["task_labels"] == ["0", "1", "2"]
 
 
 def test_fit_reruns_byte_identically(tmp_path):
@@ -298,6 +312,32 @@ def test_eval_task_mismatch_is_usage_error(tmp_path, capsys):
     save_tasks_csv(extra, data_path)
     assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
     assert "not covered by model" in capsys.readouterr().err
+
+
+def test_eval_matches_rows_to_columns_by_label(tmp_path, capsys):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    model_path = str(tmp_path / "run" / "model.json")
+    test_csv = tmp_path / "test.csv"
+    tasks = small_csv(test_csv, seed=1)
+    assert main(["eval", "--model", model_path, "--data", str(test_csv)]) == 0
+    full = dict(json.loads(capsys.readouterr().out)["per_task_rmse"])
+
+    # Without task 0's rows, label "1" comes first in the file; it must still
+    # be scored with the column fitted to label "1".
+    subset_csv = tmp_path / "subset.csv"
+    save_tasks_csv(tasks[1:], subset_csv)
+    assert main(["eval", "--model", model_path, "--data", str(subset_csv)]) == 0
+    subset = dict(json.loads(capsys.readouterr().out)["per_task_rmse"])
+    assert subset == {"1": full["1"], "2": full["2"]}
+
+    unknown_csv = tmp_path / "unknown.csv"
+    unknown_csv.write_text(subset_csv.read_text().replace("\n1,", "\nx,"), encoding="utf-8")
+    assert main(["eval", "--model", model_path, "--data", str(unknown_csv)]) == 1
+    assert "not covered by model: ['x']" in capsys.readouterr().err
 
 
 def test_eval_missing_model_is_usage_error(tmp_path, capsys):

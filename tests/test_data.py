@@ -10,6 +10,7 @@ from gamtl.data import (
     CsvSchema,
     SynSpec,
     WienerNetworkSpec,
+    benchmark_splits,
     canonical_csv_schema,
     default_wiener_topology,
     gen_syn1,
@@ -454,3 +455,29 @@ def test_split_rejects_bad_inputs():
         train_test_split([make_task(rng)], ratio=1.0, seed=0)
     with pytest.raises(ValueError, match="2 samples"):
         train_test_split([make_task(rng, n=1)], ratio=0.5, seed=0)
+
+
+def same_tasks(a, b):
+    return all(
+        s.task_id == t.task_id and np.array_equal(s.X, t.X) and np.array_equal(s.y, t.y)
+        for s, t in zip(a, b, strict=True)
+    )
+
+
+def test_benchmark_splits_match_generators():
+    train, test, _ = gen_syn2(SynSpec(seed=4, n_train=3, noise_std=0.5))
+    # n_samples is a wiener setting, so syn2 ignores it.
+    got = benchmark_splits("syn2", 4, n_train=3, noise_std=0.5, n_samples=7)
+    assert same_tasks(got[0], train) and same_tasks(got[1], test)
+
+    tasks, _ = gen_wiener_network(WienerNetworkSpec(seed=1, n_samples=12))
+    train, test = train_test_split(tasks, 0.5, seed=1)
+    got = benchmark_splits("wiener", 1, n_samples=12, n_train=3)
+    assert same_tasks(got[0], train) and same_tasks(got[1], test)
+
+
+def test_benchmark_splits_reject_unknown_names():
+    with pytest.raises(TypeError, match="n_trian"):
+        benchmark_splits("syn1", 0, n_trian=3)
+    with pytest.raises(ValueError, match="unknown benchmark"):
+        benchmark_splits("syn3", 0)

@@ -116,7 +116,11 @@ def test_independent_ridge_baseline_interface():
         for t in range(3)
     ]
     baseline = fit_independent_ridge(tasks, ridge_lambda=0.5)
+    assert isinstance(baseline, GamtlModel)
     assert baseline.W.shape == (3, 3)
+    assert not baseline.A.any()
+    assert baseline.config == GamtlConfig(gamma=0.0, ridge_lambda=0.5)
+    assert baseline.converged and baseline.trace.objective == []
     preds = baseline.predict_task(1, tasks[1].X)
     np.testing.assert_allclose(preds, tasks[1].X.T @ baseline.W[:, 1], atol=0.0)
     assert isinstance(baseline.predict_task(2, np.zeros(3)), float)

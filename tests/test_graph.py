@@ -1,4 +1,4 @@
-"""Adjacency/Laplacian primitives and the three smoothness forms."""
+"""Adjacency/Laplacian primitives and smoothness against its two oracle forms."""
 
 import numpy as np
 import pytest
@@ -119,7 +119,7 @@ def test_smoothness_three_forms_agree(seed):
     T, d = int(rng.integers(2, 9)), int(rng.integers(1, 7))
     W = rng.standard_normal((d, T))
     A = random_adjacency(rng, T)
-    vals = [smoothness(W, A, form=f) for f in ("hadamard", "double_sum", "trace")]
+    vals = [smoothness(W, A), oracles.smoothness_loops(W, A), oracles.smoothness_trace(W, A)]
     assert vals[0] == pytest.approx(vals[1], rel=1e-10, abs=1e-10)
     assert vals[0] == pytest.approx(vals[2], rel=1e-10, abs=1e-10)
 
@@ -130,13 +130,6 @@ def test_smoothness_matches_loop_oracle():
     A = random_adjacency(rng, 5)
     expected = oracles.smoothness_loops(W, A)
     assert smoothness(W, A) == pytest.approx(expected, rel=1e-12)
-
-
-def test_smoothness_unknown_form_rejected():
-    W = np.zeros((2, 3))
-    A = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        smoothness(W, A, form="spectral")
 
 
 def test_edge_vector_identities():

@@ -8,6 +8,7 @@ from gamtl.data import SynSpec, gen_syn1
 from gamtl.graph import laplacian, pairwise_sq_distances, vectorform
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import (
+    PINNED_CONFIGS,
     FitTrace,
     GamtlConfig,
     GamtlModel,
@@ -233,7 +234,7 @@ def test_fit_reaches_block_stationarity():
 
 def test_pinned_syn1_fits_converge():
     # The pinned syn1 operating point, with the default graph max_iter.
-    config = GamtlConfig(gamma=0.1, graph_params=GraphLearningParams(alpha=10.0, beta=0.01))
+    config = PINNED_CONFIGS["syn1"]
     notes = {}
     for seed in range(10):
         train, _, _ = gen_syn1(SynSpec(seed=seed))
