@@ -283,6 +283,7 @@ def cmd_fit(args) -> int:
     except Exception as exc:
         raise RuntimeFailure(f"fit failed: {exc}") from exc
     model.task_labels = loaded.task_labels
+    model.standardizer = loaded.standardizer
 
     out_dir = Path(config.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,8 +309,15 @@ def cmd_eval(args) -> int:
     }
     csv_path = Path(args.data)
     schema = _csv_schema_from_config(data_cfg, csv_path)
+    stats = model.standardizer
+    if stats is not None and stats.feature_mean.size != len(schema.feature_columns):
+        raise UsageError(
+            f"{csv_path}: {len(schema.feature_columns)} feature columns, but the model "
+            f"was fitted on {stats.feature_mean.size} standardized features"
+        )
     try:
-        loaded = data_mod.load_csv_tasks(csv_path, schema)
+        # a model fitted on standardized data scores test rows in the same units
+        loaded = data_mod.load_csv_tasks(csv_path, schema, standardizer=stats)
     except OSError as exc:
         raise UsageError(f"cannot read dataset: {exc}") from None
     except ValueError as exc:
@@ -329,11 +337,13 @@ def cmd_eval(args) -> int:
         result = rmse(model, tasks)
     except Exception as exc:
         raise RuntimeFailure(f"evaluation failed: {exc}") from exc
+    # RMSE in the target's own units, however the fit standardized it
+    scale = stats.target_std if stats is not None else 1.0
     report = {
-        "aggregate_rmse": result.aggregate,
-        "per_task_mean_rmse": result.per_task_mean,
+        "aggregate_rmse": scale * result.aggregate,
+        "per_task_mean_rmse": scale * result.per_task_mean,
         "per_task_rmse": [
-            [label, value]
+            [label, scale * value]
             for label, value in zip(loaded.task_labels, result.per_task.tolist())
         ],
         "n_samples": int(sum(t.n_samples for t in loaded.tasks)),

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .data import Standardizer
 from .graph import pairwise_sq_distances, validate_adjacency
 from .graph_learning import (
     GraphLearningParams,
@@ -136,6 +137,11 @@ class GamtlModel:
 
     ``task_labels``, when given, names the task of each column as it was
     labelled in the training file; it is empty for tasks built in code.
+    ``standardizer``, when given, holds the z-score statistics the training
+    file was standardized with: the model takes inputs and predicts targets
+    in those units, so new data go through the same statistics
+    (``load_csv_tasks(..., standardizer=)``) and errors scale back to
+    target units by ``target_std``.
     """
 
     W: np.ndarray
@@ -147,6 +153,7 @@ class GamtlModel:
     converged: bool = True
     notes: tuple = ()
     task_labels: tuple = ()
+    standardizer: Standardizer | None = None
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -328,6 +335,14 @@ def model_to_dict(model: GamtlModel) -> dict:
     }
     if model.task_labels:
         payload["task_labels"] = list(model.task_labels)
+    if model.standardizer is not None:
+        stats = model.standardizer
+        payload["standardizer"] = {
+            "feature_mean": stats.feature_mean.tolist(),
+            "feature_std": stats.feature_std.tolist(),
+            "target_mean": stats.target_mean,
+            "target_std": stats.target_std,
+        }
     if model.feature_map is not None:
         payload["dims"]["P"] = len(model.feature_map.widths)
         payload["feature_map"] = {
@@ -349,6 +364,15 @@ def model_from_dict(payload: dict) -> GamtlModel:
             centers=np.asarray(fm["centers"], dtype=float),
             widths=np.asarray(fm["widths"], dtype=float),
         )
+    standardizer = None
+    if "standardizer" in payload:
+        stats = payload["standardizer"]
+        standardizer = Standardizer(
+            feature_mean=np.asarray(stats["feature_mean"], dtype=float),
+            feature_std=np.asarray(stats["feature_std"], dtype=float),
+            target_mean=float(stats["target_mean"]),
+            target_std=float(stats["target_std"]),
+        )
     return GamtlModel(
         W=np.asarray(payload["W"], dtype=float),
         A=matrixform(np.asarray(payload["A"], dtype=float)),
@@ -359,6 +383,7 @@ def model_from_dict(payload: dict) -> GamtlModel:
         converged=bool(payload.get("converged", True)),
         notes=tuple(payload.get("notes", ())),
         task_labels=tuple(payload.get("task_labels", ())),
+        standardizer=standardizer,
     )
 
 

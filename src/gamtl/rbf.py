@@ -9,7 +9,9 @@ variant inherits its convergence behavior unchanged.
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
-and all reductions run in a fixed order.
+and all reductions run in a fixed order.  Squared distances accumulate one
+coordinate at a time over cache-sized row blocks, and cluster means come from
+``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
+# Entries of one row block of the distance matrix: 16k doubles, 128 KiB.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,43 @@ class RbfFeatureMap:
 
 
 def _sq_distances_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances, shape (n_points, n_centers), fixed evaluation order."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("npq,npq->np", diff, diff)
+    """Squared distances, shape (n_points, n_centers), fixed evaluation order.
+
+    Each entry sums its per-coordinate squares in coordinate order.  Rows are
+    taken in blocks of about ``_BLOCK_ENTRIES`` entries so the temporaries
+    stay in cache; no (n_points, n_centers, q) difference tensor is built.
+    """
+    N, q = points.shape
+    P = centers.shape[0]
+    out = np.zeros((N, P))
+    rows = max(1, _BLOCK_ENTRIES // P)
+    buf = np.empty((min(rows, N), P))
+    for start in range(0, N, rows):
+        block = out[start : start + rows]
+        tmp = buf[: block.shape[0]]
+        for j in range(q):
+            np.subtract(points[start : start + rows, j, None], centers[None, :, j], out=tmp)
+            np.square(tmp, out=tmp)
+            block += tmp
+    return out
+
+
+def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
+    """Per-cluster coordinate sums (P, q) and member counts (P,), in point order."""
+    sums = np.empty((P, points.shape[1]))
+    for j in range(points.shape[1]):
+        sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=P)
+    return sums, np.bincount(assign, minlength=P)
 
 
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
     k-means++ seeding followed by Lloyd iterations; stops when assignments
-    stabilize or after 300 rounds.  Empty clusters are reseeded to the point
-    currently farthest from its center.
+    stabilize or after 300 rounds.  Each round updates the centers in index
+    order from per-cluster sums and counts; an empty cluster is reseeded to
+    the point currently farthest from its own center, and that point leaves
+    its old cluster for the rest of the round.
     """
     points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -105,16 +135,22 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
 
     assign = np.argmin(_sq_distances_to(points, centers), axis=1)
     for _ in range(KMEANS_MAX_ITER):
+        sums, counts = _cluster_sums(points, assign, P)
         for p in range(P):
-            members = assign == p
-            if members.any():
-                centers[p] = points[members].mean(axis=0)
-            else:
-                # reseed to the point worst served by its current center
-                dist = _sq_distances_to(points, centers)
-                farthest = int(np.argmax(dist[np.arange(N), assign]))
-                centers[p] = points[farthest]
-                assign[farthest] = p
+            if counts[p] > 0:
+                centers[p] = sums[p] / counts[p]
+                continue
+            # reseed to the point worst served by its current center
+            gap = points - centers[assign]
+            own = np.zeros(N)
+            for j in range(gap.shape[1]):
+                own += gap[:, j] ** 2  # summed as in _sq_distances_to
+            farthest = int(np.argmax(own))
+            donor = assign[farthest]
+            centers[p] = points[farthest]
+            assign[farthest] = p
+            if donor > p:  # the donor's center is still to be updated this round
+                sums, counts = _cluster_sums(points, assign, P)
         new_assign = np.argmin(_sq_distances_to(points, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break

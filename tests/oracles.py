@@ -215,6 +215,52 @@ def nearest_assignments(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
+def kmeans_loops(points: np.ndarray, P: int, seed: int) -> np.ndarray:
+    """k-means++ seeding and Lloyd rounds, one boolean mask per center.
+
+    Distances come from the full (N, P, q) difference tensor.  An empty
+    cluster is reseeded to the point farthest from its current center, and
+    that point joins the empty cluster at once.  Stops when assignments
+    repeat or after 300 rounds.
+    """
+
+    def sq_distances(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("npq,npq->np", diff, diff)
+
+    points = np.asarray(points, dtype=float)
+    N = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((P, points.shape[1]))
+    centers[0] = points[rng.integers(N)]
+    closest_sq = sq_distances(points, centers[:1])[:, 0]
+    for p in range(1, P):
+        total = float(closest_sq.sum())
+        if total > 0.0:
+            idx = rng.choice(N, p=closest_sq / total)
+        else:
+            idx = rng.integers(N)
+        centers[p] = points[idx]
+        np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
+
+    assign = np.argmin(sq_distances(points, centers), axis=1)
+    for _ in range(300):
+        for p in range(P):
+            members = assign == p
+            if members.any():
+                centers[p] = points[members].mean(axis=0)
+            else:
+                dist = sq_distances(points, centers)
+                farthest = int(np.argmax(dist[np.arange(N), assign]))
+                centers[p] = points[farthest]
+                assign[farthest] = p
+        new_assign = np.argmin(sq_distances(points, centers), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers
+
+
 def rbf_features_loops(x: np.ndarray, centers: np.ndarray, widths: np.ndarray):
     """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), loop form."""
     out = np.empty(centers.shape[0])

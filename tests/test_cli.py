@@ -12,7 +12,7 @@ import pytest
 
 import gamtl
 from gamtl.cli import main
-from gamtl.data import save_tasks_csv
+from gamtl.data import CsvSchema, load_csv_tasks, save_tasks_csv
 from gamtl.model import FitTrace, GamtlConfig, GamtlModel, load_model, save_model
 from gamtl.weight_solver import TaskDataset
 
@@ -338,6 +338,58 @@ def test_eval_matches_rows_to_columns_by_label(tmp_path, capsys):
     unknown_csv.write_text(subset_csv.read_text().replace("\n1,", "\nx,"), encoding="utf-8")
     assert main(["eval", "--model", model_path, "--data", str(unknown_csv)]) == 1
     assert "not covered by model: ['x']" in capsys.readouterr().err
+
+
+def test_eval_scores_a_standardized_fit_in_target_units(tmp_path, capsys):
+    # Inputs and targets far from zero mean and unit scale, so scoring the
+    # standardized model on raw rows would be far off.
+    rng = np.random.default_rng(7)
+    w = np.array([1.5, -0.5])
+    splits = {}
+    for name, N in (("train", 30), ("test", 12)):
+        tasks = []
+        for t in range(3):
+            X = 5.0 + 3.0 * rng.standard_normal((2, N))
+            tasks.append(TaskDataset(t, X, 100.0 + 20.0 * (X.T @ w) + rng.standard_normal(N)))
+        splits[name] = tmp_path / f"{name}.csv"
+        save_tasks_csv(tasks, splits[name])
+    config_path, config = fit_config(tmp_path, splits["train"])
+    config["data"].update(standardize=True, standardize_target=True)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path)]) == 0
+    model_path = tmp_path / "run" / "model.json"
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_path), "--data", str(splits["test"])]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    schema = CsvSchema("task", "y", ("x0", "x1"), standardize=True, standardize_target=True)
+    stats = load_csv_tasks(splits["train"], schema).standardizer
+    model = load_model(model_path)
+    raw = load_csv_tasks(splits["test"], CsvSchema("task", "y", ("x0", "x1")))
+    sq, n = 0.0, 0
+    for t, task in enumerate(raw.tasks):
+        X = (task.X - stats.feature_mean[:, None]) / stats.feature_std[:, None]
+        pred = stats.target_mean + stats.target_std * (X.T @ model.W[:, t])
+        sq += float(((pred - task.y) ** 2).sum())
+        n += task.n_samples
+    assert report["aggregate_rmse"] == pytest.approx(np.sqrt(sq / n), rel=1e-9)
+    assert report["aggregate_rmse"] < 5.0  # noise std 1; raw rows score in the hundreds
+    assert np.array_equal(model.standardizer.feature_mean, stats.feature_mean)
+    assert np.array_equal(model.standardizer.feature_std, stats.feature_std)
+    assert model.standardizer.target_mean == stats.target_mean
+    assert model.standardizer.target_std == stats.target_std
+
+    header, *rows = splits["test"].read_text().splitlines()
+    wide_csv = tmp_path / "wide.csv"
+    wide_csv.write_text("".join(f"{line}\n" for line in [header + ",x2"] + [r + ",0" for r in rows]))
+    assert main(["eval", "--model", str(model_path), "--data", str(wide_csv)]) == 1
+    assert "3 feature columns, but the model was fitted on 2" in capsys.readouterr().err
+
+    # A fit without standardization writes no statistics.
+    config["data"].update(standardize=False, standardize_target=False)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path)]) == 0
+    assert "standardizer" not in json.loads(model_path.read_text())
 
 
 def test_eval_missing_model_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gamtl.data import benchmark_splits
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import GamtlConfig, fit
 from gamtl.rbf import (
@@ -83,6 +84,44 @@ def test_kmeans_deterministic_per_seed():
     c1 = kmeans_centers(points, P=4, seed=7)
     c2 = kmeans_centers(points, P=4, seed=7)
     assert np.array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("data_seed", range(5))
+def test_kmeans_matches_loop_oracle_on_wiener_inputs(data_seed):
+    # The RBF lift of the Wiener benchmark: pooled training inputs, P = 50.
+    train, _ = benchmark_splits("wiener", data_seed)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    centers = kmeans_centers(points, P=50, seed=0)
+    assert np.array_equal(centers, oracles.kmeans_loops(points, P=50, seed=0))
+
+
+def test_kmeans_matches_loop_oracle_on_gaussian_points():
+    points = np.random.default_rng(44).standard_normal((400, 3))
+    centers = kmeans_centers(points, P=12, seed=3)
+    assert np.array_equal(centers, oracles.kmeans_loops(points, P=12, seed=3))
+
+
+@pytest.mark.parametrize("P", [5, 8, 14])
+def test_kmeans_reseeds_empty_clusters_like_loop_oracle(P):
+    # Four distinct points, repeated: with more centers than distinct points
+    # some clusters are empty in every round and get reseeded.
+    distinct = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+    points = np.repeat(distinct, [5, 3, 4, 2], axis=0)
+    centers = kmeans_centers(points, P=P, seed=1)
+    assert np.array_equal(centers, oracles.kmeans_loops(points, P=P, seed=1))
+
+
+def test_kmeans_reseed_from_a_cluster_later_in_the_round():
+    # With this seed one cluster empties in a Lloyd round and its reseed
+    # takes a point from a cluster whose center that round has not yet
+    # updated, so that cluster's mean must leave the point out.
+    points = np.array(
+        [[0, 0], [0, 2], [0, 7], [1, 9], [3, 8], [4, 6],
+         [5, 4], [6, 8], [8, 9], [9, 2], [9, 4], [9, 5]],
+        dtype=float,
+    )
+    centers = kmeans_centers(points, P=7, seed=24)
+    assert np.array_equal(centers, oracles.kmeans_loops(points, P=7, seed=24))
 
 
 def test_kmeans_rejects_bad_center_counts():

@@ -9,8 +9,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
+from gamtl.data import SynSpec, benchmark_splits, gen_syn1
+from gamtl.model import PINNED_CONFIGS
+from gamtl.rbf import fit_rbf
 from gamtl.weight_solver import (
     TaskDataset,
     ridge_floor,
@@ -127,6 +131,17 @@ def test_ridge_independent_matches_dense_oracle():
         np.testing.assert_allclose(W[:, t], expected, rtol=1e-8)
 
 
+def test_ridge_independent_is_the_cholesky_solve_bit_for_bit():
+    # W0 of every fit: the shared per-task factorization must not change
+    # the arithmetic of the ridge start.
+    tasks, _, _ = gen_syn1(SynSpec(seed=0))
+    W = ridge_independent(tasks, lam=1.0)
+    for t, task in enumerate(tasks):
+        G = task.X @ task.X.T + 1.0 * np.eye(task.dim)
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), task.X @ task.y)
+        assert np.array_equal(W[:, t], expected)
+
+
 def test_ridge_independent_singular_raises():
     # One sample cannot determine three coefficients without a ridge.
     X = np.array([[1.0], [2.0], [3.0]])
@@ -178,6 +193,40 @@ def test_solve_weights_empty_graph_equals_independent_ridge():
     assert report.converged
     W_ref = ridge_independent(tasks, lam=report.ridge)
     np.testing.assert_allclose(W, W_ref, atol=1e-7)
+
+
+@pytest.mark.parametrize("gamma,graph", [(0.0, "random"), (1.0, "zero")])
+def test_solve_weights_uncoupled_system_takes_at_most_two_cg_iterations(gamma, graph):
+    # The block-Jacobi preconditioner inverts each task's block exactly,
+    # which is the whole system when no edge couples the tasks.
+    rng = np.random.default_rng(19)
+    tasks = make_tasks(rng, d=6, T=4, N=5)  # rank-deficient blocks
+    A = random_adjacency(rng, 4) if graph == "random" else np.zeros((4, 4))
+    W, report = solve_weights(tasks, A, gamma=gamma, solver_tol=1e-12)
+    assert report.converged
+    assert report.cg_iterations <= 2
+    # only the tiny ridge floor regularizes these rank-deficient blocks
+    np.testing.assert_allclose(W, ridge_independent(tasks, lam=report.ridge), atol=1e-6)
+
+
+def test_solve_weights_rank_deficient_weak_coupling_matches_dense_oracle():
+    # syn1's shape: fewer samples than features in every task (N = 20 < d = 30).
+    rng = np.random.default_rng(20)
+    tasks = make_tasks(rng, d=30, T=5, N=20)
+    A = random_adjacency(rng, 5)
+    W, report = solve_weights(tasks, A, gamma=0.01, solver_tol=1e-12)
+    assert report.converged
+    W_ref = oracles.dense_weight_solve(tasks, A, 0.01, mu=report.ridge)
+    np.testing.assert_allclose(W, W_ref, atol=1e-7)
+
+
+def test_wiener_rbf_fit_cg_iteration_budget():
+    # Block-Jacobi CG takes 168 iterations over this fit's three weight
+    # solves; a diagonal (Jacobi) preconditioner takes 1152.
+    train, _ = benchmark_splits("wiener", 0)
+    model = fit_rbf(train, PINNED_CONFIGS["wiener"])
+    assert model.converged
+    assert sum(r["cg_iterations"] for r in model.trace.weight_reports) <= 400
 
 
 def test_solve_weights_infinite_coupling_pools_tasks():
