@@ -6,6 +6,9 @@ together by alternating exact block minimizations of a single bi-convex
 objective: a graph-regularized least-squares solve for the weights and an
 accelerated dual proximal-gradient solve with a log-degree barrier for the
 graph.  An optional shared RBF feature lift handles nonlinear tasks.
+
+Every name exported here checks its arguments; the helpers a fit calls on
+trusted arrays are imported from their modules.
 """
 
 from .data import (
@@ -29,37 +32,10 @@ from .evaluate import (
     outlier_candidates,
     rmse,
 )
-from .graph import (
-    laplacian,
-    matrixform,
-    pairwise_sq_distances,
-    smoothness,
-    validate_adjacency,
-    vectorform,
-)
-from .graph_learning import (
-    GraphLearningParams,
-    GraphSolveReport,
-    default_initial_graph,
-    graph_objective,
-    learn_graph,
-)
-from .model import (
-    FitTrace,
-    GamtlConfig,
-    GamtlModel,
-    fit,
-    joint_objective,
-    load_model,
-    save_model,
-)
-from .rbf import (
-    RbfFeatureMap,
-    fit_rbf,
-    kmeans_centers,
-    optimal_widths,
-    transform,
-)
+from .graph import matrixform, smoothness, validate_adjacency, vectorform
+from .graph_learning import GraphLearningParams, GraphSolveReport, learn_graph
+from .model import FitTrace, GamtlConfig, GamtlModel, fit, load_model, save_model
+from .rbf import RbfFeatureMap, fit_rbf, kmeans_centers, transform
 from .weight_solver import (
     TaskDataset,
     ridge_independent,
@@ -82,7 +58,6 @@ __all__ = [
     "TaskDataset",
     "WienerNetworkSpec",
     "benchmark",
-    "default_initial_graph",
     "export_graph",
     "fit",
     "fit_independent_ridge",
@@ -90,19 +65,14 @@ __all__ = [
     "gen_syn1",
     "gen_syn2",
     "gen_wiener_network",
-    "graph_objective",
     "graph_recovery_score",
     "import_graph",
-    "joint_objective",
     "kmeans_centers",
-    "laplacian",
     "learn_graph",
     "load_csv_tasks",
     "load_model",
     "matrixform",
-    "optimal_widths",
     "outlier_candidates",
-    "pairwise_sq_distances",
     "ridge_independent",
     "rmse",
     "save_model",

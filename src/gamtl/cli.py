@@ -24,8 +24,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import jsonschema
-
 from . import data as data_mod
 from .evaluate import (
     benchmark,
@@ -146,6 +144,8 @@ BENCH_SCHEMA = {
 
 
 def _validate_config(config: dict, schema: dict):
+    import jsonschema  # only `fit` and `bench` read config files
+
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
@@ -295,13 +295,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _read_model(path):
     try:
-        model = load_model(args.model)
+        return load_model(path)
     except OSError as exc:
         raise UsageError(f"cannot read model: {exc}") from None
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed model file: {exc}") from None
+
+
+def cmd_eval(args) -> int:
+    model = _read_model(args.model)
     data_cfg = {
         "task_column": args.task_column,
         "target_column": args.target_column,
@@ -359,12 +363,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        raise UsageError(f"cannot read model: {exc}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed model file: {exc}") from None
+    model = _read_model(args.model)
     try:
         document = export_graph(model.A, threshold=args.threshold, format=args.format)
     except ValueError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import validate_adjacency
 from .model import FitTrace, GamtlConfig, GamtlModel
-from .weight_solver import ridge_independent, validate_tasks
+from .weight_solver import ridge_independent
 
 __all__ = [
     "RmseResult",
@@ -76,7 +76,6 @@ def rmse(model, test_tasks) -> RmseResult:
 def fit_independent_ridge(tasks, ridge_lambda: float) -> GamtlModel:
     """Per-task ridge baseline as a model with an empty task graph."""
     tasks = list(tasks)
-    validate_tasks(tasks)
     return GamtlModel(
         W=ridge_independent(tasks, ridge_lambda),
         A=np.zeros((len(tasks), len(tasks))),
@@ -233,29 +232,30 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
 
     ``edge-csv`` carries no node count, so pass ``n`` when trailing nodes
     are isolated; ``json`` documents are self-contained.  dot output is for
-    rendering and is not re-imported.
+    rendering and is not re-imported.  The result must pass
+    :func:`~gamtl.graph.validate_adjacency`.
     """
     if format == "json":
         doc = json.loads(document)
         size = int(doc["n"])
-        A = np.zeros((size, size))
-        for i, j, w in doc["edges"]:
-            A[int(i), int(j)] = A[int(j), int(i)] = float(w)
-        return A
-    if format == "edge-csv":
-        rows = []
+        rows = [(int(i), int(j), float(w)) for i, j, w in doc["edges"]]
+    elif format == "edge-csv":
         lines = document.strip().splitlines()
         if not lines or lines[0] != "source,target,weight":
             raise ValueError("edge-csv document must start with 'source,target,weight'")
+        rows = []
         for line in lines[1:]:
             i, j, w = line.split(",")
             rows.append((int(i), int(j), float(w)))
         size = n if n is not None else (max((max(i, j) for i, j, _ in rows), default=-1) + 1)
-        A = np.zeros((size, size))
-        for i, j, w in rows:
-            A[i, j] = A[j, i] = w
-        return A
-    raise ValueError(f"cannot import format {format!r}")
+    else:
+        raise ValueError(f"cannot import format {format!r}")
+    A = np.zeros((size, size))
+    for i, j, w in rows:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"edge ({i}, {j}) names a node outside 0..{size - 1}")
+        A[i, j] = A[j, i] = w
+    return validate_adjacency(A)
 
 
 def outlier_candidates(A: np.ndarray, threshold: float | None = None) -> list[int]:

@@ -5,6 +5,12 @@ diagonal and nonnegative off-diagonal weights.  Solvers work on the strict
 upper triangle flattened row-major into an edge vector of length
 ``T*(T-1)/2``; the degree operator maps that vector to per-node degrees and
 is only ever applied edge-wise, never materialized.
+
+``validate_adjacency``, ``smoothness``, ``vectorform`` and ``matrixform``
+check their arguments and serve input from outside the package.
+``pairwise_sq_distances``, ``laplacian``, ``apply_degree_operator`` and
+``degree_adjoint`` run on every half step of a fit and trust theirs: each
+docstring states its precondition, which the entry points establish once.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     W : ndarray, shape (d, T)
-        Per-task parameter vectors stacked as columns, T >= 2.
+        Per-task parameter vectors stacked as columns, T >= 2, finite.
+        Trusted, not checked.
 
     Returns
     -------
@@ -90,21 +97,13 @@ def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
         Gram-matrix shortcut, so no cancellation can drive entries
         negative).
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"weight matrix must be 2-d, got shape {W.shape}")
-    if W.shape[1] < 2:
-        raise ValueError("need at least 2 task columns")
-    if not np.isfinite(W).all():
-        raise ValueError("weight matrix contains non-finite entries")
     diff = W[:, :, None] - W[:, None, :]
     return np.einsum("dij,dij->ij", diff, diff)
 
 
 def laplacian(A: np.ndarray) -> np.ndarray:
-    """Combinatorial Laplacian ``L = D - A`` with ``D = diag(A @ 1)``."""
-    A = validate_adjacency(A)
-    L = -A.copy()
+    """Laplacian ``L = D - A``, ``D = diag(A @ 1)``, of a valid adjacency (not checked)."""
+    L = -A
     np.fill_diagonal(L, A.sum(axis=1))
     return L
 
@@ -122,6 +121,8 @@ def smoothness(W: np.ndarray, A: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: W has shape {W.shape}, adjacency has {A.shape[0]} nodes"
         )
+    if not np.isfinite(W).all():
+        raise ValueError("weight matrix contains non-finite entries")
     return float(np.sum(A * pairwise_sq_distances(W)))
 
 
@@ -148,17 +149,13 @@ def matrixform(w: np.ndarray) -> np.ndarray:
 
 
 def apply_degree_operator(w: np.ndarray, n_nodes: int | None = None) -> np.ndarray:
-    """Degree vector ``S w`` (each edge contributes to both endpoints)."""
-    w = np.asarray(w, dtype=float)
+    """Degree vector ``S w`` of a float edge vector on ``n_nodes`` nodes (not checked)."""
     T = num_nodes_from_edges(w.size) if n_nodes is None else n_nodes
-    if w.size != num_edges(T):
-        raise ValueError(f"edge vector length {w.size} does not match {T} nodes")
     i, j = edge_endpoints(T)
     return np.bincount(i, weights=w, minlength=T) + np.bincount(j, weights=w, minlength=T)
 
 
 def degree_adjoint(v: np.ndarray) -> np.ndarray:
-    """Adjoint ``S^T v``: per edge, the sum of its endpoint values."""
-    v = np.asarray(v, dtype=float)
+    """Adjoint ``S^T v`` of a float node vector: per edge, its endpoint values' sum."""
     i, j = edge_endpoints(v.size)
     return v[i] + v[j]

@@ -80,27 +80,19 @@ class GraphSolveReport:
 
 
 def graph_objective(A: np.ndarray, Z: np.ndarray, params: GraphLearningParams) -> float:
-    """Graph subproblem objective at ``A``; degrees must be strictly positive."""
-    A = validate_adjacency(A)
-    Z = validate_adjacency(Z, "distance matrix")
-    if A.shape != Z.shape:
-        raise ValueError(f"shape mismatch: A {A.shape} vs Z {Z.shape}")
+    """Graph subproblem objective at ``A``; ``+inf`` if a degree is not positive.
+
+    ``A`` and ``Z`` are valid adjacency matrices of one size, trusted and not
+    checked (see :func:`~gamtl.graph.validate_adjacency`).
+    """
     degrees = A.sum(axis=1)
     if np.any(degrees <= 0.0):
-        raise ValueError("graph objective undefined: some node has zero degree")
+        return np.inf
     return (
         float(np.sum(A * Z))
         - params.alpha * float(np.sum(np.log(degrees)))
         + params.beta * float(np.sum(A * A))
     )
-
-
-def _edge_objective(w: np.ndarray, z: np.ndarray, alpha: float, beta: float, T: int) -> float:
-    """Objective on the edge vector; +inf outside the barrier's domain."""
-    deg = apply_degree_operator(w, T)
-    if np.any(deg <= 0.0):
-        return np.inf
-    return 2.0 * float(z @ w) - alpha * float(np.sum(np.log(deg))) + 2.0 * beta * float(w @ w)
 
 
 def default_initial_graph(Z: np.ndarray) -> np.ndarray:
@@ -109,9 +101,9 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     Distances must be turned into similarities here: positive weights on
     every edge guarantee the positive degrees the barrier needs, and closer
     task pairs start with stronger edges.  When all distances are zero the
-    weights are uniformly 1.
+    weights are uniformly 1.  ``Z`` must be a valid distance matrix with at
+    least two nodes; it is trusted, not checked.
     """
-    Z = validate_adjacency(Z, "distance matrix")
     z = vectorform(Z)
     scale = float(z.mean())
     w0 = np.exp(-z / scale) if scale > 0.0 else np.ones_like(z)
@@ -144,7 +136,6 @@ def learn_graph(
         within ``max_iter`` the report is flagged ``converged=False``.
     """
     Z = validate_adjacency(Z, "distance matrix")
-    T = Z.shape[0]
     if A0 is None:
         A0 = default_initial_graph(Z)
     else:
@@ -154,9 +145,9 @@ def learn_graph(
         if np.any(A0.sum(axis=1) <= 0.0):
             raise ValueError("warm start must have strictly positive degrees")
 
+    T = Z.shape[0]
     alpha, beta = params.alpha, params.beta
-    z = vectorform(Z)
-    z2 = 2.0 * z
+    z2 = 2.0 * vectorform(Z)
     w0 = vectorform(A0)
     lipschitz = (T - 1) / (2.0 * beta)
     # Dual warm start at the barrier-consistent value for A0: at the optimum
@@ -182,9 +173,10 @@ def learn_graph(
         mu = lam_next + ((t - 1.0) / t_next) * (lam_next - lam)
         lam, t = lam_next, t_next
 
-    if _edge_objective(w, z, alpha, beta, T) > _edge_objective(w0, z, alpha, beta, T):
-        w = w0
+    A = matrixform(w)
+    if graph_objective(A, Z, params) > graph_objective(A0, Z, params):
+        A = A0.copy()
     report = GraphSolveReport(
         iterations=iterations, converged=converged, final_residual=residual
     )
-    return matrixform(w), report
+    return A, report

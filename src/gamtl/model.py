@@ -30,10 +30,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Standardizer
-from .graph import pairwise_sq_distances, validate_adjacency
+from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vectorform
 from .graph_learning import (
     GraphLearningParams,
     default_initial_graph,
+    graph_objective,
     learn_graph,
 )
 from .weight_solver import (
@@ -157,6 +158,8 @@ class GamtlModel:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
+        if self.W.ndim != 2 or not np.isfinite(self.W).all():
+            raise ValueError(f"W must be a finite 2-d array, got shape {self.W.shape}")
         self.A = validate_adjacency(self.A)
         self.task_ids = tuple(self.task_ids)
         self.task_labels = tuple(self.task_labels)
@@ -166,6 +169,8 @@ class GamtlModel:
             raise ValueError("W column count does not match task_ids")
         if self.A.shape[0] != len(self.task_ids):
             raise ValueError("A size does not match task_ids")
+        if self.feature_map is not None and self.W.shape[0] != self.feature_map.num_centers + 1:
+            raise ValueError("W row count does not match the feature map's centers plus bias")
 
     def column_of(self, task_id) -> int:
         try:
@@ -193,24 +198,17 @@ class GamtlModel:
 
 
 def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) -> float:
-    """Evaluate the full objective F(W, A) on a task collection."""
-    tasks = list(tasks)
-    W = np.asarray(W, dtype=float)
-    A = validate_adjacency(A)
-    degrees = A.sum(axis=1)
-    if np.any(degrees <= 0.0):
-        raise ValueError("joint objective undefined: some node has zero degree")
+    """Full objective F(W, A): the data term plus the graph objective at ``gamma * Z(W)``.
+
+    ``W`` (finite, d x T), ``A`` (valid, T x T) and the T tasks are trusted,
+    not checked; ``+inf`` when a node of ``A`` has no positive degree.
+    """
     data_term = 0.0
     for t, task in enumerate(tasks):
         r = task.X.T @ W[:, t] - task.y
         data_term += float(r @ r)
     Z = pairwise_sq_distances(W)
-    return (
-        data_term
-        + config.gamma * float(np.sum(A * Z))
-        - config.graph_params.alpha * float(np.sum(np.log(degrees)))
-        + config.graph_params.beta * float(np.sum(A * A))
-    )
+    return data_term + graph_objective(A, config.gamma * Z, config.graph_params)
 
 
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
@@ -320,8 +318,6 @@ def config_from_dict(payload: dict) -> GamtlConfig:
 
 def model_to_dict(model: GamtlModel) -> dict:
     """JSON-ready form of a model; floats survive round trips exactly."""
-    from .graph import vectorform
-
     d, T = model.W.shape
     payload = {
         "dims": {"d": d, "T": T},
@@ -353,8 +349,6 @@ def model_to_dict(model: GamtlModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> GamtlModel:
-    from .graph import matrixform
-
     feature_map = None
     if "feature_map" in payload:
         from .rbf import RbfFeatureMap

@@ -16,6 +16,7 @@ coordinate at a time over cache-sized row blocks, and cluster means come from
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -104,10 +105,12 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
     k-means++ seeding followed by Lloyd iterations; stops when assignments
-    stabilize or after 300 rounds.  Each round updates the centers in index
-    order from per-cluster sums and counts; an empty cluster is reseeded to
-    the point currently farthest from its own center, and that point leaves
-    its old cluster for the rest of the round.
+    stabilize, when a round starts from the assignment and centers of an
+    earlier round (from there it would only replay the same cycle), or after
+    300 rounds.  Each round updates the centers in index order from
+    per-cluster sums and counts; an empty cluster is reseeded to the point
+    currently farthest from its own center, and that point leaves its old
+    cluster for the rest of the round.
     """
     points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -134,7 +137,13 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         )
 
     assign = np.argmin(_sq_distances_to(points, centers), axis=1)
+    seen = set()
     for _ in range(KMEANS_MAX_ITER):
+        # A round depends only on (assign, centers): a repeat replays a cycle.
+        state = hashlib.blake2b(assign.tobytes() + centers.tobytes()).digest()
+        if state in seen:
+            break
+        seen.add(state)
         sums, counts = _cluster_sums(points, assign, P)
         for p in range(P):
             if counts[p] > 0:
@@ -169,7 +178,8 @@ def optimal_widths(
     Centers with a duplicate (nearest distance zero) fall back to the mean of
     the nonzero nearest distances, with a warning.  A single center has no
     neighbor: pass ``single_width`` explicitly, or ``pooled_inputs`` to use
-    the RMS point-to-center distance instead.
+    the RMS point-to-center distance instead.  ``centers`` (P, q) and
+    ``pooled_inputs`` (N, q) are finite, trusted and not checked.
     """
     centers = np.asarray(centers, dtype=float)
     if width_factor <= 0.0:

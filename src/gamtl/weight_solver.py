@@ -142,17 +142,6 @@ def ridge_floor(tasks, A: np.ndarray, gamma: float) -> float:
     return RIDGE_FLOOR_SCALE * trace / (d * T)
 
 
-def _check_fit_inputs(tasks, A: np.ndarray, gamma: float):
-    tasks = list(tasks)
-    d, T = validate_tasks(tasks, require_samples=False)
-    A = validate_adjacency(A)
-    if A.shape[0] != T:
-        raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-    return tasks, A, d, T
-
-
 @dataclass
 class WeightSolveReport:
     """Convergence record of one :func:`solve_weights` call."""
@@ -178,7 +167,13 @@ def solve_weights(
     budget runs out first, the last iterate is returned with
     ``report.converged = False``.
     """
-    tasks, A, d, T = _check_fit_inputs(tasks, A, gamma)
+    tasks = list(tasks)
+    d, T = validate_tasks(tasks, require_samples=False)
+    A = validate_adjacency(A)
+    if A.shape[0] != T:
+        raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
     if solver_tol <= 0.0:
         raise ValueError("solver_tol must be positive")
     mu = ridge_floor(tasks, A, gamma)

@@ -83,7 +83,9 @@ def pgd_graph(
 
     Minimizes E(w) = 2 z'w - alpha sum(log(Sw)) + 2 beta ||w||^2 over w >= 0
     with a tiny fixed step and many iterations; the log barrier keeps every
-    degree positive from a positive start.  Returns the adjacency matrix.
+    degree positive from a positive start.  Stops early once a step leaves
+    ``w`` bit-identical, since every later step would repeat it.  Returns the
+    adjacency matrix.
     """
     n = Z.shape[0]
     S = edge_incidence(n)
@@ -92,7 +94,10 @@ def pgd_graph(
     for _ in range(iterations):
         degrees = S @ w
         grad = 2.0 * z + 4.0 * beta * w - S.T @ (alpha / degrees)
-        w = np.maximum(w - step * grad, 0.0)
+        w_next = np.maximum(w - step * grad, 0.0)
+        if np.array_equal(w_next, w):
+            break
+        w = w_next
     A = np.zeros((n, n))
     idx = 0
     for i in range(n):

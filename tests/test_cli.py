@@ -529,9 +529,10 @@ def test_bench_schema_error_names_field(tmp_path, capsys):
 # Top-level parsing
 
 
-def test_cli_import_leaves_out_scipy_signal():
+@pytest.mark.parametrize("module", ["scipy.signal", "jsonschema"])
+def test_cli_import_leaves_out_scipy_signal(module):
     env = dict(os.environ, PYTHONPATH=str(Path(gamtl.__file__).parents[1]))
-    probe = "import sys, gamtl.cli; print('scipy.signal' in sys.modules)"
+    probe = f"import sys, gamtl.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

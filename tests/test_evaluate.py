@@ -272,6 +272,8 @@ def test_export_rejects_bad_arguments():
         import_graph("{}", format="dot")
     with pytest.raises(ValueError, match="source,target,weight"):
         import_graph("a,b\n", format="edge-csv")
+    with pytest.raises(ValueError, match="outside"):
+        import_graph("source,target,weight\n-1,0,0.5\n", format="edge-csv", n=3)
 
 
 def test_outlier_candidates_flags_weak_node():

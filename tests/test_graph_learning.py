@@ -83,18 +83,11 @@ def test_graph_objective_matches_loop_oracle():
     assert graph_objective(A, Z, params) == pytest.approx(expected, rel=1e-12)
 
 
-def test_graph_objective_rejects_zero_degree():
+def test_graph_objective_is_inf_outside_barrier_domain():
+    # Node 2 has zero degree, so the log barrier is undefined there.
     A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     Z = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="zero degree"):
-        graph_objective(A, Z, GraphLearningParams())
-
-
-def test_graph_objective_rejects_shape_mismatch():
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    Z = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        graph_objective(A, Z, GraphLearningParams())
+    assert graph_objective(A, Z, GraphLearningParams()) == np.inf
 
 
 # --------------------------------------------------------------------------
@@ -116,11 +109,6 @@ def test_default_initial_graph_monotone_in_distance():
     assert np.all(w0 > 0.0)
     order = np.argsort(z)
     assert np.all(np.diff(w0[order]) <= 1e-15)
-
-
-def test_default_initial_graph_rejects_single_task():
-    with pytest.raises(ValueError):
-        default_initial_graph(np.zeros((1, 1)))
 
 
 # --------------------------------------------------------------------------

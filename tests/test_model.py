@@ -106,13 +106,12 @@ def test_joint_objective_matches_loop_oracle(gamma):
     assert joint_objective(W, A, tasks, config) == pytest.approx(expected, rel=1e-10)
 
 
-def test_joint_objective_rejects_zero_degree():
+def test_joint_objective_is_inf_outside_barrier_domain():
     rng = np.random.default_rng(22)
     tasks = make_related_tasks(rng, d=2, T=3, N=4)
     W = np.zeros((2, 3))
     A = np.zeros((3, 3))
-    with pytest.raises(ValueError, match="zero degree"):
-        joint_objective(W, A, tasks, GamtlConfig())
+    assert joint_objective(W, A, tasks, GamtlConfig()) == np.inf
 
 
 # --------------------------------------------------------------------------
@@ -344,6 +343,10 @@ def test_save_load_preserves_feature_map(tmp_path):
     assert np.array_equal(loaded.feature_map.widths, fm.widths)
     x = np.array([0.4, -1.0])
     assert loaded.predict_task("a", x) == model.predict_task("a", x)
+    payload["feature_map"]["centers"].append([1.0, 1.0])
+    payload["feature_map"]["widths"].append(1.0)
+    with pytest.raises(ValueError, match="feature map"):
+        model_from_dict(payload)  # three centers plus bias need four rows of W
 
 
 def test_model_with_legacy_step_key_loads():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gamtl import rbf
 from gamtl.data import benchmark_splits
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import GamtlConfig, fit
@@ -122,6 +123,28 @@ def test_kmeans_reseed_from_a_cluster_later_in_the_round():
     )
     centers = kmeans_centers(points, P=7, seed=24)
     assert np.array_equal(centers, oracles.kmeans_loops(points, P=7, seed=24))
+
+
+@pytest.mark.parametrize("P", [6, 8])
+def test_kmeans_stops_when_a_round_state_repeats(monkeypatch, P):
+    # Four distinct points in 14 rows: with more centers than distinct points
+    # the reseeds hand points back and forth in a cycle that never settles
+    # the assignment, so only a repeated state can end the loop early.
+    points = np.random.default_rng(0).standard_normal((4, 2))[np.arange(14) % 4]
+    full_assignments = []
+    sq_distances_to = rbf._sq_distances_to
+
+    def counting(pts, centers):
+        if centers.shape[0] == P:
+            full_assignments.append(1)
+        return sq_distances_to(pts, centers)
+
+    monkeypatch.setattr(rbf, "_sq_distances_to", counting)
+    for seed in range(3):
+        full_assignments.clear()
+        kmeans_centers(points, P=P, seed=seed)
+        # one assignment after seeding, then one per Lloyd round
+        assert len(full_assignments) - 1 < 10
 
 
 def test_kmeans_rejects_bad_center_counts():
