@@ -3,8 +3,8 @@
 Fits one linear model per task while learning a weighted task-adjacency
 matrix that says which tasks inform each other.  The two are estimated
 together by alternating exact block minimizations of a single bi-convex
-objective: a graph-regularized least-squares solve for the weights and an
-accelerated dual proximal-gradient solve with a log-degree barrier for the
+objective: a graph-regularized least-squares solve for the weights and a
+damped Newton solve of the log-degree-barrier graph problem's dual for the
 graph.  An optional shared RBF feature lift handles nonlinear tasks.
 
 Every name exported here checks its arguments; the helpers a fit calls on

@@ -95,10 +95,17 @@ def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
         ``Z[i, j] = ||W[:, i] - W[:, j]||^2``.  Exactly symmetric with a
         zero diagonal (computed from explicit column differences, not the
         Gram-matrix shortcut, so no cancellation can drive entries
-        negative).
+        negative).  The squares are summed one coordinate at a time, so the
+        memory is two ``(T, T)`` buffers, not a ``(d, T, T)`` tensor.
     """
-    diff = W[:, :, None] - W[:, None, :]
-    return np.einsum("dij,dij->ij", diff, diff)
+    T = W.shape[1]
+    Z = np.zeros((T, T))
+    sq = np.empty((T, T))
+    for row in W:
+        np.subtract(row[:, None], row[None, :], out=sq)
+        np.square(sq, out=sq)
+        Z += sq
+    return Z
 
 
 def laplacian(A: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ A (T x T) is
 
 with Z(W) the pairwise squared column distances.  F is bi-convex: quadratic
 in W for fixed A and convex in A for fixed W.  The fit alternates exact block
-minimizations -- a preconditioned CG solve for W and an accelerated dual
+minimizations -- a preconditioned CG solve for W and a damped Newton dual
 solve for A -- so the objective never increases.  gamma enters the W step as the
 smoothness multiplier and the A step by pre-scaling Z, which makes each step
 minimize F itself in its block.

@@ -153,6 +153,33 @@ def test_general_instance_matches_projected_gradient_oracle():
     np.testing.assert_allclose(A, A_ref, atol=1e-4)
 
 
+def test_precision_stop_matches_projected_gradient_oracle():
+    # At tol = 1e-11 the dual gain of a good step falls below rounding while
+    # the residual is still above tol; the solve must keep stepping on the
+    # gradient norm instead of stalling.
+    rng = np.random.default_rng(1)
+    Z = pairwise_sq_distances(rng.standard_normal((3, 4)))
+    alpha, beta = rng.uniform(0.8, 2.0), rng.uniform(0.2, 1.0)
+    A_ref = oracles.pgd_graph(Z, alpha, beta, step=1e-3, iterations=300_000)
+    assert oracles.graph_kkt_residual(A_ref, Z, alpha, beta) < 1e-5
+    params = GraphLearningParams(alpha=alpha, beta=beta, tol=1e-11, max_iter=300000)
+    A, report = learn_graph(Z, params)
+    assert report.converged
+    assert report.iterations <= 50
+    np.testing.assert_allclose(A, A_ref, atol=1e-4)
+
+
+def test_large_clustered_instance_meets_kkt_oracle():
+    # Four planted clusters of 50 tasks each in d = 30.
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((30, 4))
+    W = centers[:, np.arange(200) % 4] + 0.3 * rng.standard_normal((30, 200))
+    Z = pairwise_sq_distances(W)
+    A, report = learn_graph(Z, GraphLearningParams(alpha=1.0, beta=1.0))
+    assert report.converged
+    assert oracles.graph_kkt_residual(A, Z, 1.0, 1.0) < 1e-5
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_scaling_identity(seed):
     # Scaling the distances by c maps the optimum A*(cZ, alpha, beta) to
@@ -198,6 +225,20 @@ def test_non_convergence_flagged_with_best_iterate():
     assert report.iterations == 3
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params) + 1e-9
+
+
+@pytest.mark.parametrize("z", [1e6, 1e8, 1e12])
+def test_precision_floor_stops_before_max_iter(z):
+    # The optimal edge (about 1/z) leaves r = S^T lam - 2z below the rounding
+    # of 2z, so tol = 1e-6 is out of reach; the line search must give up at
+    # that floor instead of running out max_iter on steps lost to rounding.
+    Z = np.array([[0.0, z], [z, 0.0]])
+    params = GraphLearningParams()
+    A0 = default_initial_graph(Z)
+    A, report = learn_graph(Z, params, A0=A0)
+    assert report.iterations < 200
+    validate_adjacency(A)
+    assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 
 
 def test_converged_solution_improves_on_warm_start():

@@ -243,6 +243,23 @@ def test_pinned_syn1_fits_converge():
     assert notes == {}
 
 
+@pytest.mark.parametrize(
+    "seed,gamma,alpha,beta",
+    [(0, 10.0, 1.0, 1.0), (0, 1.0, 0.01, 0.01), (0, 100.0, 0.01, 0.01), (1, 100.0, 0.01, 10.0)],
+)
+def test_graph_step_does_not_stall_on_scaled_distances(seed, gamma, alpha, beta):
+    # Grid points where gamma * Z is large against the warm start's scale: a
+    # first-order dual solver caps here and hands back the warm start.
+    train, _, _ = gen_syn1(SynSpec(seed=seed))
+    config = GamtlConfig(gamma=gamma, graph_params=GraphLearningParams(alpha=alpha, beta=beta))
+    model = fit(train, config)
+    assert model.converged, model.notes
+    reports = model.trace.graph_reports
+    assert all(r["converged"] and r["iterations"] <= 200 for r in reports), reports
+    # The first graph step must leave the initial graph, not fall back to it.
+    assert model.trace.objective[2] < model.trace.objective[1]
+
+
 # --------------------------------------------------------------------------
 # Prediction
 
