@@ -197,17 +197,22 @@ class GamtlModel:
         return float(out[0]) if single else out
 
 
-def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) -> float:
+def joint_objective(
+    W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig, Z: np.ndarray | None = None
+) -> float:
     """Full objective F(W, A): the data term plus the graph objective at ``gamma * Z(W)``.
 
     ``W`` (finite, d x T), ``A`` (valid, T x T) and the T tasks are trusted,
     not checked; ``+inf`` when a node of ``A`` has no positive degree.
+    ``Z``, when given, must be ``pairwise_sq_distances(W)``; a caller that
+    already holds it saves recomputing it.
     """
     data_term = 0.0
     for t, task in enumerate(tasks):
         r = task.X.T @ W[:, t] - task.y
         data_term += float(r @ r)
-    Z = pairwise_sq_distances(W)
+    if Z is None:
+        Z = pairwise_sq_distances(W)
     return data_term + graph_objective(A, config.gamma * Z, config.graph_params)
 
 
@@ -225,8 +230,11 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     trace = FitTrace()
     notes = []
 
+    # Z always holds the distances of the current W: each distinct W costs
+    # one pairwise_sq_distances call.
     W = ridge_independent(tasks, config.ridge_lambda)
-    A = default_initial_graph(pairwise_sq_distances(W))
+    Z = pairwise_sq_distances(W)
+    A = default_initial_graph(Z)
 
     if config.gamma == 0.0:
         warnings.warn(
@@ -235,7 +243,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             "initialization",
             stacklevel=2,
         )
-        trace.record("init", joint_objective(W, A, tasks, config))
+        trace.record("init", joint_objective(W, A, tasks, config, Z))
         return GamtlModel(
             W=W,
             A=A,
@@ -246,7 +254,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             notes=("gamma = 0: alternation skipped",),
         )
 
-    objective = joint_objective(W, A, tasks, config)
+    objective = joint_objective(W, A, tasks, config, Z)
     trace.record("init", objective)
     converged = False
 
@@ -268,12 +276,12 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         )
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
-        candidate = joint_objective(W_new, A, tasks, config)
+        Z_new = pairwise_sq_distances(W_new)
+        candidate = joint_objective(W_new, A, tasks, config, Z_new)
         if candidate <= objective:
-            W, objective = W_new, candidate
+            W, Z, objective = W_new, Z_new, candidate
         trace.record("weights", objective)
 
-        Z = pairwise_sq_distances(W)
         A_new, greport = learn_graph(config.gamma * Z, config.graph_params, A0=A)
         trace.graph_reports.append(
             {
@@ -285,7 +293,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         )
         if not greport.converged:
             notes.append(f"outer {outer}: graph solve hit its iteration limit")
-        candidate = joint_objective(W, A_new, tasks, config)
+        candidate = joint_objective(W, A_new, tasks, config, Z)
         if candidate <= objective:
             A, objective = A_new, candidate
         trace.record("graph", objective)

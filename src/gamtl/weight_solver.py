@@ -11,14 +11,16 @@ factor 2 because the smoothness term counts each undirected edge twice), and
 ``rhs`` stacks ``X_t y_t``.  A small ridge ``mu`` keeps the system positive
 definite when task data are rank deficient.
 
-The system is solved by preconditioned conjugate gradient with a
-block-Jacobi preconditioner: the exact inverse of each task's diagonal block
-``X_t X_t^T + (mu + 2 gamma deg_t) I``, from its Cholesky factor.  With an
-empty graph or ``gamma = 0`` that preconditioner inverts the whole system.
-Matrix-vector products exploit the Kronecker structure implicitly: per-task
-data products plus a Laplacian product on the task axis, never materializing
-the dT x dT matrix.  Only the T inverse blocks (d x d each) are stored; the
-per-task Gram matrices are not.
+The system is solved by preconditioned conjugate gradient, written out in
+:func:`_pcg`, with a block-Jacobi preconditioner: the exact inverse of each
+task's diagonal block ``X_t X_t^T + (mu + 2 gamma deg_t) I``, formed as
+``Li^T Li`` from the inverse ``Li`` of its numpy Cholesky factor, so every
+block is exactly symmetric.  With an empty graph or ``gamma = 0`` that
+preconditioner inverts the whole system.  Matrix-vector products exploit the
+Kronecker structure implicitly: per-task data products plus a Laplacian
+product on the task axis, never materializing the dT x dT matrix.  Only the
+T inverse blocks (d x d each) are stored; the per-task Gram matrices are
+not.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .graph import laplacian, validate_adjacency
 
@@ -102,9 +102,9 @@ def validate_tasks(tasks, require_samples: bool = True) -> tuple[int, int]:
     return d, len(tasks)
 
 
-def _gram_cholesky(X: np.ndarray, shift: float):
-    """``scipy.linalg.cho_factor`` of ``X X^T + shift I``."""
-    return scipy.linalg.cho_factor(X @ X.T + shift * np.eye(X.shape[0]))
+def _gram_cholesky(X: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of ``X X^T + shift I``."""
+    return np.linalg.cholesky(X @ X.T + shift * np.eye(X.shape[0]))
 
 
 def ridge_independent(tasks, lam: float) -> np.ndarray:
@@ -122,12 +122,12 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
         b = task.X @ task.y
         try:
             factor = _gram_cholesky(task.X, lam)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"task {task.task_id}: normal equations are singular; "
                 "use lam > 0 or provide full-row-rank data"
             ) from exc
-        W[:, t] = scipy.linalg.cho_solve(factor, b)
+        W[:, t] = np.linalg.solve(factor.T, np.linalg.solve(factor, b))
     return W
 
 
@@ -140,6 +140,49 @@ def ridge_floor(tasks, A: np.ndarray, gamma: float) -> float:
     if trace <= 0.0:
         return 1e-12
     return RIDGE_FLOOR_SCALE * trace / (d * T)
+
+
+def _block_inverses(xs, shifts: np.ndarray) -> np.ndarray:
+    """Stacked inverses of ``X_t X_t^T + shifts[t] I``, each exactly symmetric."""
+    d = xs[0].shape[0]
+    inverses = np.empty((len(xs), d, d))
+    for t, X in enumerate(xs):
+        Li = np.linalg.inv(_gram_cholesky(X, shifts[t]))
+        np.matmul(Li.T, Li, out=inverses[t])
+    return inverses
+
+
+def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned conjugate gradient on ``M x = rhs``; updates ``x`` in place.
+
+    Before each iteration the recurrence residual ``r`` is tested against
+    ``||r|| < rtol * ||rhs||``.  A zero ``rhs`` returns zeros at once, even
+    from a nonzero ``x``.  Returns ``(x, iterations, converged)``; when
+    ``maxiter`` iterations run out, ``x`` is the last iterate and
+    ``converged`` is False.
+    """
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0, True
+    atol = rtol * rhs_norm
+    r = rhs - matvec(x) if x.any() else rhs.copy()
+    rho_prev = p = None
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration, True
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
 
 
 @dataclass
@@ -164,8 +207,8 @@ def solve_weights(
 
     Returns ``(W, report)`` with W of shape (d, T).  The residual satisfies
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if the iteration
-    budget runs out first, the last iterate is returned with
-    ``report.converged = False``.
+    budget (``max_cg_iter``, by default ``10 d T``) runs out first, the last
+    iterate is returned with ``report.converged = False``.
     """
     tasks = list(tasks)
     d, T = validate_tasks(tasks, require_samples=False)
@@ -176,6 +219,14 @@ def solve_weights(
         raise ValueError("gamma must be nonnegative")
     if solver_tol <= 0.0:
         raise ValueError("solver_tol must be positive")
+    if max_cg_iter is not None and max_cg_iter < 1:
+        raise ValueError("max_cg_iter must be at least 1")
+    x = np.zeros(d * T)
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=float)
+        if warm_start.shape != (d, T):
+            raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
+        x = warm_start.T.flatten()
     mu = ridge_floor(tasks, A, gamma)
     L = laplacian(A)
     coupled = gamma > 0.0 and A.any()
@@ -195,46 +246,19 @@ def solve_weights(
     shifts = np.full(T, mu)
     if coupled:
         shifts += 2.0 * gamma * A.sum(axis=1)
-    block_inverses = np.empty((T, d, d))
-    eye = np.eye(d)
-    for t, X in enumerate(xs):
-        block_inverses[t] = scipy.linalg.cho_solve(_gram_cholesky(X, shifts[t]), eye)
+    block_inverses = _block_inverses(xs, shifts)
     rhs = np.concatenate([X @ y for X, y in zip(xs, ys)])
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return np.matmul(block_inverses, r.reshape(T, d, 1)).ravel()
 
-    n = d * T
-    operator = LinearOperator((n, n), matvec=matvec, dtype=float)
-    precond = LinearOperator((n, n), matvec=precondition, dtype=float)
-    x0 = None
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape != (d, T):
-            raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
-        x0 = warm_start.T.ravel()
-
-    iterations = 0
-
-    def count(_xk):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = cg(
-        operator,
-        rhs,
-        x0=x0,
-        rtol=solver_tol,
-        atol=0.0,
-        maxiter=max_cg_iter,
-        M=precond,
-        callback=count,
-    )
+    maxiter = 10 * d * T if max_cg_iter is None else max_cg_iter
+    x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, maxiter)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(matvec(x) - rhs)) / max(rhs_norm, 1e-300)
     report = WeightSolveReport(
         cg_iterations=iterations,
-        converged=(info == 0),
+        converged=converged,
         relative_residual=residual,
         ridge=mu,
     )

@@ -529,10 +529,11 @@ def test_bench_schema_error_names_field(tmp_path, capsys):
 # Top-level parsing
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "jsonschema"])
-def test_cli_import_leaves_out_scipy_signal(module):
+@pytest.mark.parametrize("entry", ["gamtl", "gamtl.cli"])
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_cli_import_leaves_out_heavy_modules(entry, module):
     env = dict(os.environ, PYTHONPATH=str(Path(gamtl.__file__).parents[1]))
-    probe = f"import sys, gamtl.cli; print({module!r} in sys.modules)"
+    probe = f"import sys, {entry}; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -243,6 +243,25 @@ def test_pinned_syn1_fits_converge():
     assert notes == {}
 
 
+def test_fit_computes_distances_once_per_weight_candidate(monkeypatch):
+    # The initial W and each weight-step candidate need their distances
+    # once; the graph step and the objective reuse them.
+    import gamtl.model
+
+    calls = []
+    monkeypatch.setattr(
+        gamtl.model,
+        "pairwise_sq_distances",
+        lambda W: calls.append(W) or pairwise_sq_distances(W),
+    )
+    config = PINNED_CONFIGS["syn1"]
+    train, _, _ = gen_syn1(SynSpec(seed=0))
+    model = fit(train, config)
+    assert len(calls) == 1 + len(model.trace.weight_reports)
+    monkeypatch.undo()
+    assert model.trace.objective[-1] == joint_objective(model.W, model.A, train, config)
+
+
 @pytest.mark.parametrize(
     "seed,gamma,alpha,beta",
     [(0, 10.0, 1.0, 1.0), (0, 1.0, 0.01, 0.01), (0, 100.0, 0.01, 0.01), (1, 100.0, 0.01, 10.0)],

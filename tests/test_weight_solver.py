@@ -13,10 +13,11 @@ import scipy.linalg
 
 import oracles
 from gamtl.data import SynSpec, benchmark_splits, gen_syn1
-from gamtl.model import PINNED_CONFIGS
+from gamtl.model import PINNED_CONFIGS, fit
 from gamtl.rbf import fit_rbf
 from gamtl.weight_solver import (
     TaskDataset,
+    _block_inverses,
     ridge_floor,
     ridge_independent,
     solve_weights,
@@ -133,13 +134,20 @@ def test_ridge_independent_matches_dense_oracle():
 
 def test_ridge_independent_is_the_cholesky_solve_bit_for_bit():
     # W0 of every fit: the shared per-task factorization must not change
-    # the arithmetic of the ridge start.
+    # the arithmetic of the ridge start, a numpy Cholesky factor and two
+    # solves with it.  scipy's LAPACK Cholesky solve agrees to rounding,
+    # measured in norm: a coefficient near zero carries a relative error of
+    # about 1e-11 in either solve.
     tasks, _, _ = gen_syn1(SynSpec(seed=0))
     W = ridge_independent(tasks, lam=1.0)
     for t, task in enumerate(tasks):
         G = task.X @ task.X.T + 1.0 * np.eye(task.dim)
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), task.X @ task.y)
+        b = task.X @ task.y
+        L = np.linalg.cholesky(G)
+        expected = np.linalg.solve(L.T, np.linalg.solve(L, b))
         assert np.array_equal(W[:, t], expected)
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), b)
+        assert np.linalg.norm(W[:, t] - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_ridge_independent_singular_raises():
@@ -153,6 +161,16 @@ def test_ridge_independent_singular_raises():
         ridge_independent(tasks, lam=0.0)
     W = ridge_independent(tasks, lam=1e-3)
     assert np.isfinite(W).all()
+
+
+def test_ridge_independent_singular_error_names_the_task():
+    X = np.array([[1.0, 0.0], [0.0, 0.0]])  # Gram diag(1, 0)
+    tasks = [
+        TaskDataset(task_id=0, X=np.eye(2), y=np.ones(2)),
+        TaskDataset(task_id=5, X=X, y=np.ones(2)),
+    ]
+    with pytest.raises(np.linalg.LinAlgError, match="task 5: normal equations are singular"):
+        ridge_independent(tasks, lam=0.0)
 
 
 def test_ridge_independent_rejects_negative_lambda():
@@ -218,6 +236,66 @@ def test_solve_weights_rank_deficient_weak_coupling_matches_dense_oracle():
     assert report.converged
     W_ref = oracles.dense_weight_solve(tasks, A, 0.01, mu=report.ridge)
     np.testing.assert_allclose(W, W_ref, atol=1e-7)
+
+
+def test_solve_weights_zero_targets_return_zero_from_a_warm_start():
+    # A zero right-hand side is solved before the first iteration, whatever
+    # the warm start.
+    rng = np.random.default_rng(21)
+    tasks = [
+        TaskDataset(task_id=t, X=rng.standard_normal((3, 8)), y=np.zeros(8))
+        for t in range(4)
+    ]
+    A = random_adjacency(rng, 4)
+    W, report = solve_weights(tasks, A, gamma=1.0, warm_start=rng.standard_normal((3, 4)))
+    assert np.array_equal(W, np.zeros((3, 4)))
+    assert report.cg_iterations == 0
+    assert report.converged
+    assert report.relative_residual == 0.0
+
+
+def test_block_inverses_are_exactly_symmetric_inverses():
+    # CG needs a symmetric preconditioner; Li^T Li keeps every block
+    # symmetric to the last bit.
+    rng = np.random.default_rng(22)
+    xs = [rng.standard_normal((30, 20)) for _ in range(6)]  # rank-deficient Grams
+    shifts = rng.uniform(1e-6, 2.0, size=6)
+    inverses = _block_inverses(xs, shifts)
+    assert inverses.shape == (6, 30, 30)
+    assert np.array_equal(inverses, inverses.transpose(0, 2, 1))
+    for X, shift, inverse in zip(xs, shifts, inverses):
+        G = X @ X.T + shift * np.eye(30)
+        np.testing.assert_allclose(inverse @ G, np.eye(30), atol=1e-7)
+
+
+def test_solve_weights_does_not_write_into_the_warm_start():
+    rng = np.random.default_rng(23)
+    tasks = make_tasks(rng, d=1, T=3, N=6)
+    W0 = rng.standard_normal((1, 3))
+    before = W0.copy()
+    solve_weights(tasks, random_adjacency(rng, 3), gamma=1.0, warm_start=W0)
+    assert np.array_equal(W0, before)
+
+
+@pytest.mark.parametrize(
+    "name,seeds,fitter,expected",
+    [
+        # Totals recorded from traced runs of the scipy-based solver; the
+        # PCG loop keeps its stopping rule, so the counts do not move.
+        ("syn1", range(10), "fit", [65, 80, 72, 71, 85, 69, 92, 86, 78, 58]),
+        ("wiener", range(2), "fit", [34, 34]),
+        ("wiener", range(2), "fit_rbf", [168, 173]),
+    ],
+)
+def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expected):
+    fit_fn = fit_rbf if fitter == "fit_rbf" else fit
+    totals = []
+    for seed in seeds:
+        train, _ = benchmark_splits(name, seed)
+        model = fit_fn(train, PINNED_CONFIGS[name])
+        assert model.converged
+        totals.append(sum(r["cg_iterations"] for r in model.trace.weight_reports))
+    assert totals == expected
 
 
 def test_wiener_rbf_fit_cg_iteration_budget():
@@ -320,6 +398,15 @@ def test_solve_weights_rejects_bad_scalars(kwargs, match):
     full.update(kwargs)
     with pytest.raises(ValueError, match=match):
         solve_weights(tasks, np.zeros((2, 2)), **full)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_solve_weights_rejects_an_empty_iteration_budget(budget):
+    # A budget of no iterations would report a solve that never ran.
+    rng = np.random.default_rng(24)
+    tasks = make_tasks(rng, d=2, T=2, N=4)
+    with pytest.raises(ValueError, match="max_cg_iter"):
+        solve_weights(tasks, np.zeros((2, 2)), gamma=1.0, max_cg_iter=budget)
 
 
 def test_solve_weights_rejects_mismatches():
