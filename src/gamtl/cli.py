@@ -13,6 +13,12 @@ replicate r of a benchmark uses ``base_seed + r``, and the k-means seed of
 an RBF fit equals the model seed.  Outputs carry no timestamps, so rerunning
 a command with identical inputs produces byte-identical artifacts.
 
+The configs of ``fit`` and ``bench`` are checked before any file is read:
+an unknown or missing key, a value of the wrong JSON type or out of range
+is a usage error that names the key, as in ``config error at $.model.alpha``.
+The config dataclasses (``GamtlConfig``, ``GraphLearningParams``, ``SynSpec``)
+are the one statement of the ranges they own.
+
 Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
 """
 
@@ -54,106 +60,85 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-
-MODEL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "gamma": _NONNEG,
-        "alpha": _POSITIVE,
-        "beta": _POSITIVE,
-        "graph_tol": _POSITIVE,
-        "graph_max_iter": {"type": "integer", "minimum": 1},
-        "outer_tol": _POSITIVE,
-        "max_outer_iter": {"type": "integer", "minimum": 1},
-        "weight_solver_tol": _POSITIVE,
-        "ridge_lambda": _NONNEG,
-        "seed": {"type": "integer"},
-    },
+# What a `fit` or `bench` config may hold: the JSON type of each key, or a
+# nested table for an object block.  GamtlConfig and GraphLearningParams own
+# the ranges of the model keys, SynSpec those of n_train, n_test and
+# noise_std; _LIMITS holds the ranges no dataclass owns.
+_MODEL_KEYS = {
+    **dict.fromkeys(("gamma", "alpha", "beta", "graph_tol", "outer_tol"), "number"),
+    **dict.fromkeys(("weight_solver_tol", "ridge_lambda"), "number"),
+    **dict.fromkeys(("graph_max_iter", "max_outer_iter", "seed"), "integer"),
 }
-
-RBF_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "enabled": {"type": "boolean"},
-        "num_centers": {"type": ["integer", "null"], "minimum": 1},
-        "width_factor": _POSITIVE,
-    },
+_RBF_KEYS = {"enabled": "boolean", "num_centers": "integer or null", "width_factor": "number"}
+_DATA_KEYS = {
+    **dict.fromkeys(("train_csv", "task_column", "target_column"), "string"),
+    "feature_columns": "array or null",
+    **dict.fromkeys(("standardize", "standardize_target"), "boolean"),
 }
-
-DATA_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["train_csv"],
-    "properties": {
-        "train_csv": {"type": "string"},
-        "task_column": {"type": "string"},
-        "target_column": {"type": "string"},
-        "feature_columns": {
-            "type": ["array", "null"],
-            "items": {"type": "string"},
-            "minItems": 1,
-        },
-        "standardize": {"type": "boolean"},
-        "standardize_target": {"type": "boolean"},
-    },
+_BENCHMARK_KEYS = {
+    "name": "string",
+    **dict.fromkeys(("n_runs", "base_seed", "n_train", "n_test", "n_samples"), "integer"),
+    **dict.fromkeys(("noise_std", "split_ratio"), "number"),
+    "include_baseline": "boolean",
 }
-
-FIT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["data"],
-    "properties": {
-        "data": DATA_SCHEMA,
-        "model": MODEL_SCHEMA,
-        "rbf": RBF_SCHEMA,
-        "out_dir": {"type": "string"},
-    },
+_SHARED_KEYS = {"model": _MODEL_KEYS, "rbf": _RBF_KEYS, "out_dir": "string"}
+_FIT_KEYS = {"data": _DATA_KEYS, **_SHARED_KEYS}
+_BENCH_KEYS = {"benchmark": _BENCHMARK_KEYS, **_SHARED_KEYS}
+_REQUIRED = {"$.data", "$.data.train_csv", "$.benchmark", "$.benchmark.name"}
+_JSON_TYPES = {
+    "number": (int, float), "integer": int, "string": str, "boolean": bool,
+    "array": list, "null": type(None), "object": dict,
 }
-
-BENCH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["benchmark"],
-    "properties": {
-        "benchmark": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["syn1", "syn2", "wiener"]},
-                "n_runs": {"type": "integer", "minimum": 1},
-                "base_seed": {"type": "integer"},
-                "n_train": {"type": "integer", "minimum": 1},
-                "n_test": {"type": "integer", "minimum": 1},
-                "noise_std": _NONNEG,
-                "n_samples": {"type": "integer", "minimum": 4},
-                "split_ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "include_baseline": {"type": "boolean"},
-            },
-        },
-        "model": MODEL_SCHEMA,
-        "rbf": RBF_SCHEMA,
-        "out_dir": {"type": "string"},
-    },
+_LIMITS = {
+    "$.rbf.num_centers": (lambda v: v is None or v >= 1, "must be at least 1"),
+    "$.rbf.width_factor": (lambda v: v > 0, "must be positive"),
+    "$.benchmark.name": (lambda v: v in ("syn1", "syn2", "wiener"), "must be syn1, syn2 or wiener"),
+    "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
+    "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),
+    "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "$.data.feature_columns": (
+        lambda v: v is None or (v and all(isinstance(c, str) for c in v)),
+        "must be a non-empty list of strings",
+    ),
 }
 
 
-def _validate_config(config: dict, schema: dict):
-    import jsonschema  # only `fit` and `bench` read config files
+def _check_value(path: str, kind: str, value):
+    """Raise ValueError if the key at ``path``, of JSON type ``kind``, may not hold ``value``."""
+    types = tuple(_JSON_TYPES[name] for name in kind.split(" or "))
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, types):
+        raise ValueError(f"expected {kind}")
+    block, _, key = path.rpartition(".")
+    if block == "$.model":
+        _gamtl_config({key: value})
+    elif key in ("n_train", "n_test", "noise_std"):
+        data_mod.SynSpec(**{key: value})
+    elif path in _LIMITS:
+        test, meaning = _LIMITS[path]
+        if not test(value):
+            raise ValueError(f"{key} {meaning}")
 
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in e.absolute_path
-        )
-        raise UsageError(f"config error at {path}: {e.message}")
+
+def _validate_config(config: dict, keys: dict, path: str = "$"):
+    """Reject a missing or unknown key, a wrong JSON type or an out-of-range value.
+
+    Runs before any file is read; the error names the key by its path, as in
+    ``config error at $.model.alpha``.
+    """
+    for key in keys:
+        if f"{path}.{key}" in _REQUIRED and key not in config:
+            raise UsageError(f"config error at {path}.{key}: missing required key")
+    for key, value in config.items():
+        where, kind = f"{path}.{key}", keys.get(key)
+        if isinstance(kind, dict) and isinstance(value, dict):
+            _validate_config(value, kind, where)
+            continue
+        try:
+            if kind is None:
+                raise ValueError("unknown key")
+            _check_value(where, "object" if isinstance(kind, dict) else kind, value)
+        except ValueError as exc:
+            raise UsageError(f"config error at {where}: {exc}") from None
 
 
 def _load_config(path: str, overrides) -> dict:
@@ -261,7 +246,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     config = _load_config(args.config, args.set)
     _apply_flag_overrides(config, args)
-    _validate_config(config, FIT_SCHEMA)
+    _validate_config(config, _FIT_KEYS)
 
     data_cfg = config["data"]
     csv_path = Path(data_cfg["train_csv"])
@@ -380,7 +365,7 @@ def cmd_export(args) -> int:
 def cmd_bench(args) -> int:
     config = _load_config(args.config, args.set)
     _apply_flag_overrides(config, args)
-    _validate_config(config, BENCH_SCHEMA)
+    _validate_config(config, _BENCH_KEYS)
 
     bench_cfg = config["benchmark"]
     gamtl_config = _gamtl_config(config.get("model", {}))

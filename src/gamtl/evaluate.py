@@ -47,10 +47,6 @@ class RmseResult:
     aggregate: float  # pooled over all samples
     per_task_mean: float
 
-    def __iter__(self):
-        yield self.per_task
-        yield self.aggregate
-
 
 def rmse(model, test_tasks) -> RmseResult:
     """Root-mean-square prediction errors of ``model`` on held-out tasks."""
@@ -61,6 +57,8 @@ def rmse(model, test_tasks) -> RmseResult:
     sq_sum = 0.0
     count = 0
     for i, task in enumerate(test_tasks):
+        if task.n_samples == 0:
+            raise ValueError(f"task {task.task_id}: has no test samples")
         residual = model.predict_task(task.task_id, task.X) - task.y
         sq = float(residual @ residual)
         per_task[i] = math.sqrt(sq / task.n_samples)

@@ -155,11 +155,11 @@ def matrixform(w: np.ndarray) -> np.ndarray:
     return A
 
 
-def apply_degree_operator(w: np.ndarray, n_nodes: int | None = None) -> np.ndarray:
+def apply_degree_operator(w: np.ndarray, n_nodes: int) -> np.ndarray:
     """Degree vector ``S w`` of a float edge vector on ``n_nodes`` nodes (not checked)."""
-    T = num_nodes_from_edges(w.size) if n_nodes is None else n_nodes
-    i, j = edge_endpoints(T)
-    return np.bincount(i, weights=w, minlength=T) + np.bincount(j, weights=w, minlength=T)
+    i, j = edge_endpoints(n_nodes)
+    degrees = np.bincount(i, weights=w, minlength=n_nodes)
+    return degrees + np.bincount(j, weights=w, minlength=n_nodes)
 
 
 def degree_adjoint(v: np.ndarray) -> np.ndarray:

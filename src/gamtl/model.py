@@ -414,8 +414,16 @@ def grid_search_cv(
     Folds are per task over samples; every candidate sees the same folds.
     Returns the best config and the full result table, best first.
     """
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     tasks = list(tasks)
     validate_tasks(tasks)
+    for task in tasks:
+        if task.n_samples < 2:
+            raise ValueError(
+                f"task {task.task_id}: cross-validation needs at least 2 samples, "
+                f"got {task.n_samples}"
+            )
     rng = np.random.default_rng(seed)
     fold_ids = [rng.integers(0, n_folds, size=t.n_samples) for t in tasks]
     for ids, task in zip(fold_ids, tasks):

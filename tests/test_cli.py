@@ -217,13 +217,31 @@ def test_fit_rbf_flag_attaches_feature_map(tmp_path):
     assert len(payload["feature_map"]["widths"]) == 3
 
 
-def test_fit_schema_violation_reports_field_path(tmp_path, capsys):
+# Each case sets one config key; every one exits 1 before any file is read.
+FIT_CONFIG_ERRORS = {
+    "alpha": ("model", "alpha", -1.0),
+    "graph_tol": ("model", "graph_tol", 1.5),
+    "outer_tol": ("model", "outer_tol", 2),
+    "seed": ("model", "seed", 1.5),
+    "gamma_bool": ("model", "gamma", True),
+    "gamma_string": ("model", "gamma", "x"),
+    "width_factor": ("rbf", "width_factor", 0),
+    "num_centers": ("rbf", "num_centers", 0),
+    "feature_columns": ("data", "feature_columns", []),
+}
+
+
+@pytest.mark.parametrize("case", FIT_CONFIG_ERRORS)
+def test_fit_schema_violation_reports_field_path(tmp_path, capsys, case):
+    block, key, value = FIT_CONFIG_ERRORS[case]
     train_csv = tmp_path / "train.csv"
     small_csv(train_csv)
-    config_path, _ = fit_config(tmp_path, train_csv, alpha=-1.0)
+    config_path, config = fit_config(tmp_path, train_csv)
+    config.setdefault(block, {})[key] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["fit", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert "config error at $.model.alpha" in err
+    assert f"config error at $.{block}.{key}" in err
 
 
 def test_fit_unknown_config_key_rejected(tmp_path, capsys):
@@ -519,10 +537,45 @@ def test_bench_includes_baseline_when_asked(tmp_path):
     assert methods == ["gamtl", "independent-ridge"]
 
 
-def test_bench_schema_error_names_field(tmp_path, capsys):
-    config_path = bench_config(tmp_path, name="bogus")
+@pytest.mark.parametrize(
+    "key,value",
+    [("name", "bogus"), ("n_samples", 3), ("split_ratio", 1), ("n_runs", 0), ("n_train", 0)],
+)
+def test_bench_schema_error_names_field(tmp_path, capsys, key, value):
+    config_path = bench_config(tmp_path, **{key: value})
     assert main(["bench", "--config", str(config_path)]) == 1
-    assert "config error at $.benchmark.name" in capsys.readouterr().err
+    assert f"config error at $.benchmark.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        ("fit", {}, "$.data"),
+        ("fit", {"data": {}}, "$.data.train_csv"),
+        ("bench", {}, "$.benchmark"),
+        ("bench", {"benchmark": {"n_runs": 1}}, "$.benchmark.name"),
+    ],
+)
+def test_config_missing_required_key_names_it(tmp_path, capsys, command, config, path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(config_path)]) == 1
+    assert f"config error at {path}: missing required key" in capsys.readouterr().err
+
+
+def test_fit_and_bench_run_without_jsonschema(tmp_path):
+    small_csv(tmp_path / "train.csv")
+    fit_path, _ = fit_config(tmp_path, tmp_path / "train.csv")
+    bench_path = bench_config(tmp_path)
+    script = (
+        "import sys; sys.modules['jsonschema'] = None; from gamtl.cli import main; "
+        f"sys.exit(main(['fit', '--config', {str(fit_path)!r}]) "
+        f"or main(['bench', '--config', {str(bench_path)!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gamtl.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    assert (tmp_path / "run" / "model.json").exists()
+    assert (tmp_path / "bench" / "benchmark.json").exists()
 
 
 # --------------------------------------------------------------------------

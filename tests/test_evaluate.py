@@ -109,6 +109,16 @@ def test_rmse_unknown_task_raises():
         rmse(model, [])
 
 
+def test_rmse_task_without_samples_raises():
+    model = constant_model(np.zeros((1, 2)), (0, 1))
+    tasks = [
+        TaskDataset(0, np.zeros((1, 2)), np.zeros(2)),
+        TaskDataset(1, np.zeros((1, 0)), np.zeros(0)),
+    ]
+    with pytest.raises(ValueError, match="task 1: has no test samples"):
+        rmse(model, tasks)
+
+
 def test_independent_ridge_baseline_interface():
     rng = np.random.default_rng(71)
     tasks = [

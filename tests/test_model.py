@@ -406,6 +406,25 @@ def test_saved_file_is_stable_json(tmp_path):
 # Cross-validated grid search
 
 
+@pytest.mark.parametrize(
+    "n_folds,sizes,message",
+    [
+        (1, (6, 6), "n_folds must be at least 2"),
+        (0, (6, 6), "n_folds must be at least 2"),
+        (3, (6, 1), "task 1: cross-validation needs at least 2 samples"),
+    ],
+    ids=["one_fold", "zero_folds", "one_sample_task"],
+)
+def test_grid_search_cv_rejects_unsplittable_input(n_folds, sizes, message):
+    rng = np.random.default_rng(34)
+    tasks = [
+        TaskDataset(t, rng.standard_normal((2, n)), rng.standard_normal(n))
+        for t, n in enumerate(sizes)
+    ]
+    with pytest.raises(ValueError, match=message):
+        grid_search_cv(tasks, mild_config(), gammas=(1.0,), alphas=(1.0,), n_folds=n_folds)
+
+
 def test_grid_search_cv_structure_and_determinism():
     rng = np.random.default_rng(33)
     tasks = make_related_tasks(rng, d=2, T=3, N=12)
