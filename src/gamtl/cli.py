@@ -189,13 +189,18 @@ def _rbf_options(rbf_cfg: dict) -> dict:
 
 
 def _apply_flag_overrides(config: dict, args):
+    """Write the flags into the config; a block that is not an object is
+    left as it is, for validation to reject."""
     model = config.setdefault("model", {})
-    for key in ("gamma", "alpha", "beta", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            model[key] = value
+    if isinstance(model, dict):
+        for key in ("gamma", "alpha", "beta", "seed"):
+            value = getattr(args, key, None)
+            if value is not None:
+                model[key] = value
     if getattr(args, "rbf", False):
-        config.setdefault("rbf", {})["enabled"] = True
+        rbf = config.setdefault("rbf", {})
+        if isinstance(rbf, dict):
+            rbf["enabled"] = True
     if getattr(args, "out", None):
         config["out_dir"] = args.out
 

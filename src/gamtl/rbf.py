@@ -12,6 +12,16 @@ seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
 and all reductions run in a fixed order.  Squared distances accumulate one
 coordinate at a time over cache-sized row blocks, and cluster means come from
 ``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
+
+Lloyd rounds skip the points whose center cannot change.  Each point carries
+an upper bound on the distance to its own center and a lower bound on the
+distance to every other center, moved by the center shifts after each round
+(Hamerly, "Making k-means even faster", SDM 2010).  Every bound is rounded
+outward by more than the rounding error of a computed squared distance, so
+a skipped point provably keeps the center that the argmin of the full
+distance matrix would give it, and the centers are bit-identical to dense
+rounds.  Only the rows that fail the test are recomputed, one block at a
+time, so no (N, P) matrix is kept either.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ __all__ = [
 KMEANS_MAX_ITER = 300
 # Entries of one row block of the distance matrix: 16k doubles, 128 KiB.
 _BLOCK_ENTRIES = 1 << 14
+# Absolute slack of the k-means distance bounds.  Underflow can leave a
+# computed squared distance off by up to q * 2**-1074, whose square root is
+# far below this; far above it, the relative margins decide.
+_TINY = 1e-150
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,61 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
     return sums, np.bincount(assign, minlength=P)
 
 
+def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of row i of ``points`` to row i of ``centers``.
+
+    Summed in coordinate order, so each value is bit-identical to the
+    matching entry of ``_sq_distances_to``.
+    """
+    gap = points - centers
+    out = np.zeros(points.shape[0])
+    for j in range(points.shape[1]):
+        out += gap[:, j] ** 2
+    return out
+
+
+def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
+    """Nearest center of each of ``points[rows]``, lowest index on ties.
+
+    Returns the nearest index, an upper bound on the distance to it and a
+    lower bound on the distance to every other center (inf with one center),
+    both taken from the computed squared distances and rounded outward.  The
+    rows go through ``_sq_distances_to`` one cache-sized block at a time, so
+    every entry, and hence every argmin, is bit-identical to the full
+    matrix's while no (len(rows), P) matrix is kept.
+    """
+    P = centers.shape[0]
+    nearest = np.empty(rows.size, dtype=np.intp)
+    first = np.empty(rows.size)
+    second = np.full(rows.size, np.inf)
+    step = max(1, _BLOCK_ENTRIES // P)
+    for start in range(0, rows.size, step):
+        block = _sq_distances_to(points[rows[start : start + step]], centers)
+        at = np.arange(block.shape[0])
+        pick = np.argmin(block, axis=1)
+        nearest[start : start + step] = pick
+        first[start : start + step] = block[at, pick]
+        if P > 1:
+            block[at, pick] = np.inf
+            second[start : start + step] = block.min(axis=1)
+    return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
+
+
+def _grown(x, margin: float):
+    """``x`` moved outward to an upper bound: times (1 + margin), plus _TINY."""
+    return x * (1.0 + margin) + _TINY
+
+
+def _shrunk(x, margin: float):
+    """``x`` moved outward to a lower bound: times (1 - margin), minus _TINY."""
+    return x * (1.0 - margin) - _TINY
+
+
+def _keeps_center(upper, lower, margin: float):
+    """The prune test: ``upper < lower`` with the rounding margin on both sides."""
+    return _grown(upper, margin) < _shrunk(lower, margin)
+
+
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
@@ -111,18 +180,40 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     per-cluster sums and counts; an empty cluster is reseeded to the point
     currently farthest from its own center, and that point leaves its old
     cluster for the rest of the round.
+
+    The assignment step is pruned with distance bounds (Hamerly, SDM 2010)
+    and gives the assignment that the argmin of the full squared-distance
+    matrix would give, so the centers are bit-identical to dense rounds.
+    Each point keeps an upper bound on its distance to its own center and a
+    lower bound on its distance to every other center.  When the centers
+    move, the upper bound grows by the point's own center shift and the
+    lower bound shrinks by the largest shift among the other centers
+    (triangle inequality).  A point keeps its center when ``upper < lower``
+    holds with a relative margin of 4 (q + 2) eps on top; otherwise its
+    distance to its own center is recomputed, and if the test still fails
+    its whole row is, with the same coordinate-order kernel.  A round that
+    reseeds a cluster recomputes every row.
+
+    Why skipping is exact: a computed squared distance is within a relative
+    (q + 2) eps of the true one (one subtraction, one square and q - 1
+    additions of nonnegative terms per entry), and every bound, shift and
+    prune test is rounded outward by 2 (q + 2) eps, which also covers its
+    own floating-point operations, plus an absolute ``_TINY`` that covers
+    underflow.  So a skipped point's computed distance to its own center is
+    strictly below its computed distance to every other center, and the
+    dense argmin (lowest index on ties) picks the same center.
     """
     points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("pooled_inputs must be a nonempty (N, q) array")
     if not np.isfinite(points).all():
         raise ValueError("pooled_inputs must be finite")
-    N = points.shape[0]
+    N, q = points.shape
     if not 1 <= P <= N:
         raise ValueError(f"P must lie in [1, {N}], got {P}")
 
     rng = np.random.default_rng(seed)
-    centers = np.empty((P, points.shape[1]))
+    centers = np.empty((P, q))
     centers[0] = points[rng.integers(N)]
     closest_sq = _sq_distances_to(points, centers[:1])[:, 0]
     for p in range(1, P):
@@ -136,7 +227,9 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
             closest_sq, _sq_distances_to(points, centers[p : p + 1])[:, 0], out=closest_sq
         )
 
-    assign = np.argmin(_sq_distances_to(points, centers), axis=1)
+    margin = 2.0 * (q + 2) * np.finfo(float).eps
+    every_row = np.arange(N)
+    assign, upper, lower = _nearest_two(points, centers, every_row, margin)
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
         # A round depends only on (assign, centers): a repeat replays a cycle.
@@ -144,26 +237,40 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         if state in seen:
             break
         seen.add(state)
+        previous = centers.copy()
+        reseeded = False
         sums, counts = _cluster_sums(points, assign, P)
         for p in range(P):
             if counts[p] > 0:
                 centers[p] = sums[p] / counts[p]
                 continue
             # reseed to the point worst served by its current center
-            gap = points - centers[assign]
-            own = np.zeros(N)
-            for j in range(gap.shape[1]):
-                own += gap[:, j] ** 2  # summed as in _sq_distances_to
-            farthest = int(np.argmax(own))
+            reseeded = True
+            farthest = int(np.argmax(_paired_sq_distances(points, centers[assign])))
             donor = assign[farthest]
             centers[p] = points[farthest]
             assign[farthest] = p
             if donor > p:  # the donor's center is still to be updated this round
                 sums, counts = _cluster_sums(points, assign, P)
-        new_assign = np.argmin(_sq_distances_to(points, centers), axis=1)
-        if np.array_equal(new_assign, assign):
+
+        if reseeded:
+            stale = every_row
+        else:
+            shift = _grown(np.sqrt(_paired_sq_distances(centers, previous)), margin)
+            upper = _grown(upper + shift[assign], margin)
+            fastest = int(np.argmax(shift))
+            drop = np.full(N, shift[fastest])
+            if P > 1:
+                drop[assign == fastest] = np.delete(shift, fastest).max()
+            lower = _shrunk(lower - drop, margin)
+            stale = np.flatnonzero(~_keeps_center(upper, lower, margin))
+            own_sq = _paired_sq_distances(points[stale], centers[assign[stale]])
+            upper[stale] = _grown(np.sqrt(own_sq), margin)
+            stale = stale[~_keeps_center(upper[stale], lower[stale], margin)]
+        nearest, upper[stale], lower[stale] = _nearest_two(points, centers, stale, margin)
+        if np.array_equal(nearest, assign[stale]):
             break
-        assign = new_assign
+        assign[stale] = nearest
     return centers
 
 

@@ -266,6 +266,71 @@ def kmeans_loops(points: np.ndarray, P: int, seed: int) -> np.ndarray:
     return centers
 
 
+def kmeans_dense(points: np.ndarray, P: int, seed: int) -> np.ndarray:
+    """k-means with dense Lloyd rounds: the bit-for-bit reference of the package.
+
+    Same seeding, center updates, reseeds and stop rules as
+    ``gamtl.rbf.kmeans_centers``, but every round builds the full (N, P)
+    squared-distance matrix, summing coordinates in order, and takes its
+    argmin.  An empty cluster is reseeded to the point farthest from its
+    current center; that point leaves its old cluster for the rest of the
+    round.  Stops when the assignment repeats, when a round starts from the
+    (assignment, centers) of an earlier round, or after 300 rounds.
+    """
+
+    def sq_distances(a, b):
+        out = np.zeros((a.shape[0], b.shape[0]))
+        for j in range(a.shape[1]):
+            out += (a[:, j, None] - b[None, :, j]) ** 2
+        return out
+
+    def cluster_sums(assign):
+        sums = np.empty((P, q))
+        for j in range(q):
+            sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=P)
+        return sums, np.bincount(assign, minlength=P)
+
+    points = np.asarray(points, dtype=float)
+    N, q = points.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((P, q))
+    centers[0] = points[rng.integers(N)]
+    closest_sq = sq_distances(points, centers[:1])[:, 0]
+    for p in range(1, P):
+        total = float(closest_sq.sum())
+        if total > 0.0:
+            idx = rng.choice(N, p=closest_sq / total)
+        else:
+            idx = rng.integers(N)
+        centers[p] = points[idx]
+        np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
+
+    assign = np.argmin(sq_distances(points, centers), axis=1)
+    seen = set()
+    for _ in range(300):
+        state = (assign.tobytes(), centers.tobytes())
+        if state in seen:
+            break
+        seen.add(state)
+        sums, counts = cluster_sums(assign)
+        for p in range(P):
+            if counts[p] > 0:
+                centers[p] = sums[p] / counts[p]
+                continue
+            own = sq_distances(points, centers)[np.arange(N), assign]
+            farthest = int(np.argmax(own))
+            donor = assign[farthest]
+            centers[p] = points[farthest]
+            assign[farthest] = p
+            if donor > p:
+                sums, counts = cluster_sums(assign)
+        new_assign = np.argmin(sq_distances(points, centers), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers
+
+
 def rbf_features_loops(x: np.ndarray, centers: np.ndarray, widths: np.ndarray):
     """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), loop form."""
     out = np.empty(centers.shape[0])

@@ -244,6 +244,18 @@ def test_fit_schema_violation_reports_field_path(tmp_path, capsys, case):
     assert f"config error at $.{block}.{key}" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "bench"])
+@pytest.mark.parametrize("block,flags", [("model", ["--gamma", "1"]), ("rbf", ["--rbf"])])
+def test_flag_on_a_non_object_block_is_config_error(tmp_path, capsys, command, block, flags):
+    # Neither run reaches its data: validation stops it first.
+    config = {"benchmark": {"name": "syn1"}} if command == "bench" else {"data": {"train_csv": "train.csv"}}
+    config[block] = 5
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(config_path), *flags]) == 1
+    assert f"config error at $.{block}: expected object" in capsys.readouterr().err
+
+
 def test_fit_unknown_config_key_rejected(tmp_path, capsys):
     train_csv = tmp_path / "train.csv"
     small_csv(train_csv)

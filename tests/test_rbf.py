@@ -1,5 +1,7 @@
 """Tests for the shared radial-basis feature lift and the nonlinear fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,20 +133,77 @@ def test_kmeans_stops_when_a_round_state_repeats(monkeypatch, P):
     # the reseeds hand points back and forth in a cycle that never settles
     # the assignment, so only a repeated state can end the loop early.
     points = np.random.default_rng(0).standard_normal((4, 2))[np.arange(14) % 4]
-    full_assignments = []
-    sq_distances_to = rbf._sq_distances_to
+    calls = []
+    cluster_sums = rbf._cluster_sums
 
-    def counting(pts, centers):
-        if centers.shape[0] == P:
-            full_assignments.append(1)
-        return sq_distances_to(pts, centers)
+    def counting(*args):
+        calls.append(1)
+        return cluster_sums(*args)
 
-    monkeypatch.setattr(rbf, "_sq_distances_to", counting)
+    monkeypatch.setattr(rbf, "_cluster_sums", counting)
     for seed in range(3):
-        full_assignments.clear()
+        calls.clear()
         kmeans_centers(points, P=P, seed=seed)
-        # one assignment after seeding, then one per Lloyd round
-        assert len(full_assignments) - 1 < 10
+        # once per Lloyd round, plus once per reseed that takes its point from
+        # a cluster later in the round; running out the budget makes 300+
+        assert len(calls) < 20
+
+
+def _random_kmeans_inputs(rng, count):
+    """Small k-means inputs: q = 1..5, P = 1..N, ties, duplicates and scales."""
+    for _ in range(count):
+        N = int(rng.integers(1, 41))
+        q = int(rng.integers(1, 6))
+        points = rng.standard_normal((N, q))
+        if rng.random() < 0.5:
+            points = np.round(points * rng.integers(1, 4))  # ties and duplicates
+        points *= 10.0 ** int(rng.integers(-8, 9))
+        if rng.random() < 0.3:  # an offset that costs the distances digits
+            points += 10.0 ** int(rng.integers(-8, 9)) * rng.standard_normal(q)
+        yield points, int(rng.integers(1, N + 1)), int(rng.integers(100))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_kmeans_matches_dense_oracle_on_random_inputs(chunk):
+    # The pruned rounds must give the centers of dense rounds bit for bit.
+    rng = np.random.default_rng(1000 + chunk)
+    reseeding = 0
+    for i, (points, P, seed) in enumerate(_random_kmeans_inputs(rng, 150)):
+        reseeding += P > len(np.unique(points, axis=0))
+        centers = kmeans_centers(points, P=P, seed=seed)
+        expected = oracles.kmeans_dense(points, P=P, seed=seed)
+        assert np.array_equal(centers, expected), (i, points.shape, P, seed)
+    assert reseeding >= 10  # clusters empty in every round of these inputs
+
+
+def test_kmeans_recomputes_few_rows_on_wiener_inputs(monkeypatch):
+    # The bounds must spare most rows: a dense round recomputes all N.
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    rows = []
+    nearest_two = rbf._nearest_two
+
+    def counting(pts, centers, which, margin):
+        rows.append(which.size)
+        return nearest_two(pts, centers, which, margin)
+
+    monkeypatch.setattr(rbf, "_nearest_two", counting)
+    kmeans_centers(points, P=50, seed=0)
+    assert len(rows) > 20  # the initial assignment, then one call per round
+    assert sum(rows) < 0.35 * len(rows) * points.shape[0]
+
+
+def test_kmeans_keeps_no_point_by_center_matrix():
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    assert points.shape[0] == 5000
+    tracemalloc.start()
+    try:
+        kmeans_centers(points, P=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5000 * 50 * 8  # one (5000, 50) float matrix, 2 MB
 
 
 def test_kmeans_rejects_bad_center_counts():
