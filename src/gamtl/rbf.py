@@ -328,15 +328,15 @@ def optimal_widths(
     return width_factor * nearest
 
 
-def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
-    """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), each in (0, 1].
+def _activation_rows(feature_map: RbfFeatureMap, X: np.ndarray, n_rows: int) -> np.ndarray:
+    """An ``(n_rows, n)`` array whose first P rows are the activations of X's columns.
 
-    Accepts a single input vector (returns shape (P,)) or a matrix with
-    samples as columns (returns (P, n)).
+    Samples are taken in blocks of about ``_BLOCK_ENTRIES`` activations, each
+    computed in place as ``exp(-sq / (2 sigma^2))`` and copied into the
+    result, so no (n, P) temporary is made.  The result is in Fortran order,
+    the layout of the weight step's products on lifted data.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    points = x[None, :] if single else x.T
+    points = X.T
     if points.shape[1] != feature_map.input_dim:
         raise ValueError(
             f"input dimension {points.shape[1]} does not match centers "
@@ -344,15 +344,38 @@ def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(points).all():
         raise ValueError("inputs must be finite")
-    sq = _sq_distances_to(points, feature_map.centers)
-    phi = np.exp(-sq / (2.0 * feature_map.widths**2))
-    return phi[0] if single else phi.T
+    P = feature_map.num_centers
+    rows = np.empty((n_rows, points.shape[0]), order="F")
+    divisor = 2.0 * feature_map.widths**2
+    step = max(1, _BLOCK_ENTRIES // P)
+    for start in range(0, points.shape[0], step):
+        block = _sq_distances_to(points[start : start + step], feature_map.centers)
+        np.negative(block, out=block)
+        block /= divisor
+        np.exp(block, out=block)
+        rows[:P, start : start + step] = block.T
+    return rows
+
+
+def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
+    """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), each in (0, 1].
+
+    Accepts a single input vector (returns shape (P,)) or a matrix with
+    samples as columns (returns (P, n)).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _activation_rows(feature_map, x[:, None], feature_map.num_centers)[:, 0]
+    return _activation_rows(feature_map, x, feature_map.num_centers)
 
 
 def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
     """Lift a (q, n) design matrix to (P+1, n): RBF features plus a bias row."""
-    phi = transform(feature_map, X)
-    return np.vstack([phi, np.ones((1, phi.shape[1]))])
+    lifted = _activation_rows(
+        feature_map, np.asarray(X, dtype=float), feature_map.num_centers + 1
+    )
+    lifted[-1] = 1.0
+    return lifted
 
 
 def lift_tasks(feature_map: RbfFeatureMap, tasks) -> list[TaskDataset]:
@@ -385,6 +408,7 @@ def fit_rbf(
     centers = kmeans_centers(pooled, P, seed=config.seed)
     widths = optimal_widths(centers, pooled_inputs=pooled, width_factor=width_factor)
     feature_map = RbfFeatureMap(centers=centers, widths=widths)
+    del pooled  # the fit does not need it; freeing it lowers fit_rbf's memory peak
     model = fit(lift_tasks(feature_map, tasks), config)
     model.feature_map = feature_map
     return model

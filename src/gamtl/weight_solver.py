@@ -12,15 +12,19 @@ factor 2 because the smoothness term counts each undirected edge twice), and
 definite when task data are rank deficient.
 
 The system is solved by preconditioned conjugate gradient, written out in
-:func:`_pcg`, with a block-Jacobi preconditioner: the exact inverse of each
-task's diagonal block ``X_t X_t^T + (mu + 2 gamma deg_t) I``, formed as
-``Li^T Li`` from the inverse ``Li`` of its numpy Cholesky factor, so every
-block is exactly symmetric.  With an empty graph or ``gamma = 0`` that
-preconditioner inverts the whole system.  Matrix-vector products exploit the
-Kronecker structure implicitly: per-task data products plus a Laplacian
-product on the task axis, never materializing the dT x dT matrix.  Only the
-T inverse blocks (d x d each) are stored; the per-task Gram matrices are
-not.  The module needs numpy alone.
+:func:`_pcg`.  The preconditioner sees the graph through a Kronecker sum
+(Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by one Gram ``G``,
+the operator ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized by
+``eigh(L)`` and ``eigh(G)``, so its inverse is two small products on each
+side of a (T, d) block (:func:`_kron_inverse`).  When all tasks share one
+design matrix that inverse is exact and each solve takes one iteration at any
+``gamma``.  Otherwise ``G`` is the mean Gram and the inverse serves as the
+coarse correction of a symmetric two-level preconditioner around
+block-Jacobi (Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 2009); see
+:func:`solve_weights`.  Matrix-vector products exploit the Kronecker
+structure implicitly: per-task data products plus a Laplacian product on the
+task axis, never materializing the dT x dT matrix.  The module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -142,14 +146,45 @@ def ridge_floor(tasks, A: np.ndarray, gamma: float) -> float:
     return RIDGE_FLOOR_SCALE * trace / (d * T)
 
 
-def _block_inverses(xs, shifts: np.ndarray) -> np.ndarray:
-    """Stacked inverses of ``X_t X_t^T + shifts[t] I``, each exactly symmetric."""
-    d = xs[0].shape[0]
-    inverses = np.empty((len(xs), d, d))
+def _block_inverses(xs, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked inverses of ``X_t X_t^T + shifts[t] I``, and the mean Gram.
+
+    Each inverse is ``Li^T Li`` from the inverse ``Li`` of its lower Cholesky
+    factor, so it is exactly symmetric; the factors and their inverses are
+    made by one batched call each.  The mean of the unshifted ``X_t X_t^T``
+    is returned too, because it is taken from the same stack.
+    """
+    T, d = len(xs), xs[0].shape[0]
+    blocks = np.empty((T, d, d))
     for t, X in enumerate(xs):
-        Li = np.linalg.inv(_gram_cholesky(X, shifts[t]))
-        np.matmul(Li.T, Li, out=inverses[t])
-    return inverses
+        np.matmul(X, X.T, out=blocks[t])
+    mean_gram = blocks.mean(axis=0)
+    blocks.reshape(T, d * d)[:, :: d + 1] += shifts[:, None]
+    # Rebinding frees each stack once the next exists: at most two are live.
+    blocks = np.linalg.cholesky(blocks)
+    blocks = np.linalg.inv(blocks)
+    return np.matmul(blocks.transpose(0, 2, 1), blocks), mean_gram
+
+
+def _kron_inverse(L: np.ndarray, gram: np.ndarray, mu: float, gamma: float):
+    """Inverse of ``I_T kron gram + mu I + 2 gamma L kron I_d`` on stacked vectors.
+
+    With ``L = U diag(lam) U^T`` and ``gram = Q diag(sigma) Q^T`` it maps the
+    (T, d) block ``R`` of its argument to
+    ``U ((U^T R Q) / (sigma_j + mu + 2 gamma lam_i)) Q^T``.  Both spectra are
+    clipped at 0, so every denominator is at least ``mu``.
+    """
+    lam, U = np.linalg.eigh(L)
+    sigma, Q = np.linalg.eigh(gram)
+    scale = 1.0 / (
+        np.maximum(sigma, 0.0) + mu + (2.0 * gamma) * np.maximum(lam, 0.0)[:, None]
+    )
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        R = r.reshape(scale.shape)
+        return (U @ ((U.T @ R @ Q) * scale) @ Q.T).ravel()
+
+    return apply
 
 
 def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
@@ -209,6 +244,19 @@ def solve_weights(
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if the iteration
     budget (``max_cg_iter``, by default ``10 d T``) runs out first, the last
     iterate is returned with ``report.converged = False``.
+
+    The preconditioner depends on the input alone.  When every ``X_t`` is
+    equal it is the Kronecker-sum inverse ``K`` built from that one Gram,
+    which inverts the system exactly.  Otherwise it is the symmetric two-level
+    step ``z = B r; z += K (r - M z); z += B (r - M z)``, with ``K`` built
+    from the mean Gram and ``B`` the block-Jacobi inverse of the diagonal
+    blocks ``D = blockdiag(X_t X_t^T + (mu + 2 gamma deg_t) I)``.  As a matrix
+    it is ``(2B - BMB) + (I - BM) K (I - MB)``, which is symmetric positive
+    definite: ``K`` is, since every denominator is at least ``mu > 0``, and
+    ``2B - BMB = B (2D - M) B`` with
+    ``2D - M = blockdiag(X_t X_t^T + mu I) + 2 gamma (Deg + A) kron I_d``,
+    at least ``mu I`` because the signless Laplacian ``Deg + A`` is positive
+    semidefinite.
     """
     tasks = list(tasks)
     d, T = validate_tasks(tasks, require_samples=False)
@@ -243,14 +291,25 @@ def solve_weights(
             out += (2.0 * gamma) * (L @ V)
         return out.ravel()
 
-    shifts = np.full(T, mu)
-    if coupled:
-        shifts += 2.0 * gamma * A.sum(axis=1)
-    block_inverses = _block_inverses(xs, shifts)
     rhs = np.concatenate([X @ y for X, y in zip(xs, ys)])
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        return np.matmul(block_inverses, r.reshape(T, d, 1)).ravel()
+    if all(np.array_equal(X, xs[0]) for X in xs[1:]):
+        precondition = _kron_inverse(L, xs[0] @ xs[0].T, mu, gamma)
+    else:
+        shifts = np.full(T, mu)
+        if coupled:
+            shifts += 2.0 * gamma * A.sum(axis=1)
+        block_inverses, mean_gram = _block_inverses(xs, shifts)
+        kron = _kron_inverse(L, mean_gram, mu, gamma)
+
+        def jacobi(r: np.ndarray) -> np.ndarray:
+            return np.matmul(block_inverses, r.reshape(T, d, 1)).ravel()
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            z = jacobi(r)
+            z += kron(r - matvec(z))
+            z += jacobi(r - matvec(z))
+            return z
 
     maxiter = 10 * d * T if max_cg_iter is None else max_cg_iter
     x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, maxiter)

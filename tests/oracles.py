@@ -160,6 +160,20 @@ def dense_weight_solve(tasks, A: np.ndarray, gamma: float, mu: float) -> np.ndar
     return v.reshape(len(tasks), d).T
 
 
+def block_inverses_loop(xs, shifts) -> np.ndarray:
+    """Inverses of ``X_t X_t^T + shifts[t] I`` one task at a time, as ``Li^T Li``.
+
+    ``Li`` inverts the numpy Cholesky factor of the block; this is the
+    per-task loop the batched ``weight_solver._block_inverses`` replaces.
+    """
+    d = xs[0].shape[0]
+    inverses = np.empty((len(xs), d, d))
+    for t, X in enumerate(xs):
+        Li = np.linalg.inv(np.linalg.cholesky(X @ X.T + shifts[t] * np.eye(d)))
+        np.matmul(Li.T, Li, out=inverses[t])
+    return inverses
+
+
 def pooled_ls(tasks, mu: float) -> np.ndarray:
     """Single weight vector fitted to all tasks pooled (infinite-coupling limit).
 
@@ -337,6 +351,20 @@ def rbf_features_loops(x: np.ndarray, centers: np.ndarray, widths: np.ndarray):
     for p, (c, s) in enumerate(zip(centers, widths)):
         out[p] = np.exp(-float(((x - c) ** 2).sum()) / (2.0 * s * s))
     return out
+
+
+def rbf_lift_dense(X: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The RBF lift in one (n, P) pass: ``exp(-sq / (2 sigma^2))`` over a bias row.
+
+    Squared distances sum their per-coordinate squares in coordinate order,
+    as ``rbf._sq_distances_to`` does, so the lift must match it bit for bit.
+    """
+    points = X.T
+    sq = np.zeros((points.shape[0], centers.shape[0]))
+    for j in range(points.shape[1]):
+        sq += (points[:, j, None] - centers[None, :, j]) ** 2
+    phi = np.exp(-sq / (2.0 * widths**2)).T
+    return np.vstack([phi, np.ones((1, phi.shape[1]))])
 
 
 def nearest_center_widths(centers: np.ndarray, factor: float) -> np.ndarray:

@@ -349,6 +349,41 @@ def test_lift_matrix_appends_bias_row():
     np.testing.assert_allclose(lifted[:2], transform(fm, X), atol=0.0)
 
 
+def wiener_feature_map(P=50):
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    centers = kmeans_centers(points, P=P, seed=0)
+    widths = optimal_widths(centers, pooled_inputs=points)
+    return RbfFeatureMap(centers=centers, widths=widths), train, points
+
+
+def test_lift_matrix_equals_the_dense_lift_bit_for_bit():
+    # Same values and the same (Fortran) layout, so every product the weight
+    # step makes on lifted data keeps its bits.
+    fm, train, points = wiener_feature_map()
+    rng = np.random.default_rng(5)
+    inputs = [t.X for t in train] + [points.T, train[0].X[:, :1], train[1].X[:, 7:300]]
+    inputs.append(rng.standard_normal((fm.input_dim, 999)) * 30.0)
+    for X in inputs:
+        lifted = lift_matrix(fm, X)
+        assert np.array_equal(lifted, oracles.rbf_lift_dense(X, fm.centers, fm.widths))
+        assert lifted.flags.f_contiguous
+
+
+def test_lift_matrix_keeps_no_point_by_center_temporary():
+    fm, _, points = wiener_feature_map()
+    X = points.T
+    assert X.shape == (fm.input_dim, 5000)
+    tracemalloc.start()
+    try:
+        lifted = lift_matrix(fm, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (51, 5000) result plus less than half a (5000, 50) matrix
+    assert peak < lifted.nbytes + 5000 * 50 * 8 // 2
+
+
 def test_lift_tasks_preserves_ids_and_targets():
     fm = unit_map()
     tasks = [

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from gamtl import weight_solver
 from gamtl.data import SynSpec, benchmark_splits, gen_syn1
 from gamtl.model import PINNED_CONFIGS, fit
 from gamtl.rbf import fit_rbf
@@ -215,8 +216,9 @@ def test_solve_weights_empty_graph_equals_independent_ridge():
 
 @pytest.mark.parametrize("gamma,graph", [(0.0, "random"), (1.0, "zero")])
 def test_solve_weights_uncoupled_system_takes_at_most_two_cg_iterations(gamma, graph):
-    # The block-Jacobi preconditioner inverts each task's block exactly,
-    # which is the whole system when no edge couples the tasks.
+    # The block-Jacobi step of the two-level preconditioner inverts each
+    # task's block exactly, which is the whole system when no edge couples
+    # the tasks.
     rng = np.random.default_rng(19)
     tasks = make_tasks(rng, d=6, T=4, N=5)  # rank-deficient blocks
     A = random_adjacency(rng, 4) if graph == "random" else np.zeros((4, 4))
@@ -260,12 +262,83 @@ def test_block_inverses_are_exactly_symmetric_inverses():
     rng = np.random.default_rng(22)
     xs = [rng.standard_normal((30, 20)) for _ in range(6)]  # rank-deficient Grams
     shifts = rng.uniform(1e-6, 2.0, size=6)
-    inverses = _block_inverses(xs, shifts)
+    inverses, mean_gram = _block_inverses(xs, shifts)
     assert inverses.shape == (6, 30, 30)
     assert np.array_equal(inverses, inverses.transpose(0, 2, 1))
     for X, shift, inverse in zip(xs, shifts, inverses):
         G = X @ X.T + shift * np.eye(30)
         np.testing.assert_allclose(inverse @ G, np.eye(30), atol=1e-7)
+    np.testing.assert_allclose(mean_gram, sum(X @ X.T for X in xs) / 6, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d,sizes", [(30, [20] * 20), (51, [250, 260, 0, 249]), (1, [3, 5])])
+def test_batched_block_inverses_equal_the_per_task_loop(d, sizes):
+    # One batched Cholesky and one batched inverse give the loop's bits.
+    rng = np.random.default_rng(d)
+    xs = [rng.standard_normal((d, n)) for n in sizes]
+    shifts = rng.uniform(1e-8, 3.0, size=len(sizes))
+    inverses, _ = _block_inverses(xs, shifts)
+    assert np.array_equal(inverses, oracles.block_inverses_loop(xs, shifts))
+
+
+def captured_preconditioner(monkeypatch, tasks, A, gamma):
+    """Dense matrix of the preconditioner one solve hands to ``_pcg``, and the ridge."""
+    captured = []
+    real_pcg = weight_solver._pcg
+
+    def spy(matvec, precondition, *args):
+        captured.append(precondition)
+        return real_pcg(matvec, precondition, *args)
+
+    monkeypatch.setattr(weight_solver, "_pcg", spy)
+    _, report = solve_weights(tasks, A, gamma=gamma)
+    (precondition,) = captured
+    n = tasks[0].dim * len(tasks)
+    return np.column_stack([precondition(e) for e in np.eye(n)]), report.ridge
+
+
+@pytest.mark.parametrize("gamma", [0.1, 100.0])
+def test_two_level_preconditioner_is_symmetric_positive_definite(monkeypatch, gamma):
+    # Unequal, rank-deficient designs (N < d) take the two-level form.
+    rng = np.random.default_rng(25)
+    tasks = [
+        TaskDataset(task_id=t, X=rng.standard_normal((8, n)), y=rng.standard_normal(n))
+        for t, n in enumerate([3, 5, 2, 6, 4])
+    ]
+    P, _ = captured_preconditioner(monkeypatch, tasks, random_adjacency(rng, 5), gamma)
+    np.testing.assert_allclose(P, P.T, rtol=1e-9, atol=1e-9 * np.abs(P).max())
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.1, 100.0])
+def test_shared_design_preconditioner_inverts_the_system(monkeypatch, gamma):
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((6, 4))
+    tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(4)) for t in range(5)]
+    A = random_adjacency(rng, 5)
+    P, mu = captured_preconditioner(monkeypatch, tasks, A, gamma)
+    M, _ = oracles.dense_weight_system(tasks, A, gamma, mu)
+    np.testing.assert_allclose(P @ M, np.eye(30), atol=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 100.0])
+def test_shared_design_solve_matches_dense_oracle(monkeypatch, gamma):
+    # syn1's shape: every task has the same design, with N = 20 < d = 30.
+    # The exact Kronecker-sum inverse needs no block-Jacobi inverses.
+    def no_block_inverses(*args):
+        raise AssertionError("a shared design needs no block-Jacobi inverses")
+
+    monkeypatch.setattr(weight_solver, "_block_inverses", no_block_inverses)
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((30, 20))
+    tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(20)) for t in range(6)]
+    A = random_adjacency(rng, 6)
+    W, report = solve_weights(tasks, A, gamma=gamma, solver_tol=1e-12)
+    assert report.converged
+    assert report.cg_iterations <= 2
+    assert report.relative_residual <= 1e-12
+    W_ref = oracles.dense_weight_solve(tasks, A, gamma, mu=report.ridge)
+    np.testing.assert_allclose(W, W_ref, atol=1e-7)
 
 
 def test_solve_weights_does_not_write_into_the_warm_start():
@@ -280,11 +353,12 @@ def test_solve_weights_does_not_write_into_the_warm_start():
 @pytest.mark.parametrize(
     "name,seeds,fitter,expected",
     [
-        # Totals recorded from traced runs of the scipy-based solver; the
-        # PCG loop keeps its stopping rule, so the counts do not move.
-        ("syn1", range(10), "fit", [65, 80, 72, 71, 85, 69, 92, 86, 78, 58]),
-        ("wiener", range(2), "fit", [34, 34]),
-        ("wiener", range(2), "fit_rbf", [168, 173]),
+        # Totals of the Kronecker-sum preconditioner: exact on syn1's shared
+        # design (one iteration a solve), two-level on Wiener's per-agent
+        # designs.  Block-Jacobi alone took 65-92 on syn1, 34 and 168-173.
+        ("syn1", range(10), "fit", [6, 7, 7, 6, 7, 6, 8, 6, 7, 6]),
+        ("wiener", range(2), "fit", [12, 12]),
+        ("wiener", range(2), "fit_rbf", [12, 12]),
     ],
 )
 def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expected):
@@ -298,13 +372,24 @@ def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expect
     assert totals == expected
 
 
+def test_pinned_syn1_weight_solves_take_at_most_two_iterations():
+    # syn1's tasks share one design, where the preconditioner is exact.
+    for seed in range(10):
+        train, _ = benchmark_splits("syn1", seed)
+        model = fit(train, PINNED_CONFIGS["syn1"])
+        for report in model.trace.weight_reports:
+            assert report["cg_iterations"] <= 2
+            assert report["relative_residual"] <= PINNED_CONFIGS["syn1"].weight_solver_tol
+
+
 def test_wiener_rbf_fit_cg_iteration_budget():
-    # Block-Jacobi CG takes 168 iterations over this fit's three weight
-    # solves; a diagonal (Jacobi) preconditioner takes 1152.
+    # The two-level preconditioner takes 12 iterations over this fit's three
+    # weight solves; block-Jacobi alone takes 168 and a diagonal (Jacobi)
+    # preconditioner 1152.
     train, _ = benchmark_splits("wiener", 0)
     model = fit_rbf(train, PINNED_CONFIGS["wiener"])
     assert model.converged
-    assert sum(r["cg_iterations"] for r in model.trace.weight_reports) <= 400
+    assert sum(r["cg_iterations"] for r in model.trace.weight_reports) <= 40
 
 
 def test_solve_weights_infinite_coupling_pools_tasks():
