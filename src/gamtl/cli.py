@@ -141,9 +141,21 @@ def _validate_config(config: dict, keys: dict, path: str = "$"):
             raise UsageError(f"config error at {where}: {exc}") from None
 
 
-def _load_config(path: str, overrides) -> dict:
+# The shorthand flags of `fit` and `bench`, each a --set item on its path.
+_FLAG_PATHS = {
+    "gamma": "model.gamma", "alpha": "model.alpha", "beta": "model.beta",
+    "seed": "model.seed", "rbf": "rbf.enabled", "out": "out_dir",
+}
+
+
+def _load_config(args, keys: dict) -> dict:
+    """Read ``--config``, apply the ``--set`` items and then the flags, and validate.
+
+    An override whose path runs through a value that is not an object is an
+    error at that value's path, as in ``config error at $.model: expected object``.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from None
@@ -151,7 +163,12 @@ def _load_config(path: str, overrides) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config root must be a JSON object")
-    for item in overrides or ():
+    flags = [
+        f"{path}={json.dumps(getattr(args, name))}"
+        for name, path in _FLAG_PATHS.items()
+        if getattr(args, name, None) is not None
+    ]
+    for item in [*args.set, *flags]:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
@@ -159,13 +176,14 @@ def _load_config(path: str, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        node, where = config, "$"
+        *parents, leaf = key.split(".")
+        for part in parents:
+            node, where = node.setdefault(part, {}), f"{where}.{part}"
             if not isinstance(node, dict):
-                raise UsageError(f"--set path {key!r} crosses a non-object value")
-        node[parts[-1]] = value
+                raise UsageError(f"config error at {where}: expected object")
+        node[leaf] = value
+    _validate_config(config, keys)
     return config
 
 
@@ -174,6 +192,8 @@ def _load_config(path: str, overrides) -> dict:
 _GRAPH_KEYS = {"alpha": "alpha", "beta": "beta", "graph_tol": "tol", "graph_max_iter": "max_iter"}
 # Settings of the generated benchmarks, shared by `synth` flags and `bench` configs.
 _DATA_OPTIONS = ("n_train", "n_test", "noise_std", "n_samples", "split_ratio")
+# Keys of a config's rbf block that name fit_rbf arguments.
+_LIFT_KEYS = {"num_centers": "P", "width_factor": "width_factor"}
 
 
 def _gamtl_config(model_cfg: dict) -> GamtlConfig:
@@ -182,48 +202,29 @@ def _gamtl_config(model_cfg: dict) -> GamtlConfig:
     return GamtlConfig(graph_params=GraphLearningParams(**graph), **rest)
 
 
-def _rbf_options(rbf_cfg: dict) -> dict:
-    """``fit_rbf`` keyword arguments for the lift settings a config sets."""
-    names = {"num_centers": "P", "width_factor": "width_factor"}
-    return {names[k]: v for k, v in rbf_cfg.items() if k in names}
+def _fitter(config: dict):
+    """``(method, GamtlConfig, fit(tasks, seed))`` for a validated fit or bench config.
 
-
-def _apply_flag_overrides(config: dict, args):
-    """Write the flags into the config; a block that is not an object is
-    left as it is, for validation to reject."""
-    model = config.setdefault("model", {})
-    if isinstance(model, dict):
-        for key in ("gamma", "alpha", "beta", "seed"):
-            value = getattr(args, key, None)
-            if value is not None:
-                model[key] = value
-    if getattr(args, "rbf", False):
-        rbf = config.setdefault("rbf", {})
-        if isinstance(rbf, dict):
-            rbf["enabled"] = True
-    if getattr(args, "out", None):
-        config["out_dir"] = args.out
-
-
-def _csv_schema_from_config(data_cfg: dict, csv_path: Path) -> data_mod.CsvSchema:
-    task_col = data_cfg.get("task_column", "task")
-    target_col = data_cfg.get("target_column", "y")
-    features = data_cfg.get("feature_columns")
-    if not features:
-        try:
-            with open(csv_path, "r", encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-        except OSError as exc:
-            raise UsageError(f"cannot read dataset: {exc}") from None
-        features = [c for c in header if c not in (task_col, target_col)]
-        if not features:
-            raise UsageError(f"{csv_path}: no feature columns besides {task_col}/{target_col}")
-    return data_mod.CsvSchema(
-        task_column=task_col,
-        target_column=target_col,
-        feature_columns=tuple(features),
-        **{k: data_cfg[k] for k in ("standardize", "standardize_target") if k in data_cfg},
+    ``fit`` and ``fit_rbf`` are looked up in this module's namespace at each call.
+    """
+    model_config = _gamtl_config(config.get("model", {}))
+    rbf_cfg = config.get("rbf", {})
+    if not rbf_cfg.get("enabled", False):
+        return "gamtl", model_config, lambda tasks, seed: fit(tasks, replace(model_config, seed=seed))
+    lift = {_LIFT_KEYS[k]: v for k, v in rbf_cfg.items() if k in _LIFT_KEYS}
+    return "rbf-gamtl", model_config, lambda tasks, seed: fit_rbf(
+        tasks, replace(model_config, seed=seed), **lift
     )
+
+
+def _read_tasks(path, standardizer=None, **columns) -> data_mod.LoadedTasks:
+    try:
+        schema = data_mod.CsvSchema(**columns)
+        return data_mod.load_csv_tasks(path, schema, standardizer=standardizer)
+    except OSError as exc:
+        raise UsageError(f"cannot read dataset: {exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_json(path: Path, payload: dict):
@@ -249,27 +250,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config, args.set)
-    _apply_flag_overrides(config, args)
-    _validate_config(config, _FIT_KEYS)
-
-    data_cfg = config["data"]
-    csv_path = Path(data_cfg["train_csv"])
-    schema = _csv_schema_from_config(data_cfg, csv_path)
+    config = _load_config(args, _FIT_KEYS)
+    data_cfg = dict(config["data"])
+    loaded = _read_tasks(data_cfg.pop("train_csv"), **data_cfg)
+    _, model_config, fit_tasks = _fitter(config)
     try:
-        loaded = data_mod.load_csv_tasks(csv_path, schema)
-    except OSError as exc:
-        raise UsageError(f"cannot read dataset: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    gamtl_config = _gamtl_config(config.get("model", {}))
-    rbf_cfg = config.get("rbf", {})
-    try:
-        if rbf_cfg.get("enabled", False):
-            model = fit_rbf(loaded.tasks, gamtl_config, **_rbf_options(rbf_cfg))
-        else:
-            model = fit(loaded.tasks, gamtl_config)
+        model = fit_tasks(loaded.tasks, model_config.seed)
     except Exception as exc:
         raise RuntimeFailure(f"fit failed: {exc}") from exc
     model.task_labels = loaded.task_labels
@@ -296,26 +282,15 @@ def _read_model(path):
 
 def cmd_eval(args) -> int:
     model = _read_model(args.model)
-    data_cfg = {
-        "task_column": args.task_column,
-        "target_column": args.target_column,
-        "feature_columns": args.feature_columns.split(",") if args.feature_columns else None,
-    }
-    csv_path = Path(args.data)
-    schema = _csv_schema_from_config(data_cfg, csv_path)
+    # a model fitted on standardized data scores test rows in the same units
     stats = model.standardizer
-    if stats is not None and stats.feature_mean.size != len(schema.feature_columns):
-        raise UsageError(
-            f"{csv_path}: {len(schema.feature_columns)} feature columns, but the model "
-            f"was fitted on {stats.feature_mean.size} standardized features"
-        )
-    try:
-        # a model fitted on standardized data scores test rows in the same units
-        loaded = data_mod.load_csv_tasks(csv_path, schema, standardizer=stats)
-    except OSError as exc:
-        raise UsageError(f"cannot read dataset: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    loaded = _read_tasks(
+        args.data,
+        stats,
+        task_column=args.task_column,
+        target_column=args.target_column,
+        feature_columns=args.feature_columns.split(",") if args.feature_columns else None,
+    )
 
     # A model saved without labels names its tasks by id, as save_tasks_csv does.
     labels = model.task_labels or tuple(str(t) for t in model.task_ids)
@@ -368,54 +343,27 @@ def cmd_export(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config, args.set)
-    _apply_flag_overrides(config, args)
-    _validate_config(config, _BENCH_KEYS)
-
+    config = _load_config(args, _BENCH_KEYS)
     bench_cfg = config["benchmark"]
-    gamtl_config = _gamtl_config(config.get("model", {}))
-    rbf_cfg = config.get("rbf", {})
+    method, model_config, fit_tasks = _fitter(config)
     options = {k: bench_cfg[k] for k in _DATA_OPTIONS if k in bench_cfg}
 
     def make_data(seed):
         return data_mod.benchmark_splits(bench_cfg["name"], seed, **options)
 
+    methods = [(method, fit_tasks)]
+    if bench_cfg.get("include_baseline", False):
+        methods.append((
+            "independent-ridge",
+            lambda tasks, seed: fit_independent_ridge(tasks, model_config.ridge_lambda),
+        ))
     n_runs = bench_cfg.get("n_runs", 10)
     base_seed = bench_cfg.get("base_seed", 0)
-
-    if rbf_cfg.get("enabled", False):
-        method = "rbf-gamtl"
-
-        def make_model(train_tasks, seed):
-            return fit_rbf(train_tasks, replace(gamtl_config, seed=seed), **_rbf_options(rbf_cfg))
-
-    else:
-        method = "gamtl"
-
-        def make_model(train_tasks, seed):
-            return fit(train_tasks, replace(gamtl_config, seed=seed))
-
     try:
         reports = [
-            report_to_dict(
-                benchmark(make_data, make_model, method, n_runs, base_seed, config=config)
-            )
+            report_to_dict(benchmark(make_data, make_model, name, n_runs, base_seed, config=config))
+            for name, make_model in methods
         ]
-        if bench_cfg.get("include_baseline", False):
-            reports.append(
-                report_to_dict(
-                    benchmark(
-                        make_data,
-                        lambda tasks, seed: fit_independent_ridge(
-                            tasks, gamtl_config.ridge_lambda
-                        ),
-                        "independent-ridge",
-                        n_runs,
-                        base_seed,
-                        config=config,
-                    )
-                )
-            )
     except Exception as exc:
         raise RuntimeFailure(f"benchmark failed: {exc}") from exc
 
@@ -442,16 +390,22 @@ def build_parser() -> _Parser:
     p.add_argument("--split-ratio", type=float, help="wiener train fraction")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit a model from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
-    p.add_argument("--rbf", action="store_true", help="fit the RBF variant")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory override")
-    p.set_defaults(func=cmd_fit)
+    for name, func, help_text in (
+        ("fit", cmd_fit, "fit a model from a JSON config"),
+        ("bench", cmd_bench, "repeated seeded benchmark from a JSON config"),
+    ):
+        # The flags are shorthands for --set items (_FLAG_PATHS).
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
+        p.add_argument("--rbf", action="store_const", const=True, help="fit the RBF variant")
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta", type=float)
+        if name == "fit":
+            p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output directory override")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="score a saved model on a CSV split")
     p.add_argument("--model", required=True)
@@ -468,16 +422,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", help="document path (default: stdout)")
     p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("bench", help="repeated seeded benchmark from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[])
-    p.add_argument("--rbf", action="store_true")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--out", help="output directory override")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

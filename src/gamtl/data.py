@@ -315,19 +315,24 @@ def gen_wiener_network(spec: WienerNetworkSpec):
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column layout of a multi-task CSV (header row required)."""
+    """Column layout of a multi-task CSV (header row required).
 
-    task_column: str
-    target_column: str
-    feature_columns: tuple
+    ``feature_columns=None`` takes every column of the header besides the
+    task and target columns, in header order.
+    """
+
+    task_column: str = "task"
+    target_column: str = "y"
+    feature_columns: tuple | None = None
     standardize: bool = False
     standardize_target: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
-        if len(self.feature_columns) == 0:
-            raise ValueError("feature_columns must not be empty")
-        names = (self.task_column, self.target_column, *self.feature_columns)
+        if self.feature_columns is not None:
+            object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
+            if len(self.feature_columns) == 0:
+                raise ValueError("feature_columns must not be empty")
+        names = (self.task_column, self.target_column, *(self.feature_columns or ()))
         if len(set(names)) != len(names):
             raise ValueError("schema columns must be distinct")
 
@@ -372,29 +377,38 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
     """Group CSV rows into one task per distinct task-column value.
 
     Task ids are assigned in order of first appearance.  When the schema
-    requests standardization and no ``standardizer`` is supplied, statistics
-    are fitted on the rows of this file (so fit it on the training split and
-    pass the result when loading the test split).
+    names no feature columns, every other header column is one.  When the
+    schema requests standardization and no ``standardizer`` is supplied,
+    statistics are fitted on the rows of this file (so fit it on the
+    training split and pass the result when loading the test split); a
+    supplied ``standardizer`` must cover exactly the feature columns.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [
-            c
-            for c in (schema.task_column, schema.target_column, *schema.feature_columns)
-            if c not in reader.fieldnames
-        ]
+        special = (schema.task_column, schema.target_column)
+        features = schema.feature_columns
+        if features is None:
+            features = tuple(c for c in reader.fieldnames if c not in special)
+            if not features:
+                raise ValueError(f"{path}: no feature columns besides {special[0]}/{special[1]}")
+        missing = [c for c in (*special, *features) if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
+        if standardizer is not None and standardizer.feature_mean.size != len(features):
+            raise ValueError(
+                f"{path}: {len(features)} feature columns, but the model was fitted "
+                f"on {standardizer.feature_mean.size} standardized features"
+            )
         labels = []
         rows_by_label = {}
         for line_no, row in enumerate(reader, start=2):
             label = row[schema.task_column]
             try:
                 y = float(row[schema.target_column])
-                x = [float(row[c]) for c in schema.feature_columns]
+                x = [float(row[c]) for c in features]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
             if label not in rows_by_label:
@@ -441,16 +455,6 @@ def save_tasks_csv(tasks, path):
                         *(repr(float(val)) for val in task.X[:, j]),
                     ]
                 )
-
-
-def canonical_csv_schema(d: int, standardize: bool = False) -> CsvSchema:
-    """Schema matching :func:`save_tasks_csv` output."""
-    return CsvSchema(
-        task_column="task",
-        target_column="y",
-        feature_columns=tuple(f"x{i}" for i in range(d)),
-        standardize=standardize,
-    )
 
 
 def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:

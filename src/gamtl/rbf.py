@@ -276,17 +276,16 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
 
 def optimal_widths(
     centers: np.ndarray,
-    pooled_inputs: np.ndarray | None = None,
+    pooled_inputs: np.ndarray,
     width_factor: float = 1.0,
-    single_width: float | None = None,
 ) -> np.ndarray:
     """Per-center widths: ``width_factor`` times nearest-other-center distance.
 
     Centers with a duplicate (nearest distance zero) fall back to the mean of
-    the nonzero nearest distances, with a warning.  A single center has no
-    neighbor: pass ``single_width`` explicitly, or ``pooled_inputs`` to use
-    the RMS point-to-center distance instead.  ``centers`` (P, q) and
-    ``pooled_inputs`` (N, q) are finite, trusted and not checked.
+    the nonzero nearest distances, with a warning.  A single center, or a set
+    of centers that all coincide, takes the RMS distance from the pooled
+    inputs to the centers instead.  ``centers`` (P, q) and ``pooled_inputs``
+    (N, q) are finite, trusted and not checked.
     """
     centers = np.asarray(centers, dtype=float)
     if width_factor <= 0.0:
@@ -294,14 +293,6 @@ def optimal_widths(
     P = centers.shape[0]
 
     def data_width() -> float:
-        if single_width is not None:
-            if single_width <= 0.0:
-                raise ValueError("single_width must be positive")
-            return float(single_width) / width_factor  # factor applied below
-        if pooled_inputs is None:
-            raise ValueError(
-                "width is underdetermined: provide single_width or pooled_inputs"
-            )
         points = np.asarray(pooled_inputs, dtype=float)
         rms = float(np.sqrt(_sq_distances_to(points, centers).mean()))
         if rms <= 0.0:

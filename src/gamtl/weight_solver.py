@@ -150,9 +150,11 @@ def _block_inverses(xs, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked inverses of ``X_t X_t^T + shifts[t] I``, and the mean Gram.
 
     Each inverse is ``Li^T Li`` from the inverse ``Li`` of its lower Cholesky
-    factor, so it is exactly symmetric; the factors and their inverses are
-    made by one batched call each.  The mean of the unshifted ``X_t X_t^T``
-    is returned too, because it is taken from the same stack.
+    factor, so it is exactly symmetric.  The Grams fill one (T, d, d) stack,
+    and each task's shifted Gram is factored and inverted in turn and its
+    inverse written back in its place, so no second stack is made.  The mean
+    of the unshifted ``X_t X_t^T`` is returned too, because it is taken from
+    the same stack.
     """
     T, d = len(xs), xs[0].shape[0]
     blocks = np.empty((T, d, d))
@@ -160,10 +162,10 @@ def _block_inverses(xs, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.matmul(X, X.T, out=blocks[t])
     mean_gram = blocks.mean(axis=0)
     blocks.reshape(T, d * d)[:, :: d + 1] += shifts[:, None]
-    # Rebinding frees each stack once the next exists: at most two are live.
-    blocks = np.linalg.cholesky(blocks)
-    blocks = np.linalg.inv(blocks)
-    return np.matmul(blocks.transpose(0, 2, 1), blocks), mean_gram
+    for block in blocks:
+        Li = np.linalg.inv(np.linalg.cholesky(block))
+        np.matmul(Li.T, Li, out=block)
+    return blocks, mean_gram
 
 
 def _kron_inverse(L: np.ndarray, gram: np.ndarray, mu: float, gamma: float):

@@ -163,8 +163,9 @@ def dense_weight_solve(tasks, A: np.ndarray, gamma: float, mu: float) -> np.ndar
 def block_inverses_loop(xs, shifts) -> np.ndarray:
     """Inverses of ``X_t X_t^T + shifts[t] I`` one task at a time, as ``Li^T Li``.
 
-    ``Li`` inverts the numpy Cholesky factor of the block; this is the
-    per-task loop the batched ``weight_solver._block_inverses`` replaces.
+    ``Li`` inverts the numpy Cholesky factor of the block, formed with the
+    shift on the whole identity; ``weight_solver._block_inverses`` must give
+    these bits.
     """
     d = xs[0].shape[0]
     inverses = np.empty((len(xs), d, d))

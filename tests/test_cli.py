@@ -217,6 +217,47 @@ def test_fit_rbf_flag_attaches_feature_map(tmp_path):
     assert len(payload["feature_map"]["widths"]) == 3
 
 
+def test_fit_flags_are_set_items_applied_last(tmp_path):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    out = tmp_path / "flags"
+    argv = ["fit", "--config", str(config_path), "--gamma", "1", "--set", "model.gamma=0.2"]
+    argv += ["--set", "model.seed=3", "--seed", "0", "--set", "model.alpha=3", "--out", str(out)]
+    assert main(argv) == 0
+    echo = json.loads((out / "trace.json").read_text())["config"]
+    assert repr(echo["model"]["gamma"]) == "1.0"  # the flag's float, after the --set item
+    assert (echo["model"]["alpha"], echo["model"]["seed"]) == (3, 0)
+    assert echo["out_dir"] == str(out)
+    assert "rbf" not in echo
+
+
+def test_fit_echo_adds_no_model_block(tmp_path):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path = tmp_path / "config.json"
+    config = {"data": {"train_csv": str(train_csv)}}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    echo = json.loads((tmp_path / "run" / "trace.json").read_text())["config"]
+    assert echo == {**config, "out_dir": str(tmp_path / "run")}
+
+
+@pytest.mark.parametrize("command", ["fit", "bench"])
+@pytest.mark.parametrize(
+    "block,item,where", [("model", "model.gamma=1", "$.model"), ("data", "data.x.y=1", "$.data")]
+)
+def test_set_through_a_non_object_value_is_config_error(
+    tmp_path, capsys, command, block, item, where
+):
+    config = {"benchmark": {"name": "syn1"}} if command == "bench" else {"data": {"train_csv": "t.csv"}}
+    config[block] = 5
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(config_path), "--set", item]) == 1
+    assert f"config error at {where}: expected object" in capsys.readouterr().err
+
+
 # Each case sets one config key; every one exits 1 before any file is read.
 FIT_CONFIG_ERRORS = {
     "alpha": ("model", "alpha", -1.0),
@@ -420,6 +461,29 @@ def test_eval_scores_a_standardized_fit_in_target_units(tmp_path, capsys):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["fit", "--config", str(config_path)]) == 0
     assert "standardizer" not in json.loads(model_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "flags", [["--task-column", "y"], ["--feature-columns", "task,x0"], ["--target-column", "task"]]
+)
+def test_eval_column_clash_is_usage_error(tmp_path, capsys, flags):
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path), *flags]) == 1
+    assert "error: schema columns must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "columns", [{"task_column": "y"}, {"feature_columns": ["x0", "task"]}]
+)
+def test_fit_column_clash_is_usage_error(tmp_path, capsys, columns):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, config = fit_config(tmp_path, train_csv)
+    config["data"].update(columns)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path)]) == 1
+    assert "error: schema columns must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_missing_model_is_usage_error(tmp_path, capsys):

@@ -8,10 +8,10 @@ import pytest
 import oracles
 from gamtl.data import (
     CsvSchema,
+    Standardizer,
     SynSpec,
     WienerNetworkSpec,
     benchmark_splits,
-    canonical_csv_schema,
     default_wiener_topology,
     gen_syn1,
     gen_syn2,
@@ -380,11 +380,35 @@ def test_csv_schema_validation():
         CsvSchema(task_column="task", target_column="task", feature_columns=("x",))
 
 
+def test_csv_schema_defaults_take_every_other_column(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    write_lines(path, ["x1,task,y,x0", "0.5,a,1.0,2.0", "0.25,b,3.0,4.0"])
+    loaded = load_csv_tasks(path, CsvSchema())
+    # feature rows follow the header order, not the names
+    np.testing.assert_array_equal(loaded.tasks[0].X, [[0.5], [2.0]])
+    np.testing.assert_array_equal(loaded.tasks[1].y, [3.0])
+    with pytest.raises(ValueError, match="distinct"):
+        CsvSchema(task_column="y")
+    write_lines(path, ["task,y", "a,1.0"])
+    with pytest.raises(ValueError, match="no feature columns besides task/y"):
+        load_csv_tasks(path, CsvSchema())
+
+
+def test_load_csv_rejects_a_standardizer_of_another_width(tmp_path):
+    path = tmp_path / "two.csv"
+    write_lines(path, ["task,y,x0,x1", "a,1.0,2.0,3.0"])
+    stats = Standardizer(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="2 feature columns, but the model was fitted on 3"):
+        load_csv_tasks(path, CsvSchema(), standardizer=stats)
+    loaded = load_csv_tasks(path, CsvSchema(), standardizer=Standardizer(np.ones(2), np.ones(2)))
+    np.testing.assert_array_equal(loaded.tasks[0].X, [[1.0], [2.0]])
+
+
 def test_csv_round_trip_preserves_floats_exactly(tmp_path):
     train, _, _ = gen_syn1(SynSpec(seed=8, n_train=5, n_test=1))
     path = tmp_path / "syn1.csv"
     save_tasks_csv(train, path)
-    loaded = load_csv_tasks(path, canonical_csv_schema(30))
+    loaded = load_csv_tasks(path, CsvSchema())
     assert len(loaded.tasks) == 20
     for orig, back in zip(train, loaded.tasks):
         assert np.array_equal(back.X, orig.X)

@@ -194,6 +194,35 @@ def test_fit_duplicate_tasks_bind_strongest_edge():
     assert dup_dist < 0.1 * np.mean(dists)
 
 
+
+@pytest.mark.parametrize("gamma,alpha,beta", [(0.5, 1.0, 1.0), (10.0, 1.0, 0.01)])
+def test_fit_with_two_tasks_ends_at_the_two_node_optimum(gamma, alpha, beta):
+    # T = 2: the last graph step solves for one edge, in closed form.
+    rng = np.random.default_rng(30)
+    tasks = make_related_tasks(rng, d=3, T=2, N=20, spread=1.0)
+    graph = GraphLearningParams(alpha=alpha, beta=beta, tol=1e-10)
+    config = mild_config(gamma=gamma, graph_params=graph)
+    model = fit(tasks, config)
+    assert model.converged
+    z = gamma * pairwise_sq_distances(model.W)[0, 1]
+    assert z > 0.0
+    assert model.A[0, 1] == pytest.approx(oracles.t2_optimal_edge(z, alpha, beta), rel=1e-9)
+
+
+@pytest.mark.parametrize("T", [2, 5])
+def test_fit_on_identical_tasks_gives_the_uniform_complete_graph(T):
+    # Every distance is 0, so the graph is complete with the weight of z = 0.
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((3, 12))
+    y = X.T @ rng.standard_normal(3) + 0.1 * rng.standard_normal(12)
+    config = mild_config(graph_params=GraphLearningParams(alpha=1.0, beta=1.0, tol=1e-10))
+    model = fit([TaskDataset(t, X, y) for t in range(T)], config)
+    assert model.converged
+    expected = oracles.uniform_complete_weight(T, 0.0, 1.0, 1.0)
+    np.testing.assert_allclose(vectorform(model.A), expected, rtol=1e-10)
+    np.testing.assert_allclose(model.W, np.repeat(model.W[:, :1], T, axis=1), rtol=1e-12)
+
+
 def test_fit_flags_inner_solver_budget_instead_of_raising():
     rng = np.random.default_rng(29)
     tasks = make_related_tasks(rng)

@@ -222,24 +222,24 @@ def test_kmeans_rejects_bad_center_counts():
 
 def test_widths_symmetric_pair():
     centers = np.array([[0.0], [2.0]])
-    np.testing.assert_allclose(optimal_widths(centers), [2.0, 2.0], atol=0.0)
+    np.testing.assert_allclose(optimal_widths(centers, centers), [2.0, 2.0], atol=0.0)
 
 
 def test_widths_collinear_hand_values():
     centers = np.array([[0.0], [1.0], [3.0]])
-    np.testing.assert_allclose(optimal_widths(centers), [1.0, 1.0, 2.0], atol=0.0)
+    np.testing.assert_allclose(optimal_widths(centers, centers), [1.0, 1.0, 2.0], atol=0.0)
 
 
 def test_widths_factor_scales():
     centers = np.array([[0.0], [1.0], [3.0]])
-    np.testing.assert_allclose(optimal_widths(centers, width_factor=2.0), [2.0, 2.0, 4.0])
+    np.testing.assert_allclose(optimal_widths(centers, centers, width_factor=2.0), [2.0, 2.0, 4.0])
 
 
 def test_widths_match_scan_oracle():
     rng = np.random.default_rng(43)
     centers = rng.standard_normal((8, 3))
     np.testing.assert_allclose(
-        optimal_widths(centers, width_factor=1.5),
+        optimal_widths(centers, centers, width_factor=1.5),
         oracles.nearest_center_widths(centers, 1.5),
         rtol=1e-12,
     )
@@ -248,7 +248,7 @@ def test_widths_match_scan_oracle():
 def test_widths_duplicate_centers_fall_back():
     centers = np.array([[0.0], [0.0], [2.0]])
     with pytest.warns(UserWarning, match="duplicate center"):
-        widths = optimal_widths(centers)
+        widths = optimal_widths(centers, centers)
     # Duplicates take the mean nonzero nearest distance (here 2).
     np.testing.assert_allclose(widths, [2.0, 2.0, 2.0], atol=0.0)
     assert (widths > 0.0).all()
@@ -264,14 +264,11 @@ def test_widths_all_duplicates_use_data_width():
 
 
 def test_widths_single_center_needs_scale():
+    # One center has no neighbor: its width is the RMS distance to the data.
     centers = np.array([[0.0, 0.0]])
-    with pytest.raises(ValueError, match="underdetermined"):
-        optimal_widths(centers)
-    np.testing.assert_allclose(
-        optimal_widths(centers, single_width=3.0, width_factor=2.0), [3.0]
-    )
     pooled = np.array([[3.0, 0.0], [-3.0, 0.0]])
     np.testing.assert_allclose(optimal_widths(centers, pooled_inputs=pooled), [3.0])
+    np.testing.assert_allclose(optimal_widths(centers, pooled, width_factor=2.0), [6.0])
     with pytest.raises(ValueError, match="coincide"):
         optimal_widths(centers, pooled_inputs=np.zeros((2, 2)))
 
@@ -279,9 +276,9 @@ def test_widths_single_center_needs_scale():
 def test_widths_reject_bad_scalars():
     centers = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        optimal_widths(centers, width_factor=0.0)
+        optimal_widths(centers, centers, width_factor=0.0)
     with pytest.raises(ValueError):
-        optimal_widths(np.array([[0.0]]), single_width=-1.0)
+        optimal_widths(np.array([[0.0]]), np.array([[1.0]]), width_factor=-1.0)
 
 
 # --------------------------------------------------------------------------

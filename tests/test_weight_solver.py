@@ -6,6 +6,7 @@ is empty, and against pooled least squares in the infinite-coupling limit.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,12 +274,30 @@ def test_block_inverses_are_exactly_symmetric_inverses():
 
 @pytest.mark.parametrize("d,sizes", [(30, [20] * 20), (51, [250, 260, 0, 249]), (1, [3, 5])])
 def test_batched_block_inverses_equal_the_per_task_loop(d, sizes):
-    # One batched Cholesky and one batched inverse give the loop's bits.
+    # Filling one stack and inverting it in place gives the reference loop's bits.
     rng = np.random.default_rng(d)
     xs = [rng.standard_normal((d, n)) for n in sizes]
     shifts = rng.uniform(1e-8, 3.0, size=len(sizes))
     inverses, _ = _block_inverses(xs, shifts)
     assert np.array_equal(inverses, oracles.block_inverses_loop(xs, shifts))
+
+
+
+def test_block_inverses_hold_one_stack():
+    # The Grams and their inverses share one (T, d, d) stack; the rest is
+    # a few d x d arrays for the task in hand.
+    rng = np.random.default_rng(3)
+    T, d = 40, 30
+    xs = [rng.standard_normal((d, 50)) for _ in range(T)]
+    shifts = np.ones(T)
+    _block_inverses(xs, shifts)
+    tracemalloc.start()
+    try:
+        _block_inverses(xs, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (T + 12) * d * d * 8
 
 
 def captured_preconditioner(monkeypatch, tasks, A, gamma):
