@@ -291,6 +291,11 @@ def cmd_eval(args) -> int:
         target_column=args.target_column,
         feature_columns=args.feature_columns.split(",") if args.feature_columns else None,
     )
+    fm = model.feature_map
+    expected = fm.input_dim if fm is not None else model.W.shape[0]
+    got = loaded.tasks[0].dim
+    if got != expected:
+        raise UsageError(f"{args.data}: {got} feature columns, but the model takes {expected}")
 
     # A model saved without labels names its tasks by id, as save_tasks_csv does.
     labels = model.task_labels or tuple(str(t) for t in model.task_ids)

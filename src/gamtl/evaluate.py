@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -147,19 +147,8 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:
-    return {
-        "method": report.method,
-        "seeds": list(report.seeds),
-        "rmse_values": list(report.rmse_values),
-        "mean": report.mean,
-        "std": report.std,
-        "per_task_rmse": [list(r) for r in report.per_task_rmse],
-        "per_task_mean_values": list(report.per_task_mean_values),
-        "config": report.config,
-        "failures": [dict(f) for f in report.failures],
-        "flagged": report.flagged,
-        "nonconverged": list(report.nonconverged),
-    }
+    """The report's fields by name; ``json`` writes its tuples as lists."""
+    return asdict(report)
 
 
 # --------------------------------------------------------------------------

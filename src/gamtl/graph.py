@@ -8,9 +8,10 @@ is only ever applied edge-wise, never materialized.
 
 ``validate_adjacency``, ``smoothness``, ``vectorform`` and ``matrixform``
 check their arguments and serve input from outside the package.
-``pairwise_sq_distances``, ``laplacian``, ``apply_degree_operator`` and
-``degree_adjoint`` run on every half step of a fit and trust theirs: each
-docstring states its precondition, which the entry points establish once.
+``sq_distances``, ``pairwise_sq_distances``, ``laplacian``,
+``apply_degree_operator`` and ``degree_adjoint`` run on every half step of a
+fit (or every k-means round) and trust theirs: each docstring states its
+precondition, which the entry points establish once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "validate_adjacency",
+    "sq_distances",
     "pairwise_sq_distances",
     "laplacian",
     "smoothness",
@@ -80,32 +82,32 @@ def validate_adjacency(A: np.ndarray, name: str = "adjacency") -> np.ndarray:
     return A
 
 
-def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of ``W``.
+def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows, shape ``(N, P)``.
 
-    Parameters
-    ----------
-    W : ndarray, shape (d, T)
-        Per-task parameter vectors stacked as columns, T >= 2, finite.
-        Trusted, not checked.
-
-    Returns
-    -------
-    ndarray, shape (T, T)
-        ``Z[i, j] = ||W[:, i] - W[:, j]||^2``.  Exactly symmetric with a
-        zero diagonal (computed from explicit column differences, not the
-        Gram-matrix shortcut, so no cancellation can drive entries
-        negative).  The squares are summed one coordinate at a time, so the
-        memory is two ``(T, T)`` buffers, not a ``(d, T, T)`` tensor.
+    ``points`` (N, q) and ``centers`` (P, q) are finite, trusted and not
+    checked.  Each entry sums the squares of explicit coordinate differences
+    in coordinate order -- no Gram-matrix shortcut, so no cancellation can
+    drive it negative, and a pair gives the same bits wherever it sits.  The
+    memory is two ``(N, P)`` buffers, never an ``(N, P, q)`` tensor.
     """
-    T = W.shape[1]
-    Z = np.zeros((T, T))
-    sq = np.empty((T, T))
-    for row in W:
-        np.subtract(row[:, None], row[None, :], out=sq)
-        np.square(sq, out=sq)
-        Z += sq
-    return Z
+    out = np.zeros((points.shape[0], centers.shape[0]))
+    tmp = np.empty_like(out)
+    for j in range(points.shape[1]):
+        np.subtract(points[:, j, None], centers[None, :, j], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
+
+
+def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
+    """``Z[i, j] = ||W[:, i] - W[:, j]||^2`` for the columns of ``W`` (d, T).
+
+    ``W`` is finite with T >= 2, trusted and not checked.  ``Z`` is exactly
+    symmetric with a zero diagonal: it is :func:`sq_distances` of the
+    columns against themselves.
+    """
+    return sq_distances(W.T, W.T)
 
 
 def laplacian(A: np.ndarray) -> np.ndarray:

@@ -145,12 +145,12 @@ def learn_graph(
     -------
     (A, report)
         ``A`` is the graph of the last primal iterate, or ``A0`` when that
-        iterate has a zero degree or a higher objective, so the result is
-        never worse than the warm start.  The report is flagged
-        ``converged=False`` when the residual test (``tol``, every degree
-        positive) has not fired by ``max_iter``, or earlier when no step
-        along the Newton direction improves the dual or its gradient, the
-        floating-point limit of the dual at that distance scale.
+        iterate has a zero degree or a higher objective, so the result's
+        objective is never above the warm start's, exactly.  The report is
+        flagged ``converged=False`` when the residual test (``tol``, every
+        degree positive) has not fired by ``max_iter``, or earlier when no
+        step along the Newton direction improves the dual or its gradient,
+        the floating-point limit of the dual at that distance scale.
     """
     Z = validate_adjacency(Z, "distance matrix")
     if A0 is None:
@@ -216,7 +216,8 @@ def learn_graph(
         lam, r, grad = lam_new, r_new, grad_new
 
     A = matrixform(w)
-    if graph_objective(A, Z, params) > graph_objective(A0, Z, params):
+    # ``not <=`` also rejects a NaN objective: fit relies on A never scoring above A0.
+    if not graph_objective(A, Z, params) <= graph_objective(A0, Z, params):
         A = A0.copy()
     report = GraphSolveReport(
         iterations=iterations, converged=converged, final_residual=residual

@@ -15,14 +15,17 @@ solve for A -- so the objective never increases.  gamma enters the W step as the
 smoothness multiplier and the A step by pre-scaling Z, which makes each step
 minimize F itself in its block.
 
-The trace records F after every half step.  A step that fails to improve F
-beyond numerical noise is rejected (the previous block value is kept), which
-preserves the monotone trace even when the tiny ridge floor inside the W
-solver perturbs the exactly-zero-residual geometry.
+The trace records F after every half step, and each half step has one
+safeguard that keeps the trace monotone.  ``fit`` rejects a weight step that
+raises F (the tiny ridge floor inside the W solver can perturb the
+exactly-zero-residual geometry); ``learn_graph`` returns its warm start when
+its iterate scores higher, which on the same ``gamma * Z`` rules out a rise
+of F at the graph step.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -102,7 +105,7 @@ class FitTrace:
 
     ``objective[0]`` is the value at the initialization (W0, A0); each
     subsequent entry follows one weight solve or one graph solve, in
-    alternation, labeled by ``stages``.
+    alternation, labeled by ``stages``.  It serializes through ``asdict``.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -115,12 +118,7 @@ class FitTrace:
         self.stages.append(stage)
 
     def to_dict(self) -> dict:
-        return {
-            "objective": list(self.objective),
-            "stages": list(self.stages),
-            "weight_reports": [dict(r) for r in self.weight_reports],
-            "graph_reports": [dict(r) for r in self.graph_reports],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitTrace":
@@ -235,6 +233,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     W = ridge_independent(tasks, config.ridge_lambda)
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
+    objective = joint_objective(W, A, tasks, config, Z)
+    trace.record("init", objective)
 
     if config.gamma == 0.0:
         warnings.warn(
@@ -243,21 +243,16 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             "initialization",
             stacklevel=2,
         )
-        trace.record("init", joint_objective(W, A, tasks, config, Z))
         return GamtlModel(
             W=W,
             A=A,
             task_ids=task_ids,
             config=config,
             trace=trace,
-            converged=True,
             notes=("gamma = 0: alternation skipped",),
         )
 
-    objective = joint_objective(W, A, tasks, config, Z)
-    trace.record("init", objective)
     converged = False
-
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
             tasks,
@@ -282,20 +277,12 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             W, Z, objective = W_new, Z_new, candidate
         trace.record("weights", objective)
 
-        A_new, greport = learn_graph(config.gamma * Z, config.graph_params, A0=A)
-        trace.graph_reports.append(
-            {
-                "outer": outer,
-                "iterations": greport.iterations,
-                "converged": greport.converged,
-                "final_residual": greport.final_residual,
-            }
-        )
+        A, greport = learn_graph(config.gamma * Z, config.graph_params, A0=A)
+        trace.graph_reports.append({"outer": outer, **asdict(greport)})
         if not greport.converged:
             notes.append(f"outer {outer}: graph solve hit its iteration limit")
-        candidate = joint_objective(W, A_new, tasks, config, Z)
-        if candidate <= objective:
-            A, objective = A_new, candidate
+        # Unchecked: learn_graph never raises its objective at this gamma * Z, nor F.
+        objective = joint_objective(W, A, tasks, config, Z)
         trace.record("graph", objective)
 
         previous = trace.objective[-3]  # value before this outer iteration
@@ -324,6 +311,11 @@ def config_from_dict(payload: dict) -> GamtlConfig:
     return GamtlConfig(graph_params=GraphLearningParams(**gp), **payload)
 
 
+def _fields_as_lists(record) -> dict:
+    """A dataclass record's fields by name, each array as a nested list."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
+
+
 def model_to_dict(model: GamtlModel) -> dict:
     """JSON-ready form of a model; floats survive round trips exactly."""
     d, T = model.W.shape
@@ -340,19 +332,10 @@ def model_to_dict(model: GamtlModel) -> dict:
     if model.task_labels:
         payload["task_labels"] = list(model.task_labels)
     if model.standardizer is not None:
-        stats = model.standardizer
-        payload["standardizer"] = {
-            "feature_mean": stats.feature_mean.tolist(),
-            "feature_std": stats.feature_std.tolist(),
-            "target_mean": stats.target_mean,
-            "target_std": stats.target_std,
-        }
+        payload["standardizer"] = _fields_as_lists(model.standardizer)
     if model.feature_map is not None:
-        payload["dims"]["P"] = len(model.feature_map.widths)
-        payload["feature_map"] = {
-            "centers": model.feature_map.centers.tolist(),
-            "widths": model.feature_map.widths.tolist(),
-        }
+        payload["dims"]["P"] = model.feature_map.num_centers
+        payload["feature_map"] = _fields_as_lists(model.feature_map)
     return payload
 
 
@@ -362,10 +345,7 @@ def model_from_dict(payload: dict) -> GamtlModel:
         from .rbf import RbfFeatureMap
 
         fm = payload["feature_map"]
-        feature_map = RbfFeatureMap(
-            centers=np.asarray(fm["centers"], dtype=float),
-            widths=np.asarray(fm["widths"], dtype=float),
-        )
+        feature_map = RbfFeatureMap(centers=fm["centers"], widths=fm["widths"])
     standardizer = None
     if "standardizer" in payload:
         stats = payload["standardizer"]
@@ -426,57 +406,40 @@ def grid_search_cv(
             )
     rng = np.random.default_rng(seed)
     fold_ids = [rng.integers(0, n_folds, size=t.n_samples) for t in tasks]
-    for ids, task in zip(fold_ids, tasks):
+    for ids in fold_ids:
         # every fold must leave at least one training sample per task
         for f in range(n_folds):
             if np.sum(ids != f) == 0:
                 ids[0] = (f + 1) % n_folds
+    # (train, holdout) task lists of each fold, shared by every grid point
+    folds = []
+    for f in range(n_folds):
+        train, holdout = [], []
+        for ids, task in zip(fold_ids, tasks):
+            keep = ids != f
+            train.append(TaskDataset(task.task_id, task.X[:, keep], task.y[keep]))
+            if not keep.all():
+                holdout.append(TaskDataset(task.task_id, task.X[:, ~keep], task.y[~keep]))
+        folds.append((train, holdout))
+
+    def config_at(gamma, alpha, beta) -> GamtlConfig:
+        graph_params = replace(config.graph_params, alpha=alpha, beta=beta)
+        return replace(config, gamma=gamma, graph_params=graph_params)
 
     results = []
-    for gamma in gammas:
-        for alpha in alphas:
-            for beta in betas:
-                candidate = replace(
-                    config,
-                    gamma=float(gamma),
-                    graph_params=replace(
-                        config.graph_params, alpha=float(alpha), beta=float(beta)
-                    ),
-                )
-                sq_sum, count = 0.0, 0
-                for f in range(n_folds):
-                    train, holdout = [], []
-                    for ids, task in zip(fold_ids, tasks):
-                        mask = ids != f
-                        train.append(
-                            TaskDataset(task.task_id, task.X[:, mask], task.y[mask])
-                        )
-                        if np.any(~mask):
-                            holdout.append(
-                                TaskDataset(task.task_id, task.X[:, ~mask], task.y[~mask])
-                            )
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        m = fit(train, candidate)
-                    for task in holdout:
-                        err = m.predict_task(task.task_id, task.X) - task.y
-                        sq_sum += float(err @ err)
-                        count += task.n_samples
-                results.append(
-                    {
-                        "gamma": float(gamma),
-                        "alpha": float(alpha),
-                        "beta": float(beta),
-                        "cv_rmse": float(np.sqrt(sq_sum / max(count, 1))),
-                    }
-                )
+    for gamma, alpha, beta in itertools.product(gammas, alphas, betas):
+        point = {"gamma": float(gamma), "alpha": float(alpha), "beta": float(beta)}
+        candidate = config_at(**point)
+        sq_sum, count = 0.0, 0
+        for train, holdout in folds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                m = fit(train, candidate)
+            for task in holdout:
+                err = m.predict_task(task.task_id, task.X) - task.y
+                sq_sum += float(err @ err)
+                count += task.n_samples
+        results.append({**point, "cv_rmse": float(np.sqrt(sq_sum / max(count, 1)))})
     results.sort(key=lambda r: (r["cv_rmse"], r["gamma"], r["alpha"], r["beta"]))
     best = results[0]
-    best_config = replace(
-        config,
-        gamma=best["gamma"],
-        graph_params=replace(
-            config.graph_params, alpha=best["alpha"], beta=best["beta"]
-        ),
-    )
-    return best_config, results
+    return config_at(best["gamma"], best["alpha"], best["beta"]), results

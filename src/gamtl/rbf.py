@@ -9,9 +9,10 @@ variant inherits its convergence behavior unchanged.
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
-and all reductions run in a fixed order.  Squared distances accumulate one
-coordinate at a time over cache-sized row blocks, and cluster means come from
-``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
+and all reductions run in a fixed order.  Squared distances come from
+:func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
+the assignment and the lift call it on cache-sized row blocks.  Cluster means
+come from ``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import sq_distances
 from .model import GamtlConfig, GamtlModel, fit
 from .weight_solver import TaskDataset, validate_tasks
 
@@ -85,28 +87,6 @@ class RbfFeatureMap:
         return self.centers.shape[1]
 
 
-def _sq_distances_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances, shape (n_points, n_centers), fixed evaluation order.
-
-    Each entry sums its per-coordinate squares in coordinate order.  Rows are
-    taken in blocks of about ``_BLOCK_ENTRIES`` entries so the temporaries
-    stay in cache; no (n_points, n_centers, q) difference tensor is built.
-    """
-    N, q = points.shape
-    P = centers.shape[0]
-    out = np.zeros((N, P))
-    rows = max(1, _BLOCK_ENTRIES // P)
-    buf = np.empty((min(rows, N), P))
-    for start in range(0, N, rows):
-        block = out[start : start + rows]
-        tmp = buf[: block.shape[0]]
-        for j in range(q):
-            np.subtract(points[start : start + rows, j, None], centers[None, :, j], out=tmp)
-            np.square(tmp, out=tmp)
-            block += tmp
-    return out
-
-
 def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
     """Per-cluster coordinate sums (P, q) and member counts (P,), in point order."""
     sums = np.empty((P, points.shape[1]))
@@ -119,7 +99,7 @@ def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of row i of ``points`` to row i of ``centers``.
 
     Summed in coordinate order, so each value is bit-identical to the
-    matching entry of ``_sq_distances_to``.
+    matching entry of ``sq_distances``.
     """
     gap = points - centers
     out = np.zeros(points.shape[0])
@@ -134,7 +114,7 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     Returns the nearest index, an upper bound on the distance to it and a
     lower bound on the distance to every other center (inf with one center),
     both taken from the computed squared distances and rounded outward.  The
-    rows go through ``_sq_distances_to`` one cache-sized block at a time, so
+    rows go through ``sq_distances`` one cache-sized block at a time, so
     every entry, and hence every argmin, is bit-identical to the full
     matrix's while no (len(rows), P) matrix is kept.
     """
@@ -144,7 +124,7 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     second = np.full(rows.size, np.inf)
     step = max(1, _BLOCK_ENTRIES // P)
     for start in range(0, rows.size, step):
-        block = _sq_distances_to(points[rows[start : start + step]], centers)
+        block = sq_distances(points[rows[start : start + step]], centers)
         at = np.arange(block.shape[0])
         pick = np.argmin(block, axis=1)
         nearest[start : start + step] = pick
@@ -215,7 +195,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centers = np.empty((P, q))
     centers[0] = points[rng.integers(N)]
-    closest_sq = _sq_distances_to(points, centers[:1])[:, 0]
+    closest_sq = sq_distances(points, centers[:1])[:, 0]
     for p in range(1, P):
         total = float(closest_sq.sum())
         if total > 0.0:
@@ -224,7 +204,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
             idx = rng.integers(N)  # all points coincide with a center
         centers[p] = points[idx]
         np.minimum(
-            closest_sq, _sq_distances_to(points, centers[p : p + 1])[:, 0], out=closest_sq
+            closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq
         )
 
     margin = 2.0 * (q + 2) * np.finfo(float).eps
@@ -294,7 +274,7 @@ def optimal_widths(
 
     def data_width() -> float:
         points = np.asarray(pooled_inputs, dtype=float)
-        rms = float(np.sqrt(_sq_distances_to(points, centers).mean()))
+        rms = float(np.sqrt(sq_distances(points, centers).mean()))
         if rms <= 0.0:
             raise ValueError("all samples coincide with the centers; width undefined")
         return rms
@@ -302,7 +282,7 @@ def optimal_widths(
     if P == 1:
         return np.array([width_factor * data_width()])
 
-    dist = np.sqrt(_sq_distances_to(centers, centers))
+    dist = np.sqrt(sq_distances(centers, centers))
     np.fill_diagonal(dist, np.inf)
     nearest = dist.min(axis=1)
     zero = nearest == 0.0
@@ -340,7 +320,7 @@ def _activation_rows(feature_map: RbfFeatureMap, X: np.ndarray, n_rows: int) -> 
     divisor = 2.0 * feature_map.widths**2
     step = max(1, _BLOCK_ENTRIES // P)
     for start in range(0, points.shape[0], step):
-        block = _sq_distances_to(points[start : start + step], feature_map.centers)
+        block = sq_distances(points[start : start + step], feature_map.centers)
         np.negative(block, out=block)
         block /= divisor
         np.exp(block, out=block)

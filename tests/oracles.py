@@ -358,7 +358,7 @@ def rbf_lift_dense(X: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np
     """The RBF lift in one (n, P) pass: ``exp(-sq / (2 sigma^2))`` over a bias row.
 
     Squared distances sum their per-coordinate squares in coordinate order,
-    as ``rbf._sq_distances_to`` does, so the lift must match it bit for bit.
+    as ``graph.sq_distances`` does, so the lift must match it bit for bit.
     """
     points = X.T
     sq = np.zeros((points.shape[0], centers.shape[0]))

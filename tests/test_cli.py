@@ -463,6 +463,21 @@ def test_eval_scores_a_standardized_fit_in_target_units(tmp_path, capsys):
     assert "standardizer" not in json.loads(model_path.read_text())
 
 
+@pytest.mark.parametrize("rbf", [[], ["--rbf", "--set", "rbf.num_centers=4"]], ids=["linear", "rbf"])
+def test_eval_feature_count_mismatch_is_usage_error(tmp_path, capsys, rbf):
+    # Three input features; an RBF model's W has num_centers + 1 = 5 rows.
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv, d=3, N=12)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path), *rbf]) == 0
+    model_path = str(tmp_path / "run" / "model.json")
+    assert main(["eval", "--model", model_path, "--data", str(train_csv)]) == 0
+    capsys.readouterr()
+    flags = ["--feature-columns", "x0,x1"]
+    assert main(["eval", "--model", model_path, "--data", str(train_csv), *flags]) == 1
+    assert "2 feature columns, but the model takes 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags", [["--task-column", "y"], ["--feature-columns", "task,x0"], ["--target-column", "task"]]
 )

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gamtl.graph import pairwise_sq_distances, validate_adjacency, vectorform
+from gamtl.graph import (
+    matrixform,
+    num_edges,
+    pairwise_sq_distances,
+    validate_adjacency,
+    vectorform,
+)
 from gamtl.graph_learning import (
     GraphLearningParams,
     default_initial_graph,
@@ -289,3 +295,41 @@ def test_output_is_always_valid_adjacency(seed, n_tasks, alpha, beta):
     assert np.isfinite(A).all()
     assert np.all(A.sum(axis=1) > 0.0)
     assert report.iterations <= params.max_iter
+
+
+def _warm_start(kind, rng, Z, params):
+    """A warm start of the given kind, every degree positive."""
+    T = Z.shape[0]
+    if kind == "default":
+        return default_initial_graph(Z)
+    if kind == "solved elsewhere":  # as in fit: the optimum for another W
+        return learn_graph(Z + random_distances(rng, T), params)[0]
+    w = rng.exponential(size=num_edges(T)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "sparse":
+        w[rng.random(w.size) < 0.5] = 0.0
+    A0 = matrixform(w)
+    if kind == "sparse":  # a path keeps every degree positive
+        i = np.arange(T - 1)
+        A0[i, i + 1] = A0[i + 1, i] = 1.0
+    return A0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_tasks=st.integers(2, 7),
+    alpha=st.floats(0.01, 10.0),
+    beta=st.floats(0.01, 10.0),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    max_iter=st.one_of(st.integers(1, 3), st.just(10_000)),
+    kind=st.sampled_from(["default", "solved elsewhere", "random", "sparse"]),
+)
+def test_result_never_scores_above_warm_start(seed, n_tasks, alpha, beta, scale, max_iter, kind):
+    # fit records F after the graph step unchecked; it relies on this holding
+    # exactly, with no tolerance, for capped and converged solves alike.
+    rng = np.random.default_rng(seed)
+    Z = random_distances(rng, n_tasks, scale=scale)
+    params = GraphLearningParams(alpha=alpha, beta=beta, max_iter=max_iter)
+    A0 = _warm_start(kind, rng, Z, GraphLearningParams(alpha=alpha, beta=beta))
+    A, _ = learn_graph(Z, params, A0=A0)
+    assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
