@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gamtl.data import benchmark_splits
+from gamtl.data import SYN1_GROUPS, benchmark_splits
 from gamtl.evaluate import (
     benchmark,
     fit_independent_ridge,
@@ -26,7 +26,6 @@ from gamtl.evaluate import (
 )
 from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit
 
-SYN1_GROUPS = (tuple(range(12)), tuple(range(12, 18)), (18,), (19,))
 OUTLIER_SCALE = 0.02
 
 

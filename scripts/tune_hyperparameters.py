@@ -13,7 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
-from gamtl.data import benchmark_splits
+from gamtl.data import BENCHMARKS, benchmark_splits
 from gamtl.model import GamtlConfig, grid_search_cv
 
 
@@ -23,7 +23,7 @@ def parse_grid(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("benchmark", choices=("syn1", "syn2", "wiener"))
+    parser.add_argument("benchmark", choices=BENCHMARKS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--gammas", type=parse_grid, default=(1e-3, 1e-2, 1e-1, 1.0, 1e1))

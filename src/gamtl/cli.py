@@ -92,7 +92,7 @@ _JSON_TYPES = {
 _LIMITS = {
     "$.rbf.num_centers": (lambda v: v is None or v >= 1, "must be at least 1"),
     "$.rbf.width_factor": (lambda v: v > 0, "must be positive"),
-    "$.benchmark.name": (lambda v: v in ("syn1", "syn2", "wiener"), "must be syn1, syn2 or wiener"),
+    "$.benchmark.name": (lambda v: v in data_mod.BENCHMARKS, "must be syn1, syn2 or wiener"),
     "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
     "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),
     "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
@@ -276,7 +276,7 @@ def _read_model(path):
         return load_model(path)
     except OSError as exc:
         raise UsageError(f"cannot read model: {exc}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed model file: {exc}") from None
 
 
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("name", choices=["syn1", "syn2", "wiener"])
+    p.add_argument("name", choices=data_mod.BENCHMARKS)
     p.add_argument("--seed", type=int, default=data_mod.SynSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     # Unset data flags keep the defaults of SynSpec, WienerNetworkSpec and the split.

@@ -40,7 +40,6 @@ __all__ = [
     "WienerTruth",
     "metropolis_mixing",
     "wiener_nonlinearity",
-    "default_wiener_topology",
     "gen_wiener_network",
     "CsvSchema",
     "Standardizer",
@@ -55,6 +54,7 @@ __all__ = [
 
 SYN_TASKS = 20
 SYN_DIM = 30
+BENCHMARKS = ("syn1", "syn2", "wiener")
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,9 @@ def gen_syn1(spec: SynSpec):
     return train, test, W
 
 
+SYN1_GROUPS = (tuple(range(12)), tuple(range(12, 18)), (18,), (19,))  # gen_syn1's task groups
+
+
 def gen_syn2(spec: SynSpec):
     """Rotating-tasks benchmark; returns (train tasks, test tasks, true W).
 
@@ -134,66 +137,31 @@ def gen_syn2(spec: SynSpec):
     return train, test, W
 
 
-def default_wiener_topology(clusters) -> tuple:
-    """Complete intra-cluster edges plus a ring of inter-cluster bridges.
-
-    Each bridge joins the last agent of one cluster to the first agent of
-    the next, wrapping around.  For the default 10-agent layout this gives
-    bridges (2,3), (5,6), (7,8) and (9,0).
-    """
-    edges = set()
-    for cluster in clusters:
-        members = sorted(cluster)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                edges.add((a, b))
-    k = len(clusters)
-    for i in range(k):
-        a = sorted(clusters[i])[-1]
-        b = sorted(clusters[(i + 1) % k])[0]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return tuple(sorted(edges))
+# The simulated Wiener network is fixed: 10 agents in four clusters.
+WIENER_N_AGENTS = 10
+WIENER_BURN_IN = 200  # leading steps discarded from each agent's stream
+WIENER_CLUSTERS = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
+WIENER_BASE_COEFF = (0.5, -0.4)
+WIENER_CLUSTER_OFFSETS = ((0.2, -0.1), (0.2, 0.1), (-0.3, 0.1), (0.0, 0.1))
+WIENER_INPUT_VAR_RANGE = (0.005, 0.015)
+WIENER_NOISE_VAR_RANGE = (0.0005, 0.0015)
+WIENER_RHO = 0.5
+# Complete clusters plus a ring of bridges, each from a cluster's last agent to the next's first.
+WIENER_TOPOLOGY = (
+    (0, 1), (0, 2), (0, 9), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)
+)
 
 
 @dataclass(frozen=True)
 class WienerNetworkSpec:
-    """Network simulation plan; defaults reproduce the 10-agent benchmark."""
+    """Seed and stream length of the simulated 10-agent network."""
 
     seed: int = 0
-    n_agents: int = 10
     n_samples: int = 1000
-    burn_in: int = 200
-    clusters: tuple = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
-    base_coeff: tuple = (0.5, -0.4)
-    cluster_offsets: tuple = ((0.2, -0.1), (0.2, 0.1), (-0.3, 0.1), (0.0, 0.1))
-    input_var_range: tuple = (0.005, 0.015)
-    noise_var_range: tuple = (0.0005, 0.0015)
-    rho: float = 0.5
-    topology: tuple | None = None
 
     def __post_init__(self):
-        if self.n_agents < 2 or self.n_samples < 1 or self.burn_in < 2:
-            raise ValueError("need n_agents >= 2, n_samples >= 1, burn_in >= 2")
-        flat = sorted(a for c in self.clusters for a in c)
-        if flat != list(range(self.n_agents)):
-            raise ValueError("clusters must partition the agent ids 0..n_agents-1")
-        if len(self.cluster_offsets) != len(self.clusters):
-            raise ValueError("one coefficient offset is required per cluster")
-        for lo, hi in (self.input_var_range, self.noise_var_range):
-            if not 0.0 < lo <= hi:
-                raise ValueError("variance ranges must be positive and ordered")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
-        if self.topology is not None:
-            for i, j in self.topology:
-                if not (0 <= i < self.n_agents and 0 <= j < self.n_agents and i != j):
-                    raise ValueError(f"invalid topology edge ({i}, {j})")
-
-    def topology_edges(self) -> tuple:
-        if self.topology is not None:
-            return tuple(sorted({(min(i, j), max(i, j)) for i, j in self.topology}))
-        return default_wiener_topology(self.clusters)
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -265,36 +233,37 @@ def gen_wiener_network(spec: WienerNetworkSpec):
     stable), and the observed target is ``d_i = psi(y_i) + noise``.  Each
     regression sample embeds the system's second-order memory:
     features ``(x1_i, x2_i, d_{i-1}, d_{i-2})``, target ``d_i``.  The first
-    ``burn_in`` steps are discarded.
+    ``WIENER_BURN_IN`` steps are discarded.  The network itself (clusters,
+    coefficients, topology, variance ranges, ``rho``) is the ``WIENER_*``
+    module constants; ``spec`` sets only the seed and the stream length.
 
     Draw order: both variance vectors up front, then per agent (in id
     order) the input stream, the correlation innovations, and the output
     noise.
     """
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_agents
+    n = WIENER_N_AGENTS
     W = np.empty((2, n))
-    for cluster, offset in zip(spec.clusters, spec.cluster_offsets):
-        w = np.asarray(spec.base_coeff, dtype=float) + np.asarray(offset, dtype=float)
+    for cluster, offset in zip(WIENER_CLUSTERS, WIENER_CLUSTER_OFFSETS):
+        w = np.asarray(WIENER_BASE_COEFF, dtype=float) + np.asarray(offset, dtype=float)
         for agent in cluster:
             W[:, agent] = w
-    edges = spec.topology_edges()
-    mixing = metropolis_mixing(edges, n)
+    mixing = metropolis_mixing(WIENER_TOPOLOGY, n)
     W_star = W @ mixing
 
-    input_var = rng.uniform(*spec.input_var_range, size=n)
-    noise_var = rng.uniform(*spec.noise_var_range, size=n)
+    input_var = rng.uniform(*WIENER_INPUT_VAR_RANGE, size=n)
+    noise_var = rng.uniform(*WIENER_NOISE_VAR_RANGE, size=n)
 
-    total = spec.burn_in + spec.n_samples
+    total = WIENER_BURN_IN + spec.n_samples
     tasks = []
     for k in range(n):
         x2 = math.sqrt(input_var[k]) * rng.standard_normal(total)
-        v = math.sqrt((1.0 - spec.rho**2) * input_var[k]) * rng.standard_normal(total)
-        x1 = spec.rho * x2 + v
+        v = math.sqrt((1.0 - WIENER_RHO**2) * input_var[k]) * rng.standard_normal(total)
+        x1 = WIENER_RHO * x2 + v
         z = math.sqrt(noise_var[k]) * rng.standard_normal(total)
         drive = W_star[0, k] * x1 + W_star[1, k] * x2
         d = wiener_nonlinearity(wiener_state(drive)) + z
-        idx = np.arange(spec.burn_in, total)
+        idx = np.arange(WIENER_BURN_IN, total)
         X = np.vstack([x1[idx], x2[idx], d[idx - 1], d[idx - 2]])
         tasks.append(TaskDataset(k, X, d[idx]))
 
@@ -302,7 +271,7 @@ def gen_wiener_network(spec: WienerNetworkSpec):
         coeff_matrix=W,
         mixed_coeff_matrix=W_star,
         mixing=mixing,
-        topology=edges,
+        topology=WIENER_TOPOLOGY,
         input_var=input_var,
         noise_var=noise_var,
     )
@@ -516,7 +485,7 @@ def benchmark_splits(name: str, seed: int, **options):
     kind of benchmark reads is ignored, so one set of options serves all
     three; a setting that none reads raises ``TypeError``.
     """
-    if name not in ("syn1", "syn2", "wiener"):
+    if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}, expected syn1, syn2 or wiener")
     spec_cls = WienerNetworkSpec if name == "wiener" else SynSpec
     known = {f.name for cls in (SynSpec, WienerNetworkSpec) for f in fields(cls)}

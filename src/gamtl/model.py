@@ -305,6 +305,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
 
 
 def config_from_dict(payload: dict) -> GamtlConfig:
+    if not isinstance(payload, dict):
+        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
     payload = dict(payload)
     gp = dict(payload.pop("graph_params", {}))
     gp.pop("step", None)  # files written with the former step-size knob still load

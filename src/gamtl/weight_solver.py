@@ -51,9 +51,9 @@ RIDGE_FLOOR_SCALE = 1e-8
 class TaskDataset:
     """One task: design matrix ``X`` (d x N, columns are samples), targets ``y``.
 
-    ``N = 0`` is allowed here so that pure-regularizer systems can be
-    solved; collections entering a fit must pass :func:`validate_tasks`,
-    which requires at least one sample per task.
+    ``N = 0`` is allowed here, so that scoring can name an empty test task;
+    collections entering a fit or a weight solve must pass
+    :func:`validate_tasks`, which requires at least one sample per task.
     """
 
     task_id: int
@@ -86,7 +86,7 @@ class TaskDataset:
         return self.X.shape[1]
 
 
-def validate_tasks(tasks, require_samples: bool = True) -> tuple[int, int]:
+def validate_tasks(tasks) -> tuple[int, int]:
     """Check a task collection for fitting; return (feature dim, task count)."""
     tasks = list(tasks)
     if len(tasks) < 2:
@@ -98,7 +98,7 @@ def validate_tasks(tasks, require_samples: bool = True) -> tuple[int, int]:
             raise ValueError(
                 f"task {t.task_id}: feature dimension {t.dim} differs from {d}"
             )
-        if require_samples and t.n_samples < 1:
+        if t.n_samples < 1:
             raise ValueError(f"task {t.task_id}: has no samples")
         if t.task_id in seen_ids:
             raise ValueError(f"duplicate task_id {t.task_id}")
@@ -261,7 +261,7 @@ def solve_weights(
     semidefinite.
     """
     tasks = list(tasks)
-    d, T = validate_tasks(tasks, require_samples=False)
+    d, T = validate_tasks(tasks)
     A = validate_adjacency(A)
     if A.shape[0] != T:
         raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from gamtl.data import (
+    SYN1_GROUPS,
     CsvSchema,
     SynSpec,
     WienerNetworkSpec,
@@ -42,8 +43,6 @@ WIENER_CONFIG = PINNED_CONFIGS["wiener"]
 BASELINE_RIDGE = 1.0
 N_SEEDS = 10
 
-# Planted group structure of the first synthetic generator (0-indexed).
-SYN1_GROUPS = (tuple(range(12)), tuple(range(12, 18)), (18,), (19,))
 # Outlier flagging threshold: fraction of the largest learned edge weight.
 OUTLIER_SCALE = 0.02
 

@@ -513,6 +513,26 @@ def test_eval_malformed_model_is_usage_error(tmp_path, capsys):
     assert "malformed model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("task_ids", 5),
+        ("feature_map", 5),
+        ("standardizer", []),
+        ("trace", {"weight_reports": [5]}),
+        ("notes", 5),
+        ("config", []),
+    ],
+)
+def test_eval_wrongly_typed_model_block_is_usage_error(tmp_path, capsys, key, value):
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    payload = json.loads(model_path.read_text())
+    payload[key] = value
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
+    assert "malformed model" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # export
 

@@ -7,12 +7,14 @@ import pytest
 
 import oracles
 from gamtl.data import (
+    WIENER_BASE_COEFF,
+    WIENER_N_AGENTS,
+    WIENER_TOPOLOGY,
     CsvSchema,
     Standardizer,
     SynSpec,
     WienerNetworkSpec,
     benchmark_splits,
-    default_wiener_topology,
     gen_syn1,
     gen_syn2,
     gen_wiener_network,
@@ -39,22 +41,10 @@ def test_syn_spec_rejects_invalid(kwargs):
         SynSpec(**kwargs)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"n_agents": 1, "clusters": ((0,),)},
-        {"burn_in": 1},
-        {"clusters": ((0, 1, 2), (3, 4, 5), (6, 7), (8,))},  # misses agent 9
-        {"cluster_offsets": ((0.0, 0.0),)},  # one offset for four clusters
-        {"input_var_range": (0.0, 0.01)},
-        {"noise_var_range": (0.002, 0.001)},
-        {"rho": 1.0},
-        {"topology": ((0, 10),)},
-        {"topology": ((3, 3),)},
-    ],
-)
+# The network itself is fixed (the WIENER_* constants); only the stream length is checked.
+@pytest.mark.parametrize("kwargs", [{"n_samples": 0}])
 def test_wiener_spec_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_samples"):
         WienerNetworkSpec(**kwargs)
 
 
@@ -185,8 +175,7 @@ def test_wiener_nonlinearity_matches_scalar_oracle():
 
 
 def test_metropolis_rows_sum_to_one_exactly():
-    spec = WienerNetworkSpec()
-    M = metropolis_mixing(spec.topology_edges(), spec.n_agents)
+    M = metropolis_mixing(WIENER_TOPOLOGY, WIENER_N_AGENTS)
     assert np.all(M.sum(axis=1) == 1.0)
     assert np.array_equal(M, M.T)
     assert np.all(M >= 0.0)
@@ -199,14 +188,14 @@ def test_metropolis_matches_loop_oracle():
 
 
 def test_default_topology_edges():
-    clusters = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
     expected = {
         (0, 1), (0, 2), (1, 2),  # cluster 1 complete
         (3, 4), (3, 5), (4, 5),  # cluster 2 complete
         (6, 7), (8, 9),  # two-agent clusters
         (2, 3), (5, 6), (7, 8), (0, 9),  # ring of bridges
     }
-    assert set(default_wiener_topology(clusters)) == expected
+    assert set(WIENER_TOPOLOGY) == expected
+    assert len(WIENER_TOPOLOGY) == len(expected)
 
 
 def test_wiener_cluster_coefficients():
@@ -245,17 +234,15 @@ def test_wiener_features_embed_lagged_targets():
 
 
 def test_wiener_uniform_offsets_complete_graph_mix_to_identical_columns():
-    n = 10
+    # With one offset for every cluster all agents share a coefficient pair;
+    # the complete graph's mixing must keep those columns identical.
+    n = WIENER_N_AGENTS
     complete = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    spec = WienerNetworkSpec(
-        seed=3,
-        cluster_offsets=((0.0, 0.0),) * 4,
-        topology=complete,
-    )
-    _, truth = gen_wiener_network(spec)
-    W_star = truth.mixed_coeff_matrix
+    W = np.tile(np.asarray(WIENER_BASE_COEFF)[:, None], (1, n))
+    W_star = W @ metropolis_mixing(complete, n)
     for k in range(1, n):
         np.testing.assert_allclose(W_star[:, k], W_star[:, 0], atol=1e-12)
+    np.testing.assert_allclose(W_star, W, atol=1e-12)
 
 
 def test_wiener_deterministic():

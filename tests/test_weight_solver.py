@@ -94,7 +94,13 @@ def test_validate_tasks_shapes_and_ids():
     empty = tasks[:2] + [TaskDataset(task_id=7, X=np.zeros((3, 0)), y=np.zeros(0))]
     with pytest.raises(ValueError, match="no samples"):
         validate_tasks(empty)
-    assert validate_tasks(empty, require_samples=False) == (3, 3)
+
+
+def test_solve_weights_rejects_a_task_without_samples():
+    rng = np.random.default_rng(1)
+    tasks = make_tasks(rng, d=3, T=2) + [TaskDataset(task_id=7, X=np.zeros((3, 0)), y=np.zeros(0))]
+    with pytest.raises(ValueError, match="task 7: has no samples"):
+        solve_weights(tasks, np.zeros((3, 3)), gamma=1.0)
 
 
 # --------------------------------------------------------------------------
