@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -91,7 +92,7 @@ _JSON_TYPES = {
 }
 _LIMITS = {
     "$.rbf.num_centers": (lambda v: v is None or v >= 1, "must be at least 1"),
-    "$.rbf.width_factor": (lambda v: v > 0, "must be positive"),
+    "$.rbf.width_factor": (lambda v: 0 < v < math.inf, "must be positive"),
     "$.benchmark.name": (lambda v: v in data_mod.BENCHMARKS, "must be syn1, syn2 or wiener"),
     "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
     "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),

@@ -69,7 +69,7 @@ class SynSpec:
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("sample counts must be at least 1")
-        if self.noise_std < 0.0:
+        if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be nonnegative")
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import validate_adjacency
+from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
 
@@ -162,18 +162,24 @@ def default_export_threshold(A: np.ndarray) -> float:
     return DEFAULT_THRESHOLD_SCALE * float(A.max())
 
 
+def _checked_threshold(A: np.ndarray, threshold: float | None) -> float:
+    """``threshold``, or the default for ``A`` when None; NaN and negatives fail."""
+    if threshold is None:
+        return default_export_threshold(A)
+    if not threshold >= 0.0:
+        raise ValueError("threshold must be nonnegative")
+    return threshold
+
+
 def _kept_edges(A: np.ndarray, threshold: float):
+    """Edges ``(i, j, weight)`` above ``threshold`` in edge order, and the isolated nodes."""
     T = A.shape[0]
-    edges = []
-    connected = set()
-    for i in range(T):
-        for j in range(i + 1, T):
-            if A[i, j] > threshold:
-                edges.append((i, j, float(A[i, j])))
-                connected.add(i)
-                connected.add(j)
-    isolated = [i for i in range(T) if i not in connected]
-    return edges, isolated
+    I, J = edge_endpoints(T)
+    w = vectorform(A)
+    kept = w > threshold
+    edges = list(zip(I[kept].tolist(), J[kept].tolist(), w[kept].tolist()))
+    isolated = np.flatnonzero(apply_degree_operator(kept.astype(float), T) == 0.0)
+    return edges, isolated.tolist()
 
 
 def export_graph(A: np.ndarray, threshold: float | None = None, format: str = "json") -> str:
@@ -182,10 +188,7 @@ def export_graph(A: np.ndarray, threshold: float | None = None, format: str = "j
     ``threshold`` defaults to 1e-4 times the largest edge weight.
     """
     A = validate_adjacency(A)
-    if threshold is None:
-        threshold = default_export_threshold(A)
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    threshold = _checked_threshold(A, threshold)
     if format not in EXPORT_FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {EXPORT_FORMATS}")
     edges, isolated = _kept_edges(A, threshold)
@@ -252,8 +255,7 @@ def outlier_candidates(A: np.ndarray, threshold: float | None = None) -> list[in
     isolation rule when no single incident edge clears the threshold.
     """
     A = validate_adjacency(A)
-    if threshold is None:
-        threshold = default_export_threshold(A)
+    threshold = _checked_threshold(A, threshold)
     T = A.shape[0]
     degrees = A.sum(axis=1)
     flagged = set(np.flatnonzero(degrees < threshold * T).tolist())
@@ -279,8 +281,10 @@ def graph_recovery_score(A: np.ndarray, groups) -> float:
     k = sum(len(g) * (len(g) - 1) // 2 for g in groups)
     if k == 0:
         return 1.0
-    group_of = {i: gi for gi, g in enumerate(groups) for i in g}
-    pairs = [(i, j) for i in range(T) for j in range(i + 1, T)]
-    pairs.sort(key=lambda p: (-A[p[0], p[1]], p[0], p[1]))
-    hits = sum(1 for i, j in pairs[:k] if group_of[i] == group_of[j])
+    group_of = np.empty(T, dtype=np.intp)
+    for gi, g in enumerate(groups):
+        group_of[list(g)] = gi
+    I, J = edge_endpoints(T)
+    top = np.lexsort((J, I, -vectorform(A)))[:k]
+    hits = int(np.count_nonzero(group_of[I[top]] == group_of[J[top]]))
     return hits / k

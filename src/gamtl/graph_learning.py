@@ -74,9 +74,9 @@ class GraphLearningParams:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
+        if not 0.0 < self.alpha < np.inf:
             raise ValueError("alpha must be positive")
-        if not self.beta > 0.0:
+        if not 0.0 < self.beta < np.inf:
             raise ValueError("beta must be positive")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")

@@ -78,15 +78,15 @@ class GamtlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma must be nonnegative")
         if not 0.0 < self.outer_tol < 1.0:
             raise ValueError("outer_tol must lie in (0, 1)")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
-        if self.weight_solver_tol <= 0.0:
+        if not 0.0 < self.weight_solver_tol < np.inf:
             raise ValueError("weight_solver_tol must be positive")
-        if self.ridge_lambda < 0.0:
+        if not 0.0 <= self.ridge_lambda < np.inf:
             raise ValueError("ridge_lambda must be nonnegative")
 
 

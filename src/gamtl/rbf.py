@@ -268,7 +268,7 @@ def optimal_widths(
     (N, q) are finite, trusted and not checked.
     """
     centers = np.asarray(centers, dtype=float)
-    if width_factor <= 0.0:
+    if not 0.0 < width_factor < np.inf:
         raise ValueError("width_factor must be positive")
     P = centers.shape[0]
 
@@ -299,15 +299,27 @@ def optimal_widths(
     return width_factor * nearest
 
 
-def _activation_rows(feature_map: RbfFeatureMap, X: np.ndarray, n_rows: int) -> np.ndarray:
-    """An ``(n_rows, n)`` array whose first P rows are the activations of X's columns.
+def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
+    """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), each in (0, 1].
+
+    Accepts a single input vector (returns shape (P,)) or a matrix with
+    samples as columns (returns (P, n)): the first P rows of :func:`lift_matrix`.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return lift_matrix(feature_map, x[:, None])[:-1, 0]
+    return lift_matrix(feature_map, x)[:-1]
+
+
+def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
+    """Lift a (q, n) design matrix to (P+1, n): RBF features plus a bias row.
 
     Samples are taken in blocks of about ``_BLOCK_ENTRIES`` activations, each
     computed in place as ``exp(-sq / (2 sigma^2))`` and copied into the
     result, so no (n, P) temporary is made.  The result is in Fortran order,
     the layout of the weight step's products on lifted data.
     """
-    points = X.T
+    points = np.asarray(X, dtype=float).T
     if points.shape[1] != feature_map.input_dim:
         raise ValueError(
             f"input dimension {points.shape[1]} does not match centers "
@@ -316,7 +328,7 @@ def _activation_rows(feature_map: RbfFeatureMap, X: np.ndarray, n_rows: int) -> 
     if not np.isfinite(points).all():
         raise ValueError("inputs must be finite")
     P = feature_map.num_centers
-    rows = np.empty((n_rows, points.shape[0]), order="F")
+    lifted = np.empty((P + 1, points.shape[0]), order="F")
     divisor = 2.0 * feature_map.widths**2
     step = max(1, _BLOCK_ENTRIES // P)
     for start in range(0, points.shape[0], step):
@@ -324,27 +336,7 @@ def _activation_rows(feature_map: RbfFeatureMap, X: np.ndarray, n_rows: int) -> 
         np.negative(block, out=block)
         block /= divisor
         np.exp(block, out=block)
-        rows[:P, start : start + step] = block.T
-    return rows
-
-
-def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
-    """Gaussian activations exp(-||x - c_p||^2 / (2 sigma_p^2)), each in (0, 1].
-
-    Accepts a single input vector (returns shape (P,)) or a matrix with
-    samples as columns (returns (P, n)).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _activation_rows(feature_map, x[:, None], feature_map.num_centers)[:, 0]
-    return _activation_rows(feature_map, x, feature_map.num_centers)
-
-
-def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
-    """Lift a (q, n) design matrix to (P+1, n): RBF features plus a bias row."""
-    lifted = _activation_rows(
-        feature_map, np.asarray(X, dtype=float), feature_map.num_centers + 1
-    )
+        lifted[:P, start : start + step] = block.T
     lifted[-1] = 1.0
     return lifted
 

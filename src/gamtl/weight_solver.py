@@ -106,18 +106,13 @@ def validate_tasks(tasks) -> tuple[int, int]:
     return d, len(tasks)
 
 
-def _gram_cholesky(X: np.ndarray, shift: float) -> np.ndarray:
-    """Lower Cholesky factor of ``X X^T + shift I``."""
-    return np.linalg.cholesky(X @ X.T + shift * np.eye(X.shape[0]))
-
-
 def ridge_independent(tasks, lam: float) -> np.ndarray:
     """Per-task ridge solutions, stacked as columns of a d x T matrix.
 
     Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2``.  With
     ``lam = 0`` the normal equations must be nonsingular.
     """
-    if lam < 0.0:
+    if not 0.0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
     tasks = list(tasks)
     d, T = validate_tasks(tasks)
@@ -125,7 +120,7 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     for t, task in enumerate(tasks):
         b = task.X @ task.y
         try:
-            factor = _gram_cholesky(task.X, lam)
+            factor = np.linalg.cholesky(task.X @ task.X.T + lam * np.eye(d))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"task {task.task_id}: normal equations are singular; "
@@ -202,7 +197,7 @@ def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxi
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, True
     atol = rtol * rhs_norm
-    r = rhs - matvec(x) if x.any() else rhs.copy()
+    r = rhs - matvec(x)
     rho_prev = p = None
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -237,15 +232,14 @@ def solve_weights(
     A: np.ndarray,
     gamma: float,
     solver_tol: float = 1e-8,
-    max_cg_iter: int | None = None,
     warm_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, WeightSolveReport]:
     """Minimize data loss plus ``gamma`` times graph smoothness over W.
 
     Returns ``(W, report)`` with W of shape (d, T).  The residual satisfies
-    ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if the iteration
-    budget (``max_cg_iter``, by default ``10 d T``) runs out first, the last
-    iterate is returned with ``report.converged = False``.
+    ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if CG runs out
+    of its ``10 d T`` iterations first, the last iterate is returned with
+    ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or zero.
 
     The preconditioner depends on the input alone.  When every ``X_t`` is
     equal it is the Kronecker-sum inverse ``K`` built from that one Gram,
@@ -265,12 +259,10 @@ def solve_weights(
     A = validate_adjacency(A)
     if A.shape[0] != T:
         raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
-    if gamma < 0.0:
+    if not 0.0 <= gamma < np.inf:
         raise ValueError("gamma must be nonnegative")
-    if solver_tol <= 0.0:
+    if not 0.0 < solver_tol < np.inf:
         raise ValueError("solver_tol must be positive")
-    if max_cg_iter is not None and max_cg_iter < 1:
-        raise ValueError("max_cg_iter must be at least 1")
     x = np.zeros(d * T)
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
@@ -279,7 +271,6 @@ def solve_weights(
         x = warm_start.T.flatten()
     mu = ridge_floor(tasks, A, gamma)
     L = laplacian(A)
-    coupled = gamma > 0.0 and A.any()
 
     xs = [t.X for t in tasks]
     ys = [t.y for t in tasks]
@@ -289,8 +280,7 @@ def solve_weights(
         out = mu * V
         for t in range(T):
             out[t] += xs[t] @ (xs[t].T @ V[t])
-        if coupled:
-            out += (2.0 * gamma) * (L @ V)
+        out += (2.0 * gamma) * (L @ V)
         return out.ravel()
 
     rhs = np.concatenate([X @ y for X, y in zip(xs, ys)])
@@ -298,9 +288,7 @@ def solve_weights(
     if all(np.array_equal(X, xs[0]) for X in xs[1:]):
         precondition = _kron_inverse(L, xs[0] @ xs[0].T, mu, gamma)
     else:
-        shifts = np.full(T, mu)
-        if coupled:
-            shifts += 2.0 * gamma * A.sum(axis=1)
+        shifts = mu + 2.0 * gamma * A.sum(axis=1)
         block_inverses, mean_gram = _block_inverses(xs, shifts)
         kron = _kron_inverse(L, mean_gram, mu, gamma)
 
@@ -313,8 +301,7 @@ def solve_weights(
             z += jacobi(r - matvec(z))
             return z
 
-    maxiter = 10 * d * T if max_cg_iter is None else max_cg_iter
-    x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, maxiter)
+    x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, 10 * d * T)
     rhs_norm = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(matvec(x) - rhs)) / max(rhs_norm, 1e-300)
     report = WeightSolveReport(

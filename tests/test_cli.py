@@ -267,6 +267,12 @@ FIT_CONFIG_ERRORS = {
     "gamma_bool": ("model", "gamma", True),
     "gamma_string": ("model", "gamma", "x"),
     "width_factor": ("rbf", "width_factor", 0),
+    "width_factor_inf": ("rbf", "width_factor", float("inf")),
+    "gamma_nan": ("model", "gamma", float("nan")),
+    "alpha_inf": ("model", "alpha", float("inf")),
+    "beta_inf": ("model", "beta", float("inf")),
+    "weight_solver_tol_nan": ("model", "weight_solver_tol", float("nan")),
+    "ridge_lambda_inf": ("model", "ridge_lambda", float("inf")),
     "num_centers": ("rbf", "num_centers", 0),
     "feature_columns": ("data", "feature_columns", []),
 }
@@ -583,8 +589,9 @@ def test_export_json_to_file_and_threshold(tmp_path):
 
 def test_export_threshold_validation(tmp_path, capsys):
     model_path = single_edge_model(tmp_path)
-    assert main(["export", "--model", str(model_path), "--threshold", "-1"]) == 1
-    assert "nonnegative" in capsys.readouterr().err
+    for threshold in ("-1", "nan"):
+        assert main(["export", "--model", str(model_path), "--threshold", threshold]) == 1
+        assert "nonnegative" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,13 @@ from gamtl.data import (
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"n_train": 0}, {"n_test": 0}, {"noise_std": -0.1}],
+    [
+        {"n_train": 0},
+        {"n_test": 0},
+        {"noise_std": -0.1},
+        {"noise_std": float("nan")},
+        {"noise_std": float("inf")},
+    ],
 )
 def test_syn_spec_rejects_invalid(kwargs):
     with pytest.raises(ValueError):

@@ -278,6 +278,11 @@ def test_export_rejects_bad_arguments():
         export_graph(A, format="graphml")
     with pytest.raises(ValueError, match="nonnegative"):
         export_graph(A, threshold=-0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        export_graph(A, threshold=float("nan"))
+    for threshold in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            outlier_candidates(A, threshold)
     with pytest.raises(ValueError, match="cannot import"):
         import_graph("{}", format="dot")
     with pytest.raises(ValueError, match="source,target,weight"):
@@ -296,6 +301,14 @@ def test_outlier_candidates_flags_weak_node():
     assert outlier_candidates(A) == [3]
     full = np.ones((3, 3)) - np.eye(3)
     assert outlier_candidates(full) == []
+
+
+def test_infinite_threshold_isolates_every_node():
+    A = np.ones((3, 3)) - np.eye(3)
+    assert json.loads(export_graph(A, threshold=float("inf"))) == {
+        "edges": [], "isolated": [0, 1, 2], "n": 3
+    }
+    assert outlier_candidates(A, float("inf")) == [0, 1, 2]
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,8 @@ def random_distances(rng, n_tasks, d=3, scale=1.0):
         {"max_iter": 0},
         {"alpha": float("nan")},
         {"beta": float("nan")},
+        {"alpha": float("inf")},
+        {"beta": float("inf")},
     ],
 )
 def test_params_reject_invalid(kwargs):

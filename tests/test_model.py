@@ -1,9 +1,12 @@
 """Tests for the alternating fit, prediction, and model serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from gamtl import model as model_mod
 from gamtl.data import SynSpec, gen_syn1
 from gamtl.graph import laplacian, pairwise_sq_distances, vectorform
 from gamtl.graph_learning import GraphLearningParams
@@ -62,6 +65,12 @@ def mild_config(**overrides):
         {"max_outer_iter": 0},
         {"weight_solver_tol": 0.0},
         {"ridge_lambda": -1.0},
+        {"gamma": float("nan")},
+        {"gamma": float("inf")},
+        {"weight_solver_tol": float("nan")},
+        {"weight_solver_tol": float("inf")},
+        {"ridge_lambda": float("nan")},
+        {"ridge_lambda": float("inf")},
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -234,6 +243,22 @@ def test_fit_flags_inner_solver_budget_instead_of_raising():
     assert not model.converged
     assert any("graph solve" in n for n in model.notes)
     assert np.isfinite(model.W).all()
+
+
+def test_fit_flags_weight_solver_budget(monkeypatch):
+    # No test system spends the weight step's 10 d T CG budget, so a spent
+    # budget is reported by a stand-in that returns the real solve.
+    real_solve = model_mod.solve_weights
+
+    def budget_spent(*args, **kwargs):
+        W, report = real_solve(*args, **kwargs)
+        return W, replace(report, converged=False)
+
+    monkeypatch.setattr(model_mod, "solve_weights", budget_spent)
+    model = fit(make_related_tasks(np.random.default_rng(29)), mild_config(max_outer_iter=2))
+    assert not model.converged
+    assert "outer 1: weight solve hit its iteration limit" in model.notes
+    assert model.trace.to_dict()["weight_reports"][0]["converged"] is False
 
 
 def test_fit_reaches_block_stationarity():

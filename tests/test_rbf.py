@@ -279,6 +279,9 @@ def test_widths_reject_bad_scalars():
         optimal_widths(centers, centers, width_factor=0.0)
     with pytest.raises(ValueError):
         optimal_widths(np.array([[0.0]]), np.array([[1.0]]), width_factor=-1.0)
+    for factor in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="width_factor"):
+            optimal_widths(centers, centers, width_factor=factor)
 
 
 # --------------------------------------------------------------------------
