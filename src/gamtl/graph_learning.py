@@ -80,8 +80,8 @@ class GraphLearningParams:
             raise ValueError("beta must be positive")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if type(self.max_iter) is not int or self.max_iter < 1:  # excludes bool
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -148,9 +148,10 @@ def learn_graph(
         iterate has a zero degree or a higher objective, so the result's
         objective is never above the warm start's, exactly.  The report is
         flagged ``converged=False`` when the residual test (``tol``, every
-        degree positive) has not fired by ``max_iter``, or earlier when no
-        step along the Newton direction improves the dual or its gradient,
-        the floating-point limit of the dual at that distance scale.
+        degree positive) has not fired by ``max_iter``, or earlier at the
+        floating-point limit of the dual at that distance scale: no step
+        along the Newton direction improves the dual or its gradient, or the
+        Newton system is singular as rounded.
     """
     Z = validate_adjacency(Z, "distance matrix")
     if A0 is None:
@@ -189,7 +190,10 @@ def learn_graph(
         H[I[active], J[active]] = 1.0 / (4.0 * beta)
         H[J[active], I[active]] = 1.0 / (4.0 * beta)
         H[np.diag_indices(T)] = alpha / (lam * lam) + H.sum(axis=1)
-        step = np.linalg.solve(H, grad)
+        try:
+            step = np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:
+            break  # alpha / lam^2 lost to rounding in H: the same precision floor
         slope = float(grad @ step)
         # Longest step that keeps lam positive, with a margin, then halve.
         shrinking = step < 0.0

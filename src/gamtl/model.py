@@ -42,6 +42,7 @@ from .graph_learning import (
 )
 from .weight_solver import (
     TaskDataset,
+    _WeightSystem,
     ridge_independent,
     solve_weights,
     validate_tasks,
@@ -82,8 +83,8 @@ class GamtlConfig:
             raise ValueError("gamma must be nonnegative")
         if not 0.0 < self.outer_tol < 1.0:
             raise ValueError("outer_tol must lie in (0, 1)")
-        if self.max_outer_iter < 1:
-            raise ValueError("max_outer_iter must be at least 1")
+        if type(self.max_outer_iter) is not int or self.max_outer_iter < 1:  # excludes bool
+            raise ValueError("max_outer_iter must be an integer of at least 1")
         if not 0.0 < self.weight_solver_tol < np.inf:
             raise ValueError("weight_solver_tol must be positive")
         if not 0.0 <= self.ridge_lambda < np.inf:
@@ -253,9 +254,10 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         )
 
     converged = False
+    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
-            tasks,
+            system,
             A,
             config.gamma,
             solver_tol=config.weight_solver_tol,

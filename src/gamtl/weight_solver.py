@@ -11,22 +11,20 @@ factor 2 because the smoothness term counts each undirected edge twice), and
 ``rhs`` stacks ``X_t y_t``.  A small ridge ``mu`` keeps the system positive
 definite when task data are rank deficient.
 
-The system is solved by preconditioned conjugate gradient, written out in
-:func:`_pcg`.  The preconditioner sees the graph through a Kronecker sum
-(Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by one Gram ``G``,
-the operator ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized by
-``eigh(L)`` and ``eigh(G)``, so its inverse is two small products on each
-side of a (T, d) block (:func:`_kron_inverse`).  When all tasks share one
-design matrix that inverse is exact and each solve takes one iteration at any
-``gamma``.  Otherwise ``G`` is the mean Gram and the inverse serves as the
-coarse correction of a symmetric two-level preconditioner around
-block-Jacobi (Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 2009); see
-:func:`solve_weights`.  Matrix-vector products exploit the Kronecker
-structure implicitly: per-task data products plus a Laplacian product on the
-task axis, never materializing the dT x dT matrix.  The module needs numpy
-alone.
+Only ``L`` and ``mu`` change between the weight steps of a fit, so what the
+tasks alone fix is built once (:class:`_WeightSystem`), the Grams' eigenpairs
+``X_t X_t^T = Q_t diag(s_t) Q_t^T`` among it.  Products with ``C`` and its
+shifted block inverses are batched products with those pairs; the dT x dT
+matrix is never formed.  Preconditioned conjugate gradient (:func:`_pcg`)
+solves the system.  The preconditioner sees the graph through a Kronecker
+sum (Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by one Gram
+``G``, ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized by
+``eigh(L)`` and ``eigh(G)``.  Its inverse is exact for a shared design, so
+each solve takes one iteration at any ``gamma``; otherwise ``G`` is the mean
+Gram and the inverse is the coarse correction of a symmetric two-level
+preconditioner around block-Jacobi (Tang, Nabben, Vuik & Erlangga, J. Sci.
+Comput. 2009); see :func:`solve_weights`.  The module needs numpy alone.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -130,58 +128,56 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     return W
 
 
-def ridge_floor(tasks, A: np.ndarray, gamma: float) -> float:
+class _WeightSystem:
+    """What the weight step needs of validated tasks alone, built once per fit.
+
+    ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams' eigenpairs with ``s``
+    clipped at 0; k = 1 when every task shares its design.  Otherwise each
+    Gram is written into its slot of the one (T, d, d) stack and replaced
+    there by its eigenvectors.  ``coarse`` is the mean Gram's pair (the
+    shared pair itself when k = 1), ``rhs`` stacks ``X_t y_t`` and
+    ``data_trace`` sums the Grams' traces.
+    """
+
+    def __init__(self, tasks):
+        self.d, self.T = d, T = tasks[0].dim, len(tasks)
+        xs = [t.X for t in tasks]
+        self.rhs = np.concatenate([t.X @ t.y for t in tasks])
+        self.data_trace = sum(float(np.sum(X * X)) for X in xs)
+        if all(np.array_equal(X, xs[0]) for X in xs[1:]):
+            s, Q = np.linalg.eigh(xs[0] @ xs[0].T)
+            self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
+            self.coarse = (self.s[0], Q)
+            return
+        self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
+        mean_gram = np.zeros((d, d))
+        for t, X in enumerate(xs):
+            np.matmul(X, X.T, out=self.Q[t])
+            mean_gram += self.Q[t]
+            self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
+        np.maximum(self.s, 0.0, out=self.s)
+        s, Q = np.linalg.eigh(mean_gram / T)
+        self.coarse = (np.maximum(s, 0.0), Q)
+
+
+def ridge_floor(system: _WeightSystem, A: np.ndarray, gamma: float) -> float:
     """Automatic ridge: 1e-8 times the mean diagonal entry of C + gamma*B."""
-    d = tasks[0].dim
-    T = len(tasks)
-    trace = sum(float(np.sum(t.X * t.X)) for t in tasks)
-    trace += 2.0 * gamma * d * float(A.sum())  # trace of the Laplacian coupling
+    trace = system.data_trace + 2.0 * gamma * system.d * float(A.sum())
     if trace <= 0.0:
         return 1e-12
-    return RIDGE_FLOOR_SCALE * trace / (d * T)
+    return RIDGE_FLOOR_SCALE * trace / (system.d * system.T)
 
 
-def _block_inverses(xs, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked inverses of ``X_t X_t^T + shifts[t] I``, and the mean Gram.
+def _apply_blocks(Q: np.ndarray, scale: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``Q_t diag(scale_t) Q_t^T v_t`` on each task's part ``v_t`` of ``V``, of size dT.
 
-    Each inverse is ``Li^T Li`` from the inverse ``Li`` of its lower Cholesky
-    factor, so it is exactly symmetric.  The Grams fill one (T, d, d) stack,
-    and each task's shifted Gram is factored and inverted in turn and its
-    inverse written back in its place, so no second stack is made.  The mean
-    of the unshifted ``X_t X_t^T`` is returned too, because it is taken from
-    the same stack.
+    ``scale`` has k or T rows; a (1, d, d) ``Q`` serves every task in one
+    (T, d) x (d, d) product on each side.
     """
-    T, d = len(xs), xs[0].shape[0]
-    blocks = np.empty((T, d, d))
-    for t, X in enumerate(xs):
-        np.matmul(X, X.T, out=blocks[t])
-    mean_gram = blocks.mean(axis=0)
-    blocks.reshape(T, d * d)[:, :: d + 1] += shifts[:, None]
-    for block in blocks:
-        Li = np.linalg.inv(np.linalg.cholesky(block))
-        np.matmul(Li.T, Li, out=block)
-    return blocks, mean_gram
-
-
-def _kron_inverse(L: np.ndarray, gram: np.ndarray, mu: float, gamma: float):
-    """Inverse of ``I_T kron gram + mu I + 2 gamma L kron I_d`` on stacked vectors.
-
-    With ``L = U diag(lam) U^T`` and ``gram = Q diag(sigma) Q^T`` it maps the
-    (T, d) block ``R`` of its argument to
-    ``U ((U^T R Q) / (sigma_j + mu + 2 gamma lam_i)) Q^T``.  Both spectra are
-    clipped at 0, so every denominator is at least ``mu``.
-    """
-    lam, U = np.linalg.eigh(L)
-    sigma, Q = np.linalg.eigh(gram)
-    scale = 1.0 / (
-        np.maximum(sigma, 0.0) + mu + (2.0 * gamma) * np.maximum(lam, 0.0)[:, None]
-    )
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        R = r.reshape(scale.shape)
-        return (U @ ((U.T @ R @ Q) * scale) @ Q.T).ravel()
-
-    return apply
+    k, d = Q.shape[:2]
+    P = V.reshape(k, -1, d) @ Q
+    P *= scale.reshape(k, -1, d)
+    return (P @ Q.transpose(0, 2, 1)).reshape(V.shape)
 
 
 def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
@@ -240,22 +236,34 @@ def solve_weights(
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if CG runs out
     of its ``10 d T`` iterations first, the last iterate is returned with
     ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or zero.
+    ``tasks`` may be the :class:`_WeightSystem` of validated tasks, as in a fit;
+    a solve then adds only ``eigh(L)``.
 
-    The preconditioner depends on the input alone.  When every ``X_t`` is
-    equal it is the Kronecker-sum inverse ``K`` built from that one Gram,
-    which inverts the system exactly.  Otherwise it is the symmetric two-level
-    step ``z = B r; z += K (r - M z); z += B (r - M z)``, with ``K`` built
-    from the mean Gram and ``B`` the block-Jacobi inverse of the diagonal
-    blocks ``D = blockdiag(X_t X_t^T + (mu + 2 gamma deg_t) I)``.  As a matrix
-    it is ``(2B - BMB) + (I - BM) K (I - MB)``, which is symmetric positive
+    ``C`` is applied through the eigenpairs, ``Q_t (s_t * (Q_t^T v_t))``.  With
+    ``L = U diag(lam) U^T`` and a Gram ``G = Q diag(sigma) Q^T``, the
+    Kronecker-sum inverse ``K`` maps the (T, d) block ``R`` of its argument to
+    ``U ((U^T R Q) / (sigma_j + mu + 2 gamma lam_i)) Q^T``, ``lam`` and
+    ``sigma`` clipped at 0 so that every denominator is at least ``mu``.  For
+    a shared design the preconditioner is ``K`` of that one Gram, which
+    inverts the system exactly.  Otherwise it is the symmetric two-level step
+    ``z = B r; z += K (r - M z); z += B (r - M z)``, with ``K`` built from the
+    mean Gram and ``B`` the block-Jacobi inverse of the diagonal blocks
+    ``D = blockdiag(X_t X_t^T + (mu + 2 gamma deg_t) I)``, applied as
+    ``Q_t ((Q_t^T r_t) / (s_t + mu + 2 gamma deg_t))``: the exact inverse of
+    each shifted block, with no inverse formed.  As a matrix the step is
+    ``(2B - BMB) + (I - BM) K (I - MB)``, which is symmetric positive
     definite: ``K`` is, since every denominator is at least ``mu > 0``, and
     ``2B - BMB = B (2D - M) B`` with
     ``2D - M = blockdiag(X_t X_t^T + mu I) + 2 gamma (Deg + A) kron I_d``,
     at least ``mu I`` because the signless Laplacian ``Deg + A`` is positive
     semidefinite.
     """
-    tasks = list(tasks)
-    d, T = validate_tasks(tasks)
+    system = tasks
+    if not isinstance(system, _WeightSystem):
+        tasks = list(tasks)
+        validate_tasks(tasks)
+        system = _WeightSystem(tasks)
+    d, T = system.d, system.T
     A = validate_adjacency(A)
     if A.shape[0] != T:
         raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
@@ -269,45 +277,37 @@ def solve_weights(
         if warm_start.shape != (d, T):
             raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
         x = warm_start.T.flatten()
-    mu = ridge_floor(tasks, A, gamma)
+    mu = ridge_floor(system, A, gamma)
     L = laplacian(A)
-
-    xs = [t.X for t in tasks]
-    ys = [t.y for t in tasks]
+    Q, s, rhs = system.Q, system.s, system.rhs
 
     def matvec(v: np.ndarray) -> np.ndarray:
         V = v.reshape(T, d)
-        out = mu * V
-        for t in range(T):
-            out[t] += xs[t] @ (xs[t].T @ V[t])
-        out += (2.0 * gamma) * (L @ V)
+        out = _apply_blocks(Q, s, V)
+        out += mu * V
+        coupling = L @ V
+        coupling *= 2.0 * gamma
+        out += coupling
         return out.ravel()
 
-    rhs = np.concatenate([X @ y for X, y in zip(xs, ys)])
+    lam, U = np.linalg.eigh(L)
+    sigma, Q_coarse = system.coarse
+    kron_scale = 1.0 / (sigma + mu + (2.0 * gamma) * np.maximum(lam, 0.0)[:, None])
 
-    if all(np.array_equal(X, xs[0]) for X in xs[1:]):
-        precondition = _kron_inverse(L, xs[0] @ xs[0].T, mu, gamma)
+    def kron(r: np.ndarray) -> np.ndarray:
+        return (U @ ((U.T @ r.reshape(T, d) @ Q_coarse) * kron_scale) @ Q_coarse.T).ravel()
+
+    if len(Q) == 1:
+        precondition = kron
     else:
-        shifts = mu + 2.0 * gamma * A.sum(axis=1)
-        block_inverses, mean_gram = _block_inverses(xs, shifts)
-        kron = _kron_inverse(L, mean_gram, mu, gamma)
-
-        def jacobi(r: np.ndarray) -> np.ndarray:
-            return np.matmul(block_inverses, r.reshape(T, d, 1)).ravel()
+        jacobi_scale = 1.0 / (s + (mu + 2.0 * gamma * A.sum(axis=1))[:, None])
 
         def precondition(r: np.ndarray) -> np.ndarray:
-            z = jacobi(r)
+            z = _apply_blocks(Q, jacobi_scale, r)
             z += kron(r - matvec(z))
-            z += jacobi(r - matvec(z))
+            z += _apply_blocks(Q, jacobi_scale, r - matvec(z))
             return z
 
     x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, 10 * d * T)
-    rhs_norm = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(matvec(x) - rhs)) / max(rhs_norm, 1e-300)
-    report = WeightSolveReport(
-        cg_iterations=iterations,
-        converged=converged,
-        relative_residual=residual,
-        ridge=mu,
-    )
-    return x.reshape(T, d).T, report
+    residual = float(np.linalg.norm(matvec(x) - rhs)) / max(float(np.linalg.norm(rhs)), 1e-300)
+    return x.reshape(T, d).T, WeightSolveReport(iterations, converged, residual, mu)

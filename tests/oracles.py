@@ -164,8 +164,8 @@ def block_inverses_loop(xs, shifts) -> np.ndarray:
     """Inverses of ``X_t X_t^T + shifts[t] I`` one task at a time, as ``Li^T Li``.
 
     ``Li`` inverts the numpy Cholesky factor of the block, formed with the
-    shift on the whole identity; ``weight_solver._block_inverses`` must give
-    these bits.
+    shift on the whole identity.  The weight solver's block-Jacobi step,
+    applied through the Gram eigenpairs, must match these inverses.
     """
     d = xs[0].shape[0]
     inverses = np.empty((len(xs), d, d))

@@ -50,10 +50,15 @@ def random_distances(rng, n_tasks, d=3, scale=1.0):
         {"beta": float("nan")},
         {"alpha": float("inf")},
         {"beta": float("inf")},
+        {"max_iter": float("nan")},
+        {"max_iter": float("inf")},
+        {"max_iter": 2.5},
+        {"max_iter": True},
     ],
 )
 def test_params_reject_invalid(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         GraphLearningParams(**kwargs)
 
 
@@ -245,6 +250,20 @@ def test_precision_floor_stops_before_max_iter(z):
     A0 = default_initial_graph(Z)
     A, report = learn_graph(Z, params, A0=A0)
     assert report.iterations < 200
+    validate_adjacency(A)
+    assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
+
+
+def test_hessian_singular_to_rounding_stops_at_the_floor():
+    # At this scale an edge turns active while alpha / lam^2 (~1e-15) of its
+    # endpoints is below the rounding of 1 / (4 beta) = 16, so the generalized
+    # Hessian is singular as stored; the solve stops there like the line search.
+    rng = np.random.default_rng(3)
+    Z = random_distances(rng, 3, scale=1000.0)
+    params = GraphLearningParams(alpha=0.015625, beta=0.015625)
+    A0 = default_initial_graph(Z)
+    A, report = learn_graph(Z, params, A0=A0)
+    assert not report.converged
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 

@@ -71,10 +71,15 @@ def mild_config(**overrides):
         {"weight_solver_tol": float("inf")},
         {"ridge_lambda": float("nan")},
         {"ridge_lambda": float("inf")},
+        {"max_outer_iter": float("nan")},
+        {"max_outer_iter": float("inf")},
+        {"max_outer_iter": 2.5},
+        {"max_outer_iter": True},
     ],
 )
 def test_config_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         GamtlConfig(**kwargs)
 
 

@@ -13,13 +13,14 @@ import pytest
 import scipy.linalg
 
 import oracles
+from gamtl import model as model_module
 from gamtl import weight_solver
 from gamtl.data import SynSpec, benchmark_splits, gen_syn1
 from gamtl.model import PINNED_CONFIGS, fit
 from gamtl.rbf import fit_rbf
 from gamtl.weight_solver import (
     TaskDataset,
-    _block_inverses,
+    _WeightSystem,
     ridge_floor,
     ridge_independent,
     solve_weights,
@@ -200,7 +201,7 @@ def test_ridge_floor_manual_value():
     t1 = TaskDataset(task_id=0, X=np.eye(2), y=np.zeros(2))
     t2 = TaskDataset(task_id=1, X=np.array([[2.0, 0.0], [0.0, 0.0]]), y=np.zeros(2))
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert ridge_floor([t1, t2], A, gamma=0.5) == pytest.approx(2.5e-8, rel=1e-12)
+    assert ridge_floor(_WeightSystem([t1, t2]), A, gamma=0.5) == pytest.approx(2.5e-8, rel=1e-12)
 
 
 def test_ridge_floor_zero_data_fallback():
@@ -208,7 +209,7 @@ def test_ridge_floor_zero_data_fallback():
         TaskDataset(task_id=0, X=np.zeros((1, 0)), y=np.zeros(0)),
         TaskDataset(task_id=1, X=np.zeros((1, 0)), y=np.zeros(0)),
     ]
-    assert ridge_floor(tasks, np.zeros((2, 2)), gamma=0.0) == 1e-12
+    assert ridge_floor(_WeightSystem(tasks), np.zeros((2, 2)), gamma=0.0) == 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -266,43 +267,34 @@ def test_solve_weights_zero_targets_return_zero_from_a_warm_start():
     assert report.relative_residual == 0.0
 
 
-def test_block_inverses_are_exactly_symmetric_inverses():
-    # CG needs a symmetric preconditioner; Li^T Li keeps every block
-    # symmetric to the last bit.
-    rng = np.random.default_rng(22)
-    xs = [rng.standard_normal((30, 20)) for _ in range(6)]  # rank-deficient Grams
-    shifts = rng.uniform(1e-6, 2.0, size=6)
-    inverses, mean_gram = _block_inverses(xs, shifts)
-    assert inverses.shape == (6, 30, 30)
-    assert np.array_equal(inverses, inverses.transpose(0, 2, 1))
-    for X, shift, inverse in zip(xs, shifts, inverses):
-        G = X @ X.T + shift * np.eye(30)
-        np.testing.assert_allclose(inverse @ G, np.eye(30), atol=1e-7)
-    np.testing.assert_allclose(mean_gram, sum(X @ X.T for X in xs) / 6, rtol=1e-12)
-
-
 @pytest.mark.parametrize("d,sizes", [(30, [20] * 20), (51, [250, 260, 0, 249]), (1, [3, 5])])
-def test_batched_block_inverses_equal_the_per_task_loop(d, sizes):
-    # Filling one stack and inverting it in place gives the reference loop's bits.
+def test_block_jacobi_step_equals_the_per_task_inverses(d, sizes):
+    # B applied through the Gram eigenpairs is the inverse of each shifted block.
     rng = np.random.default_rng(d)
-    xs = [rng.standard_normal((d, n)) for n in sizes]
+    tasks = [TaskDataset(t, rng.standard_normal((d, n)), np.zeros(n)) for t, n in enumerate(sizes)]
     shifts = rng.uniform(1e-8, 3.0, size=len(sizes))
-    inverses, _ = _block_inverses(xs, shifts)
-    assert np.array_equal(inverses, oracles.block_inverses_loop(xs, shifts))
+    system = _WeightSystem(tasks)
+    assert system.Q.shape == (len(sizes), d, d)
+    R = rng.standard_normal((len(sizes), d))
+    z = weight_solver._apply_blocks(system.Q, 1.0 / (system.s + shifts[:, None]), R)
+    expected = np.matmul(oracles.block_inverses_loop([t.X for t in tasks], shifts), R[..., None])
+    assert np.linalg.norm(z - expected[..., 0]) <= 1e-10 * np.linalg.norm(expected)
+    # the coarse pair is the mean Gram's
+    sigma, Q = system.coarse
+    mean_gram = sum(t.X @ t.X.T for t in tasks) / len(tasks)
+    assert np.linalg.norm((Q * sigma) @ Q.T - mean_gram) <= 1e-12 * np.linalg.norm(mean_gram)
 
 
-
-def test_block_inverses_hold_one_stack():
-    # The Grams and their inverses share one (T, d, d) stack; the rest is
+def test_weight_system_holds_one_stack():
+    # The Grams and their eigenvectors share one (T, d, d) stack; the rest is
     # a few d x d arrays for the task in hand.
     rng = np.random.default_rng(3)
     T, d = 40, 30
-    xs = [rng.standard_normal((d, 50)) for _ in range(T)]
-    shifts = np.ones(T)
-    _block_inverses(xs, shifts)
+    tasks = make_tasks(rng, d=d, T=T, N=50)
+    _WeightSystem(tasks)
     tracemalloc.start()
     try:
-        _block_inverses(xs, shifts)
+        _WeightSystem(tasks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,18 +342,16 @@ def test_shared_design_preconditioner_inverts_the_system(monkeypatch, gamma):
 
 
 @pytest.mark.parametrize("gamma", [0.1, 100.0])
-def test_shared_design_solve_matches_dense_oracle(monkeypatch, gamma):
+def test_shared_design_solve_matches_dense_oracle(gamma):
     # syn1's shape: every task has the same design, with N = 20 < d = 30.
-    # The exact Kronecker-sum inverse needs no block-Jacobi inverses.
-    def no_block_inverses(*args):
-        raise AssertionError("a shared design needs no block-Jacobi inverses")
-
-    monkeypatch.setattr(weight_solver, "_block_inverses", no_block_inverses)
+    # One Gram's eigenpairs serve every task: no (T, d, d) stack is built.
     rng = np.random.default_rng(27)
     X = rng.standard_normal((30, 20))
     tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(20)) for t in range(6)]
     A = random_adjacency(rng, 6)
-    W, report = solve_weights(tasks, A, gamma=gamma, solver_tol=1e-12)
+    system = _WeightSystem(tasks)
+    assert system.Q.shape == (1, 30, 30)
+    W, report = solve_weights(system, A, gamma=gamma, solver_tol=1e-12)
     assert report.converged
     assert report.cg_iterations <= 2
     assert report.relative_residual <= 1e-12
@@ -398,6 +388,24 @@ def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expect
         assert model.converged
         totals.append(sum(r["cg_iterations"] for r in model.trace.weight_reports))
     assert totals == expected
+
+
+def test_fit_factors_the_tasks_once(monkeypatch):
+    # Only the graph changes between weight solves, so one fit builds one
+    # system and hands it to every solve.
+    builds = []
+
+    class CountingSystem(weight_solver._WeightSystem):
+        def __init__(self, tasks):
+            builds.append(len(tasks))
+            super().__init__(tasks)
+
+    monkeypatch.setattr(weight_solver, "_WeightSystem", CountingSystem)
+    monkeypatch.setattr(model_module, "_WeightSystem", CountingSystem)
+    train, _ = benchmark_splits("wiener", 0)
+    model = fit(train, PINNED_CONFIGS["wiener"])
+    assert len(model.trace.weight_reports) >= 2
+    assert builds == [len(train)]
 
 
 def test_pinned_syn1_weight_solves_take_at_most_two_iterations():
@@ -446,6 +454,18 @@ def test_solve_weights_matches_dense_oracle():
     assert report.relative_residual <= 1e-10
 
 
+def test_reported_residual_is_the_true_residual():
+    # Unequal designs; the loose tolerance leaves a residual well above rounding.
+    rng = np.random.default_rng(28)
+    tasks = make_tasks(rng, d=6, T=5, N=9)
+    A = random_adjacency(rng, 5)
+    W, report = solve_weights(tasks, A, gamma=3.0, solver_tol=1e-3)
+    M, rhs = oracles.dense_weight_system(tasks, A, 3.0, report.ridge)
+    true_residual = np.linalg.norm(M @ W.T.ravel() - rhs) / np.linalg.norm(rhs)
+    assert report.relative_residual == pytest.approx(true_residual, rel=0, abs=1e-12)
+    assert report.cg_iterations >= 1
+
+
 def test_solve_weights_permutation_invariant():
     rng = np.random.default_rng(12)
     tasks = make_tasks(rng, d=3, T=5, N=10)
@@ -464,7 +484,7 @@ def test_solve_weights_iteration_budget_flagged():
     rng = np.random.default_rng(13)
     tasks = make_tasks(rng, d=6, T=4, N=15)
     A = random_adjacency(rng, 4)
-    M, rhs = oracles.dense_weight_system(tasks, A, 2.0, ridge_floor(tasks, A, 2.0))
+    M, rhs = oracles.dense_weight_system(tasks, A, 2.0, ridge_floor(_WeightSystem(tasks), A, 2.0))
     x, iterations, converged = weight_solver._pcg(
         lambda v: M @ v, np.copy, rhs, np.zeros_like(rhs), 1e-14, 1
     )
