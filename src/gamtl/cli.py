@@ -13,6 +13,13 @@ replicate r of a benchmark uses ``base_seed + r``, and the k-means seed of
 an RBF fit equals the model seed.  Outputs carry no timestamps, so rerunning
 a command with identical inputs produces byte-identical artifacts.
 
+``bench`` writes one report per method under ``reports``.  On syn1 and syn2
+its ``benchmark.json`` also holds ``planted_structure``: for each seed of the
+fitted-graph method's report, ``gamtl.evaluate.planted_structure_scores`` of
+the graph learned on that seed.  A method whose every replicate fails is a
+runtime failure, and a report with failed or non-converged seeds gets one
+``warning:`` line on stderr.
+
 The configs of ``fit`` and ``bench`` are checked before any file is read:
 an unknown or missing key, a value of the wrong JSON type or out of range
 is a usage error that names the key, as in ``config error at $.model.alpha``.
@@ -36,6 +43,7 @@ from .evaluate import (
     benchmark,
     export_graph,
     fit_independent_ridge,
+    planted_structure_scores,
     report_to_dict,
     rmse,
 )
@@ -95,6 +103,7 @@ _LIMITS = {
     "$.rbf.width_factor": (lambda v: 0 < v < math.inf, "must be positive"),
     "$.benchmark.name": (lambda v: v in data_mod.BENCHMARKS, "must be syn1, syn2 or wiener"),
     "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
+    "$.benchmark.base_seed": (lambda v: v >= 0, "must be nonnegative"),
     "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),
     "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "$.data.feature_columns": (
@@ -357,7 +366,14 @@ def cmd_bench(args) -> int:
     def make_data(seed):
         return data_mod.benchmark_splits(bench_cfg["name"], seed, **options)
 
-    methods = [(method, fit_tasks)]
+    graphs = {}  # seed -> the graph the fitted-graph method learned
+
+    def fit_graph(tasks, seed):
+        model = fit_tasks(tasks, seed)
+        graphs[seed] = model.A
+        return model
+
+    methods = [(method, fit_graph)]
     if bench_cfg.get("include_baseline", False):
         methods.append((
             "independent-ridge",
@@ -372,8 +388,23 @@ def cmd_bench(args) -> int:
         ]
     except Exception as exc:
         raise RuntimeFailure(f"benchmark failed: {exc}") from exc
+    for report in reports:
+        if not report["seeds"]:
+            first = report["failures"][0]
+            raise RuntimeFailure(
+                f"benchmark failed: every {report['method']} replicate failed; "
+                f"seed {first['seed']}: {first['error']}"
+            )
+        failed = [failure["seed"] for failure in report["failures"]]
+        if report["nonconverged"] or failed:
+            detail = f"nonconverged seeds {list(report['nonconverged'])}, failed seeds {failed}"
+            print(f"warning: {report['method']}: {detail}", file=sys.stderr)
 
     payload = {"reports": reports}
+    seeds = reports[0]["seeds"]
+    scores = [planted_structure_scores(bench_cfg["name"], graphs[seed]) for seed in seeds]
+    if any(scores):
+        payload["planted_structure"] = [{"seed": seed, **s} for seed, s in zip(seeds, scores)]
     out_dir = Path(config.get("out_dir", "."))
     _write_json(out_dir / "benchmark.json", payload)
     print(f"wrote {out_dir / 'benchmark.json'}")

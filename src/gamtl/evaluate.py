@@ -9,6 +9,9 @@ The learned adjacency is exported as an edge list in three formats.  Nodes
 whose edges all fall below the threshold are listed as isolated and, in dot
 output, flagged as outlier candidates: a weighted adjacency with zero
 diagonal has no self-loops, so isolation is the outlier marker.
+
+``planted_structure_scores`` scores a learned graph against the structure
+a generated benchmark plants: the syn1 groups and outliers, or the syn2 ring.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import BENCHMARKS, SYN1_GROUPS
 from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
@@ -36,6 +40,9 @@ __all__ = [
     "import_graph",
     "outlier_candidates",
     "graph_recovery_score",
+    "ring_top3_fraction",
+    "OUTLIER_SCALE",
+    "planted_structure_scores",
 ]
 
 
@@ -288,3 +295,42 @@ def graph_recovery_score(A: np.ndarray, groups) -> float:
     top = np.lexsort((J, I, -vectorform(A)))[:k]
     hits = int(np.count_nonzero(group_of[I[top]] == group_of[J[top]]))
     return hits / k
+
+
+def ring_top3_fraction(A: np.ndarray) -> float:
+    """Fraction of tasks t whose ring neighbours t - 1 and t + 1 (mod T) are
+    both among the three heaviest edges of t."""
+    A = validate_adjacency(A)
+    T = A.shape[0]
+    hits = 0
+    for t in range(T):
+        row = A[t].copy()
+        row[t] = -np.inf
+        top3 = set(np.argsort(-row)[:3].tolist())
+        hits += {(t - 1) % T, (t + 1) % T} <= top3
+    return hits / T
+
+
+# syn1 outlier threshold, as a fraction of the largest learned edge weight.
+OUTLIER_SCALE = 0.02
+
+
+def planted_structure_scores(name: str, A: np.ndarray) -> dict:
+    """Scores of a graph ``A`` learned on benchmark ``name`` against its planted structure.
+
+    syn1: ``graph_recovery_score`` on ``SYN1_GROUPS`` and the
+    ``outlier_candidates`` at ``OUTLIER_SCALE`` times the largest edge (a
+    recovered graph flags tasks 18 and 19).  syn2: the ``ring_top3_fraction``.
+    The Wiener network plants nothing to score, so its dict is empty.
+    """
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}, expected one of {BENCHMARKS}")
+    A = validate_adjacency(A)
+    if name == "syn1":
+        return {
+            "graph_recovery_score": graph_recovery_score(A, SYN1_GROUPS),
+            "outlier_candidates": outlier_candidates(A, OUTLIER_SCALE * A.max()),
+        }
+    if name == "syn2":
+        return {"ring_top3_fraction": ring_top3_fraction(A)}
+    return {}

@@ -89,6 +89,8 @@ class GamtlConfig:
             raise ValueError("weight_solver_tol must be positive")
         if not 0.0 <= self.ridge_lambda < np.inf:
             raise ValueError("ridge_lambda must be nonnegative")
+        if type(self.seed) is not int or self.seed < 0:  # excludes bool
+            raise ValueError("seed must be a nonnegative integer")
 
 
 # Tuned operating points of the shipped benchmarks, selected by grid search

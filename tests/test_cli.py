@@ -13,7 +13,7 @@ import pytest
 import gamtl
 from gamtl.cli import main
 from gamtl.data import CsvSchema, load_csv_tasks, save_tasks_csv
-from gamtl.model import FitTrace, GamtlConfig, GamtlModel, load_model, save_model
+from gamtl.model import PINNED_CONFIGS, FitTrace, GamtlConfig, GamtlModel, load_model, save_model
 from gamtl.weight_solver import TaskDataset
 
 
@@ -264,6 +264,7 @@ FIT_CONFIG_ERRORS = {
     "graph_tol": ("model", "graph_tol", 1.5),
     "outer_tol": ("model", "outer_tol", 2),
     "seed": ("model", "seed", 1.5),
+    "seed_negative": ("model", "seed", -1),
     "gamma_bool": ("model", "gamma", True),
     "gamma_string": ("model", "gamma", "x"),
     "width_factor": ("rbf", "width_factor", 0),
@@ -637,7 +638,7 @@ def test_bench_tiny_run_writes_report(tmp_path):
     assert not report["flagged"]
 
 
-def test_bench_lists_nonconverged_seeds(tmp_path):
+def test_bench_lists_nonconverged_seeds(tmp_path, capsys):
     config_path = bench_config(tmp_path, n_runs=2, include_baseline=True)
     argv = ["bench", "--config", str(config_path), "--set", "model.graph_max_iter=1"]
     assert main(argv) == 0
@@ -645,6 +646,8 @@ def test_bench_lists_nonconverged_seeds(tmp_path):
     gamtl_report, ridge_report = payload["reports"]
     assert gamtl_report["nonconverged"] == [0, 1]
     assert ridge_report["nonconverged"] == []
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings == ["warning: gamtl: nonconverged seeds [0, 1], failed seeds []"]
 
 
 def test_bench_includes_baseline_when_asked(tmp_path):
@@ -655,9 +658,49 @@ def test_bench_includes_baseline_when_asked(tmp_path):
     assert methods == ["gamtl", "independent-ridge"]
 
 
+def test_bench_with_every_replicate_failed_exits_2(tmp_path, capsys):
+    # 2 training samples per agent leave fewer pooled rows than centers
+    config_path = bench_config(tmp_path, name="wiener", n_runs=2, n_samples=4)
+    argv = ["bench", "--config", str(config_path), "--rbf", "--set", "rbf.num_centers=1000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: benchmark failed: every rbf-gamtl replicate failed; seed 0: ValueError: P must" in err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize(
+    "name,scores",
+    [
+        ("syn1", {"graph_recovery_score", "outlier_candidates"}),
+        ("syn2", {"ring_top3_fraction"}),
+        ("wiener", None),
+    ],
+)
+def test_bench_scores_the_planted_structure(tmp_path, name, scores):
+    pinned = PINNED_CONFIGS[name]
+    model = {"gamma": pinned.gamma, "alpha": pinned.graph_params.alpha, "beta": pinned.graph_params.beta}
+    config = {"benchmark": {"name": name, "n_runs": 2, "include_baseline": True}, "model": model}
+    config_path = tmp_path / "bench.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["bench", "--config", str(config_path), "--out", str(tmp_path / "bench")]) == 0
+    payload = json.loads((tmp_path / "bench" / "benchmark.json").read_text())
+    if scores is None:
+        assert list(payload) == ["reports"]
+        return
+    planted = payload["planted_structure"]
+    assert [p["seed"] for p in planted] == payload["reports"][0]["seeds"] == [0, 1]
+    assert all(set(p) == {"seed", *scores} for p in planted)
+    if name == "syn1":
+        assert all(p["graph_recovery_score"] == 1.0 for p in planted)
+        assert all({18, 19} <= set(p["outlier_candidates"]) for p in planted)
+
+
 @pytest.mark.parametrize(
     "key,value",
-    [("name", "bogus"), ("n_samples", 3), ("split_ratio", 1), ("n_runs", 0), ("n_train", 0)],
+    [
+        ("name", "bogus"), ("n_samples", 3), ("split_ratio", 1), ("n_runs", 0), ("n_train", 0),
+        ("base_seed", -1),
+    ],
 )
 def test_bench_schema_error_names_field(tmp_path, capsys, key, value):
     config_path = bench_config(tmp_path, **{key: value})

@@ -14,7 +14,9 @@ from gamtl.evaluate import (
     graph_recovery_score,
     import_graph,
     outlier_candidates,
+    planted_structure_scores,
     report_to_dict,
+    ring_top3_fraction,
     rmse,
 )
 from gamtl.model import FitTrace, GamtlConfig, GamtlModel
@@ -361,3 +363,29 @@ def test_recovery_rejects_malformed_partition():
         graph_recovery_score(A, [(0, 1)])
     with pytest.raises(ValueError, match="partition"):
         graph_recovery_score(A, [(0, 1), (1, 2)])
+
+
+# --------------------------------------------------------------------------
+# Planted-structure scores
+
+
+def test_ring_top3_fraction_planted_ring_and_no_ring_edges():
+    T = 6
+    ring = np.zeros((T, T))
+    far = np.zeros((T, T))
+    for t in range(T):
+        ring[t, (t + 1) % T] = ring[(t + 1) % T, t] = 1.0
+        for step in (2, 3):  # every pair but the ring neighbours
+            far[t, (t + step) % T] = far[(t + step) % T, t] = 1.0
+    assert ring_top3_fraction(ring) == 1.0
+    assert ring_top3_fraction(far) == 0.0
+
+
+def test_planted_structure_scores_per_benchmark():
+    A = np.roll(np.eye(20), 1, axis=1)
+    A += A.T  # the 20-task ring
+    assert set(planted_structure_scores("syn1", A)) == {"graph_recovery_score", "outlier_candidates"}
+    assert planted_structure_scores("syn2", A) == {"ring_top3_fraction": 1.0}
+    assert planted_structure_scores("wiener", A) == {}
+    with pytest.raises(ValueError, match="unknown benchmark"):
+        planted_structure_scores("bogus", A)

@@ -75,6 +75,9 @@ def mild_config(**overrides):
         {"max_outer_iter": float("inf")},
         {"max_outer_iter": 2.5},
         {"max_outer_iter": True},
+        {"seed": -1},
+        {"seed": 2.5},
+        {"seed": True},
     ],
 )
 def test_config_rejects_invalid(kwargs):
