@@ -354,16 +354,17 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
         special = (schema.task_column, schema.target_column)
         features = schema.feature_columns
         if features is None:
-            features = tuple(c for c in reader.fieldnames if c not in special)
+            features = tuple(c for c in header if c not in special)
             if not features:
                 raise ValueError(f"{path}: no feature columns besides {special[0]}/{special[1]}")
-        missing = [c for c in (*special, *features) if c not in reader.fieldnames]
+        missing = [c for c in (*special, *features) if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         if standardizer is not None and standardizer.feature_mean.size != len(features):
@@ -371,28 +372,32 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
                 f"{path}: {len(features)} feature columns, but the model was fitted "
                 f"on {standardizer.feature_mean.size} standardized features"
             )
-        labels = []
-        rows_by_label = {}
-        for line_no, row in enumerate(reader, start=2):
-            label = row[schema.task_column]
+        # A repeated column name reads its last column, and a short row reads
+        # None past its end, as through csv.DictReader.
+        column = {name: i for i, name in enumerate(header)}
+        label_at = column[schema.task_column]
+        value_at = [column[c] for c in (schema.target_column, *features)]
+        rows_by_label = {}  # in order of first appearance
+        line_no = 1
+        for row in reader:
+            if not row:  # blank lines are skipped and not counted
+                continue
+            line_no += 1
+            if len(row) < len(header):
+                row += [None] * (len(header) - len(row))
             try:
-                y = float(row[schema.target_column])
-                x = [float(row[c]) for c in features]
+                values = [float(row[i]) for i in value_at]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
-            if label not in rows_by_label:
-                labels.append(label)
-                rows_by_label[label] = []
-            rows_by_label[label].append((x, y))
-    if not labels:
+            rows_by_label.setdefault(row[label_at], []).append(values)
+    if not rows_by_label:
         raise ValueError(f"{path}: no data rows")
+    labels = list(rows_by_label)
 
     raw = []
-    for label in labels:
-        pairs = rows_by_label[label]
-        X = np.array([x for x, _ in pairs], dtype=float).T
-        y = np.array([y for _, y in pairs], dtype=float)
-        raw.append((X, y))
+    for rows in rows_by_label.values():
+        values = np.array(rows, dtype=float)  # columns y, x0, x1, ...
+        raw.append((np.asfortranarray(values[:, 1:].T), np.ascontiguousarray(values[:, 0])))
 
     if standardizer is None and (schema.standardize or schema.standardize_target):
         all_x = np.concatenate([X for X, _ in raw], axis=1)
@@ -408,22 +413,21 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
 
 
 def save_tasks_csv(tasks, path):
-    """Write tasks as rows ``task,y,x0..x{d-1}`` at full float precision."""
+    """Write tasks as rows ``task,y,x0..x{d-1}`` at full float precision.
+
+    Values are written with ``repr``, as ``csv.writer`` writes floats; none
+    needs quoting, so the lines are joined directly.
+    """
     tasks = list(tasks)
     d = tasks[0].dim
-    path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "y", *(f"x{i}" for i in range(d))])
+        fh.write(",".join(["task", "y", *(f"x{i}" for i in range(d))]) + "\n")
         for task in tasks:
-            for j in range(task.n_samples):
-                writer.writerow(
-                    [
-                        task.task_id,
-                        repr(float(task.y[j])),
-                        *(repr(float(val)) for val in task.X[:, j]),
-                    ]
-                )
+            label = str(task.task_id)
+            fh.writelines(
+                ",".join([label, repr(y), *map(repr, x.tolist())]) + "\n"
+                for y, x in zip(task.y.tolist(), task.X.T)
+            )
 
 
 def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:

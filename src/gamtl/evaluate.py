@@ -3,7 +3,8 @@
 RMSE is reported two ways: pooled over all test samples (the aggregate) and
 as the mean of per-task RMSEs.  Benchmarks rerun a seeded data generator and
 fitting procedure and report mean and sample standard deviation across
-replicates; individual replicate failures are recorded, not raised.
+replicates; individual replicate failures are recorded, not raised, unless
+every replicate fails.
 
 The learned adjacency is exported as an edge list in three formats.  Nodes
 whose edges all fall below the threshold are listed as isolated and, in dot
@@ -114,8 +115,10 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
     ``make_model(train_tasks, seed) -> model`` define one replicate; run r
     uses seed ``base_seed + r``.  A replicate that raises is recorded in
     ``failures`` and flags the report, while the statistics cover the
-    successful runs.  Seeds whose model reports ``converged=False`` are
-    listed in ``nonconverged``; models without the flag count as converged.
+    successful runs; when every replicate raises there are none, and a
+    ``RuntimeError`` names the first failure.  Seeds whose model reports
+    ``converged=False`` are listed in ``nonconverged``; models without the
+    flag count as converged.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -135,8 +138,11 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
         values.append(result.aggregate)
         per_task.append(tuple(result.per_task))
         per_task_means.append(result.per_task_mean)
+    if not values:
+        first = failures[0]
+        raise RuntimeError(f"every {method} replicate failed; seed {first['seed']}: {first['error']}")
     arr = np.asarray(values)
-    mean = float(arr.mean()) if len(arr) else math.nan
+    mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return BenchmarkReport(
         method=method,

@@ -86,14 +86,17 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows, shape ``(N, P)``.
 
     ``points`` (N, q) and ``centers`` (P, q) are finite, trusted and not
-    checked.  Each entry sums the squares of explicit coordinate differences
-    in coordinate order -- no Gram-matrix shortcut, so no cancellation can
-    drive it negative, and a pair gives the same bits wherever it sits.  The
-    memory is two ``(N, P)`` buffers, never an ``(N, P, q)`` tensor.
+    checked; ``q = 0`` gives zeros.  Each entry sums squared coordinate
+    differences in coordinate order -- no Gram-matrix shortcut, so no
+    cancellation can drive it negative, and a pair gives the same bits
+    wherever it sits.  Memory: two ``(N, P)`` buffers, no ``(N, P, q)``.
     """
-    out = np.zeros((points.shape[0], centers.shape[0]))
+    if points.shape[1] == 0:
+        return np.zeros((points.shape[0], centers.shape[0]))
+    out = np.subtract(points[:, 0, None], centers[None, :, 0])
+    np.square(out, out=out)
     tmp = np.empty_like(out)
-    for j in range(points.shape[1]):
+    for j in range(1, points.shape[1]):
         np.subtract(points[:, j, None], centers[None, :, j], out=tmp)
         np.square(tmp, out=tmp)
         out += tmp

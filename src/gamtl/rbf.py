@@ -22,7 +22,8 @@ outward by more than the rounding error of a computed squared distance, so
 a skipped point provably keeps the center that the argmin of the full
 distance matrix would give it, and the centers are bit-identical to dense
 rounds.  Only the rows that fail the test are recomputed, one block at a
-time, so no (N, P) matrix is kept either.
+time, so no (N, P) matrix is kept either.  Each round thus starts from the
+dense argmin of its centers, which alone key the check for a repeated round.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of row i of ``points`` to row i of ``centers``.
 
     Summed in coordinate order, so each value is bit-identical to the
-    matching entry of ``sq_distances``.
+    matching entry of ``sq_distances``.  ``q >= 1``.
     """
     gap = points - centers
-    out = np.zeros(points.shape[0])
-    for j in range(points.shape[1]):
-        out += gap[:, j] ** 2
-    return out
+    np.square(gap, out=gap)
+    for j in range(1, points.shape[1]):
+        gap[:, 0] += gap[:, j]
+    return gap[:, 0]
 
 
 def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
@@ -131,18 +132,18 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
         first[start : start + step] = block[at, pick]
         if P > 1:
             block[at, pick] = np.inf
-            second[start : start + step] = block.min(axis=1)
+            second[start : start + step] = block[at, np.argmin(block, axis=1)]
     return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
 
 
-def _grown(x, margin: float):
+def _grown(x, margin: float, out=None):
     """``x`` moved outward to an upper bound: times (1 + margin), plus _TINY."""
-    return x * (1.0 + margin) + _TINY
+    return np.add(np.multiply(x, 1.0 + margin, out=out), _TINY, out=out)
 
 
-def _shrunk(x, margin: float):
+def _shrunk(x, margin: float, out=None):
     """``x`` moved outward to a lower bound: times (1 - margin), minus _TINY."""
-    return x * (1.0 - margin) - _TINY
+    return np.subtract(np.multiply(x, 1.0 - margin, out=out), _TINY, out=out)
 
 
 def _keeps_center(upper, lower, margin: float):
@@ -154,12 +155,13 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
     k-means++ seeding followed by Lloyd iterations; stops when assignments
-    stabilize, when a round starts from the assignment and centers of an
-    earlier round (from there it would only replay the same cycle), or after
-    300 rounds.  Each round updates the centers in index order from
-    per-cluster sums and counts; an empty cluster is reseeded to the point
-    currently farthest from its own center, and that point leaves its old
-    cluster for the rest of the round.
+    stabilize, when a round starts from the centers of an earlier round
+    (from there it would only replay the same cycle), or after 300 rounds.
+    A round with no empty cluster sets every center with one division of
+    the per-cluster sums by the counts.  Otherwise it updates the centers in
+    index order; an empty cluster is reseeded to the point currently
+    farthest from its own center, and that point leaves its old cluster for
+    the rest of the round.
 
     The assignment step is pruned with distance bounds (Hamerly, SDM 2010)
     and gives the assignment that the argmin of the full squared-distance
@@ -181,11 +183,13 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     own floating-point operations, plus an absolute ``_TINY`` that covers
     underflow.  So a skipped point's computed distance to its own center is
     strictly below its computed distance to every other center, and the
-    dense argmin (lowest index on ties) picks the same center.
+    dense argmin (lowest index on ties) picks the same center.  The first
+    assignment and every reseeding round compute all rows, so each round
+    starts from the dense argmin of its centers, and the stop rule keys on them.
     """
     points = np.asarray(pooled_inputs, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("pooled_inputs must be a nonempty (N, q) array")
+    if points.ndim != 2 or min(points.shape) < 1:
+        raise ValueError("pooled_inputs must be a nonempty (N, q) array with q >= 1")
     if not np.isfinite(points).all():
         raise ValueError("pooled_inputs must be finite")
     N, q = points.shape
@@ -203,50 +207,44 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         else:
             idx = rng.integers(N)  # all points coincide with a center
         centers[p] = points[idx]
-        np.minimum(
-            closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq
-        )
+        np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
 
     margin = 2.0 * (q + 2) * np.finfo(float).eps
-    every_row = np.arange(N)
-    assign, upper, lower = _nearest_two(points, centers, every_row, margin)
+    assign, upper, lower = _nearest_two(points, centers, np.arange(N), margin)
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
-        # A round depends only on (assign, centers): a repeat replays a cycle.
-        state = hashlib.blake2b(assign.tobytes() + centers.tobytes()).digest()
+        # The centers alone fix a round (see above): a repeat replays a cycle.
+        state = hashlib.blake2b(centers.tobytes()).digest()
         if state in seen:
             break
         seen.add(state)
         previous = centers.copy()
-        reseeded = False
         sums, counts = _cluster_sums(points, assign, P)
-        for p in range(P):
-            if counts[p] > 0:
-                centers[p] = sums[p] / counts[p]
-                continue
-            # reseed to the point worst served by its current center
-            reseeded = True
-            farthest = int(np.argmax(_paired_sq_distances(points, centers[assign])))
-            donor = assign[farthest]
-            centers[p] = points[farthest]
-            assign[farthest] = p
-            if donor > p:  # the donor's center is still to be updated this round
-                sums, counts = _cluster_sums(points, assign, P)
-
-        if reseeded:
-            stale = every_row
-        else:
+        if counts.all():
+            np.divide(sums, counts[:, None], out=centers)
             shift = _grown(np.sqrt(_paired_sq_distances(centers, previous)), margin)
-            upper = _grown(upper + shift[assign], margin)
-            fastest = int(np.argmax(shift))
-            drop = np.full(N, shift[fastest])
-            if P > 1:
-                drop[assign == fastest] = np.delete(shift, fastest).max()
-            lower = _shrunk(lower - drop, margin)
+            upper += shift[assign]
+            _grown(upper, margin, out=upper)
+            top = np.argsort(shift)[-2:]  # the two largest shifts, the largest last
+            lower -= np.where(assign == top[-1], shift[top[0]], shift[top[-1]])
+            _shrunk(lower, margin, out=lower)
             stale = np.flatnonzero(~_keeps_center(upper, lower, margin))
-            own_sq = _paired_sq_distances(points[stale], centers[assign[stale]])
-            upper[stale] = _grown(np.sqrt(own_sq), margin)
+            own = np.sqrt(_paired_sq_distances(points[stale], centers[assign[stale]]))
+            upper[stale] = _grown(own, margin)
             stale = stale[~_keeps_center(upper[stale], lower[stale], margin)]
+        else:
+            for p in range(P):
+                if counts[p] > 0:
+                    centers[p] = sums[p] / counts[p]
+                    continue
+                # reseed to the point worst served by its current center
+                farthest = int(np.argmax(_paired_sq_distances(points, centers[assign])))
+                donor = assign[farthest]
+                centers[p] = points[farthest]
+                assign[farthest] = p
+                if donor > p:  # the donor's center is still to be updated this round
+                    sums, counts = _cluster_sums(points, assign, P)
+            stale = np.arange(N)
         nearest, upper[stale], lower[stale] = _nearest_two(points, centers, stale, margin)
         if np.array_equal(nearest, assign[stale]):
             break
@@ -329,11 +327,10 @@ def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be finite")
     P = feature_map.num_centers
     lifted = np.empty((P + 1, points.shape[0]), order="F")
-    divisor = 2.0 * feature_map.widths**2
+    divisor = -2.0 * feature_map.widths**2  # sq / -d is -(sq / d) bit for bit
     step = max(1, _BLOCK_ENTRIES // P)
     for start in range(0, points.shape[0], step):
         block = sq_distances(points[start : start + step], feature_map.centers)
-        np.negative(block, out=block)
         block /= divisor
         np.exp(block, out=block)
         lifted[:P, start : start + step] = block.T

@@ -1,5 +1,6 @@
 """Tests for the synthetic benchmark generators, CSV ingestion, and splits."""
 
+import csv
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from gamtl.data import (
     wiener_state,
     write_dataset,
 )
+from gamtl.weight_solver import TaskDataset
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +366,74 @@ def test_load_csv_reports_offending_line(tmp_path):
     schema = CsvSchema(task_column="task", target_column="y", feature_columns=("x0",))
     with pytest.raises(ValueError, match=":3:"):
         load_csv_tasks(path, schema)
+
+
+def float_error(value):
+    try:
+        float(value)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{value!r} parses")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a short row reads None for its missing cells
+        ("task,y,x0,x1\na,1.0,2.0,3.0\na,2.0,4.0\n", f":3: non-numeric cell ({float_error(None)})"),
+        ("task,y,x0\na\n", f":2: non-numeric cell ({float_error(None)})"),
+        # blank lines are skipped and not counted
+        ("task,y,x0\na,1.0,2.0\n\n\na,oops,3.0\n", f":3: non-numeric cell ({float_error('oops')})"),
+        # a quoted comma stays in its cell, and a quoted newline in its record
+        ('task,y,x0\na,1.0,2.0\na,"1,5",3.0\n', f":3: non-numeric cell ({float_error('1,5')})"),
+        ('task,y,x0\n"two\nlines",1.0,2.0\na,1.0,bad\n', f":3: non-numeric cell ({float_error('bad')})"),
+        ("", ": empty file, expected a header row"),
+        # a blank first line is an empty header
+        ("\ntask,y,x0\na,1.0,2.0\n", ": no feature columns besides task/y"),
+        ("task,y,x0\n\n\n", ": no data rows"),
+    ],
+)
+def test_load_csv_error_names_file_and_record(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_csv_tasks(path, CsvSchema())
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_load_csv_skips_blank_lines_and_extra_cells(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_text('task,y,x0\n\n"a,b",1.0,"2.0",9,x\n\nb,3.0,4.0\n\n', encoding="utf-8")
+    loaded = load_csv_tasks(path, CsvSchema())
+    assert loaded.task_labels == ("a,b", "b")
+    assert [t.X.tolist() for t in loaded.tasks] == [[[2.0]], [[4.0]]]
+    assert [t.y.tolist() for t in loaded.tasks] == [[1.0], [3.0]]
+
+
+def test_load_csv_repeated_column_name_reads_the_last(tmp_path):
+    path = tmp_path / "twice.csv"
+    write_lines(path, ["task,y,x0,x0", "a,1.0,2.0,5.0"])
+    loaded = load_csv_tasks(path, CsvSchema(feature_columns=("x0",)))
+    assert loaded.tasks[0].X.tolist() == [[5.0]]
+
+
+def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    X = np.array([[0.1, -0.0, 1e-300, 2.5e17], [np.pi, -7.0, 1.0 / 3.0, 5e-324]])
+    tasks = [
+        TaskDataset(0, X, np.array([1.0, -2.5, 1e-7, 123456789.125])),
+        TaskDataset(7, np.empty((2, 0)), np.empty(0)),
+        TaskDataset(12, X[:, :1], np.array([-0.0])),
+    ]
+    path = tmp_path / "out.csv"
+    save_tasks_csv(tasks, path)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["task", "y", "x0", "x1"])
+        for task in tasks:
+            for j in range(task.n_samples):
+                writer.writerow([task.task_id, float(task.y[j]), *map(float, task.X[:, j])])
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_csv_schema_validation():

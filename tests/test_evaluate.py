@@ -196,6 +196,17 @@ def test_benchmark_records_failures_and_flags():
     assert np.isfinite(report.mean)
 
 
+def test_benchmark_with_every_replicate_failed_raises():
+    # With no successful replicate there is no mean; a NaN would make the
+    # report invalid JSON.
+    def broken_maker(train_tasks, seed):
+        raise ValueError(f"bad seed {seed}")
+
+    with pytest.raises(RuntimeError) as info:
+        benchmark(tiny_replicate, broken_maker, "broken", n_runs=2, base_seed=5)
+    assert str(info.value) == "every broken replicate failed; seed 5: ValueError: bad seed 5"
+
+
 def test_benchmark_rejects_zero_runs():
     with pytest.raises(ValueError):
         benchmark(tiny_replicate, ridge_maker, "ridge", n_runs=0, base_seed=0)

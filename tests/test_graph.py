@@ -16,6 +16,7 @@ from gamtl.graph import (
     num_nodes_from_edges,
     pairwise_sq_distances,
     smoothness,
+    sq_distances,
     validate_adjacency,
     vectorform,
 )
@@ -87,6 +88,33 @@ def test_pairwise_sq_distances_matches_loops():
             assert Z[i, j] == pytest.approx(float(diff @ diff), abs=1e-12)
     assert np.array_equal(Z, Z.T)
     assert np.all(np.diag(Z) == 0.0)
+
+
+def coordinate_loop_sq_distances(points, centers):
+    """Each entry summed from zero, one coordinate's square at a time."""
+    out = np.empty((points.shape[0], centers.shape[0]))
+    for i, point in enumerate(points.tolist()):
+        for p, center in enumerate(centers.tolist()):
+            total = 0.0
+            for a, c in zip(point, center):
+                total += (a - c) * (a - c)
+            out[i, p] = total
+    return out
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 30])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_sq_distances_match_a_coordinate_loop_bit_for_bit(q, offset):
+    rng = np.random.default_rng(q)
+    points = offset + rng.standard_normal((9, q))
+    points[5] = points[2]  # duplicate rows
+    centers = np.concatenate([points[[2, 7]], offset + rng.standard_normal((3, q))])
+    Z = sq_distances(points, centers)
+    assert Z.shape == (9, 5)
+    assert np.array_equal(Z, coordinate_loop_sq_distances(points, centers))
+    assert Z[2, 0] == Z[5, 0] == 0.0
+    if q == 0:
+        assert not Z.any()
 
 
 def test_pairwise_sq_distances_translation_invariant():

@@ -98,6 +98,15 @@ def test_kmeans_matches_loop_oracle_on_wiener_inputs(data_seed):
     assert np.array_equal(centers, oracles.kmeans_loops(points, P=50, seed=0))
 
 
+@pytest.mark.parametrize("kmeans_seed", [1, 2])
+@pytest.mark.parametrize("data_seed", range(5))
+def test_kmeans_matches_dense_oracle_on_wiener_inputs(data_seed, kmeans_seed):
+    train, _ = benchmark_splits("wiener", data_seed)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    centers = kmeans_centers(points, P=50, seed=kmeans_seed)
+    assert np.array_equal(centers, oracles.kmeans_dense(points, P=50, seed=kmeans_seed))
+
+
 def test_kmeans_matches_loop_oracle_on_gaussian_points():
     points = np.random.default_rng(44).standard_normal((400, 3))
     centers = kmeans_centers(points, P=12, seed=3)
@@ -214,6 +223,8 @@ def test_kmeans_rejects_bad_center_counts():
         kmeans_centers(points, P=0, seed=0)
     with pytest.raises(ValueError):
         kmeans_centers(np.full((4, 2), np.inf), P=2, seed=0)
+    with pytest.raises(ValueError, match="q >= 1"):  # points without coordinates
+        kmeans_centers(np.zeros((4, 0)), P=2, seed=0)
 
 
 # --------------------------------------------------------------------------
