@@ -7,6 +7,7 @@ fit     fit a model from a JSON config (model.json + trace.json)
 eval    score a saved model on a CSV split (RMSE report JSON)
 export  write the learned task graph (edge-csv, dot, or json)
 bench   repeated seeded fits with mean/std RMSE (report JSON)
+tune    grid search of gamma/alpha/beta by cross-validation (leaderboard JSON)
 
 All randomness flows from the single ``seed`` in the config or flags;
 replicate r of a benchmark uses ``base_seed + r``, and the k-means seed of
@@ -40,6 +41,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from .evaluate import (
+    EXPORT_FORMATS,
     benchmark,
     export_graph,
     fit_independent_ridge,
@@ -48,7 +50,7 @@ from .evaluate import (
     rmse,
 )
 from .graph_learning import GraphLearningParams
-from .model import GamtlConfig, fit, load_model, save_model
+from .model import GamtlConfig, fit, grid_search_cv, load_model, save_model
 from .rbf import fit_rbf
 
 __all__ = ["main"]
@@ -237,11 +239,10 @@ def _read_tasks(path, standardizer=None, **columns) -> data_mod.LoadedTasks:
         raise UsageError(str(exc)) from None
 
 
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, payload):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        data_mod.dump_json(payload, fh)
 
 
 def cmd_synth(args) -> int:
@@ -294,13 +295,11 @@ def cmd_eval(args) -> int:
     model = _read_model(args.model)
     # a model fitted on standardized data scores test rows in the same units
     stats = model.standardizer
-    loaded = _read_tasks(
-        args.data,
-        stats,
-        task_column=args.task_column,
-        target_column=args.target_column,
-        feature_columns=args.feature_columns.split(",") if args.feature_columns else None,
-    )
+    # columns left out keep the defaults of CsvSchema
+    columns = {k: getattr(args, k) for k in ("task_column", "target_column") if getattr(args, k) is not None}
+    if args.feature_columns:
+        columns["feature_columns"] = args.feature_columns.split(",")
+    loaded = _read_tasks(args.data, stats, **columns)
     fm = model.feature_map
     expected = fm.input_dim if fm is not None else model.W.shape[0]
     got = loaded.tasks[0].dim
@@ -337,8 +336,7 @@ def cmd_eval(args) -> int:
         _write_json(Path(args.out), report)
         print(f"wrote {args.out}")
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        data_mod.dump_json(report, sys.stdout)
     return 0
 
 
@@ -405,6 +403,34 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _comma_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def cmd_tune(args) -> int:
+    # grid flags left out keep the grid of grid_search_cv
+    grid = {k: getattr(args, k) for k in ("gammas", "alphas", "betas") if getattr(args, k) is not None}
+    try:
+        if args.folds < 2:
+            raise ValueError(f"--folds must be at least 2, got {args.folds}")
+        for flag, values in grid.items():  # "gammas" holds values of the model key "gamma"
+            for value in values:
+                _gamtl_config({flag[:-1]: value})  # the config dataclasses own the ranges
+        tasks, _ = data_mod.benchmark_splits(args.name, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    best, results = grid_search_cv(tasks, GamtlConfig(), **grid, n_folds=args.folds, seed=args.seed)
+    print(f"=== {args.name} grid search ({len(results)} points, {args.folds} folds) ===")
+    print(f"best: gamma {best.gamma:g}, alpha {best.graph_params.alpha:g}, beta {best.graph_params.beta:g}")
+    print(f"{'gamma':>10} {'alpha':>10} {'beta':>10} {'cv_rmse':>10}")
+    for row in results[: args.top]:
+        print(f"{row['gamma']:>10g} {row['alpha']:>10g} {row['beta']:>10g} {row['cv_rmse']:>10.4f}")
+    if args.out:
+        _write_json(Path(args.out), results)
+        print(f"wrote {args.out}")
+    return 0
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gamtl", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,18 +467,28 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a saved model on a CSV split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--task-column", default="task")
-    p.add_argument("--target-column", default="y")
+    p.add_argument("--task-column", help=f"default: {data_mod.CsvSchema.task_column}")
+    p.add_argument("--target-column", help=f"default: {data_mod.CsvSchema.target_column}")
     p.add_argument("--feature-columns", help="comma-separated; default: all other columns")
     p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="export the learned task graph")
     p.add_argument("--model", required=True)
-    p.add_argument("--format", choices=["edge-csv", "dot", "json"], default="json")
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="json")
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", help="document path (default: stdout)")
     p.set_defaults(func=cmd_export)
+
+    p = sub.add_parser("tune", help="grid-search gamma/alpha/beta by cross-validation")
+    p.add_argument("name", choices=data_mod.BENCHMARKS)
+    p.add_argument("--seed", type=int, default=data_mod.SynSpec.seed)
+    p.add_argument("--folds", type=int, default=5)
+    for key in ("gammas", "alphas", "betas"):
+        p.add_argument(f"--{key}", type=_comma_list, help="comma list (default: grid_search_cv's)")
+    p.add_argument("--top", type=int, default=10, help="leaderboard rows to print")
+    p.add_argument("--out", help="file for the full JSON leaderboard")
+    p.set_defaults(func=cmd_tune)
 
     return parser
 

@@ -373,7 +373,7 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
                 f"on {standardizer.feature_mean.size} standardized features"
             )
         # A repeated column name reads its last column, and a short row reads
-        # None past its end, as through csv.DictReader.
+        # None past its end as through csv.DictReader, but must hold its task.
         column = {name: i for i, name in enumerate(header)}
         label_at = column[schema.task_column]
         value_at = [column[c] for c in (schema.target_column, *features)]
@@ -383,6 +383,8 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
             if not row:  # blank lines are skipped and not counted
                 continue
             line_no += 1
+            if len(row) <= label_at:
+                raise ValueError(f"{path}:{line_no}: missing task cell")
             if len(row) < len(header):
                 row += [None] * (len(header) - len(row))
             try:
@@ -447,9 +449,14 @@ def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:
     for split, tasks in splits.items():
         save_tasks_csv(tasks, out_dir / f"{split}.csv")
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(manifest, fh)
     return manifest
+
+
+def dump_json(payload, fh):
+    """Write ``payload`` as every JSON artifact: sorted keys, two-space indent, final newline."""
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def train_test_split(tasks, ratio: float, seed: int):

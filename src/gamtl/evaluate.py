@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import BENCHMARKS, SYN1_GROUPS
+from .data import BENCHMARKS, SYN1_GROUPS, dump_json
 from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
@@ -212,7 +212,9 @@ def export_graph(A: np.ndarray, threshold: float | None = None, format: str = "j
             "edges": [[i, j, w] for i, j, w in edges],
             "isolated": isolated,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        out = io.StringIO()
+        dump_json(doc, out)
+        return out.getvalue()
 
     if format == "edge-csv":
         out = io.StringIO()

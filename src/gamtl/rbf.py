@@ -208,6 +208,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
             idx = rng.integers(N)  # all points coincide with a center
         centers[p] = points[idx]
         np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
+    del closest_sq  # the seeding buffer is not needed in the Lloyd rounds
 
     margin = 2.0 * (q + 2) * np.finfo(float).eps
     assign, upper, lower = _nearest_two(points, centers, np.arange(N), margin)

@@ -314,6 +314,22 @@ def test_fit_unknown_config_key_rejected(tmp_path, capsys):
     assert "config error at $" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,item,message",
+    [
+        ("{", "a=1", "config is not valid JSON"),
+        ("[]", "a=1", "config root must be a JSON object"),
+        ('{"data": {"train_csv": "t.csv"}}', "model.gamma", "--set expects key=value"),
+        # a value that is not JSON stays a string, which fails the type check
+        ('{"data": {"train_csv": "t.csv"}}', "model.gamma=abc", "config error at $.model.gamma: expected number"),
+    ],
+)
+def test_fit_unreadable_config_or_set_item_is_usage_error(tmp_path, capsys, text, item, message):
+    (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    assert main(["fit", "--config", str(tmp_path / "config.json"), "--set", item]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_fit_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
@@ -380,6 +396,13 @@ def test_eval_writes_report_to_stdout_by_default(tmp_path, capsys):
     assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["aggregate_rmse"] == 0.0
+
+
+def test_eval_scoring_failure_exits_two(tmp_path, capsys, monkeypatch):
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    monkeypatch.setattr("gamtl.cli.rmse", lambda model, tasks: 1 / 0)
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 2
+    assert "error: evaluation failed: division by zero" in capsys.readouterr().err
 
 
 def test_eval_task_mismatch_is_usage_error(tmp_path, capsys):
@@ -737,6 +760,34 @@ def test_fit_and_bench_run_without_jsonschema(tmp_path):
     subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
     assert (tmp_path / "run" / "model.json").exists()
     assert (tmp_path / "bench" / "benchmark.json").exists()
+
+
+# --------------------------------------------------------------------------
+# tune
+
+
+def test_tune_writes_the_grid_search_leaderboard(tmp_path, capsys):
+    out = tmp_path / "leaderboard.json"
+    grid = ["--gammas", "0.1", "--alphas", "10,1", "--betas", "0.01"]
+    assert main(["tune", "syn1", "--folds", "2", *grid, "--out", str(out)]) == 0
+    tasks, _ = gamtl.data.benchmark_splits("syn1", 0)
+    _, results = gamtl.model.grid_search_cv(tasks, GamtlConfig(), (0.1,), (10, 1), (0.01,), n_folds=2)
+    assert json.loads(out.read_text(encoding="utf-8")) == results
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+
+
+def test_tune_without_grid_flags_searches_the_library_grid(monkeypatch):
+    calls, leaderboard = [], [{"gamma": 1.0, "alpha": 1.0, "beta": 1.0, "cv_rmse": 0.5}]
+    monkeypatch.setattr("gamtl.cli.grid_search_cv", lambda t, c, **kw: calls.append(kw) or (c, leaderboard))
+    assert main(["tune", "syn2", "--seed", "4"]) == 0
+    assert calls == [{"n_folds": 5, "seed": 4}]
+
+
+@pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--gammas", "abc"), ("--betas", "1,-1"), ("--seed", "-1")])
+def test_tune_bad_argument_is_usage_error(capsys, flag, value):
+    assert main(["tune", "syn1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

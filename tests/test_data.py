@@ -330,6 +330,17 @@ def test_load_csv_standardizes_to_zscores(tmp_path):
     assert abs(all_y.std() - 1.0) < 1e-12
 
 
+def test_load_csv_standardizes_the_target_alone(tmp_path):
+    path = tmp_path / "target.csv"
+    write_lines(path, ["task,y,x0", "a,1.0,0.1", "a,2.0,3.7", "b,6.0,-2.3"])
+    raw, loaded = (load_csv_tasks(path, CsvSchema(standardize_target=flag)) for flag in (False, True))
+    stats = loaded.standardizer
+    assert (stats.feature_mean.tolist(), stats.feature_std.tolist(), stats.target_mean) == ([0.0], [1.0], 3.0)
+    for got, plain in zip(loaded.tasks, raw.tasks):
+        assert got.X.tobytes() == plain.X.tobytes()
+        assert got.y.tolist() == ((plain.y - 3.0) / np.std([1.0, 2.0, 6.0])).tolist()
+
+
 def test_load_csv_reuses_training_standardizer(tmp_path):
     train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
     write_lines(train_path, ["task,y,x0", "a,1.0,1.0", "a,2.0,3.0"])
@@ -391,6 +402,8 @@ def float_error(value):
         # a blank first line is an empty header
         ("\ntask,y,x0\na,1.0,2.0\n", ": no feature columns besides task/y"),
         ("task,y,x0\n\n\n", ": no data rows"),
+        # a row too short for its task cell names no task
+        ("y,x0,task\n1.0,2.0,a\n3.0,4.0\n5.0,6.0,a\n", ":3: missing task cell"),
     ],
 )
 def test_load_csv_error_names_file_and_record(tmp_path, text, message):
