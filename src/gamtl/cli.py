@@ -74,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 # What a `fit` or `bench` config may hold: the JSON type of each key, or a
 # nested table for an object block.  GamtlConfig and GraphLearningParams own
 # the ranges of the model keys, SynSpec those of n_train, n_test and
-# noise_std; _LIMITS holds the ranges no dataclass owns.
+# noise_std, check_seed that of base_seed; _LIMITS holds the rest.
 _MODEL_KEYS = {
     **dict.fromkeys(("gamma", "alpha", "beta", "graph_tol", "outer_tol"), "number"),
     **dict.fromkeys(("weight_solver_tol", "ridge_lambda"), "number"),
@@ -105,7 +105,6 @@ _LIMITS = {
     "$.rbf.width_factor": (lambda v: 0 < v < math.inf, "must be positive"),
     "$.benchmark.name": (lambda v: v in data_mod.BENCHMARKS, "must be syn1, syn2 or wiener"),
     "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
-    "$.benchmark.base_seed": (lambda v: v >= 0, "must be nonnegative"),
     "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),
     "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "$.data.feature_columns": (
@@ -125,6 +124,8 @@ def _check_value(path: str, kind: str, value):
         _gamtl_config({key: value})
     elif key in ("n_train", "n_test", "noise_std"):
         data_mod.SynSpec(**{key: value})
+    elif path == "$.benchmark.base_seed":
+        data_mod.check_seed(value)
     elif path in _LIMITS:
         test, meaning = _LIMITS[path]
         if not test(value):
@@ -269,8 +270,7 @@ def cmd_fit(args) -> int:
         model = fit_tasks(loaded.tasks, model_config.seed)
     except Exception as exc:
         raise RuntimeFailure(f"fit failed: {exc}") from exc
-    model.task_labels = loaded.task_labels
-    model.standardizer = loaded.standardizer
+    model = replace(model, task_labels=loaded.task_labels, standardizer=loaded.standardizer)
 
     out_dir = Path(config.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -413,6 +413,8 @@ def cmd_tune(args) -> int:
     try:
         if args.folds < 2:
             raise ValueError(f"--folds must be at least 2, got {args.folds}")
+        if args.top < 0:
+            raise ValueError("--top must be nonnegative")
         for flag, values in grid.items():  # "gammas" holds values of the model key "gamma"
             for value in values:
                 _gamtl_config({flag[:-1]: value})  # the config dataclasses own the ranges

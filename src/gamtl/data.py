@@ -57,6 +57,12 @@ SYN_DIM = 30
 BENCHMARKS = ("syn1", "syn2", "wiener")
 
 
+def check_seed(seed):
+    """The one rule for every seed: an ``int`` (not a ``bool``) of at least 0."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
 class SynSpec:
     """Sampling plan for the linear synthetic benchmarks."""
@@ -67,6 +73,7 @@ class SynSpec:
     noise_std: float = 1.0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("sample counts must be at least 1")
         if not 0.0 <= self.noise_std < np.inf:
@@ -160,6 +167,7 @@ class WienerNetworkSpec:
     n_samples: int = 1000
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
 
@@ -180,8 +188,8 @@ def metropolis_mixing(edges, n_agents: int) -> np.ndarray:
     """Symmetric doubly stochastic mixing matrix from an undirected topology.
 
     Off-diagonal weight 1/(1 + max(deg_i, deg_j)) per edge (neighborhoods
-    count the agent itself); the diagonal absorbs the remainder so every row
-    sums to 1 exactly.
+    count the agent itself); the diagonal absorbs the remainder, so every row
+    sums to 1 up to rounding, and exactly for ``WIENER_TOPOLOGY``.
     """
     A = np.zeros((n_agents, n_agents))
     for i, j in edges:
@@ -191,12 +199,6 @@ def metropolis_mixing(edges, n_agents: int) -> np.ndarray:
     for i, j in edges:
         M[i, j] = M[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(M, 1.0 - M.sum(axis=1))
-    # nudge the diagonal by the rounding residual so row sums are exactly 1
-    for _ in range(10):
-        err = M.sum(axis=1) - 1.0
-        if not err.any():
-            break
-        np.fill_diagonal(M, np.diagonal(M) - err)
     return M
 
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Standardizer, dump_json
+from .data import Standardizer, check_seed, dump_json
 from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vectorform
 from .graph_learning import (
     GraphLearningParams,
@@ -89,8 +89,7 @@ class GamtlConfig:
             raise ValueError("weight_solver_tol must be positive")
         if not 0.0 <= self.ridge_lambda < np.inf:
             raise ValueError("ridge_lambda must be nonnegative")
-        if type(self.seed) is not int or self.seed < 0:  # excludes bool
-            raise ValueError("seed must be a nonnegative integer")
+        check_seed(self.seed)
 
 
 # Tuned operating points of the shipped benchmarks, selected by grid search
@@ -110,7 +109,8 @@ class FitTrace:
 
     ``objective[0]`` is the value at the initialization (W0, A0); each
     subsequent entry follows one weight solve or one graph solve, in
-    alternation, labeled by ``stages``.  It serializes through ``asdict``.
+    alternation, labeled by ``stages``.  Each report is its solver's record
+    as a dict plus ``outer``, its iteration.  It serializes through ``asdict``.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -261,20 +261,9 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
-            system,
-            A,
-            config.gamma,
-            solver_tol=config.weight_solver_tol,
-            warm_start=W,
+            system, A, config.gamma, solver_tol=config.weight_solver_tol, warm_start=W
         )
-        trace.weight_reports.append(
-            {
-                "outer": outer,
-                "cg_iterations": wreport.cg_iterations,
-                "converged": wreport.converged,
-                "relative_residual": wreport.relative_residual,
-            }
-        )
+        trace.weight_reports.append({"outer": outer, **vars(wreport)})
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
         Z_new = pairwise_sq_distances(W_new)
@@ -284,7 +273,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         trace.record("weights", objective)
 
         A, greport = learn_graph(config.gamma * Z, config.graph_params, A0=A)
-        trace.graph_reports.append({"outer": outer, **asdict(greport)})
+        trace.graph_reports.append({"outer": outer, **vars(greport)})
         if not greport.converged:
             notes.append(f"outer {outer}: graph solve hit its iteration limit")
         # Unchecked: learn_graph never raises its objective at this gamma * Z, nor F.

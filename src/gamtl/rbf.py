@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -370,6 +370,4 @@ def fit_rbf(
     widths = optimal_widths(centers, pooled_inputs=pooled, width_factor=width_factor)
     feature_map = RbfFeatureMap(centers=centers, widths=widths)
     del pooled  # the fit does not need it; freeing it lowers fit_rbf's memory peak
-    model = fit(lift_tasks(feature_map, tasks), config)
-    model.feature_map = feature_map
-    return model
+    return replace(fit(lift_tasks(feature_map, tasks), config), feature_map=feature_map)

@@ -236,8 +236,8 @@ def solve_weights(
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if CG runs out
     of its ``10 d T`` iterations first, the last iterate is returned with
     ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or zero.
-    ``tasks`` may be the :class:`_WeightSystem` of validated tasks, as in a fit;
-    a solve then adds only ``eigh(L)``.
+    A task list is checked, along with ``A``, ``gamma``, ``solver_tol`` and
+    ``warm_start``; with the fit's own :class:`_WeightSystem` all are trusted.
 
     ``C`` is applied through the eigenpairs, ``Q_t (s_t * (Q_t^T v_t))``.  With
     ``L = U diag(lam) U^T`` and a Gram ``G = Q diag(sigma) Q^T``, the
@@ -261,22 +261,21 @@ def solve_weights(
     system = tasks
     if not isinstance(system, _WeightSystem):
         tasks = list(tasks)
-        validate_tasks(tasks)
+        d, T = validate_tasks(tasks)
         system = _WeightSystem(tasks)
+        A = validate_adjacency(A)
+        if A.shape[0] != T:
+            raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
+        if not 0.0 <= gamma < np.inf:
+            raise ValueError("gamma must be nonnegative")
+        if not 0.0 < solver_tol < np.inf:
+            raise ValueError("solver_tol must be positive")
+        if warm_start is not None:
+            warm_start = np.asarray(warm_start, dtype=float)
+            if warm_start.shape != (d, T):
+                raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
     d, T = system.d, system.T
-    A = validate_adjacency(A)
-    if A.shape[0] != T:
-        raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
-    if not 0.0 <= gamma < np.inf:
-        raise ValueError("gamma must be nonnegative")
-    if not 0.0 < solver_tol < np.inf:
-        raise ValueError("solver_tol must be positive")
-    x = np.zeros(d * T)
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape != (d, T):
-            raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
-        x = warm_start.T.flatten()
+    x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
     mu = ridge_floor(system, A, gamma)
     L = laplacian(A)
     Q, s, rhs = system.Q, system.s, system.rhs

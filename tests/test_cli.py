@@ -352,6 +352,18 @@ def test_fit_numerical_failure_exits_two(tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
+def test_fit_checks_the_model_with_its_task_labels(tmp_path, capsys, monkeypatch):
+    # The file's labels join the model through GamtlModel's own checks, so
+    # a fit that drops a task fails instead of writing a model file.
+    small_csv(tmp_path / "train.csv")
+    config_path, _ = fit_config(tmp_path, tmp_path / "train.csv")
+    real_fit = gamtl.cli.fit
+    monkeypatch.setattr("gamtl.cli.fit", lambda tasks, config: real_fit(tasks[:2], config))
+    assert main(["fit", "--config", str(config_path)]) == 2
+    assert "task_labels count does not match task_ids" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
 # --------------------------------------------------------------------------
 # eval
 
@@ -611,6 +623,17 @@ def test_export_json_to_file_and_threshold(tmp_path):
     assert json.loads(out2.read_text())["edges"] == []
 
 
+def test_unexpected_exception_is_a_failure(tmp_path, capsys, monkeypatch):
+    model_path = single_edge_model(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken exporter")
+
+    monkeypatch.setattr("gamtl.cli.export_graph", broken)
+    assert main(["export", "--model", str(model_path)]) == 2
+    assert capsys.readouterr().err == "failure: TypeError: broken exporter\n"
+
+
 def test_export_threshold_validation(tmp_path, capsys):
     model_path = single_edge_model(tmp_path)
     for threshold in ("-1", "nan"):
@@ -788,6 +811,24 @@ def test_tune_bad_argument_is_usage_error(capsys, flag, value):
     assert main(["tune", "syn1", flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["synth", "syn1", "--seed", "-1", "--out", "unused"], "seed must be a nonnegative integer"),
+        (["synth", "wiener", "--seed", "-1", "--out", "unused"], "seed must be a nonnegative integer"),
+        (["tune", "syn1", "--seed", "-1"], "seed must be a nonnegative integer"),
+        (["tune", "syn1", "--top", "-1"], "--top must be nonnegative"),
+    ],
+    ids=["synth_syn1_seed", "synth_wiener_seed", "tune_seed", "tune_top"],
+)
+def test_negative_seed_and_top_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("gamtl.cli.grid_search_cv", lambda *a, **kw: pytest.fail("grid search ran"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "unused").exists()
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,9 @@ from gamtl.weight_solver import TaskDataset
         {"noise_std": -0.1},
         {"noise_std": float("nan")},
         {"noise_std": float("inf")},
+        {"seed": -1},
+        {"seed": 2.5},
+        {"seed": True},
     ],
 )
 def test_syn_spec_rejects_invalid(kwargs):
@@ -49,10 +52,11 @@ def test_syn_spec_rejects_invalid(kwargs):
         SynSpec(**kwargs)
 
 
-# The network itself is fixed (the WIENER_* constants); only the stream length is checked.
-@pytest.mark.parametrize("kwargs", [{"n_samples": 0}])
+# The network itself is fixed (the WIENER_* constants); only the seed and the stream length are checked.
+@pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"seed": -1}, {"seed": True}])
 def test_wiener_spec_rejects_invalid(kwargs):
-    with pytest.raises(ValueError, match="n_samples"):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
         WienerNetworkSpec(**kwargs)
 
 
@@ -190,9 +194,21 @@ def test_metropolis_rows_sum_to_one_exactly():
 
 
 def test_metropolis_matches_loop_oracle():
-    edges = ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))
-    M = metropolis_mixing(edges, 4)
-    np.testing.assert_allclose(M, oracles.metropolis_loops(edges, 4), atol=1e-12)
+    cases = [
+        (((0, 1), (1, 2), (2, 3), (0, 3), (1, 3)), 4),
+        # rows 1, 2 and 5 sum to 1 - 1.1e-16: the diagonal holds the remainder up to rounding
+        (
+            (
+                (0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (1, 9), (2, 4), (2, 5),
+                (2, 9), (4, 5), (4, 8), (5, 8), (6, 7), (6, 9), (8, 9),
+            ),
+            10,
+        ),
+    ]
+    for edges, n in cases:
+        M = metropolis_mixing(edges, n)
+        np.testing.assert_allclose(M, oracles.metropolis_loops(edges, n), atol=1e-12)
+        np.testing.assert_allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_default_topology_edges():

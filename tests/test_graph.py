@@ -78,6 +78,22 @@ def test_validate_adjacency_rejects(bad):
         validate_adjacency(bad)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: smoothness(np.zeros((2, 3)), np.zeros((2, 2))), "dimension mismatch"),
+        (lambda: smoothness(np.zeros(2), np.zeros((2, 2))), "dimension mismatch"),
+        (lambda: smoothness(np.full((2, 2), np.inf), np.zeros((2, 2))), "non-finite"),
+        (lambda: vectorform(np.zeros((2, 3))), "square"),
+        (lambda: matrixform(np.zeros((2, 2))), "1-d"),
+    ],
+    ids=["smoothness_columns", "smoothness_1d", "smoothness_nonfinite", "vectorform", "matrixform"],
+)
+def test_checking_helpers_reject_bad_arrays(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pairwise_sq_distances_matches_loops():
     rng = np.random.default_rng(3)
     W = rng.standard_normal((4, 6))

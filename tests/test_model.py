@@ -1,6 +1,6 @@
 """Tests for the alternating fit, prediction, and model serialization."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import oracles
 from gamtl import model as model_mod
 from gamtl.data import SynSpec, gen_syn1
 from gamtl.graph import laplacian, pairwise_sq_distances, vectorform
-from gamtl.graph_learning import GraphLearningParams
+from gamtl.graph_learning import GraphLearningParams, GraphSolveReport
 from gamtl.model import (
     PINNED_CONFIGS,
     FitTrace,
@@ -24,7 +24,7 @@ from gamtl.model import (
 )
 from gamtl.model import grid_search_cv
 from gamtl.rbf import RbfFeatureMap
-from gamtl.weight_solver import TaskDataset, ridge_independent
+from gamtl.weight_solver import TaskDataset, WeightSolveReport, ridge_independent
 
 
 def make_related_tasks(rng, d=3, T=4, N=20, noise=0.1, spread=0.3):
@@ -355,6 +355,20 @@ def linear_model():
     )
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"W": np.array([[1.0, np.nan], [2.0, 0.0]])}, "W must be a finite 2-d array"),
+        ({"task_labels": ("a",)}, "task_labels count does not match task_ids"),
+        ({"task_ids": (0, 1, 2)}, "W column count does not match task_ids"),
+    ],
+    ids=["nonfinite_W", "label_count", "column_count"],
+)
+def test_model_rejects_inconsistent_fields(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(linear_model(), **change)
+
+
 def test_predict_linear_hand_values():
     model = linear_model()
     # [DERIVED] w_0 = (1, 2) so x = (3, 4) gives 1*3 + 2*4 = 11.
@@ -418,6 +432,19 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.trace.graph_reports == model.trace.graph_reports
     assert loaded.converged == model.converged
     assert loaded.notes == model.notes
+
+
+def test_fit_records_each_solver_report_whole(tmp_path):
+    model = fit(make_related_tasks(np.random.default_rng(31)), mild_config())
+    weight_keys = {"outer", *(f.name for f in fields(WeightSolveReport))}
+    graph_keys = {"outer", *(f.name for f in fields(GraphSolveReport))}
+    trace = model.trace
+    assert trace.weight_reports and all(set(r) == weight_keys for r in trace.weight_reports)
+    assert trace.graph_reports and all(set(r) == graph_keys for r in trace.graph_reports)
+    ridges = [r["ridge"] for r in trace.weight_reports]
+    assert min(ridges) > 0.0
+    save_model(model, tmp_path / "model.json")
+    assert [r["ridge"] for r in load_model(tmp_path / "model.json").trace.weight_reports] == ridges
 
 
 def test_save_load_preserves_feature_map(tmp_path):
@@ -485,6 +512,29 @@ def test_grid_search_cv_rejects_unsplittable_input(n_folds, sizes, message):
     ]
     with pytest.raises(ValueError, match=message):
         grid_search_cv(tasks, mild_config(), gammas=(1.0,), alphas=(1.0,), n_folds=n_folds)
+
+
+def test_grid_search_cv_keeps_a_training_sample_per_task(monkeypatch):
+    # At n_folds=5, seed=1 the drawn fold ids are [2, 2], [3, 4] and [0, 0]:
+    # tasks 0 and 2 would have no training sample in folds 2 and 0 unless a
+    # sample moves to another fold.
+    rng = np.random.default_rng(35)
+    tasks = [TaskDataset(t, rng.standard_normal((2, 2)), rng.standard_normal(2)) for t in range(3)]
+    train_sizes = []
+    real_fit = model_mod.fit
+
+    def recording_fit(train, config):
+        train_sizes.append([t.n_samples for t in train])
+        return real_fit(train, config)
+
+    monkeypatch.setattr(model_mod, "fit", recording_fit)
+    _, results = grid_search_cv(
+        tasks, mild_config(), gammas=(1.0,), alphas=(1.0,), betas=(1.0,), n_folds=5, seed=1
+    )
+    assert len(train_sizes) == 5 and min(min(sizes) for sizes in train_sizes) >= 1
+    # each sample is held out in exactly one fold
+    assert [sum(2 - sizes[t] for sizes in train_sizes) for t in range(3)] == [2, 2, 2]
+    assert np.isfinite(results[0]["cv_rmse"])
 
 
 def test_grid_search_cv_structure_and_determinism():

@@ -1,6 +1,7 @@
 """Tests for the shared radial-basis feature lift and the nonlinear fit."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,20 @@ def test_fit_rbf_attaches_feature_map_and_predicts_raw_inputs():
     assert preds.shape == (tasks[0].n_samples,)
     obj = np.asarray(model.trace.objective)
     assert np.all(np.diff(obj) <= 1e-9 * max(1.0, abs(obj[0])))
+
+
+def test_fit_rbf_model_passes_the_model_checks(monkeypatch):
+    # The feature map joins the model through GamtlModel's own checks.
+    real_fit = rbf.fit
+
+    def one_row_too_many(tasks, config):
+        model = real_fit(tasks, config)
+        return replace(model, W=np.vstack([model.W, model.W[:1]]))
+
+    monkeypatch.setattr(rbf, "fit", one_row_too_many)
+    tasks = nonlinear_tasks(np.random.default_rng(46), T=3, N=20)
+    with pytest.raises(ValueError, match="feature map"):
+        fit_rbf(tasks, mild_config(), P=4)
 
 
 def test_fit_rbf_deterministic():

@@ -408,6 +408,20 @@ def test_fit_factors_the_tasks_once(monkeypatch):
     assert builds == [len(train)]
 
 
+def test_fit_checks_no_graph_in_its_weight_solves(monkeypatch):
+    # The fit's graphs come from default_initial_graph and learn_graph, so
+    # only a solve on a task list checks its adjacency.
+    checks = []
+    real_check = weight_solver.validate_adjacency
+    monkeypatch.setattr(weight_solver, "validate_adjacency", lambda A: checks.append(A) or real_check(A))
+    train, _ = benchmark_splits("syn1", 0)
+    model = fit(train, PINNED_CONFIGS["syn1"])
+    assert len(model.trace.weight_reports) >= 2
+    assert checks == []
+    solve_weights(train, model.A, 1.0)
+    assert len(checks) == 1
+
+
 def test_pinned_syn1_weight_solves_take_at_most_two_iterations():
     # syn1's tasks share one design, where the preconditioner is exact.
     for seed in range(10):
