@@ -93,6 +93,14 @@ class GraphSolveReport:
     final_residual: float
 
 
+@dataclass
+class _ScoredGraph:
+    """The fit's warm start, trusted, with its :func:`graph_objective` at ``Z``."""
+
+    A: np.ndarray
+    score: float
+
+
 def graph_objective(A: np.ndarray, Z: np.ndarray, params: GraphLearningParams) -> float:
     """Graph subproblem objective at ``A``; ``+inf`` if a degree is not positive.
 
@@ -139,7 +147,8 @@ def learn_graph(
     params : GraphLearningParams
     A0 : ndarray, optional
         Warm start; must be a valid adjacency with strictly positive
-        degrees.  Defaults to :func:`default_initial_graph`.
+        degrees.  Defaults to :func:`default_initial_graph`.  The fit passes a
+        :class:`_ScoredGraph` and gets ``(A, report, score of A)``, unchecked.
 
     Returns
     -------
@@ -153,15 +162,20 @@ def learn_graph(
         along the Newton direction improves the dual or its gradient, or the
         Newton system is singular as rounded.
     """
-    Z = validate_adjacency(Z, "distance matrix")
-    if A0 is None:
-        A0 = default_initial_graph(Z)
+    scored = isinstance(A0, _ScoredGraph)
+    if scored:
+        A0, score0 = A0.A, A0.score
     else:
-        A0 = validate_adjacency(A0)
-        if A0.shape != Z.shape:
-            raise ValueError(f"warm start shape {A0.shape} does not match Z {Z.shape}")
-        if np.any(A0.sum(axis=1) <= 0.0):
-            raise ValueError("warm start must have strictly positive degrees")
+        Z = validate_adjacency(Z, "distance matrix")
+        if A0 is None:
+            A0 = default_initial_graph(Z)
+        else:
+            A0 = validate_adjacency(A0)
+            if A0.shape != Z.shape:
+                raise ValueError(f"warm start shape {A0.shape} does not match Z {Z.shape}")
+            if np.any(A0.sum(axis=1) <= 0.0):
+                raise ValueError("warm start must have strictly positive degrees")
+        score0 = graph_objective(A0, Z, params)
 
     T = Z.shape[0]
     alpha, beta = params.alpha, params.beta
@@ -220,10 +234,11 @@ def learn_graph(
         lam, r, grad = lam_new, r_new, grad_new
 
     A = matrixform(w)
+    score = graph_objective(A, Z, params)
     # ``not <=`` also rejects a NaN objective: fit relies on A never scoring above A0.
-    if not graph_objective(A, Z, params) <= graph_objective(A0, Z, params):
-        A = A0.copy()
+    if not score <= score0:
+        A, score = A0.copy(), score0
     report = GraphSolveReport(
         iterations=iterations, converged=converged, final_residual=residual
     )
-    return A, report
+    return (A, report, score) if scored else (A, report)

@@ -20,7 +20,8 @@ safeguard that keeps the trace monotone.  ``fit`` rejects a weight step that
 raises F (the tiny ridge floor inside the W solver can perturb the
 exactly-zero-residual geometry); ``learn_graph`` returns its warm start when
 its iterate scores higher, which on the same ``gamma * Z`` rules out a rise
-of F at the graph step.
+of F at the graph step.  ``fit`` carries F as its data and graph terms: the
+graph step takes the graph term with its warm start and returns its own.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .data import Standardizer, check_seed, dump_json
 from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vectorform
 from .graph_learning import (
     GraphLearningParams,
+    _ScoredGraph,
     default_initial_graph,
     graph_objective,
     learn_graph,
@@ -200,6 +202,15 @@ class GamtlModel:
         return float(out[0]) if single else out
 
 
+def _objective_terms(W, A, tasks, config: GamtlConfig, Z) -> tuple[float, float]:
+    """F's data term and its graph term at ``gamma * Z``, Z the distances of W."""
+    data_term = 0.0
+    for t, task in enumerate(tasks):
+        r = task.X.T @ W[:, t] - task.y
+        data_term += float(r @ r)
+    return data_term, graph_objective(A, config.gamma * Z, config.graph_params)
+
+
 def joint_objective(
     W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig, Z: np.ndarray | None = None
 ) -> float:
@@ -210,35 +221,34 @@ def joint_objective(
     ``Z``, when given, must be ``pairwise_sq_distances(W)``; a caller that
     already holds it saves recomputing it.
     """
-    data_term = 0.0
-    for t, task in enumerate(tasks):
-        r = task.X.T @ W[:, t] - task.y
-        data_term += float(r @ r)
     if Z is None:
         Z = pairwise_sq_distances(W)
-    return data_term + graph_objective(A, config.gamma * Z, config.graph_params)
+    data_term, graph_term = _objective_terms(W, A, tasks, config, Z)
+    return data_term + graph_term
 
 
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
     """Alternate weight solves and graph solves until the objective settles.
 
-    Starts from independent ridge weights and a distance-similarity graph.
-    Returns a model whose trace is non-increasing across half steps; if an
-    inner solver fails to converge the model is flagged through
-    ``converged=False`` and ``notes`` rather than raising.
+    Starts from independent ridge weights and a distance-similarity graph;
+    checks the tasks once, solves trusting what it built, and carries F as
+    its data and graph terms.  The trace never rises across half steps; an
+    unconverged inner solve sets ``converged=False`` and ``notes``, not an error.
     """
     tasks = list(tasks)
     validate_tasks(tasks)
     task_ids = tuple(t.task_id for t in tasks)
     trace = FitTrace()
     notes = []
+    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
 
     # Z always holds the distances of the current W: each distinct W costs
     # one pairwise_sq_distances call.
-    W = ridge_independent(tasks, config.ridge_lambda)
+    W = ridge_independent(system, config.ridge_lambda)
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
-    objective = joint_objective(W, A, tasks, config, Z)
+    data_term, graph_term = _objective_terms(W, A, tasks, config, Z)
+    objective = data_term + graph_term
     trace.record("init", objective)
 
     if config.gamma == 0.0:
@@ -248,17 +258,9 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             "initialization",
             stacklevel=2,
         )
-        return GamtlModel(
-            W=W,
-            A=A,
-            task_ids=task_ids,
-            config=config,
-            trace=trace,
-            notes=("gamma = 0: alternation skipped",),
-        )
+        return GamtlModel(W, A, task_ids, config, trace, notes=("gamma = 0: alternation skipped",))
 
     converged = False
-    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
             system, A, config.gamma, solver_tol=config.weight_solver_tol, warm_start=W
@@ -267,17 +269,21 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
         Z_new = pairwise_sq_distances(W_new)
-        candidate = joint_objective(W_new, A, tasks, config, Z_new)
+        data_new, graph_new = _objective_terms(W_new, A, tasks, config, Z_new)
+        candidate = data_new + graph_new
         if candidate <= objective:
-            W, Z, objective = W_new, Z_new, candidate
+            W, Z, data_term, graph_term, objective = W_new, Z_new, data_new, graph_new, candidate
         trace.record("weights", objective)
 
-        A, greport = learn_graph(config.gamma * Z, config.graph_params, A0=A)
+        # graph_term is A's score at the kept Z; built inline, the warm start dies with the old A.
+        A, greport, graph_term = learn_graph(
+            config.gamma * Z, config.graph_params, A0=_ScoredGraph(A, graph_term)
+        )
         trace.graph_reports.append({"outer": outer, **vars(greport)})
         if not greport.converged:
             notes.append(f"outer {outer}: graph solve hit its iteration limit")
         # Unchecked: learn_graph never raises its objective at this gamma * Z, nor F.
-        objective = joint_objective(W, A, tasks, config, Z)
+        objective = data_term + graph_term
         trace.record("graph", objective)
 
         previous = trace.objective[-3]  # value before this outer iteration
@@ -288,15 +294,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     if not converged:
         notes.append("outer loop reached max_outer_iter before the objective settled")
 
-    return GamtlModel(
-        W=W,
-        A=A,
-        task_ids=task_ids,
-        config=config,
-        trace=trace,
-        converged=converged and not notes,
-        notes=tuple(notes),
-    )
+    converged = converged and not notes
+    return GamtlModel(W, A, task_ids, config, trace, converged=converged, notes=tuple(notes))
 
 
 def config_from_dict(payload: dict) -> GamtlConfig:

@@ -108,22 +108,27 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     """Per-task ridge solutions, stacked as columns of a d x T matrix.
 
     Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2``.  With
-    ``lam = 0`` the normal equations must be nonsingular.
+    ``lam = 0`` the normal equations must be nonsingular.  Equal consecutive
+    ``X`` share one factor; the fit's :class:`_WeightSystem` is trusted.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("lam must be nonnegative")
-    tasks = list(tasks)
-    d, T = validate_tasks(tasks)
+    if isinstance(tasks, _WeightSystem):
+        tasks, d, T = tasks.tasks, tasks.d, tasks.T
+    else:
+        if not 0.0 <= lam < np.inf:
+            raise ValueError("lam must be nonnegative")
+        tasks = list(tasks)
+        d, T = validate_tasks(tasks)
     W = np.empty((d, T))
     for t, task in enumerate(tasks):
         b = task.X @ task.y
-        try:
-            factor = np.linalg.cholesky(task.X @ task.X.T + lam * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"task {task.task_id}: normal equations are singular; "
-                "use lam > 0 or provide full-row-rank data"
-            ) from exc
+        if t == 0 or not np.array_equal(task.X, tasks[t - 1].X):
+            try:
+                factor = np.linalg.cholesky(task.X @ task.X.T + lam * np.eye(d))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"task {task.task_id}: normal equations are singular; "
+                    "use lam > 0 or provide full-row-rank data"
+                ) from exc
         W[:, t] = np.linalg.solve(factor.T, np.linalg.solve(factor, b))
     return W
 
@@ -136,10 +141,11 @@ class _WeightSystem:
     Gram is written into its slot of the one (T, d, d) stack and replaced
     there by its eigenvectors.  ``coarse`` is the mean Gram's pair (the
     shared pair itself when k = 1), ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces.
+    ``data_trace`` sums the Grams' traces; ``tasks`` is the task list.
     """
 
     def __init__(self, tasks):
+        self.tasks = tasks
         self.d, self.T = d, T = tasks[0].dim, len(tasks)
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])

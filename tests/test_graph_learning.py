@@ -18,12 +18,16 @@ from gamtl.graph import (
     validate_adjacency,
     vectorform,
 )
+from gamtl.data import benchmark_splits
 from gamtl.graph_learning import (
     GraphLearningParams,
+    _ScoredGraph,
     default_initial_graph,
     graph_objective,
     learn_graph,
 )
+from gamtl.model import PINNED_CONFIGS
+from gamtl.weight_solver import ridge_independent
 
 
 def random_distances(rng, n_tasks, d=3, scale=1.0):
@@ -298,6 +302,35 @@ def test_rejects_invalid_warm_start():
         learn_graph(Z, params, A0=np.zeros((4, 4)))
     with pytest.raises(ValueError, match="positive degrees"):
         learn_graph(Z, params, A0=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("case", ["two tasks", "syn1", "rejected warm start"])
+def test_scored_warm_start_solves_as_the_public_form(case):
+    # The fit passes its graph with its score and trusts the inputs; the
+    # solve, its report and the returned score must match the checked form.
+    rng = np.random.default_rng(17)
+    params = GraphLearningParams(alpha=1.0, beta=1.0)
+    if case == "two tasks":
+        Z = random_distances(rng, 2)
+        A0 = default_initial_graph(Z)
+    elif case == "syn1":  # the first graph step of the pinned syn1 fit
+        config = PINNED_CONFIGS["syn1"]
+        train, _ = benchmark_splits("syn1", 0)
+        Z = config.gamma * pairwise_sq_distances(ridge_independent(train, config.ridge_lambda))
+        params = config.graph_params
+        A0 = default_initial_graph(Z)
+    else:
+        # Degrees so large that the first dual iterate activates no edge: its
+        # graph has zero degrees, so the warm start comes back.
+        Z = random_distances(rng, 5)
+        params = GraphLearningParams(max_iter=1)
+        A0 = matrixform(np.full(num_edges(5), 1e6))
+    A, report, score = learn_graph(Z, params, A0=_ScoredGraph(A0, graph_objective(A0, Z, params)))
+    A_public, report_public = learn_graph(Z, params, A0=A0)
+    assert np.array_equal(A, A_public)
+    assert vars(report) == vars(report_public)
+    assert score == graph_objective(A, Z, params)
+    assert np.array_equal(A, A0) == (case == "rejected warm start")
 
 
 @settings(max_examples=20, deadline=None)

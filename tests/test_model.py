@@ -1,5 +1,6 @@
 """Tests for the alternating fit, prediction, and model serialization."""
 
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from gamtl import model as model_mod
-from gamtl.data import SynSpec, gen_syn1
+from gamtl.data import SynSpec, benchmark_splits, gen_syn1
 from gamtl.graph import laplacian, pairwise_sq_distances, vectorform
 from gamtl.graph_learning import GraphLearningParams, GraphSolveReport
 from gamtl.model import (
@@ -23,7 +24,7 @@ from gamtl.model import (
     save_model,
 )
 from gamtl.model import grid_search_cv
-from gamtl.rbf import RbfFeatureMap
+from gamtl.rbf import RbfFeatureMap, fit_rbf
 from gamtl.weight_solver import TaskDataset, WeightSolveReport, ridge_independent
 
 
@@ -322,6 +323,86 @@ def test_fit_computes_distances_once_per_weight_candidate(monkeypatch):
     assert len(calls) == 1 + len(model.trace.weight_reports)
     monkeypatch.undo()
     assert model.trace.objective[-1] == joint_objective(model.W, model.A, train, config)
+
+
+def count_calls(monkeypatch, counts, module, name):
+    """Wrap ``module.name`` so that each call adds one to ``counts["module.name"]``."""
+    real, key = getattr(module, name), f"{module.__name__}.{name}"
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_fit_computes_each_fact_once(monkeypatch):
+    # The fit checks its tasks once, and its graphs only where the model is
+    # built.  Each outer iteration scores the weight candidate's graph term
+    # and the graph step's result; the warm start's score is carried in.
+    # syn1's tasks share one design, so the ridge start factors it once.
+    import gamtl.graph_learning
+    import gamtl.weight_solver
+
+    counts = Counter()
+    for module, name in [
+        (model_mod, "validate_adjacency"),
+        (gamtl.graph_learning, "validate_adjacency"),
+        (model_mod, "graph_objective"),
+        (gamtl.graph_learning, "graph_objective"),
+        (model_mod, "validate_tasks"),
+        (gamtl.weight_solver, "validate_tasks"),
+        (np.linalg, "cholesky"),
+    ]:
+        count_calls(monkeypatch, counts, module, name)
+    train, _ = benchmark_splits("syn1", 0)
+    model = fit(train, PINNED_CONFIGS["syn1"])
+    outer = len(model.trace.weight_reports)
+    assert outer >= 2
+    assert counts["gamtl.graph_learning.validate_adjacency"] == 0
+    assert counts["gamtl.model.validate_adjacency"] == 1  # GamtlModel's own check
+    scores = counts["gamtl.model.graph_objective"] + counts["gamtl.graph_learning.graph_objective"]
+    assert scores == 1 + 2 * outer
+    assert counts["gamtl.model.validate_tasks"] + counts["gamtl.weight_solver.validate_tasks"] == 1
+    assert counts["numpy.linalg.cholesky"] == 1
+
+
+def test_fit_rbf_checks_tasks_twice(monkeypatch):
+    # Once on the raw tasks, before pooling them for k-means, and once on
+    # the lifted tasks at the fit's entry.
+    import gamtl.rbf
+    import gamtl.weight_solver
+
+    counts = Counter()
+    for module in (gamtl.rbf, model_mod, gamtl.weight_solver):
+        count_calls(monkeypatch, counts, module, "validate_tasks")
+    train, _ = benchmark_splits("wiener", 0)
+    fit_rbf(train, PINNED_CONFIGS["wiener"])
+    assert sum(counts.values()) == 2
+
+
+def test_fit_carries_the_kept_graph_term_past_a_rejected_weight_step(monkeypatch):
+    # The stand-in's last weight candidate, W = 0, raises F and is rejected.
+    # Its distances are zero, so its graph term lies below the kept one: a
+    # fit that carried it into the graph step would record too low an F.
+    real_solve = model_mod.solve_weights
+    config = mild_config(max_outer_iter=3)
+    solves = []
+
+    def zero_on_last_solve(*args, **kwargs):
+        W, report = real_solve(*args, **kwargs)
+        solves.append(report)
+        return (np.zeros_like(W) if len(solves) == config.max_outer_iter else W), report
+
+    monkeypatch.setattr(model_mod, "solve_weights", zero_on_last_solve)
+    tasks = make_related_tasks(np.random.default_rng(29))
+    model = fit(tasks, config)
+    monkeypatch.undo()
+    objective = model.trace.objective
+    assert len(solves) == config.max_outer_iter
+    assert objective[-2] == objective[-3]  # the rejected candidate left F as it was
+    assert all(after <= before for before, after in zip(objective, objective[1:]))
+    assert objective[-1] == joint_objective(model.W, model.A, tasks, config)
 
 
 @pytest.mark.parametrize(
