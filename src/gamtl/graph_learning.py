@@ -162,10 +162,7 @@ def learn_graph(
         along the Newton direction improves the dual or its gradient, or the
         Newton system is singular as rounded.
     """
-    scored = isinstance(A0, _ScoredGraph)
-    if scored:
-        A0, score0 = A0.A, A0.score
-    else:
+    if not isinstance(A0, _ScoredGraph):
         Z = validate_adjacency(Z, "distance matrix")
         if A0 is None:
             A0 = default_initial_graph(Z)
@@ -175,7 +172,9 @@ def learn_graph(
                 raise ValueError(f"warm start shape {A0.shape} does not match Z {Z.shape}")
             if np.any(A0.sum(axis=1) <= 0.0):
                 raise ValueError("warm start must have strictly positive degrees")
-        score0 = graph_objective(A0, Z, params)
+        A, report, _ = learn_graph(Z, params, _ScoredGraph(A0, graph_objective(A0, Z, params)))
+        return A, report
+    A0, score0 = A0.A, A0.score
 
     T = Z.shape[0]
     alpha, beta = params.alpha, params.beta
@@ -241,4 +240,4 @@ def learn_graph(
     report = GraphSolveReport(
         iterations=iterations, converged=converged, final_residual=residual
     )
-    return (A, report, score) if scored else (A, report)
+    return A, report, score

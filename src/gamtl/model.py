@@ -236,20 +236,16 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     unconverged inner solve sets ``converged=False`` and ``notes``, not an error.
     """
     tasks = list(tasks)
-    validate_tasks(tasks)
+    # Z always holds the distances of the current W: each distinct W costs
+    # one pairwise_sq_distances call.  ridge_independent checks the tasks.
+    W = ridge_independent(tasks, config.ridge_lambda)
     task_ids = tuple(t.task_id for t in tasks)
     trace = FitTrace()
     notes = []
-    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
-
-    # Z always holds the distances of the current W: each distinct W costs
-    # one pairwise_sq_distances call.
-    W = ridge_independent(system, config.ridge_lambda)
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
     data_term, graph_term = _objective_terms(W, A, tasks, config, Z)
-    objective = data_term + graph_term
-    trace.record("init", objective)
+    trace.record("init", data_term + graph_term)
 
     if config.gamma == 0.0:
         warnings.warn(
@@ -258,9 +254,17 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             "initialization",
             stacklevel=2,
         )
-        return GamtlModel(W, A, task_ids, config, trace, notes=("gamma = 0: alternation skipped",))
+        return GamtlModel(
+            W=W,
+            A=A,
+            task_ids=task_ids,
+            config=config,
+            trace=trace,
+            notes=("gamma = 0: alternation skipped",),
+        )
 
     converged = False
+    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
             system, A, config.gamma, solver_tol=config.weight_solver_tol, warm_start=W
@@ -270,10 +274,9 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
         Z_new = pairwise_sq_distances(W_new)
         data_new, graph_new = _objective_terms(W_new, A, tasks, config, Z_new)
-        candidate = data_new + graph_new
-        if candidate <= objective:
-            W, Z, data_term, graph_term, objective = W_new, Z_new, data_new, graph_new, candidate
-        trace.record("weights", objective)
+        if data_new + graph_new <= data_term + graph_term:
+            W, Z, data_term, graph_term = W_new, Z_new, data_new, graph_new
+        trace.record("weights", data_term + graph_term)
 
         # graph_term is A's score at the kept Z; built inline, the warm start dies with the old A.
         A, greport, graph_term = learn_graph(
@@ -294,8 +297,15 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     if not converged:
         notes.append("outer loop reached max_outer_iter before the objective settled")
 
-    converged = converged and not notes
-    return GamtlModel(W, A, task_ids, config, trace, converged=converged, notes=tuple(notes))
+    return GamtlModel(
+        W=W,
+        A=A,
+        task_ids=task_ids,
+        config=config,
+        trace=trace,
+        converged=converged and not notes,
+        notes=tuple(notes),
+    )
 
 
 def config_from_dict(payload: dict) -> GamtlConfig:

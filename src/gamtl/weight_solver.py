@@ -109,15 +109,12 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
 
     Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2``.  With
     ``lam = 0`` the normal equations must be nonsingular.  Equal consecutive
-    ``X`` share one factor; the fit's :class:`_WeightSystem` is trusted.
+    ``X`` share one factor.
     """
-    if isinstance(tasks, _WeightSystem):
-        tasks, d, T = tasks.tasks, tasks.d, tasks.T
-    else:
-        if not 0.0 <= lam < np.inf:
-            raise ValueError("lam must be nonnegative")
-        tasks = list(tasks)
-        d, T = validate_tasks(tasks)
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative")
+    tasks = list(tasks)
+    d, T = validate_tasks(tasks)
     W = np.empty((d, T))
     for t, task in enumerate(tasks):
         b = task.X @ task.y
@@ -141,11 +138,10 @@ class _WeightSystem:
     Gram is written into its slot of the one (T, d, d) stack and replaced
     there by its eigenvectors.  ``coarse`` is the mean Gram's pair (the
     shared pair itself when k = 1), ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces; ``tasks`` is the task list.
+    ``data_trace`` sums the Grams' traces.
     """
 
     def __init__(self, tasks):
-        self.tasks = tasks
         self.d, self.T = d, T = tasks[0].dim, len(tasks)
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])
