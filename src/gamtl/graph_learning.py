@@ -23,12 +23,13 @@ with ``z`` the edge vector of ``Z`` and primal edge vector
 ``w = r / (4 * beta)``.  Its gradient is ``alpha / lam - S w``.  The
 generalized Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless
 Laplacian of the active edges (``r > 0``) over ``4 * beta``: positive
-definite, ``T x T``, solved densely.  Each step is capped to keep ``lam``
-positive and halved until it raises ``g`` by an Armijo fraction or shrinks
-the gradient norm; the second test carries the solve past the point where
-the dual gain drops below rounding.  Near the optimum the steps are full
-and converge quadratically, so a solve takes tens of iterations where a
-first-order method takes thousands.
+definite, ``T x T``, solved densely.  Along the Newton ray ``lam + t s``
+the dual is concave and smooth between the edges' activation kinks, so the
+step length is the root of its derivative, found by a 1-D search
+(:func:`_ray_maximizer`, O(T + E) per trial): a cold solve crosses many
+kinks in one step.  Each step then makes one full dual update.  Near the
+optimum the steps are full and converge quadratically, so a solve takes tens
+of iterations where a first-order method takes thousands.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ __all__ = [
     "default_initial_graph",
 ]
 
-_ARMIJO = 1e-4  # sufficient-increase fraction of the line search
-_MAX_HALVINGS = 60  # step halvings before the line search gives up
+_RAY_TOL = 0.1  # the ray search stops once |phi'(t)| <= _RAY_TOL * phi'(0)
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,50 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     return matrixform(w0)
 
 
+def _ray_maximizer(lam, s, a, b, alpha: float, beta: float, slope: float) -> float:
+    """Step length ``t`` near the maximizer of the dual along ``lam + t s``.
+
+    Along the ray the dual is
+    ``phi(t) = alpha sum(log(lam + t s)) - ||max(a + t b, 0)||^2 / (8 beta)``
+    with ``a = S^T lam - 2z`` and ``b = S^T s``: concave, smooth between the
+    edge breakpoints ``-a_e / b_e``, and ``-inf`` past the first root of
+    ``lam + t s``.  Safeguarded Newton on the decreasing ``phi'`` keeps a
+    bracket ``lo < t < hi`` with ``phi'(lo) > 0 >= phi'(hi)``, bisects (or
+    doubles while ``hi`` is unbounded) whenever a Newton iterate leaves it,
+    and returns the first ``t`` with ``|phi'(t)| <= _RAY_TOL * slope``,
+    ``slope = phi'(0) > 0``.  If the bracket collapses in floating point
+    first, it returns ``lo``, the longest step known to ascend.  Each trial
+    costs O(T + E) on the given arrays.
+    """
+    lo, hi = 0.0, np.inf
+    fastest = float((s / lam).min())
+    if fastest < 0.0:
+        hi = -1.0 / fastest  # lam + t s reaches 0
+    t = min(1.0, 0.99 * hi)
+    four_beta, b2 = 4.0 * beta, b * b
+    while True:
+        lam_t = lam + t * s
+        if lam_t.min() > 0.0:
+            ratio = s / lam_t
+            u = np.maximum(a + t * b, 0.0)
+            d1 = alpha * float(ratio.sum()) - float(u @ b) / four_beta
+            if abs(d1) <= _RAY_TOL * slope:
+                return t
+            d2 = -alpha * float(ratio @ ratio) - float((u > 0.0) @ b2) / four_beta
+            t_next = t - d1 / d2
+        else:  # past the pole as rounded
+            d1 = t_next = -np.inf
+        if d1 > 0.0:
+            lo = t
+        else:
+            hi = t
+        if not lo < t_next < hi:
+            t_next = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+            if not lo < t_next < hi:
+                return lo
+        t = t_next
+
+
 def learn_graph(
     Z: np.ndarray,
     params: GraphLearningParams,
@@ -158,9 +202,10 @@ def learn_graph(
         objective is never above the warm start's, exactly.  The report is
         flagged ``converged=False`` when the residual test (``tol``, every
         degree positive) has not fired by ``max_iter``, or earlier at the
-        floating-point limit of the dual at that distance scale: no step
-        along the Newton direction improves the dual or its gradient, or the
-        Newton system is singular as rounded.
+        floating-point limit of the dual at that distance scale: the Newton
+        direction does not ascend, the dual's maximizer along it improves
+        neither the dual nor its gradient, or the Newton system is singular
+        as rounded.
     """
     if not isinstance(A0, _ScoredGraph):
         Z = validate_adjacency(Z, "distance matrix")
@@ -182,55 +227,58 @@ def learn_graph(
     z2 = 2.0 * vectorform(Z)
     # Dual warm start at the barrier-consistent value for A0: at the optimum
     # the dual equals alpha/degree, so a warm-started solve (A0 near the
-    # previous optimum) begins near its fixed point.
+    # previous optimum) begins near its fixed point.  Each dual update sets
+    # a = S^T lam - 2z, r = max(a, 0), S r, alpha / lam and the gradient.
     lam = alpha / apply_degree_operator(vectorform(A0), T)
-    r = np.maximum(degree_adjoint(lam) - z2, 0.0)
-    grad = alpha / lam - apply_degree_operator(r, T) / (4.0 * beta)
+    a = degree_adjoint(lam) - z2
+    r = np.maximum(a, 0.0)
+    Sr = apply_degree_operator(r, T)
+    barrier = alpha / lam
+    grad = barrier - Sr / (4.0 * beta)
     converged = False
 
     for iterations in range(1, params.max_iter + 1):
         w = r / (4.0 * beta)
         grad_norm = float(np.linalg.norm(grad))
-        residual = grad_norm / float(np.linalg.norm(alpha / lam))
+        residual = grad_norm / float(np.linalg.norm(barrier))
         # A node without an active edge has zero degree and an infinite
         # objective, however small its share of the relative residual.
-        if residual <= params.tol and apply_degree_operator(r, T).min() > 0.0:
+        if residual <= params.tol and Sr.min() > 0.0:
             converged = True
             break
         # Newton direction from the generalized Hessian of -g.
-        active = r > 0.0
+        coupling = (r > 0.0) / (4.0 * beta)
         H = np.zeros((T, T))
-        H[I[active], J[active]] = 1.0 / (4.0 * beta)
-        H[J[active], I[active]] = 1.0 / (4.0 * beta)
-        H[np.diag_indices(T)] = alpha / (lam * lam) + H.sum(axis=1)
+        H[I, J] = coupling
+        H[J, I] = coupling
+        H.flat[:: T + 1] = alpha / (lam * lam) + H.sum(axis=1)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break  # alpha / lam^2 lost to rounding in H: the same precision floor
-        slope = float(grad @ step)
-        # Longest step that keeps lam positive, with a margin, then halve.
-        shrinking = step < 0.0
-        t = 1.0
-        if shrinking.any():
-            t = min(t, 0.99 * float(np.min(lam[shrinking] / -step[shrinking])))
-        for _ in range(_MAX_HALVINGS):
-            lam_new = lam + t * step
-            r_new = np.maximum(degree_adjoint(lam_new) - z2, 0.0)
-            grad_new = alpha / lam_new - apply_degree_operator(r_new, T) / (4.0 * beta)
-            # The dual gain g(lam_new) - g(lam) of the step as rounded, formed
-            # without subtracting two large values, so it stays exact enough
-            # for the Armijo test; a step lost to rounding gains nothing.
-            gain = alpha * float(np.sum(np.log1p((lam_new - lam) / lam))) - float(
-                (r_new - r) @ (r_new + r)
-            ) / (8.0 * beta)
-            if gain > _ARMIJO * t * slope or np.linalg.norm(grad_new) < (
-                1.0 - _ARMIJO * t
-            ) * grad_norm:
-                break
-            t *= 0.5
-        else:
-            break  # no step improves the dual or its gradient: precision floor
-        lam, r, grad = lam_new, r_new, grad_new
+        slope = float(grad @ step)  # phi'(0) of the ray
+        if not slope > 0.0:
+            break  # the ray does not ascend as rounded: precision floor
+        t = _ray_maximizer(lam, step, a, degree_adjoint(step), alpha, beta, slope)
+        lam_new = lam + t * step
+        a_new = degree_adjoint(lam_new) - z2
+        r_new = np.maximum(a_new, 0.0)
+        Sr_new = apply_degree_operator(r_new, T)
+        barrier_new = alpha / lam_new
+        grad_new = barrier_new - Sr_new / (4.0 * beta)
+        # A step counts if it shrinks the gradient or gains dual value beyond
+        # rounding; one that does neither is the precision floor.  The gain
+        # g(lam_new) - g(lam) is formed without subtracting two large values.
+        # Its rounding is bounded by that of the barrier sum and of r, which
+        # carries the rounding of S^T lam - 2z on each edge.
+        if not np.linalg.norm(grad_new) < grad_norm:
+            log_gain = alpha * float(np.sum(np.log1p((lam_new - lam) / lam)))
+            r_sum = r_new + r
+            gain = log_gain - float((r_new - r) @ r_sum) / (8.0 * beta)
+            rounding = abs(log_gain) + float((a_new + z2 + z2) @ r_sum) / (4.0 * beta)
+            if not gain > np.finfo(float).eps * rounding:
+                break  # the ray's maximizer improves neither: precision floor
+        lam, a, r, Sr, barrier, grad = lam_new, a_new, r_new, Sr_new, barrier_new, grad_new
 
     A = matrixform(w)
     score = graph_objective(A, Z, params)

@@ -202,11 +202,20 @@ class GamtlModel:
         return float(out[0]) if single else out
 
 
-def _objective_terms(W, A, tasks, config: GamtlConfig, Z) -> tuple[float, float]:
-    """F's data term and its graph term at ``gamma * Z``, Z the distances of W."""
+def _objective_terms(W, A, tasks, config: GamtlConfig, Z, shared=False) -> tuple[float, float]:
+    """F's data term and its graph term at ``gamma * Z``, Z the distances of W.
+
+    ``shared`` says every task has the first task's design; one broadcast
+    ``matmul`` then fits every task, by the same matrix-vector product per
+    task as the loop, so the bits do not change.
+    """
+    if shared:
+        fitted = np.matmul(tasks[0].X.T, W.T[:, :, None])[:, :, 0]
+    else:
+        fitted = (task.X.T @ W[:, t] for t, task in enumerate(tasks))
     data_term = 0.0
-    for t, task in enumerate(tasks):
-        r = task.X.T @ W[:, t] - task.y
+    for f, task in zip(fitted, tasks):
+        r = f - task.y
         data_term += float(r @ r)
     return data_term, graph_objective(A, config.gamma * Z, config.graph_params)
 
@@ -244,10 +253,9 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     notes = []
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
-    data_term, graph_term = _objective_terms(W, A, tasks, config, Z)
-    trace.record("init", data_term + graph_term)
 
     if config.gamma == 0.0:
+        trace.record("init", joint_objective(W, A, tasks, config, Z))
         warnings.warn(
             "gamma = 0 disables graph coupling: weights stay at the "
             "independent ridge solution and the graph stays at its "
@@ -263,8 +271,11 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             notes=("gamma = 0: alternation skipped",),
         )
 
-    converged = False
     system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
+    shared = len(system.Q) == 1  # one design for every task, found by the system
+    data_term, graph_term = _objective_terms(W, A, tasks, config, Z, shared)
+    trace.record("init", data_term + graph_term)
+    converged = False
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
             system, A, config.gamma, solver_tol=config.weight_solver_tol, warm_start=W
@@ -273,7 +284,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
         Z_new = pairwise_sq_distances(W_new)
-        data_new, graph_new = _objective_terms(W_new, A, tasks, config, Z_new)
+        data_new, graph_new = _objective_terms(W_new, A, tasks, config, Z_new, shared)
         if data_new + graph_new <= data_term + graph_term:
             W, Z, data_term, graph_term = W_new, Z_new, data_new, graph_new
         trace.record("weights", data_term + graph_term)

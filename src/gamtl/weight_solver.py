@@ -108,25 +108,32 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     """Per-task ridge solutions, stacked as columns of a d x T matrix.
 
     Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2``.  With
-    ``lam = 0`` the normal equations must be nonsingular.  Equal consecutive
-    ``X`` share one factor.
+    ``lam = 0`` the normal equations must be nonsingular.  Each run of equal
+    consecutive ``X`` shares one factor, and its columns are solved in one
+    broadcast call, one right-hand side per task.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
     tasks = list(tasks)
     d, T = validate_tasks(tasks)
     W = np.empty((d, T))
-    for t, task in enumerate(tasks):
-        b = task.X @ task.y
-        if t == 0 or not np.array_equal(task.X, tasks[t - 1].X):
-            try:
-                factor = np.linalg.cholesky(task.X @ task.X.T + lam * np.eye(d))
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"task {task.task_id}: normal equations are singular; "
-                    "use lam > 0 or provide full-row-rank data"
-                ) from exc
-        W[:, t] = np.linalg.solve(factor.T, np.linalg.solve(factor, b))
+    start = 0
+    for end in range(1, T + 1):
+        if end < T and np.array_equal(tasks[end].X, tasks[end - 1].X):
+            continue
+        X = tasks[start].X
+        try:
+            factor = np.linalg.cholesky(X @ X.T + lam * np.eye(d))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"task {tasks[start].task_id}: normal equations are singular; "
+                "use lam > 0 or provide full-row-rank data"
+            ) from exc
+        # A (run, d, 1) right-hand side makes the same LAPACK call per column as
+        # a 1-d one, so the bits do not depend on the run's length.
+        b = np.stack([task.X @ task.y for task in tasks[start:end]])[:, :, None]
+        W[:, start:end] = np.linalg.solve(factor.T, np.linalg.solve(factor, b))[:, :, 0].T
+        start = end
     return W
 
 

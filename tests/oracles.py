@@ -129,6 +129,40 @@ def graph_kkt_residual(
     return residual
 
 
+def ray_dual_slope(t: float, lam, s, a, b, alpha: float, beta: float) -> float:
+    """phi'(t) of the dual along ``lam + t s``, summed term by term.
+
+    phi(t) = alpha sum_i log(lam_i + t s_i) - sum_e max(a_e + t b_e, 0)^2 / (8 beta),
+    so phi'(t) = alpha sum_i s_i / (lam_i + t s_i) - sum_e max(a_e + t b_e, 0) b_e / (4 beta).
+    """
+    if any(li + t * si <= 0.0 for li, si in zip(lam, s)):
+        return -np.inf  # at or past the pole, where phi is -inf
+    barrier = sum(alpha * si / (li + t * si) for li, si in zip(lam, s))
+    edges = sum(max(ae + t * be, 0.0) * be for ae, be in zip(a, b))
+    return barrier - edges / (4.0 * beta)
+
+
+def ray_level_crossing(level: float, lam, s, a, b, alpha: float, beta: float) -> float:
+    """Bisection for the t in (0, pole) where the decreasing phi' crosses ``level``.
+
+    ``pole`` is the first root of ``lam + t s`` (or, with no shrinking entry,
+    a bracket end found by doubling).  Requires phi'(0) > level.  Runs 200
+    halvings of the bracket, far past where the midpoint stops moving.
+    """
+    shrinking = [li / -si for li, si in zip(lam, s) if si < 0.0]
+    lo, hi = 0.0, min(shrinking) if shrinking else 1.0
+    if not shrinking:
+        while ray_dual_slope(hi, lam, s, a, b, alpha, beta) > level:
+            hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ray_dual_slope(mid, lam, s, a, b, alpha, beta) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # --------------------------------------------------------------------------
 # Weight-subproblem oracles
 
@@ -173,6 +207,17 @@ def block_inverses_loop(xs, shifts) -> np.ndarray:
         Li = np.linalg.inv(np.linalg.cholesky(X @ X.T + shifts[t] * np.eye(d)))
         np.matmul(Li.T, Li, out=inverses[t])
     return inverses
+
+
+def ridge_columns_loop(tasks, lam: float) -> np.ndarray:
+    """Ridge start one column at a time: a numpy Cholesky factor of each
+    task's ``X X^T + lam I`` and two solves with its 1-d right-hand side."""
+    d = tasks[0].X.shape[0]
+    W = np.empty((d, len(tasks)))
+    for t, task in enumerate(tasks):
+        L = np.linalg.cholesky(task.X @ task.X.T + lam * np.eye(d))
+        W[:, t] = np.linalg.solve(L.T, np.linalg.solve(L, task.X @ task.y))
+    return W
 
 
 def pooled_ls(tasks, mu: float) -> np.ndarray:

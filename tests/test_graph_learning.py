@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gamtl.graph import (
+    degree_adjoint,
     matrixform,
     num_edges,
     pairwise_sq_distances,
@@ -21,6 +22,8 @@ from gamtl.graph import (
 from gamtl.data import benchmark_splits
 from gamtl.graph_learning import (
     GraphLearningParams,
+    _RAY_TOL,
+    _ray_maximizer,
     _ScoredGraph,
     default_initial_graph,
     graph_objective,
@@ -387,3 +390,97 @@ def test_result_never_scores_above_warm_start(seed, n_tasks, alpha, beta, scale,
     A0 = _warm_start(kind, rng, Z, GraphLearningParams(alpha=alpha, beta=beta))
     A, _ = learn_graph(Z, params, A0=A0)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
+
+
+# --------------------------------------------------------------------------
+# Step length along the Newton ray
+
+
+def check_ray_step(lam, s, a, b, alpha, beta):
+    """The search's t lies where the oracle's phi' is within _RAY_TOL * phi'(0) of 0."""
+    slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
+    assert slope > 0.0
+    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    assert np.all(lam + t * s > 0.0)
+    t_plus = oracles.ray_level_crossing(_RAY_TOL * slope, lam, s, a, b, alpha, beta)
+    t_minus = oracles.ray_level_crossing(-_RAY_TOL * slope, lam, s, a, b, alpha, beta)
+    assert t_plus * (1.0 - 1e-9) <= t <= t_minus * (1.0 + 1e-9), (t_plus, t, t_minus)
+    return t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ray_step_crosses_many_kinks(seed):
+    # Every edge has its breakpoint -a_e / b_e in (0, 0.5): edges with b_e > 0
+    # turn on along the ray, the others turn off.
+    rng = np.random.default_rng(seed)
+    T, alpha, beta = 16, 0.1, 1.0
+    lam = rng.uniform(0.5, 2.0, T)
+    s = rng.standard_normal(T)
+    b = degree_adjoint(s)
+    a = -rng.uniform(0.0, 0.5, b.size) * b
+    if oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta) < 0.0:
+        s, b, a = -s, -b, -a  # the same kinks, walked the ascending way
+    t = check_ray_step(lam, s, a, b, alpha, beta)
+    assert np.sum(-a / b < t) >= 5  # kinks crossed on the way to t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ray_step_capped_by_positive_dual(seed):
+    # lam_0 + t s_0 reaches 0 at t = 0.2, so the full step is out of reach,
+    # and the first trial sits next to that pole.  The other entries grow, and
+    # a weak quadratic term leaves the barrier to set the maximizer.
+    rng = np.random.default_rng(seed)
+    T, alpha, beta = 12, 1.0, 100.0
+    lam = rng.uniform(0.5, 2.0, T)
+    s = lam * rng.uniform(0.5, 1.5, T)
+    s[0] = -5.0 * lam[0]
+    b = degree_adjoint(s)
+    a = 0.2 * rng.standard_normal(b.size)
+    t = check_ray_step(lam, s, a, b, alpha, beta)
+    assert t < 0.2
+
+
+def test_ray_step_two_nodes_closed_form():
+    # T = 2 with b = 0 and a < 0: the edge stays off, so
+    # phi'(t) = alpha (1 / (1 + t) - 1 / (2 - t)), and phi'(t) = c is the
+    # quadratic -c t^2 + (c + 2 alpha) t + 2c - alpha = 0 on (0, 2).
+    lam, s = np.array([1.0, 2.0]), np.array([1.0, -1.0])
+    a, b = np.array([-1.0]), degree_adjoint(s)
+    alpha, beta = 2.0, 1.0
+    slope = alpha * (1.0 - 0.5)
+
+    def crossing(c):
+        roots = np.roots([-c, c + 2.0 * alpha, 2.0 * c - alpha])
+        return float(min(r.real for r in roots if 0.0 < r.real < 2.0))
+
+    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    assert crossing(_RAY_TOL * slope) <= t <= crossing(-_RAY_TOL * slope)
+    assert crossing(0.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n_tasks,seed", [(5, 1), (5, 8), (10, 2), (10, 10)])
+def test_precision_floor_stops_on_random_distances(n_tasks, seed):
+    # Distances of 1e4 to 1e5 at alpha = beta = 0.01 put the optimal r far
+    # below the rounding of 2z.  Steps there only trade rounding noise in
+    # the gain against a shrinking gradient; the solve must stop at that
+    # floor instead of running out max_iter.
+    Z = pairwise_sq_distances(100.0 * np.random.default_rng(seed).standard_normal((3, n_tasks)))
+    params = GraphLearningParams(alpha=0.01, beta=0.01)
+    A0 = default_initial_graph(Z)
+    A, report = learn_graph(Z, params, A0=A0)
+    assert report.iterations < 100, report
+    validate_adjacency(A)
+    assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
+
+
+def test_cold_solve_crosses_kinks_without_creeping():
+    # The first graph solve of syn1 seed 0 at (gamma, alpha, beta) =
+    # (100, 0.01, 0.01) from the default warm start: far from its optimum,
+    # with many edges to turn off on the way.
+    train, _ = benchmark_splits("syn1", 0)
+    Z = 100.0 * pairwise_sq_distances(ridge_independent(train, 1.0))
+    params = GraphLearningParams(alpha=0.01, beta=0.01)
+    A, report = learn_graph(Z, params)
+    assert report.converged
+    assert report.iterations < 40, report
+    assert graph_objective(A, Z, params) < graph_objective(default_initial_graph(Z), Z, params)

@@ -159,6 +159,18 @@ def test_ridge_independent_is_the_cholesky_solve_bit_for_bit():
         assert np.linalg.norm(W[:, t] - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+def test_ridge_independent_runs_are_the_per_column_solves_bit_for_bit():
+    # Runs of equal consecutive designs share a factor and one broadcast solve;
+    # each column must keep the bits of its own factor and 1-d solves.
+    rng = np.random.default_rng(5)
+    d = 6
+    X1, X2, X3 = (rng.standard_normal((d, 9)) for _ in range(3))
+    designs = [X1, X1, X1, X2, X3, X3, X1, X2]
+    tasks = [TaskDataset(t, X.copy(), rng.standard_normal(9)) for t, X in enumerate(designs)]
+    for lam in (0.0, 0.37):
+        assert np.array_equal(ridge_independent(tasks, lam), oracles.ridge_columns_loop(tasks, lam))
+
+
 def test_ridge_independent_singular_raises():
     # One sample cannot determine three coefficients without a ridge.
     X = np.array([[1.0], [2.0], [3.0]])
