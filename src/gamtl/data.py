@@ -469,6 +469,7 @@ def train_test_split(tasks, ratio: float, seed: int):
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
+    check_seed(seed)
     tasks = list(tasks)
     rng = np.random.default_rng(seed)
     train, test = [], []

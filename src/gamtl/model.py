@@ -240,22 +240,26 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     """Alternate weight solves and graph solves until the objective settles.
 
     Starts from independent ridge weights and a distance-similarity graph;
-    checks the tasks once, solves trusting what it built, and carries F as
-    its data and graph terms.  The trace never rises across half steps; an
-    unconverged inner solve sets ``converged=False`` and ``notes``, not an error.
+    checks the tasks once, factors their Grams once for the ridge start and
+    every weight solve, and carries F as its data and graph terms.  The trace
+    never rises across half steps; an unconverged inner solve sets
+    ``converged=False`` and ``notes``, not an error.
     """
     tasks = list(tasks)
-    # Z always holds the distances of the current W: each distinct W costs
-    # one pairwise_sq_distances call.  ridge_independent checks the tasks.
-    W = ridge_independent(tasks, config.ridge_lambda)
-    task_ids = tuple(t.task_id for t in tasks)
+    validate_tasks(tasks)
+    system = _WeightSystem(tasks)
+    W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
     notes = []
+    # Z always holds the distances of the current W: each distinct W costs
+    # one pairwise_sq_distances call.
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
+    shared = len(system.Q) == 1  # one design for every task, found by the system
+    data_term, graph_term = _objective_terms(W, A, tasks, config, Z, shared)
+    trace.record("init", data_term + graph_term)
 
     if config.gamma == 0.0:
-        trace.record("init", joint_objective(W, A, tasks, config, Z))
         warnings.warn(
             "gamma = 0 disables graph coupling: weights stay at the "
             "independent ridge solution and the graph stays at its "
@@ -265,16 +269,12 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         return GamtlModel(
             W=W,
             A=A,
-            task_ids=task_ids,
+            task_ids=system.task_ids,
             config=config,
             trace=trace,
             notes=("gamma = 0: alternation skipped",),
         )
 
-    system = _WeightSystem(tasks)  # the tasks' Grams, factored once for every solve
-    shared = len(system.Q) == 1  # one design for every task, found by the system
-    data_term, graph_term = _objective_terms(W, A, tasks, config, Z, shared)
-    trace.record("init", data_term + graph_term)
     converged = False
     for outer in range(1, config.max_outer_iter + 1):
         W_new, wreport = solve_weights(
@@ -311,7 +311,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     return GamtlModel(
         W=W,
         A=A,
-        task_ids=task_ids,
+        task_ids=system.task_ids,
         config=config,
         trace=trace,
         converged=converged and not notes,
@@ -412,6 +412,7 @@ def grid_search_cv(
     """
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
+    check_seed(seed)
     tasks = list(tasks)
     validate_tasks(tasks)
     for task in tasks:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import check_seed
 from .graph import sq_distances
 from .model import GamtlConfig, GamtlModel, fit
 from .weight_solver import TaskDataset, validate_tasks
@@ -195,6 +196,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     N, q = points.shape
     if not 1 <= P <= N:
         raise ValueError(f"P must lie in [1, {N}], got {P}")
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     centers = np.empty((P, q))

@@ -14,14 +14,14 @@ definite when task data are rank deficient.
 Only ``L`` and ``mu`` change between the weight steps of a fit, so what the
 tasks alone fix is built once (:class:`_WeightSystem`), the Grams' eigenpairs
 ``X_t X_t^T = Q_t diag(s_t) Q_t^T`` among it.  Products with ``C`` and its
-shifted block inverses are batched products with those pairs; the dT x dT
-matrix is never formed.  Preconditioned conjugate gradient (:func:`_pcg`)
-solves the system.  The preconditioner sees the graph through a Kronecker
-sum (Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by one Gram
-``G``, ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized by
-``eigh(L)`` and ``eigh(G)``.  Its inverse is exact for a shared design, so
-each solve takes one iteration at any ``gamma``; otherwise ``G`` is the mean
-Gram and the inverse is the coarse correction of a symmetric two-level
+shifted block inverses, the ridge start's among them, are batched products
+with those pairs; the dT x dT matrix is never formed.  Preconditioned CG
+(:func:`_pcg`) solves the system.  The preconditioner sees the graph through
+a Kronecker sum (Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by
+one Gram ``G``, ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized
+by ``eigh(L)`` and ``eigh(G)``.  Its inverse is exact for a shared design,
+so each solve takes one iteration at any ``gamma``; otherwise ``G`` is the
+mean Gram and the inverse is the coarse correction of a symmetric two-level
 preconditioner around block-Jacobi (Tang, Nabben, Vuik & Erlangga, J. Sci.
 Comput. 2009); see :func:`solve_weights`.  The module needs numpy alone.
 """
@@ -107,49 +107,42 @@ def validate_tasks(tasks) -> tuple[int, int]:
 def ridge_independent(tasks, lam: float) -> np.ndarray:
     """Per-task ridge solutions, stacked as columns of a d x T matrix.
 
-    Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2``.  With
-    ``lam = 0`` the normal equations must be nonsingular.  Each run of equal
-    consecutive ``X`` shares one factor, and its columns are solved in one
-    broadcast call, one right-hand side per task.
+    Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2`` through the
+    Gram eigenpairs; a task list is checked, the fit's :class:`_WeightSystem`
+    trusted.  A design whose smallest ``s + lam`` is at most ``d * eps`` times
+    its largest raises ``LinAlgError``, naming its first task.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
-    tasks = list(tasks)
-    d, T = validate_tasks(tasks)
-    W = np.empty((d, T))
-    start = 0
-    for end in range(1, T + 1):
-        if end < T and np.array_equal(tasks[end].X, tasks[end - 1].X):
-            continue
-        X = tasks[start].X
-        try:
-            factor = np.linalg.cholesky(X @ X.T + lam * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"task {tasks[start].task_id}: normal equations are singular; "
-                "use lam > 0 or provide full-row-rank data"
-            ) from exc
-        # A (run, d, 1) right-hand side makes the same LAPACK call per column as
-        # a 1-d one, so the bits do not depend on the run's length.
-        b = np.stack([task.X @ task.y for task in tasks[start:end]])[:, :, None]
-        W[:, start:end] = np.linalg.solve(factor.T, np.linalg.solve(factor, b))[:, :, 0].T
-        start = end
-    return W
+    system = tasks
+    if not isinstance(system, _WeightSystem):
+        tasks = list(tasks)
+        validate_tasks(tasks)
+        system = _WeightSystem(tasks)
+    shifted = system.s + lam
+    singular = shifted[:, 0] <= system.d * np.finfo(float).eps * shifted[:, -1]
+    if singular.any():
+        raise np.linalg.LinAlgError(
+            f"task {system.task_ids[np.argmax(singular)]}: normal equations are singular; "
+            "use lam > 0 or provide full-row-rank data"
+        )
+    return _apply_blocks(system.Q, 1.0 / shifted, system.rhs).reshape(system.T, system.d).T
 
 
 class _WeightSystem:
-    """What the weight step needs of validated tasks alone, built once per fit.
+    """What the ridge start and the weight steps need of validated tasks alone.
 
-    ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams' eigenpairs with ``s``
-    clipped at 0; k = 1 when every task shares its design.  Otherwise each
-    Gram is written into its slot of the one (T, d, d) stack and replaced
-    there by its eigenvectors.  ``coarse`` is the mean Gram's pair (the
-    shared pair itself when k = 1), ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces.
+    Built once per fit; the one code that compares designs.  ``Q`` (k, d, d)
+    and ``s`` (k, d) hold the Grams' eigenpairs, ``s`` clipped at 0; k = 1
+    when every task shares its design, else each Gram is written into its
+    slot of the one (T, d, d) stack and replaced there by its eigenvectors.
+    ``coarse`` is the mean Gram's pair (the shared one when k = 1), ``rhs``
+    stacks ``X_t y_t`` and ``data_trace`` sums the Grams' traces.
     """
 
     def __init__(self, tasks):
         self.d, self.T = d, T = tasks[0].dim, len(tasks)
+        self.task_ids = tuple(t.task_id for t in tasks)
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])
         self.data_trace = sum(float(np.sum(X * X)) for X in xs)
@@ -283,6 +276,8 @@ def solve_weights(
             warm_start = np.asarray(warm_start, dtype=float)
             if warm_start.shape != (d, T):
                 raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
+            if not np.isfinite(warm_start).all():
+                raise ValueError("warm_start must be finite")
     d, T = system.d, system.T
     x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
     mu = ridge_floor(system, A, gamma)

@@ -573,6 +573,25 @@ def test_split_rejects_bad_inputs():
         train_test_split([make_task(rng, n=1)], ratio=0.5, seed=0)
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5])
+@pytest.mark.parametrize("entry", ["train_test_split", "kmeans_centers", "grid_search_cv"])
+def test_seeded_entry_points_share_the_seed_rule(entry, seed):
+    from gamtl.model import GamtlConfig, grid_search_cv
+    from gamtl.rbf import kmeans_centers
+
+    rng = np.random.default_rng(65)
+    tasks = [make_task(rng, task_id=t) for t in range(2)]
+    calls = {
+        "train_test_split": lambda: train_test_split(tasks, 0.5, seed=seed),
+        "kmeans_centers": lambda: kmeans_centers(rng.standard_normal((10, 2)), 3, seed=seed),
+        "grid_search_cv": lambda: grid_search_cv(
+            tasks, GamtlConfig(), gammas=(1.0,), alphas=(1.0,), betas=(1.0,), n_folds=2, seed=seed
+        ),
+    }
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        calls[entry]()
+
+
 def same_tasks(a, b):
     return all(
         s.task_id == t.task_id and np.array_equal(s.X, t.X) and np.array_equal(s.y, t.y)

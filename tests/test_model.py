@@ -340,10 +340,21 @@ def test_fit_computes_each_fact_once(monkeypatch):
     # The fit checks its tasks once, and its graphs only where the model is
     # built.  Each outer iteration scores the weight candidate's graph term
     # and the graph step's result; the warm start's score is carried in.
-    # syn1's tasks share one design, so the ridge start factors it once.
+    # One system factors the tasks' Grams for the ridge start and every
+    # weight solve, and only its build compares designs: syn1's T tasks
+    # share one, so T - 1 comparisons, plus GamtlModel's symmetry check.
     import gamtl.graph_learning
     import gamtl.weight_solver
 
+    builds = []
+
+    class CountingSystem(gamtl.weight_solver._WeightSystem):
+        def __init__(self, tasks):
+            builds.append(len(tasks))
+            super().__init__(tasks)
+
+    monkeypatch.setattr(gamtl.weight_solver, "_WeightSystem", CountingSystem)
+    monkeypatch.setattr(model_mod, "_WeightSystem", CountingSystem)
     counts = Counter()
     for module, name in [
         (model_mod, "validate_adjacency"),
@@ -353,6 +364,7 @@ def test_fit_computes_each_fact_once(monkeypatch):
         (model_mod, "validate_tasks"),
         (gamtl.weight_solver, "validate_tasks"),
         (np.linalg, "cholesky"),
+        (np, "array_equal"),
     ]:
         count_calls(monkeypatch, counts, module, name)
     train, _ = benchmark_splits("syn1", 0)
@@ -364,7 +376,9 @@ def test_fit_computes_each_fact_once(monkeypatch):
     scores = counts["gamtl.model.graph_objective"] + counts["gamtl.graph_learning.graph_objective"]
     assert scores == 1 + 2 * outer
     assert counts["gamtl.model.validate_tasks"] + counts["gamtl.weight_solver.validate_tasks"] == 1
-    assert counts["numpy.linalg.cholesky"] == 1
+    assert counts["numpy.linalg.cholesky"] == 0
+    assert builds == [len(train)]
+    assert counts["numpy.array_equal"] == len(train)
 
 
 def test_fit_rbf_checks_tasks_twice(monkeypatch):

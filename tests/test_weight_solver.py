@@ -16,7 +16,7 @@ import oracles
 from gamtl import model as model_module
 from gamtl import weight_solver
 from gamtl.data import SynSpec, benchmark_splits, gen_syn1
-from gamtl.model import PINNED_CONFIGS, fit
+from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit
 from gamtl.rbf import fit_rbf
 from gamtl.weight_solver import (
     TaskDataset,
@@ -141,34 +141,73 @@ def test_ridge_independent_matches_dense_oracle():
         np.testing.assert_allclose(W[:, t], expected, rtol=1e-8)
 
 
-def test_ridge_independent_is_the_cholesky_solve_bit_for_bit():
-    # W0 of every fit: the shared per-task factorization must not change
-    # the arithmetic of the ridge start, a numpy Cholesky factor and two
-    # solves with it.  scipy's LAPACK Cholesky solve agrees to rounding,
-    # measured in norm: a coefficient near zero carries a relative error of
-    # about 1e-11 in either solve.
+def cholesky_errors(tasks, lam) -> list[float]:
+    """Relative error of the ridge start against two Cholesky solves of each
+    task, numpy's one column at a time (the oracle) and scipy's: the largest
+    over columns, measured in norm."""
+    W = ridge_independent(tasks, lam)
+    scipy_columns = np.column_stack([
+        scipy.linalg.cho_solve(scipy.linalg.cho_factor(t.X @ t.X.T + lam * np.eye(t.dim)), t.X @ t.y)
+        for t in tasks
+    ])
+    return [
+        max(np.linalg.norm(W[:, t] - ref[:, t]) / np.linalg.norm(ref[:, t]) for t in range(len(tasks)))
+        for ref in (oracles.ridge_columns_loop(tasks, lam), scipy_columns)
+    ]
+
+
+def test_ridge_independent_matches_the_cholesky_solve():
+    # W0 of every fit, read off the Gram eigenpairs, agrees with the Cholesky
+    # solves to rounding, measured in norm: a coefficient near zero carries
+    # a relative error of about 1e-11 in either solve.
     tasks, _, _ = gen_syn1(SynSpec(seed=0))
-    W = ridge_independent(tasks, lam=1.0)
-    for t, task in enumerate(tasks):
-        G = task.X @ task.X.T + 1.0 * np.eye(task.dim)
-        b = task.X @ task.y
-        L = np.linalg.cholesky(G)
-        expected = np.linalg.solve(L.T, np.linalg.solve(L, b))
-        assert np.array_equal(W[:, t], expected)
-        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), b)
-        assert np.linalg.norm(W[:, t] - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert max(cholesky_errors(tasks, 1.0)) <= 1e-12
 
 
-def test_ridge_independent_runs_are_the_per_column_solves_bit_for_bit():
-    # Runs of equal consecutive designs share a factor and one broadcast solve;
-    # each column must keep the bits of its own factor and 1-d solves.
+def mixed_design_tasks():
+    """Eight tasks on three designs, repeated in and out of runs: X1 X1 X1 X2 X3 X3 X1 X2."""
     rng = np.random.default_rng(5)
     d = 6
     X1, X2, X3 = (rng.standard_normal((d, 9)) for _ in range(3))
     designs = [X1, X1, X1, X2, X3, X3, X1, X2]
-    tasks = [TaskDataset(t, X.copy(), rng.standard_normal(9)) for t, X in enumerate(designs)]
+    return [TaskDataset(t, X.copy(), rng.standard_normal(9)) for t, X in enumerate(designs)]
+
+
+def test_ridge_independent_on_mixed_designs_matches_the_per_column_solves():
+    # Equal designs, in runs or apart, give each task its own ridge solution.
+    tasks = mixed_design_tasks()
     for lam in (0.0, 0.37):
-        assert np.array_equal(ridge_independent(tasks, lam), oracles.ridge_columns_loop(tasks, lam))
+        assert max(cholesky_errors(tasks, lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("designs", ["shared", "distinct", "mixed"])
+def test_ridge_independent_trusts_a_built_system_bit_for_bit(designs):
+    # The fit hands its own system to the ridge start; the result is the
+    # checked task list's, bit for bit.
+    rng = np.random.default_rng(31)
+    if designs == "mixed":
+        tasks = mixed_design_tasks()
+    elif designs == "shared":
+        X = rng.standard_normal((5, 12))
+        tasks = [TaskDataset(t, X, rng.standard_normal(12)) for t in range(4)]
+    else:
+        tasks = make_tasks(rng, d=5, T=4, N=12)
+    system = _WeightSystem(tasks)
+    for lam in (0.0, 0.37):
+        assert np.array_equal(ridge_independent(system, lam), ridge_independent(tasks, lam))
+
+
+def test_ridge_independent_rank_rule_on_a_shared_rank_deficient_design():
+    # A rank-3 Gram of a 4 x 3 design, which LAPACK's Cholesky pivots can
+    # pass without complaint; the eigenvalue rule finds it singular for both
+    # tasks that share it, and names the first.
+    X = np.random.default_rng(2).standard_normal((4, 3))
+    tasks = [TaskDataset(t, X, np.ones(3)) for t in (0, 1)]
+    with pytest.raises(np.linalg.LinAlgError, match="task 0: normal equations are singular"):
+        ridge_independent(tasks, 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="normal equations are singular"):
+        fit(tasks, GamtlConfig(ridge_lambda=0.0))
+    assert np.isfinite(ridge_independent(tasks, 1e-3)).all()
 
 
 def test_ridge_independent_singular_raises():
@@ -574,6 +613,17 @@ def test_solve_weights_rejects_mismatches():
         solve_weights(tasks, np.zeros((4, 4)), gamma=1.0)
     with pytest.raises(ValueError, match="warm_start"):
         solve_weights(tasks, np.zeros((3, 3)), gamma=1.0, warm_start=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_weights_rejects_a_non_finite_warm_start(bad):
+    # CG would spend its whole budget on it and return a NaN W.
+    rng = np.random.default_rng(18)
+    tasks = make_tasks(rng, d=3, T=4, N=10)
+    W0 = rng.standard_normal((3, 4))
+    W0[1, 2] = bad
+    with pytest.raises(ValueError, match="warm_start must be finite"):
+        solve_weights(tasks, random_adjacency(rng, 4), gamma=1.0, warm_start=W0)
 
 
 def test_solve_weights_wall_time_scales_mildly_with_tasks():
