@@ -74,11 +74,12 @@ class _Parser(argparse.ArgumentParser):
 # What a `fit` or `bench` config may hold: the JSON type of each key, or a
 # nested table for an object block.  GamtlConfig and GraphLearningParams own
 # the ranges of the model keys, SynSpec those of n_train, n_test and
-# noise_std, check_seed that of base_seed; _LIMITS holds the rest.
+# noise_std, check_seed that of base_seed; _LIMITS holds the rest.  Only
+# `fit` takes model.seed: `bench` seeds replicate r with base_seed + r.
 _MODEL_KEYS = {
     **dict.fromkeys(("gamma", "alpha", "beta", "graph_tol", "outer_tol"), "number"),
     **dict.fromkeys(("weight_solver_tol", "ridge_lambda"), "number"),
-    **dict.fromkeys(("graph_max_iter", "max_outer_iter", "seed"), "integer"),
+    **dict.fromkeys(("graph_max_iter", "max_outer_iter"), "integer"),
 }
 _RBF_KEYS = {"enabled": "boolean", "num_centers": "integer or null", "width_factor": "number"}
 _DATA_KEYS = {
@@ -92,9 +93,9 @@ _BENCHMARK_KEYS = {
     **dict.fromkeys(("noise_std", "split_ratio"), "number"),
     "include_baseline": "boolean",
 }
-_SHARED_KEYS = {"model": _MODEL_KEYS, "rbf": _RBF_KEYS, "out_dir": "string"}
-_FIT_KEYS = {"data": _DATA_KEYS, **_SHARED_KEYS}
-_BENCH_KEYS = {"benchmark": _BENCHMARK_KEYS, **_SHARED_KEYS}
+_SHARED_KEYS = {"rbf": _RBF_KEYS, "out_dir": "string"}
+_FIT_KEYS = {"data": _DATA_KEYS, "model": {**_MODEL_KEYS, "seed": "integer"}, **_SHARED_KEYS}
+_BENCH_KEYS = {"benchmark": _BENCHMARK_KEYS, "model": _MODEL_KEYS, **_SHARED_KEYS}
 _REQUIRED = {"$.data", "$.data.train_csv", "$.benchmark", "$.benchmark.name"}
 _JSON_TYPES = {
     "number": (int, float), "integer": int, "string": str, "boolean": bool,
@@ -105,7 +106,7 @@ _LIMITS = {
     "$.rbf.width_factor": (lambda v: 0 < v < math.inf, "must be positive"),
     "$.benchmark.name": (lambda v: v in data_mod.BENCHMARKS, "must be syn1, syn2 or wiener"),
     "$.benchmark.n_runs": (lambda v: v >= 1, "must be at least 1"),
-    "$.benchmark.n_samples": (lambda v: v >= 4, "must be at least 4"),
+    "$.benchmark.n_samples": (lambda v: v >= 2, "must be at least 2"),  # the split's rule
     "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "$.data.feature_columns": (
         lambda v: v is None or (v and all(isinstance(c, str) for c in v)),

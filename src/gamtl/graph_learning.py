@@ -202,10 +202,10 @@ def learn_graph(
         objective is never above the warm start's, exactly.  The report is
         flagged ``converged=False`` when the residual test (``tol``, every
         degree positive) has not fired by ``max_iter``, or earlier at the
-        floating-point limit of the dual at that distance scale: the Newton
-        direction does not ascend, the dual's maximizer along it improves
-        neither the dual nor its gradient, or the Newton system is singular
-        as rounded.
+        floating-point limit of the dual at that distance scale: the norm of
+        ``alpha / lam`` underflows, the Newton direction does not ascend, the
+        dual's maximizer along it improves neither the dual nor its gradient,
+        or the Newton system is singular as rounded.
     """
     if not isinstance(A0, _ScoredGraph):
         Z = validate_adjacency(Z, "distance matrix")
@@ -225,22 +225,30 @@ def learn_graph(
     alpha, beta = params.alpha, params.beta
     I, J = edge_endpoints(T)
     z2 = 2.0 * vectorform(Z)
+
+    def dual_state(lam):
+        """``a = S^T lam - 2z``, ``r = max(a, 0)``, ``S r``, ``alpha / lam`` and the gradient."""
+        a = degree_adjoint(lam) - z2
+        r = np.maximum(a, 0.0)
+        Sr = apply_degree_operator(r, T)
+        barrier = alpha / lam
+        return a, r, Sr, barrier, barrier - Sr / (4.0 * beta)
+
     # Dual warm start at the barrier-consistent value for A0: at the optimum
     # the dual equals alpha/degree, so a warm-started solve (A0 near the
-    # previous optimum) begins near its fixed point.  Each dual update sets
-    # a = S^T lam - 2z, r = max(a, 0), S r, alpha / lam and the gradient.
+    # previous optimum) begins near its fixed point.
     lam = alpha / apply_degree_operator(vectorform(A0), T)
-    a = degree_adjoint(lam) - z2
-    r = np.maximum(a, 0.0)
-    Sr = apply_degree_operator(r, T)
-    barrier = alpha / lam
-    grad = barrier - Sr / (4.0 * beta)
+    a, r, Sr, barrier, grad = dual_state(lam)
     converged = False
 
     for iterations in range(1, params.max_iter + 1):
         w = r / (4.0 * beta)
         grad_norm = float(np.linalg.norm(grad))
-        residual = grad_norm / float(np.linalg.norm(barrier))
+        try:
+            residual = grad_norm / float(np.linalg.norm(barrier))
+        except ZeroDivisionError:  # ||alpha / lam|| underflows: the precision floor
+            residual = np.inf
+            break
         # A node without an active edge has zero degree and an infinite
         # objective, however small its share of the relative residual.
         if residual <= params.tol and Sr.min() > 0.0:
@@ -261,11 +269,7 @@ def learn_graph(
             break  # the ray does not ascend as rounded: precision floor
         t = _ray_maximizer(lam, step, a, degree_adjoint(step), alpha, beta, slope)
         lam_new = lam + t * step
-        a_new = degree_adjoint(lam_new) - z2
-        r_new = np.maximum(a_new, 0.0)
-        Sr_new = apply_degree_operator(r_new, T)
-        barrier_new = alpha / lam_new
-        grad_new = barrier_new - Sr_new / (4.0 * beta)
+        a_new, r_new, Sr_new, barrier_new, grad_new = dual_state(lam_new)
         # A step counts if it shrinks the gradient or gains dual value beyond
         # rounding; one that does neither is the precision floor.  The gain
         # g(lam_new) - g(lam) is formed without subtracting two large values.

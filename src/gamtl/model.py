@@ -105,6 +105,13 @@ PINNED_CONFIGS = {
 }
 
 
+def _json_object(value, name: str) -> dict:
+    """A model file's ``name`` block, ``value``; ValueError unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class FitTrace:
     """Objective values after every half step, plus subproblem summaries.
@@ -129,6 +136,7 @@ class FitTrace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitTrace":
+        _json_object(payload, "trace")
         return cls(
             objective=[float(v) for v in payload.get("objective", [])],
             stages=[str(s) for s in payload.get("stages", [])],
@@ -142,7 +150,8 @@ class GamtlModel:
     """Fitted weights, task graph, and the optional shared feature map.
 
     ``task_labels``, when given, names the task of each column as it was
-    labelled in the training file; it is empty for tasks built in code.
+    labelled in the training file; it is empty for tasks built in code.  No
+    id or label may name two columns.
     ``standardizer``, when given, holds the z-score statistics the training
     file was standardized with: the model takes inputs and predicts targets
     in those units, so new data go through the same statistics
@@ -170,6 +179,10 @@ class GamtlModel:
         self.task_labels = tuple(self.task_labels)
         if self.task_labels and len(self.task_labels) != len(self.task_ids):
             raise ValueError("task_labels count does not match task_ids")
+        # Each id and label names one column; a repeat would score tasks against the wrong one.
+        for name, values in (("task_ids", self.task_ids), ("task_labels", self.task_labels)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct")
         if self.W.shape[1] != len(self.task_ids):
             raise ValueError("W column count does not match task_ids")
         if self.A.shape[0] != len(self.task_ids):
@@ -239,14 +252,13 @@ def joint_objective(
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
     """Alternate weight solves and graph solves until the objective settles.
 
-    Starts from independent ridge weights and a distance-similarity graph;
-    checks the tasks once, factors their Grams once for the ridge start and
-    every weight solve, and carries F as its data and graph terms.  The trace
-    never rises across half steps; an unconverged inner solve sets
-    ``converged=False`` and ``notes``, not an error.
+    Starts from independent ridge weights and a distance-similarity graph.
+    One :class:`_WeightSystem` checks the tasks and factors their Grams for
+    the ridge start and every weight solve; F is carried as its data and
+    graph terms.  The trace never rises across half steps; an unconverged
+    inner solve sets ``converged=False`` and ``notes``, not an error.
     """
     tasks = list(tasks)
-    validate_tasks(tasks)
     system = _WeightSystem(tasks)
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
@@ -320,10 +332,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
 
 
 def config_from_dict(payload: dict) -> GamtlConfig:
-    if not isinstance(payload, dict):
-        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
-    payload = dict(payload)
-    gp = dict(payload.pop("graph_params", {}))
+    payload = dict(_json_object(payload, "config"))
+    gp = dict(_json_object(payload.pop("graph_params", {}), "graph_params"))
     gp.pop("step", None)  # files written with the former step-size knob still load
     return GamtlConfig(graph_params=GraphLearningParams(**gp), **payload)
 
@@ -363,6 +373,9 @@ def model_from_dict(payload: dict) -> GamtlModel:
 
         fm = payload["feature_map"]
         feature_map = RbfFeatureMap(centers=fm["centers"], widths=fm["widths"])
+    converged = payload.get("converged", True)
+    if not isinstance(converged, bool):
+        raise ValueError(f"converged must be true or false, got {converged!r}")
     standardizer = None
     if "standardizer" in payload:
         stats = payload["standardizer"]
@@ -379,7 +392,7 @@ def model_from_dict(payload: dict) -> GamtlModel:
         config=config_from_dict(payload["config"]),
         trace=FitTrace.from_dict(payload.get("trace", {})),
         feature_map=feature_map,
-        converged=bool(payload.get("converged", True)),
+        converged=converged,
         notes=tuple(payload.get("notes", ())),
         task_labels=tuple(payload.get("task_labels", ())),
         standardizer=standardizer,

@@ -108,17 +108,13 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
     """Per-task ridge solutions, stacked as columns of a d x T matrix.
 
     Column t minimizes ``||X_t^T w - y_t||^2 + lam * ||w||^2`` through the
-    Gram eigenpairs; a task list is checked, the fit's :class:`_WeightSystem`
-    trusted.  A design whose smallest ``s + lam`` is at most ``d * eps`` times
-    its largest raises ``LinAlgError``, naming its first task.
+    Gram eigenpairs of the fit's :class:`_WeightSystem`, or of one built (and
+    so checked) on a task list.  A design whose smallest ``s + lam`` is at
+    most ``d * eps`` times its largest raises ``LinAlgError``, naming its first task.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative")
-    system = tasks
-    if not isinstance(system, _WeightSystem):
-        tasks = list(tasks)
-        validate_tasks(tasks)
-        system = _WeightSystem(tasks)
+    system = tasks if isinstance(tasks, _WeightSystem) else _WeightSystem(tasks)
     shifted = system.s + lam
     singular = shifted[:, 0] <= system.d * np.finfo(float).eps * shifted[:, -1]
     if singular.any():
@@ -130,18 +126,20 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
 
 
 class _WeightSystem:
-    """What the ridge start and the weight steps need of validated tasks alone.
+    """What the ridge start and the weight steps need of the tasks alone.
 
-    Built once per fit; the one code that compares designs.  ``Q`` (k, d, d)
-    and ``s`` (k, d) hold the Grams' eigenpairs, ``s`` clipped at 0; k = 1
-    when every task shares its design, else each Gram is written into its
-    slot of the one (T, d, d) stack and replaced there by its eigenvectors.
-    ``coarse`` is the mean Gram's pair (the shared one when k = 1), ``rhs``
-    stacks ``X_t y_t`` and ``data_trace`` sums the Grams' traces.
+    Built once per fit; the one check of the tasks and the one code that
+    compares designs.  ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams'
+    eigenpairs, ``s`` clipped at 0; k = 1 when every task shares its design,
+    else each Gram is written into its slot of the one (T, d, d) stack and
+    replaced there by its eigenvectors.  ``coarse`` is the mean Gram's pair
+    (the shared one when k = 1), ``rhs`` stacks ``X_t y_t`` and
+    ``data_trace`` sums the Grams' traces.
     """
 
     def __init__(self, tasks):
-        self.d, self.T = d, T = tasks[0].dim, len(tasks)
+        tasks = list(tasks)
+        self.d, self.T = d, T = validate_tasks(tasks)
         self.task_ids = tuple(t.task_id for t in tasks)
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])
@@ -238,8 +236,9 @@ def solve_weights(
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if CG runs out
     of its ``10 d T`` iterations first, the last iterate is returned with
     ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or zero.
-    A task list is checked, along with ``A``, ``gamma``, ``solver_tol`` and
-    ``warm_start``; with the fit's own :class:`_WeightSystem` all are trusted.
+    A task list is checked by building its :class:`_WeightSystem`, and then
+    ``A``, ``gamma``, ``solver_tol`` and ``warm_start``; with the fit's own
+    system all are trusted.
 
     ``C`` is applied through the eigenpairs, ``Q_t (s_t * (Q_t^T v_t))``.  With
     ``L = U diag(lam) U^T`` and a Gram ``G = Q diag(sigma) Q^T``, the
@@ -260,11 +259,9 @@ def solve_weights(
     at least ``mu I`` because the signless Laplacian ``Deg + A`` is positive
     semidefinite.
     """
-    system = tasks
-    if not isinstance(system, _WeightSystem):
-        tasks = list(tasks)
-        d, T = validate_tasks(tasks)
-        system = _WeightSystem(tasks)
+    system = tasks if isinstance(tasks, _WeightSystem) else _WeightSystem(tasks)
+    d, T = system.d, system.T
+    if system is not tasks:
         A = validate_adjacency(A)
         if A.shape[0] != T:
             raise ValueError(f"adjacency is {A.shape[0]} x {A.shape[0]} but there are {T} tasks")
@@ -278,7 +275,6 @@ def solve_weights(
                 raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
             if not np.isfinite(warm_start).all():
                 raise ValueError("warm_start must be finite")
-    d, T = system.d, system.T
     x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
     mu = ridge_floor(system, A, gamma)
     L = laplacian(A)

@@ -564,6 +564,10 @@ def test_eval_malformed_model_is_usage_error(tmp_path, capsys):
         ("trace", {"weight_reports": [5]}),
         ("notes", 5),
         ("config", []),
+        ("trace", []),
+        ("trace", "objective"),
+        ("config", {"graph_params": []}),
+        ("converged", "no"),
     ],
 )
 def test_eval_wrongly_typed_model_block_is_usage_error(tmp_path, capsys, key, value):
@@ -573,6 +577,23 @@ def test_eval_wrongly_typed_model_block_is_usage_error(tmp_path, capsys, key, va
     model_path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
     assert "malformed model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blocks,name",
+    [
+        ({"task_ids": [0, 0], "task_labels": ["0", "1"]}, "task_ids"),
+        ({"task_labels": ["0", "0"]}, "task_labels"),
+    ],
+)
+def test_eval_model_with_repeated_task_names_is_usage_error(tmp_path, capsys, blocks, name):
+    # Repeated ids would score both test tasks against one column.
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    payload = json.loads(model_path.read_text())
+    payload.update(blocks)
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
+    assert f"malformed model file: {name} must be distinct" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -744,7 +765,7 @@ def test_bench_scores_the_planted_structure(tmp_path, name, scores):
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("name", "bogus"), ("n_samples", 3), ("split_ratio", 1), ("n_runs", 0), ("n_train", 0),
+        ("name", "bogus"), ("n_samples", 1), ("split_ratio", 1), ("n_runs", 0), ("n_train", 0),
         ("base_seed", -1),
     ],
 )
@@ -752,6 +773,22 @@ def test_bench_schema_error_names_field(tmp_path, capsys, key, value):
     config_path = bench_config(tmp_path, **{key: value})
     assert main(["bench", "--config", str(config_path)]) == 1
     assert f"config error at $.benchmark.{key}" in capsys.readouterr().err
+
+
+def test_bench_takes_the_split_floor_of_two_samples_per_agent(tmp_path):
+    # One training and one test sample per agent: the split's own minimum.
+    config_path = bench_config(tmp_path, name="wiener", n_samples=2)
+    assert main(["bench", "--config", str(config_path)]) == 0
+    (report,) = json.loads((tmp_path / "bench" / "benchmark.json").read_text())["reports"]
+    assert report["seeds"] == [0]
+
+
+def test_bench_model_block_takes_no_seed(tmp_path, capsys):
+    # Replicate r is always seeded base_seed + r; `fit` keeps model.seed.
+    config_path = bench_config(tmp_path)
+    assert main(["bench", "--config", str(config_path), "--set", "model.seed=0"]) == 1
+    assert "config error at $.model.seed: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gamtl import graph_learning
 from gamtl.graph import (
     degree_adjoint,
     matrixform,
@@ -275,6 +276,55 @@ def test_hessian_singular_to_rounding_stops_at_the_floor():
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 
 
+def count_newton_stages(monkeypatch):
+    """Count learn_graph's Newton solves, those that raise, and its ray searches."""
+    seen = {"solves": 0, "singular": 0, "rays": 0}
+    real_solve, real_ray = np.linalg.solve, graph_learning._ray_maximizer
+
+    def solve(H, g):
+        seen["solves"] += 1
+        try:
+            return real_solve(H, g)
+        except np.linalg.LinAlgError:
+            seen["singular"] += 1
+            raise
+
+    def ray(*args):
+        seen["rays"] += 1
+        return real_ray(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(graph_learning, "_ray_maximizer", ray)
+    return seen
+
+
+# Two nodes at distance 1 and beta = 1, from a warm start far off scale:
+# - edge 1e-150: lam = 1e150, so alpha / lam^2 = 1e-300 is lost beside the
+#   active edge's 1 / (4 beta) and H is singular as stored;
+# - edge 1e-165: ||alpha / lam|| underflows to 0 in the relative residual;
+# - edge 1e150 at alpha = 1e-10: lam = 1e-160, alpha / lam^2 overflows in H,
+#   and the Newton step and its slope round to 0.
+FLOOR_EXITS = {
+    "singular": (1e-150, 1.0, {"solves": 1, "singular": 1, "rays": 0}),
+    "underflow": (1e-165, 1.0, {"solves": 0, "singular": 0, "rays": 0}),
+    "no_ascent": (1e150, 1e-10, {"solves": 1, "singular": 0, "rays": 0}),
+}
+
+
+@pytest.mark.parametrize("case", FLOOR_EXITS)
+def test_off_scale_warm_start_stops_at_the_floor(monkeypatch, case):
+    edge, alpha, stages = FLOOR_EXITS[case]
+    seen = count_newton_stages(monkeypatch)
+    Z = np.array([[0.0, 1.0], [1.0, 0.0]])
+    params = GraphLearningParams(alpha=alpha, beta=1.0)
+    A0 = np.array([[0.0, edge], [edge, 0.0]])
+    with np.errstate(over="ignore"):
+        A, report = learn_graph(Z, params, A0=A0)
+    assert seen == stages
+    assert (report.iterations, report.converged) == (1, False)
+    assert np.array_equal(A, A0)  # the iterate scores higher, so A0 comes back
+
+
 def test_converged_solution_improves_on_warm_start():
     rng = np.random.default_rng(11)
     Z = random_distances(rng, 5)
@@ -438,6 +488,20 @@ def test_ray_step_capped_by_positive_dual(seed):
     a = 0.2 * rng.standard_normal(b.size)
     t = check_ray_step(lam, s, a, b, alpha, beta)
     assert t < 0.2
+
+
+def test_ray_step_next_to_the_pole_returns_the_last_ascending_step():
+    # At alpha = 1e-300 the active edge keeps phi' positive until the bracket
+    # is within rounding of the pole at t = 1.7 / 2.1, where a trial rounds
+    # lam_0 + t s_0 to 0 or below; the search returns lo.
+    lam, s = np.array([1.7, 1.0]), np.array([-2.1, 0.0])
+    a, b = np.array([10.0]), degree_adjoint(s)
+    alpha, beta = 1e-300, 1.0
+    slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
+    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    assert lam[0] + t * s[0] > 0.0
+    assert oracles.ray_dual_slope(t, lam, s, a, b, alpha, beta) > 0.0
+    assert t == pytest.approx(1.7 / 2.1, rel=1e-15)
 
 
 def test_ray_step_two_nodes_closed_form():

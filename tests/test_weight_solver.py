@@ -257,8 +257,8 @@ def test_ridge_floor_manual_value():
 
 def test_ridge_floor_zero_data_fallback():
     tasks = [
-        TaskDataset(task_id=0, X=np.zeros((1, 0)), y=np.zeros(0)),
-        TaskDataset(task_id=1, X=np.zeros((1, 0)), y=np.zeros(0)),
+        TaskDataset(task_id=0, X=np.zeros((1, 1)), y=np.zeros(1)),
+        TaskDataset(task_id=1, X=np.zeros((1, 1)), y=np.zeros(1)),
     ]
     assert ridge_floor(_WeightSystem(tasks), np.zeros((2, 2)), gamma=0.0) == 1e-12
 
@@ -321,8 +321,12 @@ def test_solve_weights_zero_targets_return_zero_from_a_warm_start():
 @pytest.mark.parametrize("d,sizes", [(30, [20] * 20), (51, [250, 260, 0, 249]), (1, [3, 5])])
 def test_block_jacobi_step_equals_the_per_task_inverses(d, sizes):
     # B applied through the Gram eigenpairs is the inverse of each shifted block.
+    # A size of 0 stands for one all-zero sample: a zero Gram.
     rng = np.random.default_rng(d)
-    tasks = [TaskDataset(t, rng.standard_normal((d, n)), np.zeros(n)) for t, n in enumerate(sizes)]
+    tasks = [
+        TaskDataset(t, rng.standard_normal((d, n)) if n else np.zeros((d, 1)), np.zeros(max(n, 1)))
+        for t, n in enumerate(sizes)
+    ]
     shifts = rng.uniform(1e-8, 3.0, size=len(sizes))
     system = _WeightSystem(tasks)
     assert system.Q.shape == (len(sizes), d, d)
