@@ -74,7 +74,7 @@ class SynSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.n_train < 1 or self.n_test < 1:
+        if any(type(n) is not int or n < 1 for n in (self.n_train, self.n_test)):  # excludes bool
             raise ValueError("sample counts must be at least 1")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be nonnegative")
@@ -168,7 +168,7 @@ class WienerNetworkSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.n_samples < 1:
+        if type(self.n_samples) is not int or self.n_samples < 1:  # excludes bool
             raise ValueError("n_samples must be at least 1")
 
 

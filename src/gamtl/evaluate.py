@@ -120,7 +120,7 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
     ``converged=False`` are listed in ``nonconverged``; models without the
     flag count as converged.
     """
-    if n_runs < 1:
+    if type(n_runs) is not int or n_runs < 1:  # excludes bool
         raise ValueError("n_runs must be at least 1")
     seeds, values, per_task, per_task_means, failures, nonconverged = [], [], [], [], [], []
     for r in range(n_runs):

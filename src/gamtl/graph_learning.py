@@ -198,7 +198,7 @@ def learn_graph(
     -------
     (A, report)
         ``A`` is the graph of the last primal iterate, or ``A0`` when that
-        iterate has a zero degree or a higher objective, so the result's
+        iterate's score is not finite (a zero degree) or higher, so the result's
         objective is never above the warm start's, exactly.  The report is
         flagged ``converged=False`` when the residual test (``tol``, every
         degree positive) has not fired by ``max_iter``, or earlier at the
@@ -286,8 +286,8 @@ def learn_graph(
 
     A = matrixform(w)
     score = graph_objective(A, Z, params)
-    # ``not <=`` also rejects a NaN objective: fit relies on A never scoring above A0.
-    if not score <= score0:
+    # fit relies on A never scoring above A0; a zero degree scores inf, so it falls back too.
+    if not (np.isfinite(score) and score <= score0):
         A, score = A0.copy(), score0
     report = GraphSolveReport(
         iterations=iterations, converged=converged, final_residual=residual

@@ -20,8 +20,8 @@ safeguard that keeps the trace monotone.  ``fit`` rejects a weight step that
 raises F (the tiny ridge floor inside the W solver can perturb the
 exactly-zero-residual geometry); ``learn_graph`` returns its warm start when
 its iterate scores higher, which on the same ``gamma * Z`` rules out a rise
-of F at the graph step.  ``fit`` carries F as its data and graph terms: the
-graph step takes the graph term with its warm start and returns its own.
+of F at the graph step.  ``fit`` carries F as two terms: the weight system
+scores the data term; the graph step takes the graph term and returns its own.
 """
 
 from __future__ import annotations
@@ -215,50 +215,30 @@ class GamtlModel:
         return float(out[0]) if single else out
 
 
-def _objective_terms(W, A, tasks, config: GamtlConfig, Z, shared=False) -> tuple[float, float]:
-    """F's data term and its graph term at ``gamma * Z``, Z the distances of W.
-
-    ``shared`` says every task has the first task's design; one broadcast
-    ``matmul`` then fits every task, by the same matrix-vector product per
-    task as the loop, so the bits do not change.
-    """
-    if shared:
-        fitted = np.matmul(tasks[0].X.T, W.T[:, :, None])[:, :, 0]
-    else:
-        fitted = (task.X.T @ W[:, t] for t, task in enumerate(tasks))
-    data_term = 0.0
-    for f, task in zip(fitted, tasks):
-        r = f - task.y
-        data_term += float(r @ r)
-    return data_term, graph_objective(A, config.gamma * Z, config.graph_params)
-
-
-def joint_objective(
-    W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig, Z: np.ndarray | None = None
-) -> float:
+def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) -> float:
     """Full objective F(W, A): the data term plus the graph objective at ``gamma * Z(W)``.
 
     ``W`` (finite, d x T), ``A`` (valid, T x T) and the T tasks are trusted,
-    not checked; ``+inf`` when a node of ``A`` has no positive degree.
-    ``Z``, when given, must be ``pairwise_sq_distances(W)``; a caller that
-    already holds it saves recomputing it.
+    not checked; ``+inf`` when a node of ``A`` has no positive degree.  One
+    product per task, the reference for the fit's carried F.
     """
-    if Z is None:
-        Z = pairwise_sq_distances(W)
-    data_term, graph_term = _objective_terms(W, A, tasks, config, Z)
-    return data_term + graph_term
+    data_term = 0.0
+    for t, task in enumerate(tasks):
+        r = task.X.T @ W[:, t] - task.y
+        data_term += float(r @ r)
+    Z = pairwise_sq_distances(W)
+    return data_term + graph_objective(A, config.gamma * Z, config.graph_params)
 
 
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
     """Alternate weight solves and graph solves until the objective settles.
 
     Starts from independent ridge weights and a distance-similarity graph.
-    One :class:`_WeightSystem` checks the tasks and factors their Grams for
-    the ridge start and every weight solve; F is carried as its data and
-    graph terms.  The trace never rises across half steps; an unconverged
+    One :class:`_WeightSystem` checks the tasks, factors their Grams for the
+    ridge start and every weight solve, and scores the data term of the
+    carried F.  The trace never rises across half steps; an unconverged
     inner solve sets ``converged=False`` and ``notes``, not an error.
     """
-    tasks = list(tasks)
     system = _WeightSystem(tasks)
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
@@ -267,8 +247,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     # one pairwise_sq_distances call.
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
-    shared = len(system.Q) == 1  # one design for every task, found by the system
-    data_term, graph_term = _objective_terms(W, A, tasks, config, Z, shared)
+    data_term = system.data_term(W)
+    graph_term = graph_objective(A, config.gamma * Z, config.graph_params)
     trace.record("init", data_term + graph_term)
 
     if config.gamma == 0.0:
@@ -296,7 +276,8 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
         Z_new = pairwise_sq_distances(W_new)
-        data_new, graph_new = _objective_terms(W_new, A, tasks, config, Z_new, shared)
+        data_new = system.data_term(W_new)
+        graph_new = graph_objective(A, config.gamma * Z_new, config.graph_params)
         if data_new + graph_new <= data_term + graph_term:
             W, Z, data_term, graph_term = W_new, Z_new, data_new, graph_new
         trace.record("weights", data_term + graph_term)
@@ -423,9 +404,12 @@ def grid_search_cv(
     Folds are per task over samples; every candidate sees the same folds.
     Returns the best config and the full result table, best first.
     """
-    if n_folds < 2:
+    if type(n_folds) is not int or n_folds < 2:  # excludes bool
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     check_seed(seed)
+    grid = list(itertools.product(gammas, alphas, betas))
+    if not grid:
+        raise ValueError("the (gamma, alpha, beta) grid is empty")
     tasks = list(tasks)
     validate_tasks(tasks)
     for task in tasks:
@@ -457,7 +441,7 @@ def grid_search_cv(
         return replace(config, gamma=gamma, graph_params=graph_params)
 
     results = []
-    for gamma, alpha, beta in itertools.product(gammas, alphas, betas):
+    for gamma, alpha, beta in grid:
         point = {"gamma": float(gamma), "alpha": float(alpha), "beta": float(beta)}
         candidate = config_at(**point)
         sq_sum, count = 0.0, 0

@@ -194,7 +194,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError("pooled_inputs must be finite")
     N, q = points.shape
-    if not 1 <= P <= N:
+    if type(P) is not int or not 1 <= P <= N:  # excludes bool
         raise ValueError(f"P must lie in [1, {N}], got {P}")
     check_seed(seed)
 

@@ -134,11 +134,12 @@ class _WeightSystem:
     else each Gram is written into its slot of the one (T, d, d) stack and
     replaced there by its eigenvectors.  ``coarse`` is the mean Gram's pair
     (the shared one when k = 1), ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces.
+    ``data_trace`` sums the Grams' traces.  ``tasks`` keeps the checked task
+    list, whose designs and targets :meth:`data_term` scores.
     """
 
     def __init__(self, tasks):
-        tasks = list(tasks)
+        self.tasks = tasks = list(tasks)
         self.d, self.T = d, T = validate_tasks(tasks)
         self.task_ids = tuple(t.task_id for t in tasks)
         xs = [t.X for t in tasks]
@@ -158,6 +159,22 @@ class _WeightSystem:
         np.maximum(self.s, 0.0, out=self.s)
         s, Q = np.linalg.eigh(mean_gram / T)
         self.coarse = (np.maximum(s, 0.0), Q)
+
+    def data_term(self, W: np.ndarray) -> float:
+        """F's data term ``sum_t ||X_t^T w_t - y_t||^2`` at W (d x T), trusted.
+
+        With one design, one broadcast ``matmul`` fits every task by the same
+        matrix-vector product per task as the loop, so the bits do not change.
+        """
+        if len(self.Q) == 1:
+            fitted = np.matmul(self.tasks[0].X.T, W.T[:, :, None])[:, :, 0]
+        else:
+            fitted = (task.X.T @ w for task, w in zip(self.tasks, W.T))
+        total = 0.0
+        for f, task in zip(fitted, self.tasks):
+            r = f - task.y
+            total += float(r @ r)
+        return total
 
 
 def ridge_floor(system: _WeightSystem, A: np.ndarray, gamma: float) -> float:

@@ -592,6 +592,49 @@ def test_seeded_entry_points_share_the_seed_rule(entry, seed):
         calls[entry]()
 
 
+COUNT_CASES = {
+    "syn_n_train_bool": "sample counts must be at least 1",
+    "syn_n_test_float": "sample counts must be at least 1",
+    "wiener_n_samples_bool": "n_samples must be at least 1",
+    "benchmark_n_runs_bool": "n_runs must be at least 1",
+    "grid_n_folds_float": "n_folds must be at least 2",
+    "grid_empty": "grid is empty",
+    "kmeans_P_float": r"P must lie in \[1, 10\]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_count_settings_take_integers_only(case):
+    # A bool or a float count used to pass the range check and then run on
+    # 1 sample, run 1 replicate, or fail inside numpy; an empty grid used to
+    # build every fold and then raise IndexError.
+    from gamtl.evaluate import benchmark
+    from gamtl.model import GamtlConfig, grid_search_cv
+    from gamtl.rbf import kmeans_centers
+
+    rng = np.random.default_rng(66)
+    tasks = [make_task(rng, task_id=t) for t in range(2)]
+
+    def unreachable(*args):
+        raise AssertionError("the count check must come first")
+
+    def grid(**kwargs):
+        axes = {"gammas": (1.0,), "alphas": (1.0,), "betas": (1.0,), **kwargs}
+        grid_search_cv(tasks, GamtlConfig(), **axes)
+
+    calls = {
+        "syn_n_train_bool": lambda: SynSpec(n_train=True),
+        "syn_n_test_float": lambda: SynSpec(n_test=1.5),
+        "wiener_n_samples_bool": lambda: WienerNetworkSpec(n_samples=True),
+        "benchmark_n_runs_bool": lambda: benchmark(unreachable, unreachable, "m", n_runs=True, base_seed=0),
+        "grid_n_folds_float": lambda: grid(n_folds=3.0),
+        "grid_empty": lambda: grid(gammas=()),
+        "kmeans_P_float": lambda: kmeans_centers(rng.standard_normal((10, 2)), 2.5, 0),
+    }
+    with pytest.raises(ValueError, match=COUNT_CASES[case]):
+        calls[case]()
+
+
 def same_tasks(a, b):
     return all(
         s.task_id == t.task_id and np.array_equal(s.X, t.X) and np.array_equal(s.y, t.y)

@@ -325,6 +325,19 @@ def test_off_scale_warm_start_stops_at_the_floor(monkeypatch, case):
     assert np.array_equal(A, A0)  # the iterate scores higher, so A0 comes back
 
 
+def test_warm_start_scoring_inf_comes_back_over_a_zero_degree_iterate():
+    # A0's score overflows to inf; the iterate has zero degrees and scores
+    # inf as well, which `inf <= inf` used to keep as an all-zero graph.
+    Z = np.array([[0.0, 1.0], [1.0, 0.0]])
+    params = GraphLearningParams(alpha=1.0, beta=1.0)
+    A0 = np.array([[0.0, 1e155], [1e155, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert graph_objective(A0, Z, params) == np.inf
+        A, report = learn_graph(Z, params, A0=A0)
+    assert np.array_equal(A, A0)
+    assert not report.converged
+
+
 def test_converged_solution_improves_on_warm_start():
     rng = np.random.default_rng(11)
     Z = random_distances(rng, 5)

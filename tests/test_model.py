@@ -381,6 +381,24 @@ def test_fit_computes_each_fact_once(monkeypatch):
     assert counts["numpy.array_equal"] == len(train)
 
 
+def test_fit_calls_each_layer_through_its_model_binding(monkeypatch):
+    # A profiler that wraps these names in gamtl.model sees every call of
+    # the fit; a call through another binding would read 0 there.
+    counts = Counter()
+    for name in ("ridge_independent", "solve_weights", "learn_graph", "pairwise_sq_distances"):
+        count_calls(monkeypatch, counts, model_mod, name)
+    train, _ = benchmark_splits("syn1", 0)
+    model = fit(train, PINNED_CONFIGS["syn1"])
+    outer = len(model.trace.weight_reports)
+    assert outer >= 2
+    assert counts == {
+        "gamtl.model.ridge_independent": 1,
+        "gamtl.model.solve_weights": outer,
+        "gamtl.model.learn_graph": outer,
+        "gamtl.model.pairwise_sq_distances": 1 + outer,
+    }
+
+
 def test_fit_rbf_checks_tasks_twice(monkeypatch):
     # Once on the raw tasks, before pooling them for k-means, and once on
     # the lifted tasks at the fit's entry.

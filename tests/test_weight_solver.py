@@ -197,6 +197,28 @@ def test_ridge_independent_trusts_a_built_system_bit_for_bit(designs):
         assert np.array_equal(ridge_independent(system, lam), ridge_independent(tasks, lam))
 
 
+@pytest.mark.parametrize("designs", ["shared", "distinct", "two_shared_one_not"])
+def test_data_term_is_the_per_task_loop_bit_for_bit(designs):
+    # One shared design is fitted by one broadcast matmul; the other sets
+    # take the per-task products.  Either way the sum is the plain loop's.
+    rng = np.random.default_rng(32)
+    X1, X2 = rng.standard_normal((5, 12)), rng.standard_normal((5, 12))
+    if designs == "shared":
+        tasks = [TaskDataset(t, X1, rng.standard_normal(12)) for t in range(4)]
+    elif designs == "distinct":
+        tasks = make_tasks(rng, d=5, T=4, N=12)
+    else:
+        tasks = [TaskDataset(t, X, rng.standard_normal(12)) for t, X in enumerate([X1, X1, X2])]
+    system = _WeightSystem(tasks)
+    assert len(system.Q) == (1 if designs == "shared" else len(tasks))
+    W = rng.standard_normal((5, len(tasks)))
+    expected = 0.0
+    for t, task in enumerate(tasks):
+        r = task.X.T @ W[:, t] - task.y
+        expected += float(r @ r)
+    assert system.data_term(W) == expected
+
+
 def test_ridge_independent_rank_rule_on_a_shared_rank_deficient_design():
     # A rank-3 Gram of a 4 x 3 design, which LAPACK's Cholesky pivots can
     # pass without complaint; the eigenvalue rule finds it singular for both
