@@ -416,14 +416,39 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
     return LoadedTasks(tasks=tuple(tasks), task_labels=tuple(labels), standardizer=standardizer)
 
 
+def _csv_dim(tasks: list) -> int:
+    """The feature dimension of ``tasks``; ValueError unless their CSV reloads as them.
+
+    A reload reads the header of the first task, merges the rows of one
+    label and loses a task with no row.
+    """
+    if not tasks:
+        raise ValueError("no tasks to write")
+    d = tasks[0].dim
+    if d < 1:
+        raise ValueError("tasks need at least 1 feature")
+    labels = set()
+    for task in tasks:
+        if task.dim != d:
+            raise ValueError(f"task {task.task_id}: feature dimension {task.dim} differs from {d}")
+        if task.n_samples < 1:
+            raise ValueError(f"task {task.task_id}: has no samples")
+        if str(task.task_id) in labels:
+            raise ValueError(f"duplicate task_id {task.task_id}")
+        labels.add(str(task.task_id))
+    return d
+
+
 def save_tasks_csv(tasks, path):
     """Write tasks as rows ``task,y,x0..x{d-1}`` at full float precision.
 
-    Values are written with ``repr``, as ``csv.writer`` writes floats; none
-    needs quoting, so the lines are joined directly.
+    Tasks of more than one feature dimension or none, a repeated id or a
+    task with no sample raise ``ValueError`` before ``path`` is opened.  Values are
+    written with ``repr``, as ``csv.writer`` writes floats; none needs
+    quoting, so the lines are joined directly.
     """
     tasks = list(tasks)
-    d = tasks[0].dim
+    d = _csv_dim(tasks)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["task", "y", *(f"x{i}" for i in range(d))]) + "\n")
         for task in tasks:
@@ -435,7 +460,14 @@ def save_tasks_csv(tasks, path):
 
 
 def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:
-    """Write one CSV per split plus a manifest; returns the manifest."""
+    """Write one CSV per split plus a manifest; returns the manifest.
+
+    Every split passes the check of :func:`save_tasks_csv` before any file is made.
+    """
+    splits = {split: list(tasks) for split, tasks in splits.items()}
+    if not splits:
+        raise ValueError("no splits to write")
+    dims = [_csv_dim(tasks) for tasks in splits.values()]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     first_split = next(iter(splits.values()))
@@ -443,7 +475,7 @@ def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:
         "name": name,
         "seed": seed,
         "tasks": len(first_split),
-        "d": first_split[0].dim,
+        "d": dims[0],
         "counts": {
             split: [t.n_samples for t in tasks] for split, tasks in splits.items()
         },

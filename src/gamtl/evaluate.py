@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import BENCHMARKS, SYN1_GROUPS, dump_json
+from .data import BENCHMARKS, SYN1_GROUPS, check_seed, dump_json
 from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
@@ -113,15 +113,17 @@ def benchmark(make_data, make_model, method: str, n_runs: int, base_seed: int, c
 
     ``make_data(seed) -> (train_tasks, test_tasks)`` and
     ``make_model(train_tasks, seed) -> model`` define one replicate; run r
-    uses seed ``base_seed + r``.  A replicate that raises is recorded in
-    ``failures`` and flags the report, while the statistics cover the
-    successful runs; when every replicate raises there are none, and a
-    ``RuntimeError`` names the first failure.  Seeds whose model reports
-    ``converged=False`` are listed in ``nonconverged``; models without the
-    flag count as converged.
+    uses seed ``base_seed + r``, and ``base_seed`` must pass
+    :func:`~gamtl.data.check_seed` before the first replicate runs.  A
+    replicate that raises is recorded in ``failures`` and flags the report,
+    while the statistics cover the successful runs; when every replicate
+    raises there are none, and a ``RuntimeError`` names the first failure.
+    Seeds whose model reports ``converged=False`` are listed in
+    ``nonconverged``; models without the flag count as converged.
     """
     if type(n_runs) is not int or n_runs < 1:  # excludes bool
         raise ValueError("n_runs must be at least 1")
+    check_seed(base_seed)
     seeds, values, per_task, per_task_means, failures, nonconverged = [], [], [], [], [], []
     for r in range(n_runs):
         seed = base_seed + r
@@ -237,13 +239,15 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
 
     ``edge-csv`` carries no node count, so pass ``n`` when trailing nodes
     are isolated; ``json`` documents are self-contained.  dot output is for
-    rendering and is not re-imported.  The result must pass
-    :func:`~gamtl.graph.validate_adjacency`.
+    rendering and is not re-imported.  Node indices and ``n`` must be
+    integers (a ``bool`` is not), each pair of nodes may be listed once,
+    and the result must pass :func:`~gamtl.graph.validate_adjacency`; else
+    ``ValueError``.
     """
     if format == "json":
         doc = json.loads(document)
-        size = int(doc["n"])
-        rows = [(int(i), int(j), float(w)) for i, j, w in doc["edges"]]
+        size = doc["n"]
+        rows = [(i, j, float(w)) for i, j, w in doc["edges"]]
     elif format == "edge-csv":
         lines = document.strip().splitlines()
         if not lines or lines[0] != "source,target,weight":
@@ -255,10 +259,19 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
         size = n if n is not None else (max((max(i, j) for i, j, _ in rows), default=-1) + 1)
     else:
         raise ValueError(f"cannot import format {format!r}")
+    if type(size) is not int:  # excludes bool
+        raise ValueError(f"n must be an integer, got {size!r}")
     A = np.zeros((size, size))
+    pairs = set()
     for i, j, w in rows:
+        if type(i) is not int or type(j) is not int:  # excludes bool
+            raise ValueError(f"edge ({i!r}, {j!r}) names a node by a non-integer")
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"edge ({i}, {j}) names a node outside 0..{size - 1}")
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            raise ValueError(f"edge ({i}, {j}) repeats an earlier pair of nodes")
+        pairs.add(pair)
         A[i, j] = A[j, i] = w
     return validate_adjacency(A)
 

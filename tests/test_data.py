@@ -450,7 +450,6 @@ def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path):
     X = np.array([[0.1, -0.0, 1e-300, 2.5e17], [np.pi, -7.0, 1.0 / 3.0, 5e-324]])
     tasks = [
         TaskDataset(0, X, np.array([1.0, -2.5, 1e-7, 123456789.125])),
-        TaskDataset(7, np.empty((2, 0)), np.empty(0)),
         TaskDataset(12, X[:, :1], np.array([-0.0])),
     ]
     path = tmp_path / "out.csv"
@@ -463,6 +462,42 @@ def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path):
             for j in range(task.n_samples):
                 writer.writerow([task.task_id, float(task.y[j]), *map(float, task.X[:, j])])
     assert path.read_bytes() == expected.read_bytes()
+
+
+SAVE_CASES = {
+    "mixed_dims": "task 1: feature dimension 3 differs from 2",
+    "repeated_id": "duplicate task_id 0",
+    "empty_task": "task 1: has no samples",
+    "no_tasks": "no tasks to write",
+    "no_features": "at least 1 feature",
+    "dataset_split": "task 1: feature dimension 3 differs from 2",
+    "dataset_no_splits": "no splits to write",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVE_CASES))
+def test_save_csv_rejects_tasks_that_reload_as_other_tasks(tmp_path, case):
+    # The file of each would reload with a task cut to 2 features, two tasks
+    # merged, a task lost and the rest renumbered, or not at all; write_dataset
+    # used to write the train split, or make its directory, before failing.
+    rng = np.random.default_rng(68)
+    good = [TaskDataset(t, rng.standard_normal((2, 3)), rng.standard_normal(3)) for t in range(3)]
+    wide = TaskDataset(1, rng.standard_normal((3, 3)), rng.standard_normal(3))
+    tasks = {
+        "mixed_dims": [good[0], wide],
+        "repeated_id": [good[0], TaskDataset(0, good[1].X, good[1].y)],
+        "empty_task": [good[0], TaskDataset(1, np.empty((2, 0)), np.empty(0)), good[2]],
+        "no_tasks": [],
+        "no_features": [TaskDataset(0, np.empty((0, 3)), np.zeros(3))],
+    }
+    with pytest.raises(ValueError, match=SAVE_CASES[case]):
+        if case == "dataset_split":
+            write_dataset(tmp_path / "ds", "syn1", 0, {"train": good, "test": [good[0], wide]})
+        elif case == "dataset_no_splits":
+            write_dataset(tmp_path / "ds", "syn1", 0, {})
+        else:
+            save_tasks_csv(tasks[case], tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_schema_validation():
@@ -574,8 +609,9 @@ def test_split_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("seed", [True, -1, 1.5])
-@pytest.mark.parametrize("entry", ["train_test_split", "kmeans_centers", "grid_search_cv"])
+@pytest.mark.parametrize("entry", ["train_test_split", "kmeans_centers", "grid_search_cv", "benchmark"])
 def test_seeded_entry_points_share_the_seed_rule(entry, seed):
+    from gamtl.evaluate import benchmark
     from gamtl.model import GamtlConfig, grid_search_cv
     from gamtl.rbf import kmeans_centers
 
@@ -586,6 +622,9 @@ def test_seeded_entry_points_share_the_seed_rule(entry, seed):
         "kmeans_centers": lambda: kmeans_centers(rng.standard_normal((10, 2)), 3, seed=seed),
         "grid_search_cv": lambda: grid_search_cv(
             tasks, GamtlConfig(), gammas=(1.0,), alphas=(1.0,), betas=(1.0,), n_folds=2, seed=seed
+        ),
+        "benchmark": lambda: benchmark(
+            lambda s: (tasks, tasks), lambda t, s: pytest.fail("a replicate ran"), "m", 1, seed
         ),
     }
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):

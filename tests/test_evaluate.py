@@ -270,6 +270,34 @@ def test_json_round_trip_exact():
     assert np.array_equal(back, A)
 
 
+CSV = {"format": "edge-csv"}
+
+
+@pytest.mark.parametrize(
+    "document,options,message",
+    [
+        ('{"n": 3, "edges": [[0.7, 1, 2.0]]}', {}, r"edge \(0\.7, 1\) names a node by a non-integer"),
+        ('{"n": 3, "edges": [[1, 2.9, 1.0]]}', {}, r"edge \(1, 2\.9\) names a node by a non-integer"),
+        ('{"n": 3, "edges": [[0, true, 1.0]]}', {}, r"edge \(0, True\) names a node by a non-integer"),
+        ('{"n": 3, "edges": [[0, 1, 1.0], [1, 0, 3.0]]}', {}, r"edge \(1, 0\) repeats"),
+        ("source,target,weight\n0,1,1.0\n1,0,3.0\n", CSV, r"edge \(1, 0\) repeats"),
+        ("source,target,weight\n0,2,1.0\n0,2,1.0\n", CSV, r"edge \(0, 2\) repeats"),
+        ('{"n": 2.5, "edges": [[0, 1, 1.0]]}', {}, "n must be an integer, got 2.5"),
+        ("source,target,weight\n0,1,1.0\n", {**CSV, "n": 2.5}, "n must be an integer, got 2.5"),
+    ],
+    ids=[
+        "float_source", "float_target", "bool_target", "json_reversed", "csv_reversed", "csv_same",
+        "json_float_n", "csv_float_n",
+    ],
+)
+def test_import_graph_rejects_non_integer_nodes_and_repeated_pairs(document, options, message):
+    # Each used to import, with an index or the json n truncated to an int,
+    # True read as node 1 or a repeated pair keeping its last weight, or
+    # raised TypeError (an edge-csv n of 2.5).
+    with pytest.raises(ValueError, match=message):
+        import_graph(document, **options)
+
+
 def test_dot_output_contents():
     A = np.array(
         [

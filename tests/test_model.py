@@ -1,5 +1,6 @@
 """Tests for the alternating fit, prediction, and model serialization."""
 
+import itertools
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -361,7 +362,6 @@ def test_fit_computes_each_fact_once(monkeypatch):
         (gamtl.graph_learning, "validate_adjacency"),
         (model_mod, "graph_objective"),
         (gamtl.graph_learning, "graph_objective"),
-        (model_mod, "validate_tasks"),
         (gamtl.weight_solver, "validate_tasks"),
         (np.linalg, "cholesky"),
         (np, "array_equal"),
@@ -375,7 +375,7 @@ def test_fit_computes_each_fact_once(monkeypatch):
     assert counts["gamtl.model.validate_adjacency"] == 1  # GamtlModel's own check
     scores = counts["gamtl.model.graph_objective"] + counts["gamtl.graph_learning.graph_objective"]
     assert scores == 1 + 2 * outer
-    assert counts["gamtl.model.validate_tasks"] + counts["gamtl.weight_solver.validate_tasks"] == 1
+    assert counts["gamtl.weight_solver.validate_tasks"] == 1
     assert counts["numpy.linalg.cholesky"] == 0
     assert builds == [len(train)]
     assert counts["numpy.array_equal"] == len(train)
@@ -406,7 +406,7 @@ def test_fit_rbf_checks_tasks_twice(monkeypatch):
     import gamtl.weight_solver
 
     counts = Counter()
-    for module in (gamtl.rbf, model_mod, gamtl.weight_solver):
+    for module in (gamtl.rbf, gamtl.weight_solver):
         count_calls(monkeypatch, counts, module, "validate_tasks")
     train, _ = benchmark_splits("wiener", 0)
     fit_rbf(train, PINNED_CONFIGS["wiener"])
@@ -637,7 +637,7 @@ def test_grid_search_cv_keeps_a_training_sample_per_task(monkeypatch):
     real_fit = model_mod.fit
 
     def recording_fit(train, config):
-        train_sizes.append([t.n_samples for t in train])
+        train_sizes.append([t.n_samples for t in train.tasks])
         return real_fit(train, config)
 
     monkeypatch.setattr(model_mod, "fit", recording_fit)
@@ -667,3 +667,69 @@ def test_grid_search_cv_structure_and_determinism():
     assert rmses == sorted(rmses)
     assert best1.gamma == results1[0]["gamma"]
     assert np.isfinite(rmses).all()
+
+
+def test_grid_search_cv_builds_one_weight_system_per_fold(monkeypatch):
+    # Every grid point's fit shares its fold's system, so a 2-point, 3-fold
+    # grid checks and factors the tasks 3 times, not once per fit.
+    import gamtl.weight_solver
+
+    builds = []
+
+    class CountingSystem(gamtl.weight_solver._WeightSystem):
+        def __init__(self, tasks):
+            builds.append(len(tasks))
+            super().__init__(tasks)
+
+    monkeypatch.setattr(gamtl.weight_solver, "_WeightSystem", CountingSystem)
+    monkeypatch.setattr(model_mod, "_WeightSystem", CountingSystem)
+    tasks = make_related_tasks(np.random.default_rng(33), d=2, T=3, N=12)
+    config = mild_config(max_outer_iter=10, outer_tol=1e-4)
+    grid_search_cv(tasks, config, gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,), n_folds=3)
+    assert builds == [3, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "axes,message",
+    [
+        ({"gammas": (0.1, -1.0)}, "gamma must be nonnegative"),
+        ({"betas": (0.01, 0.0)}, "beta must be positive"),
+    ],
+    ids=["gamma", "beta"],
+)
+def test_grid_search_cv_checks_every_point_before_the_first_fit(monkeypatch, axes, message):
+    counts = Counter()
+    count_calls(monkeypatch, counts, model_mod, "fit")
+    tasks = make_related_tasks(np.random.default_rng(37), d=2, T=3, N=12)
+    grid = {"gammas": (0.1,), "alphas": (10.0,), "betas": (0.01,), **axes}
+    with pytest.raises(ValueError, match=message):
+        grid_search_cv(tasks, mild_config(), **grid)
+    assert counts["gamtl.model.fit"] == 0
+
+
+def test_grid_search_cv_leaderboard_is_each_fold_fitted_by_hand():
+    # Fitting each fold's task list afresh gives every point's CV RMSE bit for bit.
+    tasks = make_related_tasks(np.random.default_rng(38), d=2, T=3, N=9)
+    config = mild_config(max_outer_iter=10, outer_tol=1e-4)
+    axes, n_folds, seed = ((1e-2, 1.0), (1.0, 10.0), (0.1,)), 3, 2
+    _, results = grid_search_cv(tasks, config, *axes, n_folds=n_folds, seed=seed)
+    rng = np.random.default_rng(seed)
+    fold_ids = [rng.integers(0, n_folds, size=t.n_samples) for t in tasks]
+    # no fold holds out a whole task, so no sample moves to another fold
+    assert all(np.any(ids != f) for ids in fold_ids for f in range(n_folds))
+    expected = {}
+    for gamma, alpha, beta in itertools.product(*axes):
+        graph_params = replace(config.graph_params, alpha=alpha, beta=beta)
+        point_config = replace(config, gamma=gamma, graph_params=graph_params)
+        sq_sum, count = 0.0, 0
+        for f in range(n_folds):
+            keep = [ids != f for ids in fold_ids]
+            train = [TaskDataset(t.task_id, t.X[:, k], t.y[k]) for k, t in zip(keep, tasks)]
+            model = fit(train, point_config)
+            for ids, task in zip(fold_ids, tasks):
+                held = ids == f
+                err = model.predict_task(task.task_id, task.X[:, held]) - task.y[held]
+                sq_sum += float(err @ err)
+                count += int(held.sum())
+        expected[(gamma, alpha, beta)] = float(np.sqrt(sq_sum / count))
+    assert {(r["gamma"], r["alpha"], r["beta"]): r["cv_rmse"] for r in results} == expected
