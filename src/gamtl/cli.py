@@ -39,6 +39,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from . import data as data_mod
 from .evaluate import (
     EXPORT_FORMATS,
@@ -242,9 +244,9 @@ def _read_tasks(path, standardizer=None, **columns) -> data_mod.LoadedTasks:
 
 
 def _write_json(path: Path, payload):
+    text = data_mod.json_text(payload)  # before the file is opened
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        data_mod.dump_json(payload, fh)
+    path.write_text(text, encoding="utf-8")
 
 
 def cmd_synth(args) -> int:
@@ -301,11 +303,9 @@ def cmd_eval(args) -> int:
     if args.feature_columns:
         columns["feature_columns"] = args.feature_columns.split(",")
     loaded = _read_tasks(args.data, stats, **columns)
-    fm = model.feature_map
-    expected = fm.input_dim if fm is not None else model.W.shape[0]
     got = loaded.tasks[0].dim
-    if got != expected:
-        raise UsageError(f"{args.data}: {got} feature columns, but the model takes {expected}")
+    if got != model.input_dim:
+        raise UsageError(f"{args.data}: {got} feature columns, but the model takes {model.input_dim}")
 
     # A model saved without labels names its tasks by id, as save_tasks_csv does.
     labels = model.task_labels or tuple(str(t) for t in model.task_ids)
@@ -337,7 +337,7 @@ def cmd_eval(args) -> int:
         _write_json(Path(args.out), report)
         print(f"wrote {args.out}")
     else:
-        data_mod.dump_json(report, sys.stdout)
+        sys.stdout.write(data_mod.json_text(report))
     return 0
 
 
@@ -411,18 +411,16 @@ def _comma_list(text: str) -> tuple:
 def cmd_tune(args) -> int:
     # grid flags left out keep the grid of grid_search_cv
     grid = {k: getattr(args, k) for k in ("gammas", "alphas", "betas") if getattr(args, k) is not None}
+    # grid_search_cv checks the folds and every grid value before its first fit
     try:
-        if args.folds < 2:
-            raise ValueError(f"--folds must be at least 2, got {args.folds}")
         if args.top < 0:
             raise ValueError("--top must be nonnegative")
-        for flag, values in grid.items():  # "gammas" holds values of the model key "gamma"
-            for value in values:
-                _gamtl_config({flag[:-1]: value})  # the config dataclasses own the ranges
         tasks, _ = data_mod.benchmark_splits(args.name, args.seed)
+        best, results = grid_search_cv(tasks, GamtlConfig(), **grid, n_folds=args.folds, seed=args.seed)
+    except LinAlgError as exc:  # a ValueError, raised by a fit
+        raise RuntimeFailure(f"grid search failed: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    best, results = grid_search_cv(tasks, GamtlConfig(), **grid, n_folds=args.folds, seed=args.seed)
     print(f"=== {args.name} grid search ({len(results)} points, {args.folds} folds) ===")
     print(f"best: gamma {best.gamma:g}, alpha {best.graph_params.alpha:g}, beta {best.graph_params.beta:g}")
     print(f"{'gamma':>10} {'alpha':>10} {'beta':>10} {'cv_rmse':>10}")

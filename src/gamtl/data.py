@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .weight_solver import TaskDataset
+from .weight_solver import TaskDataset, check_task_list
 
 __all__ = [
     "SynSpec",
@@ -310,12 +310,31 @@ class CsvSchema:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature (and optionally target) z-score statistics from one split."""
+    """Per-feature (and optionally target) z-score statistics from one split.
+
+    The feature means and stds are 1-d arrays of one length; every value is
+    finite and every std above 0, else ``ValueError``.
+    """
 
     feature_mean: np.ndarray
     feature_std: np.ndarray
     target_mean: float = 0.0
     target_std: float = 1.0
+
+    def __post_init__(self):
+        mean = np.asarray(self.feature_mean, dtype=float)
+        std = np.asarray(self.feature_std, dtype=float)
+        target_mean, target_std = float(self.target_mean), float(self.target_std)
+        if mean.ndim != 1 or std.shape != mean.shape:
+            raise ValueError("feature_mean and feature_std must be 1-d arrays of one length")
+        if not np.isfinite([*mean, *std, target_mean, target_std]).all():
+            raise ValueError("standardizer statistics must be finite")
+        if not ((std > 0.0).all() and target_std > 0.0):
+            raise ValueError("standardizer stds must be positive")
+        object.__setattr__(self, "feature_mean", mean)
+        object.__setattr__(self, "feature_std", std)
+        object.__setattr__(self, "target_mean", target_mean)
+        object.__setattr__(self, "target_std", target_std)
 
     def apply(self, X: np.ndarray, y: np.ndarray):
         Xs = (X - self.feature_mean[:, None]) / self.feature_std[:, None]
@@ -398,21 +417,18 @@ def load_csv_tasks(path, schema: CsvSchema, standardizer: Standardizer | None = 
         raise ValueError(f"{path}: no data rows")
     labels = list(rows_by_label)
 
-    raw = []
-    for rows in rows_by_label.values():
+    tasks = []  # the raw tasks, checked before any statistics are fitted on them
+    for task_id, rows in enumerate(rows_by_label.values()):
         values = np.array(rows, dtype=float)  # columns y, x0, x1, ...
-        raw.append((np.asfortranarray(values[:, 1:].T), np.ascontiguousarray(values[:, 0])))
+        X, y = np.asfortranarray(values[:, 1:].T), np.ascontiguousarray(values[:, 0])
+        tasks.append(TaskDataset(task_id, X, y))
 
     if standardizer is None and (schema.standardize or schema.standardize_target):
-        all_x = np.concatenate([X for X, _ in raw], axis=1)
-        all_y = np.concatenate([y for _, y in raw])
+        all_x = np.concatenate([t.X for t in tasks], axis=1)
+        all_y = np.concatenate([t.y for t in tasks])
         standardizer = _fit_standardizer(all_x, all_y, schema)
-
-    tasks = []
-    for task_id, (label, (X, y)) in enumerate(zip(labels, raw)):
-        if standardizer is not None:
-            X, y = standardizer.apply(X, y)
-        tasks.append(TaskDataset(task_id, X, y))
+    if standardizer is not None:
+        tasks = [TaskDataset(t.task_id, *standardizer.apply(t.X, t.y)) for t in tasks]
     return LoadedTasks(tasks=tuple(tasks), task_labels=tuple(labels), standardizer=standardizer)
 
 
@@ -420,32 +436,26 @@ def _csv_dim(tasks: list) -> int:
     """The feature dimension of ``tasks``; ValueError unless their CSV reloads as them.
 
     A reload reads the header of the first task, merges the rows of one
-    label and loses a task with no row.
+    label, loses a task with no row and splits an unquoted cell at a comma:
+    :func:`check_task_list`, one task, and ids that need no quotes.
     """
     if not tasks:
         raise ValueError("no tasks to write")
-    d = tasks[0].dim
-    if d < 1:
-        raise ValueError("tasks need at least 1 feature")
-    labels = set()
-    for task in tasks:
-        if task.dim != d:
-            raise ValueError(f"task {task.task_id}: feature dimension {task.dim} differs from {d}")
-        if task.n_samples < 1:
-            raise ValueError(f"task {task.task_id}: has no samples")
-        if str(task.task_id) in labels:
-            raise ValueError(f"duplicate task_id {task.task_id}")
-        labels.add(str(task.task_id))
+    d = check_task_list(tasks)
+    quoted = [t.task_id for t in tasks if not set(str(t.task_id)).isdisjoint(',"\r\n')]
+    if quoted:
+        raise ValueError(f"task_id {quoted[0]!r} would need quotes in a CSV")
     return d
 
 
 def save_tasks_csv(tasks, path):
     """Write tasks as rows ``task,y,x0..x{d-1}`` at full float precision.
 
-    Tasks of more than one feature dimension or none, a repeated id or a
-    task with no sample raise ``ValueError`` before ``path`` is opened.  Values are
-    written with ``repr``, as ``csv.writer`` writes floats; none needs
-    quoting, so the lines are joined directly.
+    No task, tasks that fail :func:`~gamtl.weight_solver.check_task_list`,
+    or an id that holds a comma, a quote, CR or LF raise ``ValueError``
+    before ``path`` is opened.  Values are written with ``repr``, as
+    ``csv.writer`` writes floats; no cell needs quoting, so the lines are
+    joined directly.
     """
     tasks = list(tasks)
     d = _csv_dim(tasks)
@@ -482,15 +492,17 @@ def write_dataset(out_dir, name: str, seed: int, splits: dict) -> dict:
     }
     for split, tasks in splits.items():
         save_tasks_csv(tasks, out_dir / f"{split}.csv")
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        dump_json(manifest, fh)
+    (out_dir / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
     return manifest
 
 
-def dump_json(payload, fh):
-    """Write ``payload`` as every JSON artifact: sorted keys, two-space indent, final newline."""
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def json_text(payload) -> str:
+    """Every JSON artifact's text: sorted keys, two-space indent, final newline.
+
+    Writers render the text before they open the file, so a payload that
+    JSON cannot hold raises and leaves the file as it was.
+    """
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def train_test_split(tasks, ratio: float, seed: int):

@@ -20,11 +20,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import BENCHMARKS, SYN1_GROUPS, check_seed, dump_json
+from .data import BENCHMARKS, SYN1_GROUPS, check_seed, json_text
 from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
@@ -214,9 +215,7 @@ def export_graph(A: np.ndarray, threshold: float | None = None, format: str = "j
             "edges": [[i, j, w] for i, j, w in edges],
             "isolated": isolated,
         }
-        out = io.StringIO()
-        dump_json(doc, out)
-        return out.getvalue()
+        return json_text(doc)
 
     if format == "edge-csv":
         out = io.StringIO()
@@ -240,32 +239,39 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
     ``edge-csv`` carries no node count, so pass ``n`` when trailing nodes
     are isolated; ``json`` documents are self-contained.  dot output is for
     rendering and is not re-imported.  Node indices and ``n`` must be
-    integers (a ``bool`` is not), each pair of nodes may be listed once,
-    and the result must pass :func:`~gamtl.graph.validate_adjacency`; else
-    ``ValueError``.
+    integers (a ``bool`` is not), an edge-csv index ASCII digits after an
+    optional ``-``; weights must be JSON numbers (``true`` is not) or
+    edge-csv ``float`` text without ``_``.  Each pair of nodes may be listed
+    once, and the result must pass
+    :func:`~gamtl.graph.validate_adjacency`; else ``ValueError``.
     """
     if format == "json":
         doc = json.loads(document)
-        size = doc["n"]
-        rows = [(i, j, float(w)) for i, j, w in doc["edges"]]
+        size, rows = doc["n"], doc["edges"]
     elif format == "edge-csv":
         lines = document.strip().splitlines()
         if not lines or lines[0] != "source,target,weight":
             raise ValueError("edge-csv document must start with 'source,target,weight'")
-        rows = []
+        size, rows = n, []
         for line in lines[1:]:
+            # an index other than ASCII digits, or a weight with a `_`, stays a str, refused below
             i, j, w = line.split(",")
-            rows.append((int(i), int(j), float(w)))
-        size = n if n is not None else (max((max(i, j) for i, j, _ in rows), default=-1) + 1)
+            i, j = (int(v) if re.fullmatch("-?[0-9]+", v) else v for v in (i, j))
+            rows.append((i, j, w if "_" in w else float(w)))
     else:
         raise ValueError(f"cannot import format {format!r}")
+    for i, j, w in rows:
+        if type(i) is not int or type(j) is not int:  # excludes bool
+            raise ValueError(f"edge ({i!r}, {j!r}) names a node by a non-integer")
+        if type(w) not in (int, float):  # excludes bool and str
+            raise ValueError(f"edge ({i}, {j}) has a weight that is not a number: {w!r}")
+    if format == "edge-csv" and n is None:
+        size = max((max(i, j) for i, j, _ in rows), default=-1) + 1
     if type(size) is not int:  # excludes bool
         raise ValueError(f"n must be an integer, got {size!r}")
     A = np.zeros((size, size))
     pairs = set()
     for i, j, w in rows:
-        if type(i) is not int or type(j) is not int:  # excludes bool
-            raise ValueError(f"edge ({i!r}, {j!r}) names a node by a non-integer")
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"edge ({i}, {j}) names a node outside 0..{size - 1}")
         pair = (min(i, j), max(i, j))

@@ -30,10 +30,11 @@ import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .data import Standardizer, check_seed, dump_json
+from .data import Standardizer, check_seed, json_text
 from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vectorform
 from .graph_learning import (
     GraphLearningParams,
@@ -42,12 +43,7 @@ from .graph_learning import (
     graph_objective,
     learn_graph,
 )
-from .weight_solver import (
-    TaskDataset,
-    _WeightSystem,
-    ridge_independent,
-    solve_weights,
-)
+from .weight_solver import TaskDataset, _WeightSystem, check_task_ids, ridge_independent, solve_weights
 
 __all__ = [
     "GamtlConfig",
@@ -148,14 +144,17 @@ class FitTrace:
 class GamtlModel:
     """Fitted weights, task graph, and the optional shared feature map.
 
-    ``task_labels``, when given, names the task of each column as it was
-    labelled in the training file; it is empty for tasks built in code.  No
-    id or label may name two columns.
+    ``task_ids`` pass the id rule of a fit's tasks,
+    :func:`~gamtl.weight_solver.check_task_ids`: each an ``int`` or a
+    ``str``, no two alike as written.  ``task_labels``, when given, names
+    the task of each column as it was labelled in the training file; it is
+    empty for tasks built in code.  No label may name two columns.
     ``standardizer``, when given, holds the z-score statistics the training
     file was standardized with: the model takes inputs and predicts targets
     in those units, so new data go through the same statistics
     (``load_csv_tasks(..., standardizer=)``) and errors scale back to
-    target units by ``target_std``.
+    target units by ``target_std``.  Its width is the model's input
+    dimension, the feature map's when there is one.
     """
 
     W: np.ndarray
@@ -179,15 +178,25 @@ class GamtlModel:
         if self.task_labels and len(self.task_labels) != len(self.task_ids):
             raise ValueError("task_labels count does not match task_ids")
         # Each id and label names one column; a repeat would score tasks against the wrong one.
-        for name, values in (("task_ids", self.task_ids), ("task_labels", self.task_labels)):
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must be distinct")
+        check_task_ids(self.task_ids)
+        if len(set(self.task_labels)) != len(self.task_labels):
+            raise ValueError("task_labels must be distinct")
         if self.W.shape[1] != len(self.task_ids):
             raise ValueError("W column count does not match task_ids")
         if self.A.shape[0] != len(self.task_ids):
             raise ValueError("A size does not match task_ids")
         if self.feature_map is not None and self.W.shape[0] != self.feature_map.num_centers + 1:
             raise ValueError("W row count does not match the feature map's centers plus bias")
+        stats = self.standardizer
+        if stats is not None and stats.feature_mean.size != self.input_dim:
+            raise ValueError(
+                f"standardizer width {stats.feature_mean.size} does not match the input dimension {self.input_dim}"
+            )
+
+    @property
+    def input_dim(self) -> int:
+        """Features of one input sample: the feature map's input width, else W's row count."""
+        return self.W.shape[0] if self.feature_map is None else self.feature_map.input_dim
 
     def column_of(self, task_id) -> int:
         try:
@@ -358,13 +367,7 @@ def model_from_dict(payload: dict) -> GamtlModel:
         raise ValueError(f"converged must be true or false, got {converged!r}")
     standardizer = None
     if "standardizer" in payload:
-        stats = payload["standardizer"]
-        standardizer = Standardizer(
-            feature_mean=np.asarray(stats["feature_mean"], dtype=float),
-            feature_std=np.asarray(stats["feature_std"], dtype=float),
-            target_mean=float(stats["target_mean"]),
-            target_std=float(stats["target_std"]),
-        )
+        standardizer = Standardizer(**_json_object(payload["standardizer"], "standardizer"))
     return GamtlModel(
         W=np.asarray(payload["W"], dtype=float),
         A=matrixform(np.asarray(payload["A"], dtype=float)),
@@ -380,8 +383,8 @@ def model_from_dict(payload: dict) -> GamtlModel:
 
 
 def save_model(model: GamtlModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json(model_to_dict(model), fh)
+    """Write ``model`` as JSON; a model JSON cannot hold raises before ``path`` is opened."""
+    Path(path).write_text(json_text(model_to_dict(model)), encoding="utf-8")
 
 
 def load_model(path) -> GamtlModel:

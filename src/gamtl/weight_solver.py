@@ -47,14 +47,14 @@ RIDGE_FLOOR_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class TaskDataset:
-    """One task: design matrix ``X`` (d x N, columns are samples), targets ``y``.
+    """One task: an ``int`` or ``str`` id, design ``X`` (d x N, columns are samples), targets ``y``.
 
     ``N = 0`` is allowed here, so that scoring can name an empty test task;
-    collections entering a fit or a weight solve must pass
-    :func:`validate_tasks`, which requires at least one sample per task.
+    the task lists of a fit, a weight solve and a CSV must pass
+    :func:`check_task_list`, which requires at least one sample per task.
     """
 
-    task_id: int
+    task_id: int | str
     X: np.ndarray
     y: np.ndarray
 
@@ -84,24 +84,37 @@ class TaskDataset:
         return self.X.shape[1]
 
 
+def check_task_ids(task_ids):
+    """The id rule: each an ``int`` (not a ``bool``) or a ``str``, no two alike as written (``str(id)``)."""
+    written = set()
+    for task_id in task_ids:
+        if isinstance(task_id, bool) or not isinstance(task_id, (int, str)):
+            raise ValueError(f"task_id {task_id!r} is not an int or a str")
+        if str(task_id) in written:
+            raise ValueError(f"duplicate task_id {task_id}")
+        written.add(str(task_id))
+
+
+def check_task_list(tasks) -> int:
+    """Feature dimension of non-empty ``tasks``: one, of at least 1; a sample each; ids per :func:`check_task_ids`."""
+    d = tasks[0].dim
+    if d < 1:
+        raise ValueError("tasks need at least 1 feature")
+    for t in tasks:
+        if t.dim != d:
+            raise ValueError(f"task {t.task_id}: feature dimension {t.dim} differs from {d}")
+        if t.n_samples < 1:
+            raise ValueError(f"task {t.task_id}: has no samples")
+    check_task_ids(t.task_id for t in tasks)
+    return d
+
+
 def validate_tasks(tasks) -> tuple[int, int]:
-    """Check a task collection for fitting; return (feature dim, task count)."""
+    """Check tasks for a fit, at least 2 that pass :func:`check_task_list`; return (dim, count)."""
     tasks = list(tasks)
     if len(tasks) < 2:
         raise ValueError(f"need at least 2 tasks, got {len(tasks)}")
-    d = tasks[0].dim
-    seen_ids = set()
-    for t in tasks:
-        if t.dim != d:
-            raise ValueError(
-                f"task {t.task_id}: feature dimension {t.dim} differs from {d}"
-            )
-        if t.n_samples < 1:
-            raise ValueError(f"task {t.task_id}: has no samples")
-        if t.task_id in seen_ids:
-            raise ValueError(f"duplicate task_id {t.task_id}")
-        seen_ids.add(t.task_id)
-    return d, len(tasks)
+    return check_task_list(tasks), len(tasks)
 
 
 def ridge_independent(tasks, lam: float) -> np.ndarray:

@@ -593,7 +593,38 @@ def test_eval_model_with_repeated_task_names_is_usage_error(tmp_path, capsys, bl
     payload.update(blocks)
     model_path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
-    assert f"malformed model file: {name} must be distinct" in capsys.readouterr().err
+    message = {"task_ids": "duplicate task_id 0", "task_labels": "task_labels must be distinct"}[name]
+    assert f"malformed model file: {message}" in capsys.readouterr().err
+
+
+STANDARDIZERS = {
+    "negative_target_std": {"target_std": -2.0},
+    "zero_target_std": {"target_std": 0.0},
+    "zero_feature_std": {"feature_std": [1.0, 0.0]},
+    "nan_target_mean": {"target_mean": float("nan")},
+    "wide": {"feature_mean": [0.0, 0.0, 0.0], "feature_std": [1.0, 1.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STANDARDIZERS))
+def test_eval_model_with_a_bad_standardizer_is_malformed(tmp_path, capsys, case):
+    # A negative target_std used to score a negative RMSE; a zero std or a
+    # NaN mean failed on the test rows, and a wide one on their columns.
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    payload = json.loads(model_path.read_text())
+    stats = {"feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "target_mean": 0.0, "target_std": 1.0}
+    payload["standardizer"] = {**stats, **STANDARDIZERS[case]}
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
+    assert "malformed model file" in capsys.readouterr().err
+
+
+def test_write_json_renders_before_opening_the_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("previous report", encoding="utf-8")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        gamtl.cli._write_json(path, {"n_samples": np.int64(3)})
+    assert path.read_text(encoding="utf-8") == "previous report"
 
 
 # --------------------------------------------------------------------------
@@ -848,6 +879,16 @@ def test_tune_bad_argument_is_usage_error(capsys, flag, value):
     assert main(["tune", "syn1", flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_tune_fit_failure_exits_2(monkeypatch, capsys):
+    # LinAlgError is a ValueError, but one raised by a fit is not a usage error.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("normal equations are singular")
+
+    monkeypatch.setattr("gamtl.model.fit", singular)
+    assert main(["tune", "syn1", "--folds", "2", "--gammas", "0.1", "--alphas", "10", "--betas", "0.01"]) == 2
+    assert "normal equations are singular" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

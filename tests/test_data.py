@@ -470,6 +470,7 @@ SAVE_CASES = {
     "empty_task": "task 1: has no samples",
     "no_tasks": "no tasks to write",
     "no_features": "at least 1 feature",
+    "id_needs_quotes": "task_id 'a,b' would need quotes in a CSV",
     "dataset_split": "task 1: feature dimension 3 differs from 2",
     "dataset_no_splits": "no splits to write",
 }
@@ -489,6 +490,7 @@ def test_save_csv_rejects_tasks_that_reload_as_other_tasks(tmp_path, case):
         "empty_task": [good[0], TaskDataset(1, np.empty((2, 0)), np.empty(0)), good[2]],
         "no_tasks": [],
         "no_features": [TaskDataset(0, np.empty((0, 3)), np.zeros(3))],
+        "id_needs_quotes": [good[0], TaskDataset("a,b", good[1].X, good[1].y)],
     }
     with pytest.raises(ValueError, match=SAVE_CASES[case]):
         if case == "dataset_split":

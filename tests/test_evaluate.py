@@ -284,16 +284,25 @@ CSV = {"format": "edge-csv"}
         ("source,target,weight\n0,2,1.0\n0,2,1.0\n", CSV, r"edge \(0, 2\) repeats"),
         ('{"n": 2.5, "edges": [[0, 1, 1.0]]}', {}, "n must be an integer, got 2.5"),
         ("source,target,weight\n0,1,1.0\n", {**CSV, "n": 2.5}, "n must be an integer, got 2.5"),
+        ("source,target,weight\n1_0,0,1.0\n", CSV, r"edge \('1_0', 0\) names a node by a non-integer"),
+        ("source,target,weight\n 1,0,1.0\n", CSV, r"edge \(' 1', 0\) names a node by a non-integer"),
+        ("source,target,weight\n+0,1,1.0\n", CSV, r"edge \('\+0', 1\) names a node by a non-integer"),
+        ("source,target,weight\n0,1,1_0\n", CSV, r"edge \(0, 1\) has a weight that is not a number: '1_0'"),
+        ('{"n": 2, "edges": [[0, 1, true]]}', {}, r"edge \(0, 1\) has a weight that is not a number: True"),
+        ('{"n": 2, "edges": [[0, 1, "2.5"]]}', {}, r"edge \(0, 1\) has a weight that is not a number: '2\.5'"),
     ],
     ids=[
         "float_source", "float_target", "bool_target", "json_reversed", "csv_reversed", "csv_same",
-        "json_float_n", "csv_float_n",
+        "json_float_n", "csv_float_n", "csv_underscore_node", "csv_space_node", "csv_plus_node",
+        "csv_underscore_weight", "json_bool_weight", "json_string_weight",
     ],
 )
 def test_import_graph_rejects_non_integer_nodes_and_repeated_pairs(document, options, message):
     # Each used to import, with an index or the json n truncated to an int,
-    # True read as node 1 or a repeated pair keeping its last weight, or
-    # raised TypeError (an edge-csv n of 2.5).
+    # True read as node 1, a repeated pair keeping its last weight, int() or
+    # float() text export_graph never writes (1_0, " 1", +0) read as a number,
+    # or a json weight of true or "2.5" read as 1.0 or 2.5; or it raised
+    # TypeError (an edge-csv n of 2.5).
     with pytest.raises(ValueError, match=message):
         import_graph(document, **options)
 

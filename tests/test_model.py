@@ -1,6 +1,7 @@
 """Tests for the alternating fit, prediction, and model serialization."""
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -480,6 +481,48 @@ def linear_model():
 def test_model_rejects_inconsistent_fields(change, message):
     with pytest.raises(ValueError, match=message):
         replace(linear_model(), **change)
+
+
+# Ids a fit used to take, but that a model file or a CSV cannot name apart:
+# JSON holds no numpy integer, and True, (0, 1) and "1" write as true, [0, 1] and 1.
+BAD_IDS = {
+    "numpy_int": ((np.int64(0), 1), "is not an int or a str"),
+    "bool": ((True, 0), "True is not an int or a str"),
+    "tuple": (((0, 1), 2), r"\(0, 1\) is not an int or a str"),
+    "int_and_str": ((1, "1"), "duplicate task_id 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+def test_fit_refuses_ids_a_model_file_cannot_name(case):
+    ids, message = BAD_IDS[case]
+    tasks = make_related_tasks(np.random.default_rng(3), T=2)
+    with pytest.raises(ValueError, match=message):
+        fit([TaskDataset(i, t.X, t.y) for i, t in zip(ids, tasks)], GamtlConfig())
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+def test_model_and_model_file_refuse_the_ids_a_fit_refuses(tmp_path, case):
+    ids, message = BAD_IDS[case]
+    with pytest.raises(ValueError, match=message):
+        replace(linear_model(), task_ids=ids)
+    payload = model_to_dict(linear_model())
+    # JSON holds no numpy integer; 0.0 stands in as an id that is a number but not an int
+    payload["task_ids"] = [0.0, 1] if case == "numpy_int" else list(ids)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="is not an int or a str|duplicate task_id"):
+        load_model(path)
+
+
+def test_save_model_renders_its_json_before_opening_the_file(tmp_path):
+    # JSON cannot hold a numpy integer; save_model used to leave a truncated file.
+    path = tmp_path / "model.json"
+    path.write_text("previous model", encoding="utf-8")
+    model = replace(linear_model(), task_labels=(np.int64(0), np.int64(1)))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_model(model, path)
+    assert path.read_text(encoding="utf-8") == "previous model"
 
 
 def test_predict_linear_hand_values():

@@ -104,6 +104,21 @@ def test_solve_weights_rejects_a_task_without_samples():
         solve_weights(tasks, np.zeros((3, 3)), gamma=1.0)
 
 
+ZERO_FEATURE_CALLS = {
+    "fit": lambda tasks: fit(tasks, GamtlConfig()),
+    "ridge_independent": lambda tasks: ridge_independent(tasks, lam=1.0),
+    "solve_weights": lambda tasks: solve_weights(tasks, np.zeros((2, 2)), gamma=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_FEATURE_CALLS))
+def test_tasks_without_features_are_refused(name):
+    # Each used to fail inside the solve, not at the check of its tasks.
+    tasks = [TaskDataset(t, np.empty((0, 3)), np.zeros(3)) for t in range(2)]
+    with pytest.raises(ValueError, match="tasks need at least 1 feature"):
+        ZERO_FEATURE_CALLS[name](tasks)
+
+
 # --------------------------------------------------------------------------
 # Independent ridge
 
