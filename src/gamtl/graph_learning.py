@@ -34,6 +34,7 @@ of iterations where a first-order method takes thousands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,12 @@ def graph_objective(A: np.ndarray, Z: np.ndarray, params: GraphLearningParams) -
     checked (see :func:`~gamtl.graph.validate_adjacency`).
     """
     degrees = A.sum(axis=1)
-    if np.any(degrees <= 0.0):
+    if degrees.min() <= 0.0:
         return np.inf
     return (
-        float(np.sum(A * Z))
-        - params.alpha * float(np.sum(np.log(degrees)))
-        + params.beta * float(np.sum(A * A))
+        float((A * Z).sum())
+        - params.alpha * float(np.log(degrees).sum())
+        + params.beta * float((A * A).sum())
     )
 
 
@@ -240,12 +241,15 @@ def learn_graph(
     lam = alpha / apply_degree_operator(vectorform(A0), T)
     a, r, Sr, barrier, grad = dual_state(lam)
     converged = False
+    H = np.empty((T, T))
 
+    # Every exit, the last iteration's too, breaks before the update at the
+    # loop's end, so r stays the iterate whose residual is reported.
     for iterations in range(1, params.max_iter + 1):
-        w = r / (4.0 * beta)
-        grad_norm = float(np.linalg.norm(grad))
+        # Norms as np.linalg.norm computes them for a 1-d array, without its wrapper.
+        grad_norm = math.sqrt(float(grad @ grad))
         try:
-            residual = grad_norm / float(np.linalg.norm(barrier))
+            residual = grad_norm / math.sqrt(float(barrier @ barrier))
         except ZeroDivisionError:  # ||alpha / lam|| underflows: the precision floor
             residual = np.inf
             break
@@ -254,11 +258,13 @@ def learn_graph(
         if residual <= params.tol and Sr.min() > 0.0:
             converged = True
             break
+        if iterations == params.max_iter:
+            break  # its step would go untested
         # Newton direction from the generalized Hessian of -g.
         coupling = (r > 0.0) / (4.0 * beta)
-        H = np.zeros((T, T))
         H[I, J] = coupling
         H[J, I] = coupling
+        H.flat[:: T + 1] = 0.0
         H.flat[:: T + 1] = alpha / (lam * lam) + H.sum(axis=1)
         try:
             step = np.linalg.solve(H, grad)
@@ -275,8 +281,8 @@ def learn_graph(
         # g(lam_new) - g(lam) is formed without subtracting two large values.
         # Its rounding is bounded by that of the barrier sum and of r, which
         # carries the rounding of S^T lam - 2z on each edge.
-        if not np.linalg.norm(grad_new) < grad_norm:
-            log_gain = alpha * float(np.sum(np.log1p((lam_new - lam) / lam)))
+        if not math.sqrt(float(grad_new @ grad_new)) < grad_norm:
+            log_gain = alpha * float(np.log1p((lam_new - lam) / lam).sum())
             r_sum = r_new + r
             gain = log_gain - float((r_new - r) @ r_sum) / (8.0 * beta)
             rounding = abs(log_gain) + float((a_new + z2 + z2) @ r_sum) / (4.0 * beta)
@@ -284,7 +290,7 @@ def learn_graph(
                 break  # the ray's maximizer improves neither: precision floor
         lam, a, r, Sr, barrier, grad = lam_new, a_new, r_new, Sr_new, barrier_new, grad_new
 
-    A = matrixform(w)
+    A = matrixform(r / (4.0 * beta))
     score = graph_objective(A, Z, params)
     # fit relies on A never scoring above A0; a zero degree scores inf, so it falls back too.
     if not (np.isfinite(score) and score <= score0):

@@ -147,8 +147,9 @@ class GamtlModel:
     ``task_ids`` pass the id rule of a fit's tasks,
     :func:`~gamtl.weight_solver.check_task_ids`: each an ``int`` or a
     ``str``, no two alike as written.  ``task_labels``, when given, names
-    the task of each column as it was labelled in the training file; it is
-    empty for tasks built in code.  No label may name two columns.
+    the task of each column as it was labelled in the training file, each a
+    ``str`` as :func:`~gamtl.data.load_csv_tasks` reads it; it is empty for
+    tasks built in code.  No label may name two columns.
     ``standardizer``, when given, holds the z-score statistics the training
     file was standardized with: the model takes inputs and predicts targets
     in those units, so new data go through the same statistics
@@ -179,6 +180,9 @@ class GamtlModel:
             raise ValueError("task_labels count does not match task_ids")
         # Each id and label names one column; a repeat would score tasks against the wrong one.
         check_task_ids(self.task_ids)
+        for label in self.task_labels:
+            if not isinstance(label, str):
+                raise ValueError(f"task label {label!r} is not a str")
         if len(set(self.task_labels)) != len(self.task_labels):
             raise ValueError("task_labels must be distinct")
         if self.W.shape[1] != len(self.task_ids):
@@ -251,12 +255,14 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
     notes = []
-    # Z always holds the distances of the current W: each distinct W costs
-    # one pairwise_sq_distances call.
+    # gZ always holds gamma times the distances of the current W: each
+    # distinct W costs one pairwise_sq_distances call and one product.
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
+    gZ = config.gamma * Z
+    del Z  # only the initial graph reads the unscaled distances
     data_term = system.data_term(W)
-    graph_term = graph_objective(A, config.gamma * Z, config.graph_params)
+    graph_term = graph_objective(A, gZ, config.graph_params)
     trace.record("init", data_term + graph_term)
 
     if config.gamma == 0.0:
@@ -283,17 +289,15 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         trace.weight_reports.append({"outer": outer, **vars(wreport)})
         if not wreport.converged:
             notes.append(f"outer {outer}: weight solve hit its iteration limit")
-        Z_new = pairwise_sq_distances(W_new)
+        gZ_new = config.gamma * pairwise_sq_distances(W_new)
         data_new = system.data_term(W_new)
-        graph_new = graph_objective(A, config.gamma * Z_new, config.graph_params)
+        graph_new = graph_objective(A, gZ_new, config.graph_params)
         if data_new + graph_new <= data_term + graph_term:
-            W, Z, data_term, graph_term = W_new, Z_new, data_new, graph_new
+            W, gZ, data_term, graph_term = W_new, gZ_new, data_new, graph_new
         trace.record("weights", data_term + graph_term)
 
-        # graph_term is A's score at the kept Z; built inline, the warm start dies with the old A.
-        A, greport, graph_term = learn_graph(
-            config.gamma * Z, config.graph_params, A0=_ScoredGraph(A, graph_term)
-        )
+        # graph_term is A's score at the kept gZ; built inline, the warm start dies with the old A.
+        A, greport, graph_term = learn_graph(gZ, config.graph_params, A0=_ScoredGraph(A, graph_term))
         trace.graph_reports.append({"outer": outer, **vars(greport)})
         if not greport.converged:
             notes.append(f"outer {outer}: graph solve hit its iteration limit")

@@ -27,7 +27,9 @@ Comput. 2009); see :func:`solve_weights`.  The module needs numpy alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,10 +147,12 @@ class _WeightSystem:
     compares designs.  ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams'
     eigenpairs, ``s`` clipped at 0; k = 1 when every task shares its design,
     else each Gram is written into its slot of the one (T, d, d) stack and
-    replaced there by its eigenvectors.  ``coarse`` is the mean Gram's pair
-    (the shared one when k = 1), ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces.  ``tasks`` keeps the checked task
-    list, whose designs and targets :meth:`data_term` scores.
+    replaced there by its eigenvectors.  ``rhs`` stacks ``X_t y_t`` and
+    ``data_trace`` sums the Grams' traces, one design's trace T times when
+    they share it.  :attr:`coarse` is the mean Gram's pair: the shared one
+    when k = 1, else computed at the first weight solve, so a ridge start
+    alone never pays for it.  ``tasks`` keeps the checked task list, whose
+    designs and targets :meth:`data_term` scores.
     """
 
     def __init__(self, tasks):
@@ -157,36 +161,47 @@ class _WeightSystem:
         self.task_ids = tuple(t.task_id for t in tasks)
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])
-        self.data_trace = sum(float(np.sum(X * X)) for X in xs)
         if all(np.array_equal(X, xs[0]) for X in xs[1:]):
+            # The same float, added T times in the order of the per-task sum.
+            self.data_trace = sum([float(np.sum(xs[0] * xs[0]))] * T)
             s, Q = np.linalg.eigh(xs[0] @ xs[0].T)
             self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
             self.coarse = (self.s[0], Q)
             return
+        self.data_trace = sum(float(np.sum(X * X)) for X in xs)
         self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
-        mean_gram = np.zeros((d, d))
+        self._gram_sum = np.zeros((d, d))
         for t, X in enumerate(xs):
             np.matmul(X, X.T, out=self.Q[t])
-            mean_gram += self.Q[t]
+            self._gram_sum += self.Q[t]
             self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
         np.maximum(self.s, 0.0, out=self.s)
-        s, Q = np.linalg.eigh(mean_gram / T)
-        self.coarse = (np.maximum(s, 0.0), Q)
+
+    @cached_property
+    def coarse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (clipped at 0) and eigenvectors of the mean Gram; a shared design's build sets them."""
+        s, Q = np.linalg.eigh(self._gram_sum / self.T)
+        del self._gram_sum
+        return np.maximum(s, 0.0), Q
 
     def data_term(self, W: np.ndarray) -> float:
         """F's data term ``sum_t ||X_t^T w_t - y_t||^2`` at W (d x T), trusted.
 
-        With one design, one broadcast ``matmul`` fits every task by the same
-        matrix-vector product per task as the loop, so the bits do not change.
+        With one design, one broadcast ``matmul`` fits every task and a
+        second takes every row's ``r @ r``; each is the same product per
+        task as the loop, so the bits do not change.
         """
         if len(self.Q) == 1:
-            fitted = np.matmul(self.tasks[0].X.T, W.T[:, :, None])[:, :, 0]
+            R = np.matmul(self.tasks[0].X.T, W.T[:, :, None])[:, :, 0]
+            for r, task in zip(R, self.tasks):
+                r -= task.y
+            squares = map(float, np.matmul(R[:, None, :], R[:, :, None]).ravel())
         else:
-            fitted = (task.X.T @ w for task, w in zip(self.tasks, W.T))
+            residuals = (task.X.T @ w - task.y for task, w in zip(self.tasks, W.T))
+            squares = (float(r @ r) for r in residuals)
         total = 0.0
-        for f, task in zip(fitted, self.tasks):
-            r = f - task.y
-            total += float(r @ r)
+        for square in squares:
+            total += square
         return total
 
 
@@ -219,14 +234,14 @@ def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxi
     ``maxiter`` iterations run out, ``x`` is the last iterate and
     ``converged`` is False.
     """
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = math.sqrt(float(rhs @ rhs))  # np.linalg.norm's sum and root, without its wrapper
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, True
     atol = rtol * rhs_norm
     r = rhs - matvec(x)
     rho_prev = p = None
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(float(r @ r)) < atol:
             return x, iteration, True
         z = precondition(r)
         rho = np.dot(r, z)
@@ -338,5 +353,6 @@ def solve_weights(
             return z
 
     x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, 10 * d * T)
-    residual = float(np.linalg.norm(matvec(x) - rhs)) / max(float(np.linalg.norm(rhs)), 1e-300)
+    r = matvec(x) - rhs
+    residual = math.sqrt(float(r @ r)) / max(math.sqrt(float(rhs @ rhs)), 1e-300)
     return x.reshape(T, d).T, WeightSolveReport(iterations, converged, residual, mu)

@@ -597,6 +597,16 @@ def test_eval_model_with_repeated_task_names_is_usage_error(tmp_path, capsys, bl
     assert f"malformed model file: {message}" in capsys.readouterr().err
 
 
+def test_eval_model_with_integer_task_labels_is_usage_error(tmp_path, capsys):
+    # Integer labels would match no task of the CSV, whose labels are text.
+    model_path, data_path = perfect_model_and_data(tmp_path)
+    payload = json.loads(model_path.read_text())
+    payload["task_labels"] = [0, 1]
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path)]) == 1
+    assert "malformed model file: task label 0 is not a str" in capsys.readouterr().err
+
+
 STANDARDIZERS = {
     "negative_target_std": {"target_std": -2.0},
     "zero_target_std": {"target_std": 0.0},

@@ -519,10 +519,23 @@ def test_save_model_renders_its_json_before_opening_the_file(tmp_path):
     # JSON cannot hold a numpy integer; save_model used to leave a truncated file.
     path = tmp_path / "model.json"
     path.write_text("previous model", encoding="utf-8")
-    model = replace(linear_model(), task_labels=(np.int64(0), np.int64(1)))
+    model = replace(linear_model(), trace=FitTrace(graph_reports=[{"outer": np.int64(1)}]))
     with pytest.raises(TypeError, match="not JSON serializable"):
         save_model(model, path)
     assert path.read_text(encoding="utf-8") == "previous model"
+
+
+def test_model_and_model_file_require_str_task_labels(tmp_path):
+    # A CSV names its tasks by text, as load_csv_tasks reads them; a label of
+    # another type matches no task of a data file, and JSON holds no numpy integer.
+    with pytest.raises(ValueError, match="is not a str"):
+        replace(linear_model(), task_labels=(np.int64(0), np.int64(1)))
+    payload = model_to_dict(replace(linear_model(), task_labels=("0", "1")))
+    payload["task_labels"] = [0, 1]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="task label 0 is not a str"):
+        load_model(path)
 
 
 def test_predict_linear_hand_values():

@@ -234,6 +234,89 @@ def test_data_term_is_the_per_task_loop_bit_for_bit(designs):
     assert system.data_term(W) == expected
 
 
+def loop_data_term(tasks, W):
+    """The data term as a per-task loop, adding each ``r @ r`` in task order."""
+    total = 0.0
+    for t, task in enumerate(tasks):
+        r = task.X.T @ W[:, t] - task.y
+        total += float(r @ r)
+    return total
+
+
+def shared_design_tasks(rng, d, N, T, scaled):
+    """T tasks on one d x N design; ``scaled`` spreads its columns and targets over 1e-3 to 1e3."""
+    X = rng.standard_normal((d, N))
+    y_scale = 1.0
+    if scaled:
+        X *= 10.0 ** rng.uniform(-3.0, 3.0, size=N)
+        y_scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(T, 1))
+    Y = y_scale * rng.standard_normal((T, N))
+    return [TaskDataset(t, X, y) for t, y in enumerate(Y)]
+
+
+SHARED_SHAPES = {  # (d, N, T)
+    "smallest": (1, 1, 2),
+    "one_sample": (4, 1, 3),
+    "one_feature": (1, 7, 2),
+    "syn1": (30, 20, 20),
+    "wide": (51, 9, 10),
+}
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled_columns"])
+@pytest.mark.parametrize("shape", sorted(SHARED_SHAPES))
+def test_shared_design_data_term_and_trace_are_the_per_task_sums_bit_for_bit(shape, scaled):
+    # A shared design's data term takes each row's r @ r from one batched
+    # matmul, and its trace adds one design's trace T times; both are the
+    # per-task loops' floats, in the loops' order.
+    d, N, T = SHARED_SHAPES[shape]
+    rng = np.random.default_rng(33)
+    tasks = shared_design_tasks(rng, d, N, T, scaled)
+    system = _WeightSystem(tasks)
+    assert len(system.Q) == 1
+    assert system.data_trace == sum(float(np.sum(t.X * t.X)) for t in tasks)
+    for _ in range(5):
+        W = rng.standard_normal((d, T))
+        if scaled:
+            W *= 10.0 ** rng.uniform(-3.0, 3.0, size=T)
+        assert system.data_term(W) == loop_data_term(tasks, W)
+
+
+def test_shared_design_data_term_over_random_shapes_is_the_per_task_loop_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        d, N, T = (int(n) for n in rng.integers(1, [40, 60, 30]))
+        tasks = shared_design_tasks(rng, d, N, T + 1, scaled=bool(rng.integers(2)))
+        W = rng.standard_normal((d, T + 1))
+        assert _WeightSystem(tasks).data_term(W) == loop_data_term(tasks, W), (d, N, T + 1)
+
+
+def test_mean_gram_pair_waits_for_a_weight_solve(monkeypatch):
+    # On distinct designs the ridge start reads the T per-task pairs alone;
+    # the mean Gram's pair is computed at the first weight solve, bit for
+    # bit as before, and kept for the next.
+    rng = np.random.default_rng(35)
+    T, d = 6, 4
+    tasks = make_tasks(rng, d=d, T=T, N=10)
+    mean_gram_pair = np.linalg.eigh(sum(t.X @ t.X.T for t in tasks) / T)
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or real_eigh(M))
+    ridge_independent(tasks, 1.0)
+    assert len(calls) == T
+    system = _WeightSystem(tasks)
+    ridge_independent(system, 1.0)
+    assert len(calls) == 2 * T
+    A = random_adjacency(rng, T)
+    solve_weights(system, A, 1.0)
+    assert len(calls) == 2 * T + 2  # eigh(L) and the mean Gram
+    solve_weights(system, A, 1.0)
+    assert len(calls) == 2 * T + 3
+    sigma, Q = system.coarse
+    assert np.array_equal(sigma, np.maximum(mean_gram_pair[0], 0.0))
+    assert np.array_equal(Q, mean_gram_pair[1])
+
+
 def test_ridge_independent_rank_rule_on_a_shared_rank_deficient_design():
     # A rank-3 Gram of a 4 x 3 design, which LAPACK's Cholesky pivots can
     # pass without complaint; the eigenvalue rule finds it singular for both
