@@ -1,16 +1,16 @@
 """Graph primitives shared by the solvers.
 
 A task graph is a dense symmetric ``(T, T)`` adjacency matrix with zero
-diagonal and nonnegative off-diagonal weights.  Solvers work on the strict
-upper triangle flattened row-major into an edge vector of length
-``T*(T-1)/2``; the degree operator maps that vector to per-node degrees and
-is only ever applied edge-wise, never materialized.
+diagonal and nonnegative off-diagonal weights.  The model file, the graph
+exports and the planted-structure score list its strict upper triangle
+flattened row-major, an edge vector of length ``T*(T-1)/2``; the degree
+operator maps that vector to per-node degrees edge-wise, never materialized.
 
 ``validate_adjacency``, ``smoothness``, ``vectorform`` and ``matrixform``
 check their arguments and serve input from outside the package.
-``sq_distances``, ``pairwise_sq_distances``, ``laplacian``,
-``apply_degree_operator`` and ``degree_adjoint`` run on every half step of a
-fit (or every k-means round) and trust theirs: each docstring states its
+``sq_distances``, ``pairwise_sq_distances`` and ``laplacian`` run on every
+half step of a fit (or every k-means round) and, like
+``apply_degree_operator``, trust theirs: each docstring states its
 precondition, which the entry points establish once.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "vectorform",
     "matrixform",
     "apply_degree_operator",
-    "degree_adjoint",
     "edge_endpoints",
     "num_edges",
     "num_nodes_from_edges",
@@ -165,9 +164,3 @@ def apply_degree_operator(w: np.ndarray, n_nodes: int) -> np.ndarray:
     i, j = edge_endpoints(n_nodes)
     degrees = np.bincount(i, weights=w, minlength=n_nodes)
     return degrees + np.bincount(j, weights=w, minlength=n_nodes)
-
-
-def degree_adjoint(v: np.ndarray) -> np.ndarray:
-    """Adjoint ``S^T v`` of a float node vector: per edge, its endpoint values' sum."""
-    i, j = edge_endpoints(v.size)
-    return v[i] + v[j]

@@ -8,28 +8,31 @@ nonnegative),
 The log barrier on the degree vector keeps every node connected without
 forbidding individual edges from vanishing; the Frobenius term controls how
 evenly the remaining weight spreads.  The problem is strictly convex on the
-edge vector, so the minimizer is unique and the initial graph only affects
+edges, so the minimizer is unique and the initial graph only affects
 iteration count.
 
 The solver is a damped Newton ascent on the dual of the degree split
-``d = S w``, where ``S`` is the degree operator (the split and its dual are
-those of Saboksayr & Mateos 2021, "Accelerated graph learning from smooth
-signals").  Over ``lam > 0`` in R^T the dual is
+``d = A @ 1`` (the split and its dual are those of Saboksayr & Mateos 2021,
+"Accelerated graph learning from smooth signals").  Over ``lam > 0`` in R^T
+the dual is
 
-    g(lam) = alpha * sum(log(lam)) - ||r||^2 / (8 * beta),
-    r = max(S^T lam - 2 z, 0),
+    g(lam) = alpha * sum(log(lam)) - ||R||_F^2 / (16 * beta),
+    R = max(lam_i + lam_j - 2 Z_ij, 0),
 
-with ``z`` the edge vector of ``Z`` and primal edge vector
-``w = r / (4 * beta)``.  Its gradient is ``alpha / lam - S w``.  The
-generalized Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless
-Laplacian of the active edges (``r > 0``) over ``4 * beta``: positive
-definite, ``T x T``, solved densely.  Along the Newton ray ``lam + t s``
-the dual is concave and smooth between the edges' activation kinks, so the
-step length is the root of its derivative, found by a 1-D search
-(:func:`_ray_maximizer`, O(T + E) per trial): a cold solve crosses many
-kinks in one step.  Each step then makes one full dual update.  Near the
-optimum the steps are full and converge quadratically, so a solve takes tens
-of iterations where a first-order method takes thousands.
+a symmetric ``T x T`` matrix holding each edge twice, with primal graph
+``A = R / (4 * beta)``.  The state is ``T x T`` arrays built from ``Z``:
+``2 Z`` gets a ``+inf`` diagonal, so ``lam_i + lam_i - 2 Z_ii = -inf``, no
+self-edge turns active, and ``A`` is exactly symmetric with a zero diagonal.
+The gradient is ``alpha / lam - R @ 1 / (4 * beta)``.  The generalized
+Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless Laplacian of
+the active edges (``R > 0``) over ``4 * beta``: positive definite,
+``T x T``, solved densely.  Along the Newton ray ``lam + t s`` the dual is
+concave and smooth between the edges' activation kinks, so the step length
+is the root of its derivative, found by a 1-D search
+(:func:`_ray_maximizer`, O(T^2) per trial): a cold solve crosses many kinks
+in one step.  Each step then makes one full dual update.  Near the optimum
+the steps are full and converge quadratically, so a solve takes tens of
+iterations where a first-order method takes thousands.
 """
 
 from __future__ import annotations
@@ -39,14 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    apply_degree_operator,
-    degree_adjoint,
-    edge_endpoints,
-    matrixform,
-    validate_adjacency,
-    vectorform,
-)
+from .graph import validate_adjacency
 
 __all__ = [
     "GraphLearningParams",
@@ -65,8 +61,8 @@ class GraphLearningParams:
 
     ``alpha`` scales the log-degree barrier, ``beta`` the squared Frobenius
     penalty.  ``tol`` bounds the relative degree-split residual
-    ``||S w - alpha / lam|| / ||alpha / lam||`` at which the solve stops,
-    ``lam`` being the dual iterate.
+    ``||A @ 1 - alpha / lam|| / ||alpha / lam||`` at which the solve stops,
+    ``lam`` being the dual iterate and ``A`` its primal graph.
     """
 
     alpha: float = 1.0
@@ -127,42 +123,48 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     weights are uniformly 1.  ``Z`` must be a valid distance matrix with at
     least two nodes; it is trusted, not checked.
     """
-    z = vectorform(Z)
-    scale = float(z.mean())
-    w0 = np.exp(-z / scale) if scale > 0.0 else np.ones_like(z)
-    return matrixform(w0)
+    T = Z.shape[0]
+    scale = float(Z.sum()) / (T * (T - 1))  # the mean off-diagonal distance
+    A0 = np.exp(-Z / scale) if scale > 0.0 else np.ones_like(Z)
+    np.fill_diagonal(A0, 0.0)
+    return A0
 
 
 def _ray_maximizer(lam, s, a, b, alpha: float, beta: float, slope: float) -> float:
     """Step length ``t`` near the maximizer of the dual along ``lam + t s``.
 
     Along the ray the dual is
-    ``phi(t) = alpha sum(log(lam + t s)) - ||max(a + t b, 0)||^2 / (8 beta)``
-    with ``a = S^T lam - 2z`` and ``b = S^T s``: concave, smooth between the
-    edge breakpoints ``-a_e / b_e``, and ``-inf`` past the first root of
-    ``lam + t s``.  Safeguarded Newton on the decreasing ``phi'`` keeps a
-    bracket ``lo < t < hi`` with ``phi'(lo) > 0 >= phi'(hi)``, bisects (or
-    doubles while ``hi`` is unbounded) whenever a Newton iterate leaves it,
-    and returns the first ``t`` with ``|phi'(t)| <= _RAY_TOL * slope``,
+    ``phi(t) = alpha sum(log(lam + t s)) - ||max(a + t b, 0)||_F^2 / (16 beta)``
+    with the symmetric ``T x T`` matrices ``a_ij = lam_i + lam_j - 2 Z_ij``
+    (``-inf`` on the diagonal) and ``b_ij = s_i + s_j``, in which every edge
+    sits twice: concave, smooth between the edge breakpoints
+    ``-a_ij / b_ij``, and ``-inf`` past the first root of ``lam + t s``.
+    Safeguarded Newton on the decreasing ``phi'`` keeps a bracket
+    ``lo < t < hi`` with ``phi'(lo) > 0 >= phi'(hi)``, bisects (or doubles
+    while ``hi`` is unbounded) whenever a Newton iterate leaves it, and
+    returns the first ``t`` with ``|phi'(t)| <= _RAY_TOL * slope``,
     ``slope = phi'(0) > 0``.  If the bracket collapses in floating point
     first, it returns ``lo``, the longest step known to ascend.  Each trial
-    costs O(T + E) on the given arrays.
+    costs O(T^2) on the given arrays.
     """
     lo, hi = 0.0, np.inf
     fastest = float((s / lam).min())
     if fastest < 0.0:
         hi = -1.0 / fastest  # lam + t s reaches 0
     t = min(1.0, 0.99 * hi)
-    four_beta, b2 = 4.0 * beta, b * b
+    eight_beta, b2 = 8.0 * beta, b * b
+    u = np.empty_like(a)  # one (T, T) buffer for every trial: no fresh pages at large T
     while True:
         lam_t = lam + t * s
         if lam_t.min() > 0.0:
             ratio = s / lam_t
-            u = np.maximum(a + t * b, 0.0)
-            d1 = alpha * float(ratio.sum()) - float(u @ b) / four_beta
+            np.multiply(b, t, out=u)
+            u += a
+            np.maximum(u, 0.0, out=u)
+            d1 = alpha * float(ratio.sum()) - float(np.vdot(u, b)) / eight_beta
             if abs(d1) <= _RAY_TOL * slope:
                 return t
-            d2 = -alpha * float(ratio @ ratio) - float((u > 0.0) @ b2) / four_beta
+            d2 = -alpha * float(ratio @ ratio) - float(np.vdot(u > 0.0, b2)) / eight_beta
             t_next = t - d1 / d2
         else:  # past the pole as rounded
             d1 = t_next = -np.inf
@@ -224,30 +226,29 @@ def learn_graph(
 
     T = Z.shape[0]
     alpha, beta = params.alpha, params.beta
-    I, J = edge_endpoints(T)
-    z2 = 2.0 * vectorform(Z)
+    z2 = 2.0 * Z
+    np.fill_diagonal(z2, np.inf)  # a = -inf there: no self-edge turns active
 
     def dual_state(lam):
-        """``a = S^T lam - 2z``, ``r = max(a, 0)``, ``S r``, ``alpha / lam`` and the gradient."""
-        a = degree_adjoint(lam) - z2
+        """``a = lam_i + lam_j - 2 Z_ij``, ``r = max(a, 0)``, ``r @ 1``, ``alpha / lam``, gradient, norm."""
+        a = lam[:, None] + lam[None, :] - z2
         r = np.maximum(a, 0.0)
-        Sr = apply_degree_operator(r, T)
+        Sr = r.sum(axis=1)
         barrier = alpha / lam
-        return a, r, Sr, barrier, barrier - Sr / (4.0 * beta)
+        grad = barrier - Sr / (4.0 * beta)
+        # The norm as np.linalg.norm computes it for a 1-d array, without its wrapper.
+        return a, r, Sr, barrier, grad, math.sqrt(float(grad @ grad))
 
     # Dual warm start at the barrier-consistent value for A0: at the optimum
     # the dual equals alpha/degree, so a warm-started solve (A0 near the
     # previous optimum) begins near its fixed point.
-    lam = alpha / apply_degree_operator(vectorform(A0), T)
-    a, r, Sr, barrier, grad = dual_state(lam)
+    lam = alpha / A0.sum(axis=1)
+    a, r, Sr, barrier, grad, grad_norm = dual_state(lam)
     converged = False
-    H = np.empty((T, T))
 
     # Every exit, the last iteration's too, breaks before the update at the
     # loop's end, so r stays the iterate whose residual is reported.
     for iterations in range(1, params.max_iter + 1):
-        # Norms as np.linalg.norm computes them for a 1-d array, without its wrapper.
-        grad_norm = math.sqrt(float(grad @ grad))
         try:
             residual = grad_norm / math.sqrt(float(barrier @ barrier))
         except ZeroDivisionError:  # ||alpha / lam|| underflows: the precision floor
@@ -260,11 +261,8 @@ def learn_graph(
             break
         if iterations == params.max_iter:
             break  # its step would go untested
-        # Newton direction from the generalized Hessian of -g.
-        coupling = (r > 0.0) / (4.0 * beta)
-        H[I, J] = coupling
-        H[J, I] = coupling
-        H.flat[:: T + 1] = 0.0
+        # Newton direction from the generalized Hessian of -g; r's diagonal is 0.
+        H = (r > 0.0) / (4.0 * beta)
         H.flat[:: T + 1] = alpha / (lam * lam) + H.sum(axis=1)
         try:
             step = np.linalg.solve(H, grad)
@@ -273,24 +271,28 @@ def learn_graph(
         slope = float(grad @ step)  # phi'(0) of the ray
         if not slope > 0.0:
             break  # the ray does not ascend as rounded: precision floor
-        t = _ray_maximizer(lam, step, a, degree_adjoint(step), alpha, beta, slope)
+        t = _ray_maximizer(lam, step, a, step[:, None] + step[None, :], alpha, beta, slope)
         lam_new = lam + t * step
-        a_new, r_new, Sr_new, barrier_new, grad_new = dual_state(lam_new)
+        a_new, r_new, Sr_new, barrier_new, grad_new, grad_norm_new = dual_state(lam_new)
         # A step counts if it shrinks the gradient or gains dual value beyond
         # rounding; one that does neither is the precision floor.  The gain
         # g(lam_new) - g(lam) is formed without subtracting two large values.
         # Its rounding is bounded by that of the barrier sum and of r, which
-        # carries the rounding of S^T lam - 2z on each edge.
-        if not math.sqrt(float(grad_new @ grad_new)) < grad_norm:
+        # carries the rounding of lam_i + lam_j - 2 Z_ij on each edge; summed
+        # over the edges against r_new + r, that is lam_new @ (Sr_new + Sr)
+        # plus sum(Z * (r_new + r)), without z2's inf * 0 diagonal.
+        if not grad_norm_new < grad_norm:
             log_gain = alpha * float(np.log1p((lam_new - lam) / lam).sum())
             r_sum = r_new + r
-            gain = log_gain - float((r_new - r) @ r_sum) / (8.0 * beta)
-            rounding = abs(log_gain) + float((a_new + z2 + z2) @ r_sum) / (4.0 * beta)
+            gain = log_gain - float(np.vdot(r_new - r, r_sum)) / (16.0 * beta)
+            bound = float(lam_new @ (Sr_new + Sr)) + float(np.vdot(Z, r_sum))
+            rounding = abs(log_gain) + bound / (4.0 * beta)
             if not gain > np.finfo(float).eps * rounding:
                 break  # the ray's maximizer improves neither: precision floor
-        lam, a, r, Sr, barrier, grad = lam_new, a_new, r_new, Sr_new, barrier_new, grad_new
+        lam, a, r, Sr, barrier = lam_new, a_new, r_new, Sr_new, barrier_new
+        grad, grad_norm = grad_new, grad_norm_new
 
-    A = matrixform(r / (4.0 * beta))
+    A = r / (4.0 * beta)
     score = graph_objective(A, Z, params)
     # fit relies on A never scoring above A0; a zero degree scores inf, so it falls back too.
     if not (np.isfinite(score) and score <= score0):

@@ -147,11 +147,10 @@ class _WeightSystem:
     compares designs.  ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams'
     eigenpairs, ``s`` clipped at 0; k = 1 when every task shares its design,
     else each Gram is written into its slot of the one (T, d, d) stack and
-    replaced there by its eigenvectors.  ``rhs`` stacks ``X_t y_t`` and
-    ``data_trace`` sums the Grams' traces, one design's trace T times when
-    they share it.  :attr:`coarse` is the mean Gram's pair: the shared one
-    when k = 1, else computed at the first weight solve, so a ridge start
-    alone never pays for it.  ``tasks`` keeps the checked task list, whose
+    replaced there by its eigenvectors.  ``rhs`` stacks ``X_t y_t``.
+    :attr:`data_trace` and :attr:`coarse` wait for the first weight solve,
+    so a ridge start alone never pays for them (a shared design's build sets
+    ``coarse`` at once).  ``tasks`` keeps the checked task list, whose
     designs and targets :meth:`data_term` scores.
     """
 
@@ -162,13 +161,10 @@ class _WeightSystem:
         xs = [t.X for t in tasks]
         self.rhs = np.concatenate([t.X @ t.y for t in tasks])
         if all(np.array_equal(X, xs[0]) for X in xs[1:]):
-            # The same float, added T times in the order of the per-task sum.
-            self.data_trace = sum([float(np.sum(xs[0] * xs[0]))] * T)
             s, Q = np.linalg.eigh(xs[0] @ xs[0].T)
             self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
             self.coarse = (self.s[0], Q)
             return
-        self.data_trace = sum(float(np.sum(X * X)) for X in xs)
         self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
         self._gram_sum = np.zeros((d, d))
         for t, X in enumerate(xs):
@@ -176,6 +172,14 @@ class _WeightSystem:
             self._gram_sum += self.Q[t]
             self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
         np.maximum(self.s, 0.0, out=self.s)
+
+    @cached_property
+    def data_trace(self) -> float:
+        """Sum of the Grams' traces; a shared design's is one float added T times in the per-task sum's order."""
+        if len(self.Q) == 1:
+            X = self.tasks[0].X
+            return sum([float(np.sum(X * X))] * self.T)
+        return sum(float(np.sum(t.X * t.X)) for t in self.tasks)
 
     @cached_property
     def coarse(self) -> tuple[np.ndarray, np.ndarray]:

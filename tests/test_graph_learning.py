@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from gamtl import graph_learning
 from gamtl.graph import (
-    degree_adjoint,
     matrixform,
     num_edges,
     pairwise_sq_distances,
@@ -417,6 +416,22 @@ def test_output_is_always_valid_adjacency(seed, n_tasks, alpha, beta):
     assert report.iterations <= params.max_iter
 
 
+@pytest.mark.parametrize("n_tasks", [2, 3, 20])
+@pytest.mark.parametrize("distances", ["random", "all_zero"])
+def test_graph_is_bitwise_symmetric_with_a_zero_diagonal(n_tasks, distances):
+    # A is r / (4 beta) of the (T, T) dual state, with no symmetrizing or
+    # diagonal-clearing step: 2Z's +inf diagonal keeps every self-edge off.
+    Z = np.zeros((n_tasks, n_tasks))
+    if distances == "random":
+        Z = random_distances(np.random.default_rng(n_tasks), n_tasks)
+    for params in (GraphLearningParams(), PINNED_CONFIGS["syn1"].graph_params):
+        A, report = learn_graph(Z, params)
+        assert report.converged
+        bits = A.view(np.int64)
+        assert np.array_equal(bits, bits.T)
+        assert np.all(np.diagonal(bits) == 0)  # +0.0, not -0.0
+
+
 def _warm_start(kind, rng, Z, params):
     """A warm start of the given kind, every degree positive."""
     T = Z.shape[0]
@@ -459,11 +474,27 @@ def test_result_never_scores_above_warm_start(seed, n_tasks, alpha, beta, scale,
 # Step length along the Newton ray
 
 
+def edge_ray(s):
+    """Edge vector ``b = S^T s`` of the ray direction ``s``, through the dense operator."""
+    return oracles.edge_incidence(s.size).T @ s
+
+
+def dense_ray(a, s):
+    """The ``(T, T)`` forms of ``a`` and ``b`` that learn_graph hands the search.
+
+    ``a``'s diagonal is ``-inf``, where learn_graph's ``lam_i + lam_i - 2 Z_ii``
+    is, and ``b_ij = s_i + s_j``.
+    """
+    A = matrixform(a)
+    np.fill_diagonal(A, -np.inf)
+    return A, s[:, None] + s[None, :]
+
+
 def check_ray_step(lam, s, a, b, alpha, beta):
     """The search's t lies where the oracle's phi' is within _RAY_TOL * phi'(0) of 0."""
     slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
     assert slope > 0.0
-    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
     assert np.all(lam + t * s > 0.0)
     t_plus = oracles.ray_level_crossing(_RAY_TOL * slope, lam, s, a, b, alpha, beta)
     t_minus = oracles.ray_level_crossing(-_RAY_TOL * slope, lam, s, a, b, alpha, beta)
@@ -479,7 +510,7 @@ def test_ray_step_crosses_many_kinks(seed):
     T, alpha, beta = 16, 0.1, 1.0
     lam = rng.uniform(0.5, 2.0, T)
     s = rng.standard_normal(T)
-    b = degree_adjoint(s)
+    b = edge_ray(s)
     a = -rng.uniform(0.0, 0.5, b.size) * b
     if oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta) < 0.0:
         s, b, a = -s, -b, -a  # the same kinks, walked the ascending way
@@ -497,7 +528,7 @@ def test_ray_step_capped_by_positive_dual(seed):
     lam = rng.uniform(0.5, 2.0, T)
     s = lam * rng.uniform(0.5, 1.5, T)
     s[0] = -5.0 * lam[0]
-    b = degree_adjoint(s)
+    b = edge_ray(s)
     a = 0.2 * rng.standard_normal(b.size)
     t = check_ray_step(lam, s, a, b, alpha, beta)
     assert t < 0.2
@@ -508,10 +539,10 @@ def test_ray_step_next_to_the_pole_returns_the_last_ascending_step():
     # is within rounding of the pole at t = 1.7 / 2.1, where a trial rounds
     # lam_0 + t s_0 to 0 or below; the search returns lo.
     lam, s = np.array([1.7, 1.0]), np.array([-2.1, 0.0])
-    a, b = np.array([10.0]), degree_adjoint(s)
+    a, b = np.array([10.0]), edge_ray(s)
     alpha, beta = 1e-300, 1.0
     slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
-    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
     assert lam[0] + t * s[0] > 0.0
     assert oracles.ray_dual_slope(t, lam, s, a, b, alpha, beta) > 0.0
     assert t == pytest.approx(1.7 / 2.1, rel=1e-15)
@@ -522,7 +553,7 @@ def test_ray_step_two_nodes_closed_form():
     # phi'(t) = alpha (1 / (1 + t) - 1 / (2 - t)), and phi'(t) = c is the
     # quadratic -c t^2 + (c + 2 alpha) t + 2c - alpha = 0 on (0, 2).
     lam, s = np.array([1.0, 2.0]), np.array([1.0, -1.0])
-    a, b = np.array([-1.0]), degree_adjoint(s)
+    a = np.array([-1.0])
     alpha, beta = 2.0, 1.0
     slope = alpha * (1.0 - 0.5)
 
@@ -530,7 +561,7 @@ def test_ray_step_two_nodes_closed_form():
         roots = np.roots([-c, c + 2.0 * alpha, 2.0 * c - alpha])
         return float(min(r.real for r in roots if 0.0 < r.real < 2.0))
 
-    t = _ray_maximizer(lam, s, a, b, alpha, beta, slope)
+    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
     assert crossing(_RAY_TOL * slope) <= t <= crossing(-_RAY_TOL * slope)
     assert crossing(0.0) == pytest.approx(0.5)
 

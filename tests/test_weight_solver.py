@@ -317,6 +317,23 @@ def test_mean_gram_pair_waits_for_a_weight_solve(monkeypatch):
     assert np.array_equal(Q, mean_gram_pair[1])
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_design", "distinct_designs"])
+def test_ridge_start_leaves_the_data_trace_uncomputed(shared):
+    # Only a weight solve's ridge floor reads the Grams' trace; a ridge start
+    # alone (the bench baseline) never pays for it, and the first solve
+    # computes it as the per-task sum, bit for bit.
+    rng = np.random.default_rng(36)
+    if shared:
+        tasks = shared_design_tasks(rng, 4, 10, 5, scaled=False)
+    else:
+        tasks = make_tasks(rng, d=4, T=5, N=10)
+    system = _WeightSystem(tasks)
+    ridge_independent(system, 1.0)
+    assert "data_trace" not in vars(system)
+    solve_weights(system, random_adjacency(rng, 5), 1.0)
+    assert system.data_trace == sum(float(np.sum(t.X * t.X)) for t in tasks)
+
+
 def test_ridge_independent_rank_rule_on_a_shared_rank_deficient_design():
     # A rank-3 Gram of a 4 x 3 design, which LAPACK's Cholesky pivots can
     # pass without complaint; the eigenvalue rule finds it singular for both
