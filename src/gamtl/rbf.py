@@ -11,8 +11,12 @@ bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
 and all reductions run in a fixed order.  Squared distances come from
 :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
-the assignment and the lift call it on cache-sized row blocks.  Cluster means
-come from ``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
+the seeding, the widths and the lift call it, the lift on cache-sized row
+blocks.  The assignment scores each row block in Gram form with one BLAS
+product and keeps a row's argmin only when a rounding bound proves it equal
+to the coordinate kernel's; it sends every other row through
+``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
+order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -69,8 +73,8 @@ class RbfFeatureMap:
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=float)
         widths = np.asarray(self.widths, dtype=float)
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise ValueError("centers must be a (P, q) array with P >= 1")
+        if centers.ndim != 2 or min(centers.shape) < 1:
+            raise ValueError("centers must be a (P, q) array with P >= 1 and q >= 1")
         if widths.shape != (centers.shape[0],):
             raise ValueError("widths must be one positive value per center")
         if not np.isfinite(centers).all():
@@ -115,26 +119,90 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
 
     Returns the nearest index, an upper bound on the distance to it and a
     lower bound on the distance to every other center (inf with one center),
-    both taken from the computed squared distances and rounded outward.  The
-    rows go through ``sq_distances`` one cache-sized block at a time, so
-    every entry, and hence every argmin, is bit-identical to the full
-    matrix's while no (len(rows), P) matrix is kept.
+    both rounded outward.  The nearest index is the argmin of the
+    coordinate-order ``sq_distances`` row, bit for bit, while no
+    (len(rows), P) matrix is kept.
+
+    Each cache-sized block of rows is first scored in Gram form,
+    ``g_ij = (x_i . (-2 c_j) + ||x_i||^2) + ||c_j||^2``: one BLAS product and
+    two broadcast adds.  With u = eps / 2, ``S_i = ||x_i||^2 + max_j ||c_j||^2``
+    and first-order terms (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), ``g_ij`` is within (q + 2) eps S_i
+    of the true squared distance whatever order or FMA the BLAS uses: the
+    norms and the dot product (``-2 c`` is exact, ``|x . 2c| <= S_i``) each
+    err by up to q u S_i, and the two adds, whose results lie below 2 S_i,
+    by up to 2 u S_i each.  The coordinate kernel is within (q + 2) u of the
+    true value, which is at most 2 S_i, so within (q + 2) eps S_i as well.
+    So ``|g_ij - d_ij| <= err_i`` for every center, where ``d_ij`` is the
+    coordinate kernel's value and
+
+        ``err_i = (q + 4) eps * 4 S_i + _TINY``,
+
+    over twice the first-order sum 2 (q + 2) eps S_i, which leaves room for
+    the higher-order terms and for the rounding of ``err_i`` and of the test
+    below, while ``_TINY`` covers underflow.  The factor 4 is applied before
+    ``(q + 4) eps``: if ``4 S_i`` overflows, ``err_i`` is inf; if it does
+    not, no step of ``g`` overflows.
+
+    A row is certified when its two smallest Gram values differ by more than
+    ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
+    g_ia + err_i >= d_ia``, so the Gram argmin ``a`` is the kernel's strict
+    argmin.  The test is ``gap > 2 err``, so a row with an inf or NaN ``err``
+    or gap is never certified.  A certified row's upper bound comes from its
+    exact ``_paired_sq_distances`` to ``a``, its lower bound from
+    ``second - err_i <= d_ij``.  Every other row goes through
+    ``sq_distances`` block by block, as the dense argmin does.
     """
-    P = centers.shape[0]
+    P, q = centers.shape
     nearest = np.empty(rows.size, dtype=np.intp)
+    own = np.empty(rows.size)
     first = np.empty(rows.size)
-    second = np.full(rows.size, np.inf)
+    second = np.empty(rows.size)
+    err = np.empty(rows.size)
     step = max(1, _BLOCK_ENTRIES // P)
-    for start in range(0, rows.size, step):
-        block = sq_distances(points[rows[start : start + step]], centers)
-        at = np.arange(block.shape[0])
-        pick = np.argmin(block, axis=1)
-        nearest[start : start + step] = pick
-        first[start : start + step] = block[at, pick]
-        if P > 1:
-            block[at, pick] = np.inf
-            second[start : start + step] = block[at, np.argmin(block, axis=1)]
-    return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
+    row_starts = np.arange(0, min(step, rows.size) * P, P)  # flat index of each block row
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows fail the certificate
+        cross = -2.0 * centers.T
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+        for start in range(0, rows.size, step):
+            stop = start + step
+            block_points = points[rows[start:stop]]
+            point_sq = np.einsum("ij,ij->i", block_points, block_points, out=err[start:stop])
+            block = block_points @ cross
+            block += point_sq[:, None]
+            block += center_sq
+            pick = nearest[start:stop]
+            _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
+            own[start:stop] = _paired_sq_distances(block_points, centers[pick])
+        err += center_sq.max()
+        err *= 4.0
+        err *= (q + 4) * np.finfo(float).eps
+        err += _TINY
+        doubt = np.flatnonzero(~(second - first > 2.0 * err))
+        second -= err
+        np.maximum(second, 0.0, out=second)
+    for start in range(0, doubt.size, step):
+        part = doubt[start : start + step]
+        block = sq_distances(points[rows[part]], centers)
+        nearest[part], own[part], second[part] = _two_smallest(block, row_starts)
+    return nearest, _grown(np.sqrt(own), margin), _shrunk(np.sqrt(second), margin)
+
+
+def _two_smallest(block, row_starts, pick=None, low=None, high=None):
+    """Argmin, smallest and second-smallest value of each row of ``block``.
+
+    ``block`` is C-ordered, its row i starts at flat index ``row_starts[i]``,
+    and it is overwritten.  Ties go to the lowest index; with one column the
+    second-smallest value is inf.
+    """
+    n = block.shape[0]
+    pick = np.argmin(block, axis=1, out=pick)
+    flat = block.reshape(-1)
+    spots = row_starts[:n] + pick
+    low = np.take(flat, spots, out=low)
+    flat[spots] = np.inf
+    high = np.take(flat, row_starts[:n] + np.argmin(block, axis=1), out=high)
+    return pick, low, high
 
 
 def _grown(x, margin: float, out=None):
@@ -173,9 +241,20 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     lower bound shrinks by the largest shift among the other centers
     (triangle inequality).  A point keeps its center when ``upper < lower``
     holds with a relative margin of 4 (q + 2) eps on top; otherwise its
-    distance to its own center is recomputed, and if the test still fails
-    its whole row is, with the same coordinate-order kernel.  A round that
-    reseeds a cluster recomputes every row.
+    distance to its own center is recomputed with the coordinate-order
+    kernel, and if the test still fails its whole row is reassigned.  A
+    round that reseeds a cluster reassigns every row.
+
+    A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
+    by one BLAS product per row block (see ``_nearest_two``).  With
+    ``S = ||x||^2 + max_j ||c_j||^2``, each Gram value is within
+    ``err = (q + 4) eps * 4 S + _TINY`` of the coordinate kernel's value for
+    the same pair, whatever order or FMA the BLAS uses.  So when the row's
+    two smallest Gram values differ by more than ``2 err``, the Gram argmin
+    is the coordinate kernel's strict argmin; the row's upper bound is then
+    its exact coordinate distance to that center and its lower bound comes
+    from ``second - err``.  Every other row, including those whose ``err``
+    or Gram values are inf or NaN, is recomputed with ``sq_distances``.
 
     Why skipping is exact: a computed squared distance is within a relative
     (q + 2) eps of the true one (one subtraction, one square and q - 1
@@ -185,8 +264,9 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     underflow.  So a skipped point's computed distance to its own center is
     strictly below its computed distance to every other center, and the
     dense argmin (lowest index on ties) picks the same center.  The first
-    assignment and every reseeding round compute all rows, so each round
-    starts from the dense argmin of its centers, and the stop rule keys on them.
+    assignment and every reseeding round assign all rows, each to the
+    argmin of its coordinate-kernel row, so each round starts from the
+    dense argmin of its centers, and the stop rule keys on them.
     """
     points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or min(points.shape) < 1:
@@ -194,8 +274,8 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError("pooled_inputs must be finite")
     N, q = points.shape
-    if type(P) is not int or not 1 <= P <= N:  # excludes bool
-        raise ValueError(f"P must lie in [1, {N}], got {P}")
+    if type(P) is not int or not 1 <= P <= N:  # excludes bool and numpy integers
+        raise ValueError(f"P must lie in [1, {N}] and be an int, got {P!r}")
     check_seed(seed)
 
     rng = np.random.default_rng(seed)

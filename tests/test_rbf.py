@@ -1,5 +1,7 @@
 """Tests for the shared radial-basis feature lift and the nonlinear fit."""
 
+import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import oracles
 from gamtl import rbf
 from gamtl.data import benchmark_splits
 from gamtl.graph_learning import GraphLearningParams
-from gamtl.model import GamtlConfig, fit
+from gamtl.model import GamtlConfig, fit, load_model, model_to_dict
 from gamtl.rbf import (
     RbfFeatureMap,
     default_center_count,
@@ -52,6 +54,8 @@ def test_feature_map_validates_fields():
         RbfFeatureMap(centers=np.zeros((2, 3)), widths=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         RbfFeatureMap(centers=np.full((1, 2), np.nan), widths=np.ones(1))
+    with pytest.raises(ValueError, match="q >= 1"):  # centers without coordinates
+        RbfFeatureMap(centers=np.zeros((3, 0)), widths=np.ones(3))
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +207,56 @@ def test_kmeans_recomputes_few_rows_on_wiener_inputs(monkeypatch):
     assert sum(rows) < 0.35 * len(rows) * points.shape[0]
 
 
+def _counting_sq_distances(monkeypatch):
+    """Wrap ``rbf.sq_distances``; returns each call's (point count, center count)."""
+    calls = []
+    sq_distances = rbf.sq_distances
+
+    def counting(points, centers):
+        calls.append((points.shape[0], centers.shape[0]))
+        return sq_distances(points, centers)
+
+    monkeypatch.setattr(rbf, "sq_distances", counting)
+    return calls
+
+
+def test_kmeans_assigns_wiener_inputs_without_the_coordinate_kernel(monkeypatch):
+    # Every row of every assignment passes the Gram-form certificate here, so
+    # the coordinate kernel runs only in the k-means++ seeding, once per center.
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    calls = _counting_sq_distances(monkeypatch)
+    kmeans_centers(points, P=50, seed=0)
+    assert calls == [(points.shape[0], 1)] * 50
+
+
+def _offset_gaussian_points(scale, offset):
+    return np.random.default_rng(0).standard_normal((200, 4)) * scale + offset
+
+
+@pytest.mark.parametrize("scale,offset", [(1.0, 1e7), (1e145, 1e153)])
+def test_kmeans_recomputes_uncertified_rows_with_the_coordinate_kernel(monkeypatch, scale, offset):
+    # A large offset costs the Gram form its digits: most rows fail the
+    # certificate and go back through sq_distances, which keeps the centers exact.
+    points = _offset_gaussian_points(scale, offset)
+    calls = _counting_sq_distances(monkeypatch)
+    centers = kmeans_centers(points, P=8, seed=0)
+    assert np.array_equal(centers, oracles.kmeans_dense(points, P=8, seed=0))
+    fallback_rows = sum(rows for rows, count in calls if count > 1)  # seeding passes one center
+    assert fallback_rows >= points.shape[0]
+
+
+@pytest.mark.parametrize("scale,offset", [(1e147, 1e155), (1e148, -1e155)])
+def test_kmeans_is_exact_when_squared_norms_overflow(scale, offset):
+    # ||x||^2 overflows while every coordinate difference stays small: the
+    # Gram values are inf or NaN, and no such row may pass the certificate.
+    points = _offset_gaussian_points(scale, offset)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.einsum("ij,ij->i", points, points)).all()
+    centers = kmeans_centers(points, P=8, seed=0)
+    assert np.array_equal(centers, oracles.kmeans_dense(points, P=8, seed=0))
+
+
 def test_kmeans_keeps_no_point_by_center_matrix():
     train, _ = benchmark_splits("wiener", 0)
     points = np.concatenate([t.X.T for t in train], axis=0)
@@ -226,6 +280,14 @@ def test_kmeans_rejects_bad_center_counts():
         kmeans_centers(np.full((4, 2), np.inf), P=2, seed=0)
     with pytest.raises(ValueError, match="q >= 1"):  # points without coordinates
         kmeans_centers(np.zeros((4, 0)), P=2, seed=0)
+
+
+@pytest.mark.parametrize("P", [np.int64(5), 5.0])
+def test_kmeans_names_the_int_rule_for_an_in_range_count(P):
+    # A numpy integer or a float inside [1, N] fails the type rule, not the range.
+    message = rf"P must lie in \[1, 20\] and be an int, got {re.escape(repr(P))}$"
+    with pytest.raises(ValueError, match=message):
+        kmeans_centers(np.zeros((20, 2)), P, 0)
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +515,17 @@ def test_fit_rbf_model_passes_the_model_checks(monkeypatch):
     tasks = nonlinear_tasks(np.random.default_rng(46), T=3, N=20)
     with pytest.raises(ValueError, match="feature map"):
         fit_rbf(tasks, mild_config(), P=4)
+
+
+def test_model_file_with_centers_without_coordinates_is_refused(tmp_path):
+    # Such a model used to load and predict one constant for every input.
+    model = fit_rbf(nonlinear_tasks(np.random.default_rng(46), T=3, N=20), mild_config(), P=3)
+    payload = model_to_dict(model)
+    payload["feature_map"]["centers"] = [[], [], []]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="q >= 1"):
+        load_model(path)
 
 
 def test_fit_rbf_deterministic():
