@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import BENCHMARKS, SYN1_GROUPS, check_seed, json_text
-from .graph import apply_degree_operator, edge_endpoints, validate_adjacency, vectorform
+from .graph import edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
 
@@ -189,12 +189,11 @@ def _checked_threshold(A: np.ndarray, threshold: float | None) -> float:
 
 def _kept_edges(A: np.ndarray, threshold: float):
     """Edges ``(i, j, weight)`` above ``threshold`` in edge order, and the isolated nodes."""
-    T = A.shape[0]
-    I, J = edge_endpoints(T)
+    I, J = edge_endpoints(A.shape[0])
     w = vectorform(A)
     kept = w > threshold
     edges = list(zip(I[kept].tolist(), J[kept].tolist(), w[kept].tolist()))
-    isolated = np.flatnonzero(apply_degree_operator(kept.astype(float), T) == 0.0)
+    isolated = np.flatnonzero((A > threshold).sum(axis=1) == 0)
     return edges, isolated.tolist()
 
 

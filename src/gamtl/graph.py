@@ -3,15 +3,26 @@
 A task graph is a dense symmetric ``(T, T)`` adjacency matrix with zero
 diagonal and nonnegative off-diagonal weights.  The model file, the graph
 exports and the planted-structure score list its strict upper triangle
-flattened row-major, an edge vector of length ``T*(T-1)/2``; the degree
-operator maps that vector to per-node degrees edge-wise, never materialized.
+flattened row-major, an edge vector of length ``T*(T-1)/2``; the solvers
+work on the matrices themselves.
 
 ``validate_adjacency``, ``smoothness``, ``vectorform`` and ``matrixform``
 check their arguments and serve input from outside the package.
 ``sq_distances``, ``pairwise_sq_distances`` and ``laplacian`` run on every
-half step of a fit (or every k-means round) and, like
-``apply_degree_operator``, trust theirs: each docstring states its
-precondition, which the entry points establish once.
+half step of a fit (or every k-means round) and trust theirs: each
+docstring states its precondition, which the entry points establish once.
+
+Two kernels give squared distances.  ``sq_distances`` sums them one
+coordinate at a time, so no cancellation can drive an entry negative; the
+k-means seeding, the widths and the RBF lift use it, and
+``_paired_sq_distances`` gives its values for chosen pairs of rows.  The
+task distances ``pairwise_sq_distances`` take the Gram form
+``||a||^2 + ||b||^2 - 2 a.b`` with one BLAS product, and keep an entry only
+when a rounding bound, which holds whatever order or FMA the BLAS uses,
+proves it within a relative ``_GRAM_RTOL`` = 2**-36 of the coordinate
+kernel's value.  Every other entry, such as one of two near-identical
+tasks, is recomputed by ``_paired_sq_distances`` and keeps that kernel's
+bits.
 """
 
 from __future__ import annotations
@@ -28,11 +39,19 @@ __all__ = [
     "smoothness",
     "vectorform",
     "matrixform",
-    "apply_degree_operator",
     "edge_endpoints",
     "num_edges",
     "num_nodes_from_edges",
 ]
+
+# Entries of one row block of a distance matrix: 16k doubles, 128 KiB.
+_BLOCK_ENTRIES = 1 << 14
+# Relative error that a Gram-form task distance may keep: five orders below
+# the graph solver's tolerance of 1e-6.  A power of 2, so scaling by it is exact.
+_GRAM_RTOL = 2.0**-36
+# Absolute slack of the Gram-form bound.  Underflow can move a Gram value by
+# a few d * 2**-1074, far below this.
+_TINY = 1e-150
 
 
 def num_edges(n_nodes: int) -> int:
@@ -102,14 +121,106 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of row i of ``points`` to row i of ``centers``.
+
+    Summed in coordinate order, so each value is bit-identical to the
+    matching entry of ``sq_distances``.  ``q >= 1``.
+    """
+    gap = points - centers
+    np.square(gap, out=gap)
+    for j in range(1, points.shape[1]):
+        gap[:, 0] += gap[:, j]
+    return gap[:, 0]
+
+
 def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
     """``Z[i, j] = ||W[:, i] - W[:, j]||^2`` for the columns of ``W`` (d, T).
 
-    ``W`` is finite with T >= 2, trusted and not checked.  ``Z`` is exactly
-    symmetric with a zero diagonal: it is :func:`sq_distances` of the
-    columns against themselves.
+    ``W`` is finite with d >= 1 and T >= 2, trusted and not checked.  ``Z``
+    is exactly symmetric with a zero diagonal and no negative entry.  Each
+    entry is the coordinate kernel's, ``sq_distances(W.T, W.T)``, bit for
+    bit, or within a relative ``_GRAM_RTOL`` of it.
+
+    With ``G = W.T @ W`` and ``n_i = G_ii`` the squared norm of column i, the
+    Gram value of a pair is ``g_ij = (n_i + n_j) - (G_ij + G_ji)``.  Both
+    sums commute exactly, so ``g`` is exactly symmetric whatever the BLAS
+    does, and ``g_ii = 2 G_ii - 2 G_ii`` is exactly 0 when finite.
+    With u = eps / 2, ``M = n_i + n_j`` and first-order terms (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1),
+    ``g_ij`` is within (d + 2) eps M of the true squared distance whatever
+    summation order or FMA the BLAS uses: the two norms err by up to d u M
+    together, the two dot products (``|a.b| <= M / 2``) by up to d u M
+    together, the two adds by up to u M each, and the subtraction, whose
+    result lies below 2M, by up to 2 u M.  The coordinate kernel is within
+    a relative (d + 2) u of the true value, which is at most 2M, so within
+    (d + 2) eps M as well.  So ``|g_ij - z_ij| <= err_ij`` for the kernel's value
+    ``z_ij``, where
+
+        ``err_ij = (d + 4) eps * 4 M + _TINY``,
+
+    over twice the first-order sum 2 (d + 2) eps M, which leaves room for the
+    higher-order terms and for the rounding of ``err_ij``, while ``_TINY``
+    covers underflow.  The factor 4 is applied before ``(d + 4) eps``: if
+    ``4 M`` overflows, ``err_ij`` is inf; if it does not, no step of ``g``
+    overflows.
+
+    An off-diagonal entry keeps ``g_ij`` only when ``_GRAM_RTOL * g_ij >
+    err_ij`` (tested as ``g_ij > err_ij / _GRAM_RTOL``, a power-of-2
+    scaling), so ``|g_ij - z_ij| < _GRAM_RTOL * g_ij``; a diagonal entry
+    keeps a finite ``g_ii``.  The test is positive, so an entry whose ``g``
+    or ``err`` is inf or NaN fails it.  Every entry that fails, such as one
+    of two identical columns or of columns far from the origin, is
+    recomputed by ``_paired_sq_distances`` and equals ``z_ij``.
+
+    The certificate and the re-check run on blocks of rows of the upper
+    triangle (``_certified_rows``), each written over its part of ``G`` and
+    mirrored, so memory is one ``(T, T)`` array and a few blocks of about
+    ``_BLOCK_ENTRIES`` entries; a matrix of at most that many entries is one
+    block.
     """
-    return sq_distances(W.T, W.T)
+    T = W.shape[1]
+    step = max(1, _BLOCK_ENTRIES // T)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the certificate
+        Z = W.T @ W  # G, overwritten by the distances one row block at a time
+        norms = Z.diagonal().copy()
+        if step >= T:  # one block holds the whole matrix
+            return _certified_rows(Z, Z.T, norms, norms, W.T)
+        for start in range(0, T, step):
+            stop = start + step
+            block = _certified_rows(
+                Z[start:stop, start:], Z[start:, start:stop].T, norms[start:stop], norms[start:],
+                W.T[start:],
+            )
+            Z[start:stop, start:] = block
+            Z[start:, start:stop] = block.T
+    return Z
+
+
+def _certified_rows(gram, mirror, row_norms, col_norms, points):
+    """Certified distances of a (b, m) block of rows of the upper triangle.
+
+    ``gram`` is the block of G, from the diagonal entry of its first row to
+    the last column, so its entry (k, k) lies on G's diagonal; ``mirror``
+    is the transpose of the matching block of columns; the norms are those
+    of the block's rows and columns; ``points`` holds the columns of W from
+    the block's first row on, one per row.  Returns a new (b, m) array.
+    """
+    block = np.add(gram, mirror)
+    bound = np.add(row_norms[:, None], col_norms)
+    np.subtract(bound, block, out=block)
+    bound *= 4.0
+    bound *= (points.shape[1] + 4) * np.finfo(float).eps / _GRAM_RTOL
+    bound += _TINY / _GRAM_RTOL
+    bound.reshape(-1)[:: bound.shape[1] + 1] = -np.inf  # keeps a finite g_ii = 0
+    keep = np.greater(block, bound)
+    if np.count_nonzero(keep) < keep.size:
+        rows, cols = np.nonzero(~keep)
+        chunk = max(1, _BLOCK_ENTRIES // points.shape[1])  # pairs per gather
+        for k in range(0, rows.size, chunk):
+            r, c = rows[k : k + chunk], cols[k : k + chunk]
+            block[r, c] = _paired_sq_distances(points[r], points[c])
+    return block
 
 
 def laplacian(A: np.ndarray) -> np.ndarray:
@@ -157,10 +268,3 @@ def matrixform(w: np.ndarray) -> np.ndarray:
     A[i, j] = w
     A[j, i] = w
     return A
-
-
-def apply_degree_operator(w: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Degree vector ``S w`` of a float edge vector on ``n_nodes`` nodes (not checked)."""
-    i, j = edge_endpoints(n_nodes)
-    degrees = np.bincount(i, weights=w, minlength=n_nodes)
-    return degrees + np.bincount(j, weights=w, minlength=n_nodes)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import check_seed
-from .graph import sq_distances
+from .graph import _BLOCK_ENTRIES, _paired_sq_distances, sq_distances
 from .model import GamtlConfig, GamtlModel, fit
 from .weight_solver import TaskDataset, validate_tasks
 
@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
-# Entries of one row block of the distance matrix: 16k doubles, 128 KiB.
-_BLOCK_ENTRIES = 1 << 14
 # Absolute slack of the k-means distance bounds.  Underflow can leave a
 # computed squared distance off by up to q * 2**-1074, whose square root is
 # far below this; far above it, the relative margins decide.
@@ -99,19 +97,6 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
     for j in range(points.shape[1]):
         sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=P)
     return sums, np.bincount(assign, minlength=P)
-
-
-def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance of row i of ``points`` to row i of ``centers``.
-
-    Summed in coordinate order, so each value is bit-identical to the
-    matching entry of ``sq_distances``.  ``q >= 1``.
-    """
-    gap = points - centers
-    np.square(gap, out=gap)
-    for j in range(1, points.shape[1]):
-        gap[:, 0] += gap[:, j]
-    return gap[:, 0]
 
 
 def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
@@ -230,7 +215,8 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     the per-cluster sums by the counts.  Otherwise it updates the centers in
     index order; an empty cluster is reseeded to the point currently
     farthest from its own center, and that point leaves its old cluster for
-    the rest of the round.
+    the rest of the round.  Inputs so far apart that the seeding's squared
+    distances overflow raise ``ValueError``.
 
     The assignment step is pruned with distance bounds (Hamerly, SDM 2010)
     and gives the assignment that the argmin of the full squared-distance
@@ -284,6 +270,8 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     closest_sq = sq_distances(points, centers[:1])[:, 0]
     for p in range(1, P):
         total = float(closest_sq.sum())
+        if not np.isfinite(total):  # the draw's probabilities would be NaN
+            raise ValueError("squared distances between pooled_inputs overflow")
         if total > 0.0:
             idx = rng.choice(N, p=closest_sq / total)
         else:

@@ -1,4 +1,7 @@
-"""Adjacency/Laplacian primitives and smoothness against its two oracle forms."""
+"""Adjacency/Laplacian primitives, distance kernels, and smoothness against two oracle forms."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gamtl import graph
 from gamtl.graph import (
-    apply_degree_operator,
     edge_endpoints,
     laplacian,
     matrixform,
@@ -132,6 +135,96 @@ def test_sq_distances_match_a_coordinate_loop_bit_for_bit(q, offset):
         assert not Z.any()
 
 
+@given(
+    d=st.integers(min_value=1, max_value=40),
+    T=st.integers(min_value=2, max_value=30),
+    exponent=st.integers(min_value=-8, max_value=8),
+    offset=st.sampled_from([0.0, 1e4, 1e8]),
+    duplicates=st.booleans(),
+    fortran=st.booleans(),
+    block_entries=st.sampled_from([1 << 14, 64, 7]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_pairwise_sq_distances_certified_against_the_coordinate_kernel(
+    d, T, exponent, offset, duplicates, fortran, block_entries, seed
+):
+    # A common offset far above the spread makes the Gram form cancel; small
+    # blocks split the rows and the re-check gathers.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    W = scale * (offset + rng.standard_normal((d, T)))
+    if duplicates:
+        W[:, T // 2] = W[:, 0]
+        W[:, T - 1] = W[:, 0]
+    W = np.asfortranarray(W) if fortran else np.ascontiguousarray(W)
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", block_entries):
+        Z = pairwise_sq_distances(W)
+    K = sq_distances(W.T, W.T)
+    assert np.array_equal(Z, Z.T)
+    assert np.all(np.diagonal(Z) == 0.0)
+    assert np.all(Z >= 0.0)
+    if duplicates:
+        assert Z[0, T // 2] == Z[0, T - 1] == Z[T // 2, T - 1] == 0.0
+    # Every entry is the kernel's, or passed the certificate |Z - K| < rtol * Z.
+    assert np.all((Z == K) | (np.abs(Z - K) < graph._GRAM_RTOL * Z))
+
+
+def _counting_paired(monkeypatch):
+    """Wrap ``graph._paired_sq_distances``; returns the entry count of each re-check."""
+    counts = []
+    paired = graph._paired_sq_distances
+
+    def counting(points, centers):
+        counts.append(points.shape[0])
+        return paired(points, centers)
+
+    monkeypatch.setattr(graph, "_paired_sq_distances", counting)
+    return counts
+
+
+def test_pairwise_sq_distances_overflow_gives_the_kernel_values(monkeypatch):
+    rng = np.random.default_rng(7)
+    W = rng.standard_normal((30, 12))
+    W[:, 1] = W[:, 0] + 1e-10 * rng.standard_normal(30)
+    W *= 1e154  # the squared norms overflow, and so do most distances
+    counts = _counting_paired(monkeypatch)
+    with np.errstate(over="ignore"):
+        Z = pairwise_sq_distances(W)
+        K = sq_distances(W.T, W.T)
+    assert np.isinf(K).any() and np.isfinite(K[0, 1])
+    assert not np.isnan(Z).any()
+    assert np.array_equal(Z, K)
+    assert sum(counts) >= 12 * 11 // 2  # at least one re-checked entry per pair
+
+
+def test_pairwise_sq_distances_underflow_goes_to_the_recheck(monkeypatch):
+    rng = np.random.default_rng(8)
+    W = 1e-160 * rng.standard_normal((30, 10))  # subnormal squares
+    norms = np.einsum("ij,ij->j", W, W)
+    gram = norms[:, None] + norms - 2.0 * (W.T @ W)
+    K = sq_distances(W.T, W.T)
+    assert (K[~np.eye(10, dtype=bool)] > 0.0).all()
+    assert not np.array_equal(gram[~np.eye(10, dtype=bool)], K[~np.eye(10, dtype=bool)])
+    counts = _counting_paired(monkeypatch)
+    Z = pairwise_sq_distances(W)
+    assert np.array_equal(Z, K)
+    assert sum(counts) >= 10 * 9 // 2  # at least one re-checked entry per pair
+
+
+def test_pairwise_sq_distances_peak_memory_within_the_coordinate_kernel():
+    W = np.asfortranarray(np.random.default_rng(9).standard_normal((30, 500)))
+    peaks = []
+    for call in (lambda: pairwise_sq_distances(W), lambda: sq_distances(W.T, W.T)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def test_pairwise_sq_distances_translation_invariant():
     rng = np.random.default_rng(4)
     W = rng.standard_normal((5, 7))
@@ -184,32 +277,3 @@ def test_edge_vector_identities():
     z, w = vectorform(Z), vectorform(A)
     assert float((A * Z).sum()) == pytest.approx(2.0 * float(z @ w), rel=1e-12)
     assert float((A * A).sum()) == pytest.approx(2.0 * float(w @ w), rel=1e-12)
-
-
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30)
-def test_degree_operator_matches_dense(n, seed):
-    rng = np.random.default_rng(seed)
-    w = rng.random(num_edges(n))
-    S = oracles.edge_incidence(n)
-    np.testing.assert_allclose(apply_degree_operator(w, n), S @ w, atol=1e-12)
-
-
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30)
-def test_degree_adjoint_identity(n, seed):
-    # <S w, v> == <w, S' v>, with S' v the upper triangle of v_i + v_j, the
-    # matrix the graph step forms
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(num_edges(n))
-    v = rng.standard_normal(n)
-    lhs = float(apply_degree_operator(w, n) @ v)
-    rhs = float(w @ vectorform(v[:, None] + v[None, :]))
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_degree_operator_matches_adjacency_degrees():
-    A = random_adjacency(np.random.default_rng(13), 7)
-    np.testing.assert_allclose(
-        apply_degree_operator(vectorform(A), 7), A.sum(axis=1), atol=1e-12
-    )

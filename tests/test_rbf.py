@@ -290,6 +290,14 @@ def test_kmeans_names_the_int_rule_for_an_in_range_count(P):
         kmeans_centers(np.zeros((20, 2)), P, 0)
 
 
+def test_kmeans_refuses_inputs_whose_squared_distances_overflow():
+    # Finite points 1e154 apart: the k-means++ draw would see inf / inf.
+    points = np.random.default_rng(0).standard_normal((60, 2)) * 1e154
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="squared distances .* overflow"):
+            kmeans_centers(points, P=3, seed=0)
+
+
 # --------------------------------------------------------------------------
 # Widths
 
