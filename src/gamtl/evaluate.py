@@ -242,11 +242,21 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
     optional ``-``; weights must be JSON numbers (``true`` is not) or
     edge-csv ``float`` text without ``_``.  Each pair of nodes may be listed
     once, and the result must pass
-    :func:`~gamtl.graph.validate_adjacency`; else ``ValueError``.
+    :func:`~gamtl.graph.validate_adjacency`; else ``ValueError``, also for
+    a ``json`` document that is not an object with an ``n`` and a list of
+    ``[source, target, weight]`` edges, or an edge-csv line of other than
+    three fields.
     """
     if format == "json":
         doc = json.loads(document)
+        if type(doc) is not dict or not {"n", "edges"} <= doc.keys():
+            raise ValueError("json graph document must be an object with keys 'n' and 'edges'")
         size, rows = doc["n"], doc["edges"]
+        if type(rows) is not list:
+            raise ValueError(f"edges must be a list, got {rows!r}")
+        for row in rows:
+            if type(row) is not list or len(row) != 3:
+                raise ValueError(f"edge {row!r} is not a [source, target, weight] list")
     elif format == "edge-csv":
         lines = document.strip().splitlines()
         if not lines or lines[0] != "source,target,weight":
@@ -254,7 +264,10 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
         size, rows = n, []
         for line in lines[1:]:
             # an index other than ASCII digits, or a weight with a `_`, stays a str, refused below
-            i, j, w = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"edge-csv line {line!r} is not source,target,weight")
+            i, j, w = fields
             i, j = (int(v) if re.fullmatch("-?[0-9]+", v) else v for v in (i, j))
             rows.append((i, j, w if "_" in w else float(w)))
     else:

@@ -22,12 +22,11 @@ when a rounding bound, which holds whatever order or FMA the BLAS uses,
 proves it within a relative ``_GRAM_RTOL`` = 2**-36 of the coordinate
 kernel's value.  Every other entry, such as one of two near-identical
 tasks, is recomputed by ``_paired_sq_distances`` and keeps that kernel's
-bits.
+bits.  ``_gram_error`` states that bound once, for these distances and for
+the Gram-form k-means assignment in :mod:`gamtl.rbf`.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,8 +39,6 @@ __all__ = [
     "vectorform",
     "matrixform",
     "edge_endpoints",
-    "num_edges",
-    "num_nodes_from_edges",
 ]
 
 # Entries of one row block of a distance matrix: 16k doubles, 128 KiB.
@@ -49,31 +46,16 @@ _BLOCK_ENTRIES = 1 << 14
 # Relative error that a Gram-form task distance may keep: five orders below
 # the graph solver's tolerance of 1e-6.  A power of 2, so scaling by it is exact.
 _GRAM_RTOL = 2.0**-36
-# Absolute slack of the Gram-form bound.  Underflow can move a Gram value by
-# a few d * 2**-1074, far below this.
+# Absolute slack of the Gram-form bound and of the k-means distance bounds
+# in gamtl.rbf.  Underflow can move a computed squared distance of q
+# coordinates by a few q * 2**-1074, and its square root by far less than
+# this.
 _TINY = 1e-150
 
 
-def num_edges(n_nodes: int) -> int:
-    """Number of undirected edges on ``n_nodes`` nodes (strict upper triangle)."""
-    return n_nodes * (n_nodes - 1) // 2
-
-
-def num_nodes_from_edges(n_edges: int) -> int:
-    """Invert ``num_edges``; raises if ``n_edges`` is not triangular."""
-    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * n_edges)) / 2.0))
-    if num_edges(n) != n_edges:
-        raise ValueError(f"edge vector length {n_edges} is not T*(T-1)/2 for any integer T")
-    return n
-
-
-@lru_cache(maxsize=None)
 def edge_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint index arrays ``(I, J)`` of the row-major strict upper triangle."""
-    i, j = np.triu_indices(n_nodes, k=1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
+    return np.triu_indices(n_nodes, k=1)
 
 
 def validate_adjacency(A: np.ndarray, name: str = "adjacency") -> np.ndarray:
@@ -121,6 +103,45 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram_error(size: np.ndarray, q: int, scale: float = 1.0) -> np.ndarray:
+    """Bound on the gap between a Gram-form squared distance and the kernel's.
+
+    Turns ``size`` in place into ``scale * ((q + 4) eps * 4 size + _TINY)``
+    and returns it.  ``scale`` is a power of 2, so scaling is exact.
+
+    A Gram value ``g`` of a pair of q-coordinate rows is built from one BLAS
+    product, the squared norms and a few adds; ``size`` bounds the terms
+    that enter it.  With u = eps / 2 and first-order terms (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., section 3.1), ``g`` is
+    within (q + 2) eps size of the true squared distance whatever summation
+    order or FMA the BLAS uses:
+
+    - task distances, ``g = (n_i + n_j) - (G_ij + G_ji)`` with ``size = M =
+      n_i + n_j``: the two norms err by up to q u M together, the two dot
+      products (``|a.b| <= M / 2``) by up to q u M together, the two adds by
+      up to u M each, and the subtraction, whose result lies below 2M, by
+      up to 2 u M;
+    - k-means, ``g = (x . (-2 c) + ||x||^2) + ||c||^2`` with ``size = S =
+      ||x||^2 + max_j ||c_j||^2``: the two norms together and the dot
+      product (``-2 c`` is exact, ``|x . 2c| <= S``) each by up to q u S,
+      and the two adds, whose results lie below 2S, by up to 2 u S each.
+
+    The coordinate kernel ``sq_distances`` is within a relative (q + 2) u of
+    the true value, which is at most 2 size, so within (q + 2) eps size as
+    well.  So ``|g - z| <= _gram_error(size, q)`` for the kernel's value
+    ``z``: the bound is over twice the first-order sum 2 (q + 2) eps size,
+    which leaves room for the higher-order terms and for the rounding of the
+    bound and of the tests made with it, while ``_TINY`` covers underflow.
+    The factor 4 is applied first: if ``4 size`` overflows, the bound is
+    inf; if it does not, no step of ``g`` overflows.  A caller's test must
+    fail on an inf or NaN bound or ``g``.
+    """
+    size *= 4.0
+    size *= (q + 4) * np.finfo(float).eps * scale
+    size += _TINY * scale
+    return size
+
+
 def _paired_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of row i of ``points`` to row i of ``centers``.
 
@@ -145,31 +166,16 @@ def pairwise_sq_distances(W: np.ndarray) -> np.ndarray:
     With ``G = W.T @ W`` and ``n_i = G_ii`` the squared norm of column i, the
     Gram value of a pair is ``g_ij = (n_i + n_j) - (G_ij + G_ji)``.  Both
     sums commute exactly, so ``g`` is exactly symmetric whatever the BLAS
-    does, and ``g_ii = 2 G_ii - 2 G_ii`` is exactly 0 when finite.
-    With u = eps / 2, ``M = n_i + n_j`` and first-order terms (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1),
-    ``g_ij`` is within (d + 2) eps M of the true squared distance whatever
-    summation order or FMA the BLAS uses: the two norms err by up to d u M
-    together, the two dot products (``|a.b| <= M / 2``) by up to d u M
-    together, the two adds by up to u M each, and the subtraction, whose
-    result lies below 2M, by up to 2 u M.  The coordinate kernel is within
-    a relative (d + 2) u of the true value, which is at most 2M, so within
-    (d + 2) eps M as well.  So ``|g_ij - z_ij| <= err_ij`` for the kernel's value
-    ``z_ij``, where
-
-        ``err_ij = (d + 4) eps * 4 M + _TINY``,
-
-    over twice the first-order sum 2 (d + 2) eps M, which leaves room for the
-    higher-order terms and for the rounding of ``err_ij``, while ``_TINY``
-    covers underflow.  The factor 4 is applied before ``(d + 4) eps``: if
-    ``4 M`` overflows, ``err_ij`` is inf; if it does not, no step of ``g``
-    overflows.
+    does, and ``g_ii = 2 G_ii - 2 G_ii`` is exactly 0 when finite.  With
+    ``M = n_i + n_j``, ``|g_ij - z_ij| <= err_ij = _gram_error(M, d)`` for
+    the kernel's value ``z_ij``, whatever summation order or FMA the BLAS
+    uses.
 
     An off-diagonal entry keeps ``g_ij`` only when ``_GRAM_RTOL * g_ij >
-    err_ij`` (tested as ``g_ij > err_ij / _GRAM_RTOL``, a power-of-2
-    scaling), so ``|g_ij - z_ij| < _GRAM_RTOL * g_ij``; a diagonal entry
-    keeps a finite ``g_ii``.  The test is positive, so an entry whose ``g``
-    or ``err`` is inf or NaN fails it.  Every entry that fails, such as one
+    err_ij`` (tested as ``g_ij > _gram_error(M, d, 1 / _GRAM_RTOL)``, an
+    exact power-of-2 scaling), so ``|g_ij - z_ij| < _GRAM_RTOL * g_ij``; a
+    diagonal entry keeps a finite ``g_ii``.  The test is positive, so an
+    entry whose ``g`` or ``err`` is inf or NaN fails it.  Every entry that fails, such as one
     of two identical columns or of columns far from the origin, is
     recomputed by ``_paired_sq_distances`` and equals ``z_ij``.
 
@@ -209,9 +215,7 @@ def _certified_rows(gram, mirror, row_norms, col_norms, points):
     block = np.add(gram, mirror)
     bound = np.add(row_norms[:, None], col_norms)
     np.subtract(bound, block, out=block)
-    bound *= 4.0
-    bound *= (points.shape[1] + 4) * np.finfo(float).eps / _GRAM_RTOL
-    bound += _TINY / _GRAM_RTOL
+    _gram_error(bound, points.shape[1], 1.0 / _GRAM_RTOL)
     bound.reshape(-1)[:: bound.shape[1] + 1] = -np.inf  # keeps a finite g_ii = 0
     keep = np.greater(block, bound)
     if np.count_nonzero(keep) < keep.size:
@@ -262,7 +266,9 @@ def matrixform(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"edge vector must be 1-d, got shape {w.shape}")
-    T = num_nodes_from_edges(w.size)
+    T = int(round((1.0 + np.sqrt(1.0 + 8.0 * w.size)) / 2.0))
+    if T * (T - 1) // 2 != w.size:
+        raise ValueError(f"edge vector length {w.size} is not T*(T-1)/2 for any integer T")
     A = np.zeros((T, T))
     i, j = edge_endpoints(T)
     A[i, j] = w

@@ -13,9 +13,9 @@ and all reductions run in a fixed order.  Squared distances come from
 :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
 the seeding, the widths and the lift call it, the lift on cache-sized row
 blocks.  The assignment scores each row block in Gram form with one BLAS
-product and keeps a row's argmin only when a rounding bound proves it equal
-to the coordinate kernel's; it sends every other row through
-``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
+product and keeps a row's argmin only when the rounding bound
+:func:`gamtl.graph._gram_error` proves it equal to the coordinate kernel's;
+it sends every other row through ``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
 order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import check_seed
-from .graph import _BLOCK_ENTRIES, _paired_sq_distances, sq_distances
+from .graph import _BLOCK_ENTRIES, _TINY, _gram_error, _paired_sq_distances, sq_distances
 from .model import GamtlConfig, GamtlModel, fit
 from .weight_solver import TaskDataset, validate_tasks
 
@@ -55,10 +55,6 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
-# Absolute slack of the k-means distance bounds.  Underflow can leave a
-# computed squared distance off by up to q * 2**-1074, whose square root is
-# far below this; far above it, the relative margins decide.
-_TINY = 1e-150
 
 
 @dataclass(frozen=True)
@@ -110,24 +106,10 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
 
     Each cache-sized block of rows is first scored in Gram form,
     ``g_ij = (x_i . (-2 c_j) + ||x_i||^2) + ||c_j||^2``: one BLAS product and
-    two broadcast adds.  With u = eps / 2, ``S_i = ||x_i||^2 + max_j ||c_j||^2``
-    and first-order terms (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 3.1), ``g_ij`` is within (q + 2) eps S_i
-    of the true squared distance whatever order or FMA the BLAS uses: the
-    norms and the dot product (``-2 c`` is exact, ``|x . 2c| <= S_i``) each
-    err by up to q u S_i, and the two adds, whose results lie below 2 S_i,
-    by up to 2 u S_i each.  The coordinate kernel is within (q + 2) u of the
-    true value, which is at most 2 S_i, so within (q + 2) eps S_i as well.
-    So ``|g_ij - d_ij| <= err_i`` for every center, where ``d_ij`` is the
-    coordinate kernel's value and
-
-        ``err_i = (q + 4) eps * 4 S_i + _TINY``,
-
-    over twice the first-order sum 2 (q + 2) eps S_i, which leaves room for
-    the higher-order terms and for the rounding of ``err_i`` and of the test
-    below, while ``_TINY`` covers underflow.  The factor 4 is applied before
-    ``(q + 4) eps``: if ``4 S_i`` overflows, ``err_i`` is inf; if it does
-    not, no step of ``g`` overflows.
+    two broadcast adds.  With ``S_i = ||x_i||^2 + max_j ||c_j||^2``,
+    ``|g_ij - d_ij| <= err_i = _gram_error(S_i, q)`` for every center, where
+    ``d_ij`` is the coordinate kernel's value, whatever order or FMA the
+    BLAS uses.
 
     A row is certified when its two smallest Gram values differ by more than
     ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
@@ -160,9 +142,7 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
             _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
             own[start:stop] = _paired_sq_distances(block_points, centers[pick])
         err += center_sq.max()
-        err *= 4.0
-        err *= (q + 4) * np.finfo(float).eps
-        err += _TINY
+        _gram_error(err, q)
         doubt = np.flatnonzero(~(second - first > 2.0 * err))
         second -= err
         np.maximum(second, 0.0, out=second)
@@ -232,15 +212,11 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     round that reseeds a cluster reassigns every row.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per row block (see ``_nearest_two``).  With
-    ``S = ||x||^2 + max_j ||c_j||^2``, each Gram value is within
-    ``err = (q + 4) eps * 4 S + _TINY`` of the coordinate kernel's value for
-    the same pair, whatever order or FMA the BLAS uses.  So when the row's
-    two smallest Gram values differ by more than ``2 err``, the Gram argmin
-    is the coordinate kernel's strict argmin; the row's upper bound is then
-    its exact coordinate distance to that center and its lower bound comes
-    from ``second - err``.  Every other row, including those whose ``err``
-    or Gram values are inf or NaN, is recomputed with ``sq_distances``.
+    by one BLAS product per row block, and keeps the Gram argmin only when
+    the rounding bound ``graph._gram_error`` proves it the coordinate
+    kernel's strict argmin (see ``_nearest_two``).  Every other row,
+    including those whose bound or Gram values are inf or NaN, is
+    recomputed with ``sq_distances``.
 
     Why skipping is exact: a computed squared distance is within a relative
     (q + 2) eps of the true one (one subtraction, one square and q - 1

@@ -290,11 +290,20 @@ CSV = {"format": "edge-csv"}
         ("source,target,weight\n0,1,1_0\n", CSV, r"edge \(0, 1\) has a weight that is not a number: '1_0'"),
         ('{"n": 2, "edges": [[0, 1, true]]}', {}, r"edge \(0, 1\) has a weight that is not a number: True"),
         ('{"n": 2, "edges": [[0, 1, "2.5"]]}', {}, r"edge \(0, 1\) has a weight that is not a number: '2\.5'"),
+        ("[]", {}, "must be an object with keys 'n' and 'edges'"),
+        ("{}", {}, "must be an object with keys 'n' and 'edges'"),
+        ('{"n": 3}', {}, "must be an object with keys 'n' and 'edges'"),
+        ('{"n": 3, "edges": 5}', {}, "edges must be a list, got 5"),
+        ('{"n": 3, "edges": [[0, 1]]}', {}, r"edge \[0, 1\] is not a \[source, target, weight\] list"),
+        ('{"n": 3, "edges": [5]}', {}, r"edge 5 is not a \[source, target, weight\] list"),
+        ("source,target,weight\n0,1\n", CSV, "edge-csv line '0,1' is not source,target,weight"),
     ],
     ids=[
         "float_source", "float_target", "bool_target", "json_reversed", "csv_reversed", "csv_same",
         "json_float_n", "csv_float_n", "csv_underscore_node", "csv_space_node", "csv_plus_node",
-        "csv_underscore_weight", "json_bool_weight", "json_string_weight",
+        "csv_underscore_weight", "json_bool_weight", "json_string_weight", "json_list_document",
+        "json_no_keys", "json_no_edges", "json_int_edges", "json_short_edge", "json_int_edge",
+        "csv_short_line",
     ],
 )
 def test_import_graph_rejects_non_integer_nodes_and_repeated_pairs(document, options, message):
@@ -302,7 +311,9 @@ def test_import_graph_rejects_non_integer_nodes_and_repeated_pairs(document, opt
     # True read as node 1, a repeated pair keeping its last weight, int() or
     # float() text export_graph never writes (1_0, " 1", +0) read as a number,
     # or a json weight of true or "2.5" read as 1.0 or 2.5; or it raised
-    # TypeError (an edge-csv n of 2.5).
+    # TypeError (an edge-csv n of 2.5, a json document that is a list, json
+    # edges that are not a list), KeyError (a json key missing) or an unpack
+    # error that named no edge (an edge of two fields).
     with pytest.raises(ValueError, match=message):
         import_graph(document, **options)
 

@@ -14,8 +14,6 @@ from gamtl.graph import (
     edge_endpoints,
     laplacian,
     matrixform,
-    num_edges,
-    num_nodes_from_edges,
     pairwise_sq_distances,
     smoothness,
     sq_distances,
@@ -31,15 +29,19 @@ def random_adjacency(rng, n):
 
 
 @given(st.integers(min_value=2, max_value=60))
-def test_edge_count_round_trip(n):
-    assert num_nodes_from_edges(num_edges(n)) == n
+def test_matrixform_round_trips_every_edge_count(T):
+    w = np.arange(1.0, T * (T - 1) // 2 + 1.0)
+    A = matrixform(w)
+    assert A.shape == (T, T)
+    assert np.array_equal(vectorform(A), w)
 
 
-def test_edge_count_values():
-    assert num_edges(2) == 1
-    assert num_edges(5) == 10
-    with pytest.raises(ValueError):
-        num_nodes_from_edges(4)  # not a triangular number
+def test_matrixform_rejects_non_triangular_lengths():
+    triangular = {T * (T - 1) // 2 for T in range(1, 20)}
+    for n_edges in sorted(set(range(100)) - triangular):
+        message = rf"edge vector length {n_edges} is not T\*\(T-1\)/2 for any integer T"
+        with pytest.raises(ValueError, match=message):
+            matrixform(np.ones(n_edges))
 
 
 def test_edge_endpoints_row_major_order():
@@ -168,6 +170,68 @@ def test_pairwise_sq_distances_certified_against_the_coordinate_kernel(
         assert Z[0, T // 2] == Z[0, T - 1] == Z[T // 2, T - 1] == 0.0
     # Every entry is the kernel's, or passed the certificate |Z - K| < rtol * Z.
     assert np.all((Z == K) | (np.abs(Z - K) < graph._GRAM_RTOL * Z))
+
+
+def _task_gram(W):
+    """Task-distance Gram values of the columns of ``W`` and their ``M = n_i + n_j``."""
+    G = W.T @ W
+    norms = G.diagonal()
+    size = norms[:, None] + norms
+    return size - (G + G.T), size
+
+
+def _kmeans_gram(points, centers):
+    """k-means Gram values of rows against centers and their ``S = ||x||^2 + max ||c||^2``."""
+    point_sq = np.einsum("ij,ij->i", points, points)
+    center_sq = np.einsum("ij,ij->i", centers, centers)
+    g = points @ (-2.0 * centers.T)
+    g += point_sq[:, None]
+    g += center_sq
+    return g, np.broadcast_to((point_sq + center_sq.max())[:, None], g.shape)
+
+
+@given(
+    q=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=2, max_value=20),
+    exponent=st.integers(min_value=-170, max_value=150),
+    offset=st.sampled_from([0.0, 1e4, 1e8, 1e12]),
+    kmeans=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_gram_error_bounds_both_gram_forms(q, n, exponent, offset, kmeans, seed):
+    # Near-identical rows far from the origin make the Gram form cancel;
+    # tiny scales underflow and huge ones overflow.
+    rng = np.random.default_rng(seed)
+    points = 10.0**exponent * (offset + rng.standard_normal((n, q)))
+    points[n // 2] = points[0]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if kmeans:
+            centers = np.concatenate([points[:2], 10.0**exponent * rng.standard_normal((3, q))])
+            g, size = _kmeans_gram(points, centers)
+            z = sq_distances(points, centers)
+        else:
+            g, size = _task_gram(points.T)
+            z = sq_distances(points, points)
+        err = graph._gram_error(size.copy(), q)
+        assert np.all(np.isinf(err) | (np.abs(g - z) <= err))
+        assert np.array_equal(np.isinf(err), 4.0 * size == np.inf)
+
+
+@given(
+    size=st.floats(min_value=0.0, max_value=1e300),
+    q=st.integers(min_value=1, max_value=1000),
+)
+def test_gram_error_overflows_to_inf_exactly_when_4_size_does(size, q):
+    top = np.finfo(float).max
+    assert np.isfinite(graph._gram_error(np.array([size]), q)[0])
+    assert np.isfinite(graph._gram_error(np.array([top / 4.0]), q)[0])
+    with np.errstate(over="ignore"):
+        assert graph._gram_error(np.array([np.nextafter(top / 4.0, np.inf)]), q)[0] == np.inf
+    # The power-of-2 scale of the task-distance test is exact.
+    scale = 1.0 / graph._GRAM_RTOL
+    scaled = graph._gram_error(np.array([size]), q, scale)[0]
+    assert scaled == scale * graph._gram_error(np.array([size]), q)[0]
 
 
 def _counting_paired(monkeypatch):

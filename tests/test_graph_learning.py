@@ -14,7 +14,6 @@ import oracles
 from gamtl import graph_learning
 from gamtl.graph import (
     matrixform,
-    num_edges,
     pairwise_sq_distances,
     validate_adjacency,
     vectorform,
@@ -389,7 +388,7 @@ def test_scored_warm_start_solves_as_the_public_form(case):
         # graph has zero degrees, so the warm start comes back.
         Z = random_distances(rng, 5)
         params = GraphLearningParams(max_iter=1)
-        A0 = matrixform(np.full(num_edges(5), 1e6))
+        A0 = matrixform(np.full(5 * 4 // 2, 1e6))
     A, report, score = learn_graph(Z, params, A0=_ScoredGraph(A0, graph_objective(A0, Z, params)))
     A_public, report_public = learn_graph(Z, params, A0=A0)
     assert np.array_equal(A, A_public)
@@ -439,7 +438,7 @@ def _warm_start(kind, rng, Z, params):
         return default_initial_graph(Z)
     if kind == "solved elsewhere":  # as in fit: the optimum for another W
         return learn_graph(Z + random_distances(rng, T), params)[0]
-    w = rng.exponential(size=num_edges(T)) * 10.0 ** rng.integers(-3, 4)
+    w = rng.exponential(size=T * (T - 1) // 2) * 10.0 ** rng.integers(-3, 4)
     if kind == "sparse":
         w[rng.random(w.size) < 0.5] = 0.0
     A0 = matrixform(w)
