@@ -125,6 +125,7 @@ def _gram_error(size: np.ndarray, q: int, scale: float = 1.0) -> np.ndarray:
       ||x||^2 + max_j ||c_j||^2``: the two norms together and the dot
       product (``-2 c`` is exact, ``|x . 2c| <= S``) each by up to q u S,
       and the two adds, whose results lie below 2S, by up to 2 u S each.
+      ``g + err`` and ``g - err`` then bound a row's k-means distances.
 
     The coordinate kernel ``sq_distances`` is within a relative (q + 2) u of
     the true value, which is at most 2 size, so within (q + 2) eps size as

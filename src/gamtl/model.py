@@ -212,6 +212,8 @@ class GamtlModel:
         """Predictions for task ``task_id`` on samples given as columns of X."""
         w = self.W[:, self.column_of(task_id)]
         X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2):
+            raise ValueError(f"X must be one sample or a (d, n) matrix, got shape {X.shape}")
         single = X.ndim == 1
         if single:
             X = X[:, None]

@@ -21,13 +21,14 @@ order, so no (N, P, q) tensor is built.
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
 distance to every other center, moved by the center shifts after each round
-(Hamerly, "Making k-means even faster", SDM 2010).  Every bound is rounded
-outward by more than the rounding error of a computed squared distance, so
-a skipped point provably keeps the center that the argmin of the full
-distance matrix would give it, and the centers are bit-identical to dense
-rounds.  Only the rows that fail the test are recomputed, one block at a
-time, so no (N, P) matrix is kept either.  Each round thus starts from the
-dense argmin of its centers, which alone key the check for a repeated round.
+(Hamerly, "Making k-means even faster", SDM 2010), and reset from the
+certificate's ``g +- err`` (or the kernel) when it is reassigned.  Every bound
+is rounded outward beyond the rounding of a computed squared distance, so a
+skipped point provably keeps the center of the full distance matrix's argmin,
+and the centers are bit-identical to dense rounds.  A row that fails the test
+is reassigned, one block at a time, so no (N, P) matrix is kept either.  Each
+round thus starts from the dense argmin of its centers, which alone key the
+check for a repeated round.
 """
 
 from __future__ import annotations
@@ -115,14 +116,12 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
     g_ia + err_i >= d_ia``, so the Gram argmin ``a`` is the kernel's strict
     argmin.  The test is ``gap > 2 err``, so a row with an inf or NaN ``err``
-    or gap is never certified.  A certified row's upper bound comes from its
-    exact ``_paired_sq_distances`` to ``a``, its lower bound from
-    ``second - err_i <= d_ij``.  Every other row goes through
-    ``sq_distances`` block by block, as the dense argmin does.
+    or gap is never certified.  A certified row's bounds come from the same
+    certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
+    Other rows take argmin and bounds from ``sq_distances``, block by block.
     """
     P, q = centers.shape
     nearest = np.empty(rows.size, dtype=np.intp)
-    own = np.empty(rows.size)
     first = np.empty(rows.size)
     second = np.empty(rows.size)
     err = np.empty(rows.size)
@@ -140,17 +139,17 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
             block += center_sq
             pick = nearest[start:stop]
             _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
-            own[start:stop] = _paired_sq_distances(block_points, centers[pick])
         err += center_sq.max()
         _gram_error(err, q)
         doubt = np.flatnonzero(~(second - first > 2.0 * err))
+        first += err
         second -= err
         np.maximum(second, 0.0, out=second)
     for start in range(0, doubt.size, step):
         part = doubt[start : start + step]
         block = sq_distances(points[rows[part]], centers)
-        nearest[part], own[part], second[part] = _two_smallest(block, row_starts)
-    return nearest, _grown(np.sqrt(own), margin), _shrunk(np.sqrt(second), margin)
+        nearest[part], first[part], second[part] = _two_smallest(block, row_starts)
+    return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
 
 
 def _two_smallest(block, row_starts, pick=None, low=None, high=None):
@@ -180,11 +179,6 @@ def _shrunk(x, margin: float, out=None):
     return np.subtract(np.multiply(x, 1.0 - margin, out=out), _TINY, out=out)
 
 
-def _keeps_center(upper, lower, margin: float):
-    """The prune test: ``upper < lower`` with the rounding margin on both sides."""
-    return _grown(upper, margin) < _shrunk(lower, margin)
-
-
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
@@ -207,28 +201,30 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     lower bound shrinks by the largest shift among the other centers
     (triangle inequality).  A point keeps its center when ``upper < lower``
     holds with a relative margin of 4 (q + 2) eps on top; otherwise its
-    distance to its own center is recomputed with the coordinate-order
-    kernel, and if the test still fails its whole row is reassigned.  A
-    round that reseeds a cluster reassigns every row.
+    whole row is reassigned.  A round that reseeds a cluster reassigns
+    every row.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
     by one BLAS product per row block, and keeps the Gram argmin only when
     the rounding bound ``graph._gram_error`` proves it the coordinate
-    kernel's strict argmin (see ``_nearest_two``).  Every other row,
-    including those whose bound or Gram values are inf or NaN, is
-    recomputed with ``sq_distances``.
+    kernel's strict argmin (see ``_nearest_two``); the same bound gives its
+    new upper and lower bounds.  Every other row, including those whose
+    bound or Gram values are inf or NaN, is recomputed with ``sq_distances``.
 
-    Why skipping is exact: a computed squared distance is within a relative
-    (q + 2) eps of the true one (one subtraction, one square and q - 1
-    additions of nonnegative terms per entry), and every bound, shift and
-    prune test is rounded outward by 2 (q + 2) eps, which also covers its
-    own floating-point operations, plus an absolute ``_TINY`` that covers
+    Why skipping is exact: a reassigned row's bounds enclose its kernel
+    distances, by the certificate or because they are the kernel's values.
+    A computed squared distance is within a relative (q + 2) eps of the
+    true one (one subtraction, one square and q - 1 additions of
+    nonnegative terms per entry), and every bound, shift and prune test is
+    rounded outward by 2 (q + 2) eps, which also covers its own
+    floating-point operations, plus an absolute ``_TINY`` that covers
     underflow.  So a skipped point's computed distance to its own center is
     strictly below its computed distance to every other center, and the
-    dense argmin (lowest index on ties) picks the same center.  The first
-    assignment and every reseeding round assign all rows, each to the
-    argmin of its coordinate-kernel row, so each round starts from the
-    dense argmin of its centers, and the stop rule keys on them.
+    dense argmin (lowest index on ties) picks the same center; a point that
+    fails the test is reassigned, not kept.  The first assignment and every
+    reseeding round assign all rows, each to the argmin of its
+    coordinate-kernel row, so each round starts from the dense argmin of
+    its centers, and the stop rule keys on them.
     """
     points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or min(points.shape) < 1:
@@ -275,10 +271,8 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
             top = np.argsort(shift)[-2:]  # the two largest shifts, the largest last
             lower -= np.where(assign == top[-1], shift[top[0]], shift[top[-1]])
             _shrunk(lower, margin, out=lower)
-            stale = np.flatnonzero(~_keeps_center(upper, lower, margin))
-            own = np.sqrt(_paired_sq_distances(points[stale], centers[assign[stale]]))
-            upper[stale] = _grown(own, margin)
-            stale = stale[~_keeps_center(upper[stale], lower[stale], margin)]
+            # the prune test, with the rounding margin on both sides
+            stale = np.flatnonzero(~(_grown(upper, margin) < _shrunk(lower, margin)))
         else:
             for p in range(P):
                 if counts[p] > 0:
@@ -351,6 +345,8 @@ def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
     samples as columns (returns (P, n)): the first P rows of :func:`lift_matrix`.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must be one sample or a (q, n) matrix, got shape {x.shape}")
     if x.ndim == 1:
         return lift_matrix(feature_map, x[:, None])[:-1, 0]
     return lift_matrix(feature_map, x)[:-1]

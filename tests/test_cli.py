@@ -613,6 +613,8 @@ STANDARDIZERS = {
     "zero_feature_std": {"feature_std": [1.0, 0.0]},
     "nan_target_mean": {"target_mean": float("nan")},
     "wide": {"feature_mean": [0.0, 0.0, 0.0], "feature_std": [1.0, 1.0, 1.0]},
+    "mismatched": {"feature_std": [1.0]},
+    "nested": {"feature_mean": [[0.0, 0.0]]},
 }
 
 
@@ -620,6 +622,7 @@ STANDARDIZERS = {
 def test_eval_model_with_a_bad_standardizer_is_malformed(tmp_path, capsys, case):
     # A negative target_std used to score a negative RMSE; a zero std or a
     # NaN mean failed on the test rows, and a wide one on their columns.
+    # Means and stds of two lengths, or a nested mean, are not 1-d of one length.
     model_path, data_path = perfect_model_and_data(tmp_path)
     payload = json.loads(model_path.read_text())
     stats = {"feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "target_mean": 0.0, "target_std": 1.0}

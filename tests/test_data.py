@@ -280,7 +280,7 @@ def test_wiener_deterministic():
 
 
 def test_wiener_state_matches_lfilter_bit_for_bit():
-    from scipy.signal import lfilter
+    lfilter = pytest.importorskip("scipy.signal").lfilter
 
     rng = np.random.default_rng(5)
     for _ in range(50):

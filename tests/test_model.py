@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -560,6 +561,12 @@ def test_predict_unknown_task_raises():
 def test_predict_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="feature dimension"):
         linear_model().predict_task(0, np.zeros(3))
+    # Neither is one sample or a matrix of samples, even with a first axis
+    # of the model's dimension.
+    model = linear_model()
+    for X in (np.float64(1.0), np.zeros((model.W.shape[0], 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {X.shape}")):
+            model.predict_task(0, X)
 
 
 def test_predict_rbf_one_hot_head():

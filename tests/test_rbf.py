@@ -4,13 +4,17 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gamtl import rbf
 from gamtl.data import benchmark_splits
+from gamtl.graph import sq_distances
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import GamtlConfig, fit, load_model, model_to_dict
 from gamtl.rbf import (
@@ -230,6 +234,68 @@ def test_kmeans_assigns_wiener_inputs_without_the_coordinate_kernel(monkeypatch)
     assert calls == [(points.shape[0], 1)] * 50
 
 
+def test_kmeans_computes_no_exact_own_distances_on_wiener_inputs(monkeypatch):
+    # A reassigned row takes its upper bound from the Gram-form certificate, so
+    # _paired_sq_distances measures only the center shifts: once per Lloyd
+    # round, on the P centers.  Its one other use, a reseed, which measures
+    # all N rows, never happens on this pool.
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.concatenate([t.X.T for t in train], axis=0)
+    rows, assignments = [], []
+    paired, nearest_two = rbf._paired_sq_distances, rbf._nearest_two
+
+    def counting_paired(pts, centers):
+        rows.append(pts.shape[0])
+        return paired(pts, centers)
+
+    def counting_nearest_two(*args):
+        assignments.append(1)
+        return nearest_two(*args)
+
+    monkeypatch.setattr(rbf, "_paired_sq_distances", counting_paired)
+    monkeypatch.setattr(rbf, "_nearest_two", counting_nearest_two)
+    kmeans_centers(points, P=50, seed=0)
+    assert len(assignments) > 20
+    assert rows == [50] * (len(assignments) - 1)  # every round after the first assignment
+
+
+@given(
+    N=st.integers(min_value=1, max_value=40),
+    P=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=6),
+    exponent=st.integers(min_value=-160, max_value=150),
+    offset=st.sampled_from([0.0, 1e4, 1e8]),
+    duplicates=st.booleans(),
+    block_entries=st.sampled_from([1 << 14, 7]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_nearest_two_bounds_the_coordinate_kernel(
+    N, P, q, exponent, offset, duplicates, block_entries, seed
+):
+    # Far-from-origin offsets make the Gram form cancel, the largest scales
+    # overflow its squared norms, and duplicated rows and centers tie.  Each
+    # row's bounds must enclose its kernel distances, whether the Gram-form
+    # certificate or the kernel fallback set them; small blocks split the rows.
+    rng = np.random.default_rng(seed)
+    points = 10.0**exponent * (offset + rng.standard_normal((N, q)))
+    centers = 10.0**exponent * (offset + rng.standard_normal((P, q)))
+    if duplicates:
+        points[N // 2] = points[0]
+        centers[P // 2] = centers[0]  # a tie, which goes to the lower index
+        centers[-1] = points[-1]  # a zero distance
+    rows = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
+    margin = 2.0 * (q + 2) * np.finfo(float).eps
+    with mock.patch.object(rbf, "_BLOCK_ENTRIES", block_entries):
+        nearest, upper, lower = rbf._nearest_two(points, centers, rows, margin)
+    z = sq_distances(points[rows], centers)
+    assert np.array_equal(nearest, np.argmin(z, axis=1))
+    spots = (np.arange(rows.size), nearest)
+    assert np.all(upper >= np.sqrt(z[spots]))
+    z[spots] = np.inf  # leaves the second-smallest value, inf with one center
+    assert np.all(lower <= np.sqrt(z.min(axis=1)))
+
+
 def _offset_gaussian_points(scale, offset):
     return np.random.default_rng(0).standard_normal((200, 4)) * scale + offset
 
@@ -420,6 +486,11 @@ def test_transform_rejects_bad_inputs():
         transform(fm, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         transform(fm, np.array([np.nan, 0.0]))
+    # Neither is one sample or a matrix of samples, even with a first axis
+    # of the centers' dimension.
+    for x in (np.float64(1.0), np.zeros((fm.input_dim, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
+            transform(fm, x)
 
 
 def test_lift_matrix_appends_bias_row():
