@@ -103,42 +103,43 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_error(size: np.ndarray, q: int, scale: float = 1.0) -> np.ndarray:
+def _gram_error(size: np.ndarray, terms: int, scale: float = 1.0) -> np.ndarray:
     """Bound on the gap between a Gram-form squared distance and the kernel's.
 
-    Turns ``size`` in place into ``scale * ((q + 4) eps * 4 size + _TINY)``
-    and returns it.  ``scale`` is a power of 2, so scaling is exact.
+    Turns ``size`` in place into ``scale * ((terms + 4) eps * 4 size +
+    _TINY)`` and returns it.  ``scale`` is a power of 2, so scaling is exact.
 
-    A Gram value ``g`` of a pair of q-coordinate rows is built from one BLAS
-    product, the squared norms and a few adds; ``size`` bounds the terms
-    that enter it.  With u = eps / 2 and first-order terms (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., section 3.1), ``g`` is
-    within (q + 2) eps size of the true squared distance whatever summation
+    A Gram value ``g`` of a pair of q-coordinate rows is built from BLAS
+    products and squared norms; ``size`` bounds the terms that enter it.
+    With u = eps / 2 and first-order terms (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 3.1), whatever summation
     order or FMA the BLAS uses:
 
     - task distances, ``g = (n_i + n_j) - (G_ij + G_ji)`` with ``size = M =
-      n_i + n_j``: the two norms err by up to q u M together, the two dot
-      products (``|a.b| <= M / 2``) by up to q u M together, the two adds by
-      up to u M each, and the subtraction, whose result lies below 2M, by
-      up to 2 u M;
-    - k-means, ``g = (x . (-2 c) + ||x||^2) + ||c||^2`` with ``size = S =
-      ||x||^2 + max_j ||c_j||^2``: the two norms together and the dot
-      product (``-2 c`` is exact, ``|x . 2c| <= S``) each by up to q u S,
-      and the two adds, whose results lie below 2S, by up to 2 u S each.
+      n_i + n_j`` and ``terms = q``: the two norms err by up to q u M
+      together, the two dot products (``|a.b| <= M / 2``) by up to q u M
+      together, the two adds by up to u M each, and the subtraction, whose
+      result lies below 2M, by up to 2 u M; so ``g`` is within (q + 2) eps M
+      of the true squared distance;
+    - k-means, ``g = [x, ||x||^2, 1] . [-2 c; 1; ||c||^2]`` with ``size = S
+      = ||x||^2 + max_j ||c_j||^2`` and ``terms = 2 q``: one dot product of
+      q + 2 terms (``-2 c`` is exact) whose absolute values sum to at most
+      2S errs by up to (q + 2) u 2S, and the two norms inside it by up to
+      q u S together; so ``g`` is within (1.5 q + 2) eps S of it.
       ``g + err`` and ``g - err`` then bound a row's k-means distances.
 
     The coordinate kernel ``sq_distances`` is within a relative (q + 2) u of
     the true value, which is at most 2 size, so within (q + 2) eps size as
-    well.  So ``|g - z| <= _gram_error(size, q)`` for the kernel's value
-    ``z``: the bound is over twice the first-order sum 2 (q + 2) eps size,
-    which leaves room for the higher-order terms and for the rounding of the
-    bound and of the tests made with it, while ``_TINY`` covers underflow.
-    The factor 4 is applied first: if ``4 size`` overflows, the bound is
-    inf; if it does not, no step of ``g`` overflows.  A caller's test must
-    fail on an inf or NaN bound or ``g``.
+    well.  So ``|g - z|`` is at most 2 (q + 2) eps M, or (2.5 q + 4) eps S,
+    for the kernel's value ``z``.  ``_gram_error`` is over twice either sum
+    for every q, which leaves room for the higher-order terms and for the
+    rounding of the bound and of the tests made with it, while ``_TINY``
+    covers underflow.  The factor 4 is applied first: if ``4 size``
+    overflows, the bound is inf; if it does not, no step of ``g`` overflows.
+    A caller's test must fail on an inf or NaN bound or ``g``.
     """
     size *= 4.0
-    size *= (q + 4) * np.finfo(float).eps * scale
+    size *= (terms + 4) * np.finfo(float).eps * scale
     size += _TINY * scale
     return size
 

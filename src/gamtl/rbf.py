@@ -13,10 +13,12 @@ and all reductions run in a fixed order.  Squared distances come from
 :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
 the seeding, the widths and the lift call it, the lift on cache-sized row
 blocks.  The assignment scores each row block in Gram form with one BLAS
-product and keeps a row's argmin only when the rounding bound
-:func:`gamtl.graph._gram_error` proves it equal to the coordinate kernel's;
-it sends every other row through ``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
-order, so no (N, P, q) tensor is built.
+product, whose operands ``[x, ||x||^2, 1]`` and ``[-2 c; 1; ||c||^2]``
+carry both squared norms, and keeps a row's argmin only when the rounding
+bound :func:`gamtl.graph._gram_error` proves it equal to the coordinate
+kernel's; it sends every other row through ``sq_distances``.  Cluster means
+come from ``np.bincount`` sums in point order, so no (N, P, q) tensor is
+built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -33,7 +35,6 @@ check for a repeated round.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, replace
 
@@ -96,21 +97,36 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
     return sums, np.bincount(assign, minlength=P)
 
 
-def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
-    """Nearest center of each of ``points[rows]``, lowest index on ties.
+def _gram_rows(points: np.ndarray) -> np.ndarray:
+    """Rows ``[x, ||x||^2, 1]`` of the Gram-form assignment, shape (N, q + 2)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
+        norms = np.einsum("ij,ij->i", points, points)
+    return np.column_stack([points, norms, np.ones(len(points))])
 
-    Returns the nearest index, an upper bound on the distance to it and a
-    lower bound on the distance to every other center (inf with one center),
-    both rounded outward.  The nearest index is the argmin of the
-    coordinate-order ``sq_distances`` row, bit for bit, while no
-    (len(rows), P) matrix is kept.
 
-    Each cache-sized block of rows is first scored in Gram form,
-    ``g_ij = (x_i . (-2 c_j) + ||x_i||^2) + ||c_j||^2``: one BLAS product and
-    two broadcast adds.  With ``S_i = ||x_i||^2 + max_j ||c_j||^2``,
-    ``|g_ij - d_ij| <= err_i = _gram_error(S_i, q)`` for every center, where
-    ``d_ij`` is the coordinate kernel's value, whatever order or FMA the
-    BLAS uses.
+def _gram_columns(centers: np.ndarray) -> np.ndarray:
+    """Columns ``[-2 c; 1; ||c||^2]`` of the Gram-form assignment, shape (q + 2, P)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", centers, centers)
+        return np.vstack([np.multiply(centers.T, -2.0, order="C"), np.ones(len(centers)), norms])
+
+
+def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
+    """Nearest center of each of ``lifted[rows]``, lowest index on ties.
+
+    ``lifted`` holds the points as ``_gram_rows`` gives them, so its first q
+    columns are the points.  Returns the nearest index, an upper bound on
+    the distance to it and a lower bound on the distance to every other
+    center (inf with one center), both rounded outward.  The nearest index
+    is the argmin of the coordinate-order ``sq_distances`` row, bit for bit,
+    while no (len(rows), P) matrix is kept.
+
+    Each cache-sized block of rows is scored in Gram form by one BLAS
+    product with ``_gram_columns``, so both squared norms ride inside it:
+    ``g_ij = x_i . (-2 c_j) + ||x_i||^2 + ||c_j||^2``.  With ``S_i =
+    ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij - d_ij| <= err_i = _gram_error(S_i,
+    2 q)`` for every center, where ``d_ij`` is the coordinate kernel's value,
+    whatever order or FMA the BLAS uses.
 
     A row is certified when its two smallest Gram values differ by more than
     ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
@@ -118,36 +134,32 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     argmin.  The test is ``gap > 2 err``, so a row with an inf or NaN ``err``
     or gap is never certified.  A certified row's bounds come from the same
     certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
-    Other rows take argmin and bounds from ``sq_distances``, block by block.
+    Other rows take argmin and bounds from ``sq_distances`` on the first q
+    columns, block by block.
     """
     P, q = centers.shape
     nearest = np.empty(rows.size, dtype=np.intp)
     first = np.empty(rows.size)
     second = np.empty(rows.size)
-    err = np.empty(rows.size)
     step = max(1, _BLOCK_ENTRIES // P)
     row_starts = np.arange(0, min(step, rows.size) * P, P)  # flat index of each block row
+    cross = _gram_columns(centers)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows fail the certificate
-        cross = -2.0 * centers.T
-        center_sq = np.einsum("ij,ij->i", centers, centers)
         for start in range(0, rows.size, step):
             stop = start + step
-            block_points = points[rows[start:stop]]
-            point_sq = np.einsum("ij,ij->i", block_points, block_points, out=err[start:stop])
-            block = block_points @ cross
-            block += point_sq[:, None]
-            block += center_sq
+            block = lifted[rows[start:stop]] @ cross
             pick = nearest[start:stop]
             _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
-        err += center_sq.max()
-        _gram_error(err, q)
+        err = lifted[rows, q]
+        err += cross[q + 1].max()
+        _gram_error(err, 2 * q)
         doubt = np.flatnonzero(~(second - first > 2.0 * err))
         first += err
         second -= err
         np.maximum(second, 0.0, out=second)
     for start in range(0, doubt.size, step):
         part = doubt[start : start + step]
-        block = sq_distances(points[rows[part]], centers)
+        block = sq_distances(lifted[rows[part], :q], centers)
         nearest[part], first[part], second[part] = _two_smallest(block, row_starts)
     return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
 
@@ -205,11 +217,13 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     every row.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per row block, and keeps the Gram argmin only when
-    the rounding bound ``graph._gram_error`` proves it the coordinate
-    kernel's strict argmin (see ``_nearest_two``); the same bound gives its
-    new upper and lower bounds.  Every other row, including those whose
-    bound or Gram values are inf or NaN, is recomputed with ``sq_distances``.
+    by one BLAS product per row block: the rows ``[x, ||x||^2, 1]`` are
+    built once per call, so the product alone gives the Gram values.  A row
+    keeps the Gram argmin only when the rounding bound ``graph._gram_error``
+    proves it the coordinate kernel's strict argmin (see ``_nearest_two``);
+    the same bound gives its new upper and lower bounds.  Every other row,
+    including those whose bound or Gram values are inf or NaN, is recomputed
+    with ``sq_distances``.
 
     Why skipping is exact: a reassigned row's bounds enclose its kernel
     distances, by the certificate or because they are the kernel's values.
@@ -252,8 +266,10 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
     del closest_sq  # the seeding buffer is not needed in the Lloyd rounds
 
+    import hashlib  # here, not at module level: it loads OpenSSL
     margin = 2.0 * (q + 2) * np.finfo(float).eps
-    assign, upper, lower = _nearest_two(points, centers, np.arange(N), margin)
+    lifted = _gram_rows(points)
+    assign, upper, lower = _nearest_two(lifted, centers, np.arange(N), margin)
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
         # The centers alone fix a round (see above): a repeat replays a cycle.
@@ -286,7 +302,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
                 if donor > p:  # the donor's center is still to be updated this round
                     sums, counts = _cluster_sums(points, assign, P)
             stale = np.arange(N)
-        nearest, upper[stale], lower[stale] = _nearest_two(points, centers, stale, margin)
+        nearest, upper[stale], lower[stale] = _nearest_two(lifted, centers, stale, margin)
         if np.array_equal(nearest, assign[stale]):
             break
         assign[stale] = nearest
@@ -360,7 +376,10 @@ def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
     result, so no (n, P) temporary is made.  The result is in Fortran order,
     the layout of the weight step's products on lifted data.
     """
-    points = np.asarray(X, dtype=float).T
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a (q, n) matrix, got shape {X.shape}")
+    points = X.T
     if points.shape[1] != feature_map.input_dim:
         raise ValueError(
             f"input dimension {points.shape[1]} does not match centers "

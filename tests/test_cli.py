@@ -927,7 +927,7 @@ def test_negative_seed_and_top_are_usage_errors(tmp_path, monkeypatch, capsys, a
 
 
 @pytest.mark.parametrize("entry", ["gamtl", "gamtl.cli"])
-@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+@pytest.mark.parametrize("module", ["scipy", "jsonschema", "hashlib"])
 def test_cli_import_leaves_out_heavy_modules(entry, module):
     env = dict(os.environ, PYTHONPATH=str(Path(gamtl.__file__).parents[1]))
     probe = f"import sys, {entry}; print({module!r} in sys.modules)"

@@ -262,7 +262,7 @@ def test_kmeans_computes_no_exact_own_distances_on_wiener_inputs(monkeypatch):
 @given(
     N=st.integers(min_value=1, max_value=40),
     P=st.integers(min_value=1, max_value=12),
-    q=st.integers(min_value=1, max_value=6),
+    q=st.integers(min_value=1, max_value=64),
     exponent=st.integers(min_value=-160, max_value=150),
     offset=st.sampled_from([0.0, 1e4, 1e8]),
     duplicates=st.booleans(),
@@ -277,6 +277,7 @@ def test_nearest_two_bounds_the_coordinate_kernel(
     # overflow its squared norms, and duplicated rows and centers tie.  Each
     # row's bounds must enclose its kernel distances, whether the Gram-form
     # certificate or the kernel fallback set them; small blocks split the rows.
+    # The bound has the least slack at the largest q, so q goes up to 64.
     rng = np.random.default_rng(seed)
     points = 10.0**exponent * (offset + rng.standard_normal((N, q)))
     centers = 10.0**exponent * (offset + rng.standard_normal((P, q)))
@@ -287,7 +288,7 @@ def test_nearest_two_bounds_the_coordinate_kernel(
     rows = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
     margin = 2.0 * (q + 2) * np.finfo(float).eps
     with mock.patch.object(rbf, "_BLOCK_ENTRIES", block_entries):
-        nearest, upper, lower = rbf._nearest_two(points, centers, rows, margin)
+        nearest, upper, lower = rbf._nearest_two(rbf._gram_rows(points), centers, rows, margin)
     z = sq_distances(points[rows], centers)
     assert np.array_equal(nearest, np.argmin(z, axis=1))
     spots = (np.arange(rows.size), nearest)
@@ -491,6 +492,13 @@ def test_transform_rejects_bad_inputs():
     for x in (np.float64(1.0), np.zeros((fm.input_dim, 2, 2))):
         with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
             transform(fm, x)
+
+
+def test_lift_matrix_rejects_inputs_that_are_not_matrices():
+    fm = unit_map()
+    for X in (np.float64(1.0), np.zeros(2), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {X.shape}")):
+            lift_matrix(fm, X)
 
 
 def test_lift_matrix_appends_bias_row():
