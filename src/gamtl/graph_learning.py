@@ -27,12 +27,15 @@ The gradient is ``alpha / lam - R @ 1 / (4 * beta)``.  The generalized
 Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless Laplacian of
 the active edges (``R > 0``) over ``4 * beta``: positive definite,
 ``T x T``, solved densely.  Along the Newton ray ``lam + t s`` the dual is
-concave and smooth between the edges' activation kinks, so the step length
-is the root of its derivative, found by a 1-D search
-(:func:`_ray_maximizer`, O(T^2) per trial): a cold solve crosses many kinks
-in one step.  Each step then makes one full dual update.  Near the optimum
-the steps are full and converge quadratically, so a solve takes tens of
-iterations where a first-order method takes thousands.
+concave and smooth between the edges' activation kinks.  Each step first
+scores the full step ``t = 1`` (Nocedal & Wright, *Numerical Optimization*,
+§3.5) and keeps it when the ray's derivative there passes the ray search's
+own stop test; otherwise the step length is the root of that derivative,
+found by a 1-D search (:func:`_ray_maximizer`, O(T^2) per trial): a cold
+solve crosses many kinks in one step.  Each step then makes one full dual
+update.  Near the optimum the steps are full and converge quadratically, so
+a solve takes tens of iterations where a first-order method takes
+thousands.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ class GraphLearningParams:
             raise ValueError("tol must lie in (0, 1)")
         if type(self.max_iter) is not int or self.max_iter < 1:  # excludes bool
             raise ValueError("max_iter must be an integer of at least 1")
+
+
+def check_graph_params(params) -> None:
+    """The ``graph_params`` rule: a :class:`GraphLearningParams`, which checks its own fields."""
+    if not isinstance(params, GraphLearningParams):
+        raise ValueError(f"graph_params must be a GraphLearningParams, got {type(params).__name__}")
 
 
 @dataclass
@@ -192,6 +201,7 @@ def learn_graph(
         Pairwise squared distances (already scaled by any outer coupling
         weight).
     params : GraphLearningParams
+        Anything else raises ``ValueError``.
     A0 : ndarray, optional
         Warm start; must be a valid adjacency with strictly positive
         degrees.  Defaults to :func:`default_initial_graph`.  The fit passes a
@@ -211,6 +221,7 @@ def learn_graph(
         or the Newton system is singular as rounded.
     """
     if not isinstance(A0, _ScoredGraph):
+        check_graph_params(params)
         Z = validate_adjacency(Z, "distance matrix")
         if A0 is None:
             A0 = default_initial_graph(Z)
@@ -271,9 +282,15 @@ def learn_graph(
         slope = float(grad @ step)  # phi'(0) of the ray
         if not slope > 0.0:
             break  # the ray does not ascend as rounded: precision floor
-        t = _ray_maximizer(lam, step, a, step[:, None] + step[None, :], alpha, beta, slope)
-        lam_new = lam + t * step
-        a_new, r_new, Sr_new, barrier_new, grad_new, grad_norm_new = dual_state(lam_new)
+        # The full step first: it stands when phi'(1), the new gradient (state[4])
+        # along the step, passes the ray's own stop test.
+        lam_new = lam + step
+        state = dual_state(lam_new) if lam_new.min() > 0.0 else None
+        if state is None or not abs(float(state[4] @ step)) <= _RAY_TOL * slope:
+            t = _ray_maximizer(lam, step, a, step[:, None] + step[None, :], alpha, beta, slope)
+            lam_new = lam + t * step
+            state = dual_state(lam_new)
+        a_new, r_new, Sr_new, barrier_new, grad_new, grad_norm_new = state
         # A step counts if it shrinks the gradient or gains dual value beyond
         # rounding; one that does neither is the precision floor.  The gain
         # g(lam_new) - g(lam) is formed without subtracting two large values.

@@ -39,6 +39,7 @@ from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vector
 from .graph_learning import (
     GraphLearningParams,
     _ScoredGraph,
+    check_graph_params,
     default_initial_graph,
     graph_objective,
     learn_graph,
@@ -78,6 +79,7 @@ class GamtlConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma must be nonnegative")
+        check_graph_params(self.graph_params)
         if not 0.0 < self.outer_tol < 1.0:
             raise ValueError("outer_tol must lie in (0, 1)")
         if type(self.max_outer_iter) is not int or self.max_outer_iter < 1:  # excludes bool

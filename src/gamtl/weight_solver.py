@@ -19,9 +19,10 @@ with those pairs; the dT x dT matrix is never formed.  Preconditioned CG
 (:func:`_pcg`) solves the system.  The preconditioner sees the graph through
 a Kronecker sum (Ullmann, SISC 2010): with every ``X_t X_t^T`` replaced by
 one Gram ``G``, ``I_T kron G + mu I + 2 gamma L kron I_d`` is diagonalized
-by ``eigh(L)`` and ``eigh(G)``.  Its inverse is exact for a shared design,
-so each solve takes one iteration at any ``gamma``; otherwise ``G`` is the
-mean Gram and the inverse is the coarse correction of a symmetric two-level
+by ``eigh(L)`` and ``eigh(G)``.  Its inverse is exact for a shared design
+(Bartels & Stewart, CACM 1972), so each solve starts at the exact solution
+at any ``gamma`` and CG only certifies it; otherwise ``G`` is the mean Gram
+and the inverse is the coarse correction of a symmetric two-level
 preconditioner around block-Jacobi (Tang, Nabben, Vuik & Erlangga, J. Sci.
 Comput. 2009); see :func:`solve_weights`.  The module needs numpy alone.
 """
@@ -150,8 +151,8 @@ class _WeightSystem:
     replaced there by its eigenvectors.  ``rhs`` stacks ``X_t y_t``.
     :attr:`data_trace` and :attr:`coarse` wait for the first weight solve,
     so a ridge start alone never pays for them (a shared design's build sets
-    ``coarse`` at once).  ``tasks`` keeps the checked task list, whose
-    designs and targets :meth:`data_term` scores.
+    ``coarse`` at once, and stacks the (T, N) targets).  ``tasks`` keeps the
+    checked task list, whose designs and targets :meth:`data_term` scores.
     """
 
     def __init__(self, tasks):
@@ -164,6 +165,7 @@ class _WeightSystem:
             s, Q = np.linalg.eigh(xs[0] @ xs[0].T)
             self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
             self.coarse = (self.s[0], Q)
+            self._targets = np.stack([t.y for t in tasks])
             return
         self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
         self._gram_sum = np.zeros((d, d))
@@ -191,14 +193,14 @@ class _WeightSystem:
     def data_term(self, W: np.ndarray) -> float:
         """F's data term ``sum_t ||X_t^T w_t - y_t||^2`` at W (d x T), trusted.
 
-        With one design, one broadcast ``matmul`` fits every task and a
-        second takes every row's ``r @ r``; each is the same product per
-        task as the loop, so the bits do not change.
+        With one design, one broadcast ``matmul`` fits every task, the
+        stacked (T, N) targets come off in one subtraction, and a second
+        ``matmul`` takes every row's ``r @ r``; each is the same operation
+        per task as the loop, so the bits do not change.
         """
         if len(self.Q) == 1:
             R = np.matmul(self.tasks[0].X.T, W.T[:, :, None])[:, :, 0]
-            for r, task in zip(R, self.tasks):
-                r -= task.y
+            R -= self._targets
             squares = map(float, np.matmul(R[:, None, :], R[:, :, None]).ravel())
         else:
             residuals = (task.X.T @ w - task.y for task, w in zip(self.tasks, W.T))
@@ -234,19 +236,20 @@ def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxi
 
     Before each iteration the recurrence residual ``r`` is tested against
     ``||r|| < rtol * ||rhs||``.  A zero ``rhs`` returns zeros at once, even
-    from a nonzero ``x``.  Returns ``(x, iterations, converged)``; when
+    from a nonzero ``x``.  Returns ``(x, iterations, converged, r)``; when
     ``maxiter`` iterations run out, ``x`` is the last iterate and
-    ``converged`` is False.
+    ``converged`` is False.  After zero iterations ``r`` is the true
+    residual ``rhs - M x``; after any, the recurrence's.
     """
     rhs_norm = math.sqrt(float(rhs @ rhs))  # np.linalg.norm's sum and root, without its wrapper
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 0, True
+        return np.zeros_like(rhs), 0, True, rhs
     atol = rtol * rhs_norm
     r = rhs - matvec(x)
     rho_prev = p = None
     for iteration in range(maxiter):
         if math.sqrt(float(r @ r)) < atol:
-            return x, iteration, True
+            return x, iteration, True, r
         z = precondition(r)
         rho = np.dot(r, z)
         if p is None:
@@ -259,7 +262,7 @@ def _pcg(matvec, precondition, rhs: np.ndarray, x: np.ndarray, rtol: float, maxi
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return x, maxiter, False
+    return x, maxiter, False, r
 
 
 @dataclass
@@ -284,7 +287,9 @@ def solve_weights(
     Returns ``(W, report)`` with W of shape (d, T).  The residual satisfies
     ``||M v - rhs|| <= solver_tol * ||rhs||`` on convergence; if CG runs out
     of its ``10 d T`` iterations first, the last iterate is returned with
-    ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or zero.
+    ``report.converged = False``.  CG starts from ``warm_start`` (d, T), or
+    zero; a shared design starts at the exact solution ``K rhs`` (see below)
+    and leaves ``warm_start`` unused.
     A task list is checked by building its :class:`_WeightSystem`, and then
     ``A``, ``gamma``, ``solver_tol`` and ``warm_start``; with the fit's own
     system all are trusted.
@@ -295,7 +300,9 @@ def solve_weights(
     ``U ((U^T R Q) / (sigma_j + mu + 2 gamma lam_i)) Q^T``, ``lam`` and
     ``sigma`` clipped at 0 so that every denominator is at least ``mu``.  For
     a shared design the preconditioner is ``K`` of that one Gram, which
-    inverts the system exactly.  Otherwise it is the symmetric two-level step
+    inverts the system exactly: CG starts at ``K rhs``, which its first
+    residual test certifies, or else iterates from there.  Otherwise it is
+    the symmetric two-level step
     ``z = B r; z += K (r - M z); z += B (r - M z)``, with ``K`` built from the
     mean Gram and ``B`` the block-Jacobi inverse of the diagonal blocks
     ``D = blockdiag(X_t X_t^T + (mu + 2 gamma deg_t) I)``, applied as
@@ -324,7 +331,6 @@ def solve_weights(
                 raise ValueError(f"warm_start must have shape {(d, T)}, got {warm_start.shape}")
             if not np.isfinite(warm_start).all():
                 raise ValueError("warm_start must be finite")
-    x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
     mu = ridge_floor(system, A, gamma)
     L = laplacian(A)
     Q, s, rhs = system.Q, system.s, system.rhs
@@ -347,7 +353,9 @@ def solve_weights(
 
     if len(Q) == 1:
         precondition = kron
+        x = kron(rhs)
     else:
+        x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
         jacobi_scale = 1.0 / (s + (mu + 2.0 * gamma * A.sum(axis=1))[:, None])
 
         def precondition(r: np.ndarray) -> np.ndarray:
@@ -356,7 +364,8 @@ def solve_weights(
             z += _apply_blocks(Q, jacobi_scale, r - matvec(z))
             return z
 
-    x, iterations, converged = _pcg(matvec, precondition, rhs, x, solver_tol, 10 * d * T)
-    r = matvec(x) - rhs
+    x, iterations, converged, r = _pcg(matvec, precondition, rhs, x, solver_tol, 10 * d * T)
+    if iterations:  # r is the recurrence's; take the true one
+        r = rhs - matvec(x)
     residual = math.sqrt(float(r @ r)) / max(math.sqrt(float(rhs @ rhs)), 1e-300)
     return x.reshape(T, d).T, WeightSolveReport(iterations, converged, residual, mu)

@@ -28,7 +28,7 @@ from gamtl.graph_learning import (
     graph_objective,
     learn_graph,
 )
-from gamtl.model import PINNED_CONFIGS
+from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit
 from gamtl.weight_solver import ridge_independent
 
 
@@ -368,6 +368,12 @@ def test_rejects_invalid_warm_start():
         learn_graph(Z, params, A0=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("params", [{"alpha": 1.0}, None])
+def test_rejects_params_of_another_type(params):
+    with pytest.raises(ValueError, match="graph_params must be a GraphLearningParams"):
+        learn_graph(np.ones((3, 3)) - np.eye(3), params)
+
+
 @pytest.mark.parametrize("case", ["two tasks", "syn1", "rejected warm start"])
 def test_scored_warm_start_solves_as_the_public_form(case):
     # The fit passes its graph with its score and trusts the inputs; the
@@ -591,3 +597,25 @@ def test_cold_solve_crosses_kinks_without_creeping():
     assert report.converged
     assert report.iterations < 40, report
     assert graph_objective(A, Z, params) < graph_objective(default_initial_graph(Z), Z, params)
+
+
+def test_far_start_fit_converges_every_graph_solve_within_50_iterations():
+    # The fit of the cold solve above: its first graph solves start far from
+    # their optima and cross many edge-activation kinks.
+    train, _ = benchmark_splits("syn1", 0)
+    config = GamtlConfig(gamma=100.0, graph_params=GraphLearningParams(alpha=0.01, beta=0.01))
+    model = fit(train, config)
+    assert model.converged
+    for report in model.trace.graph_reports:
+        assert report["converged"] and report["iterations"] <= 50, report
+
+
+def test_full_newton_steps_skip_the_ray_search(monkeypatch):
+    # Near the optimum the full step passes the ray's stop test, so most of
+    # the pinned syn1 fit's Newton steps never search their ray.
+    seen = count_newton_stages(monkeypatch)
+    train, _ = benchmark_splits("syn1", 0)
+    assert fit(train, PINNED_CONFIGS["syn1"]).converged
+    assert seen["singular"] == 0
+    assert 0 < seen["rays"] < seen["solves"], seen
+

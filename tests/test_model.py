@@ -82,6 +82,8 @@ def mild_config(**overrides):
         {"seed": -1},
         {"seed": 2.5},
         {"seed": True},
+        {"graph_params": {"alpha": 1.0}},
+        {"graph_params": None},
     ],
 )
 def test_config_rejects_invalid(kwargs):

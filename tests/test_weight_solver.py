@@ -533,22 +533,57 @@ def test_shared_design_preconditioner_inverts_the_system(monkeypatch, gamma):
     np.testing.assert_allclose(P @ M, np.eye(30), atol=1e-6)
 
 
+def shared_design_problem(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, 20))
+    tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(20)) for t in range(6)]
+    return tasks, random_adjacency(rng, 6)
+
+
 @pytest.mark.parametrize("gamma", [0.1, 100.0])
 def test_shared_design_solve_matches_dense_oracle(gamma):
     # syn1's shape: every task has the same design, with N = 20 < d = 30.
     # One Gram's eigenpairs serve every task: no (T, d, d) stack is built.
-    rng = np.random.default_rng(27)
-    X = rng.standard_normal((30, 20))
-    tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(20)) for t in range(6)]
-    A = random_adjacency(rng, 6)
+    # K rhs solves the system, so CG's first residual test certifies it and
+    # no iteration runs; that test's residual is the true one.
+    tasks, A = shared_design_problem(27)
     system = _WeightSystem(tasks)
     assert system.Q.shape == (1, 30, 30)
     W, report = solve_weights(system, A, gamma=gamma, solver_tol=1e-12)
     assert report.converged
-    assert report.cg_iterations <= 2
+    assert report.cg_iterations == 0
     assert report.relative_residual <= 1e-12
     W_ref = oracles.dense_weight_solve(tasks, A, gamma, mu=report.ridge)
     np.testing.assert_allclose(W, W_ref, atol=1e-7)
+    M, rhs = oracles.dense_weight_system(tasks, A, gamma, report.ridge)
+    true_residual = np.linalg.norm(M @ W.T.ravel() - rhs) / np.linalg.norm(rhs)
+    assert report.relative_residual == pytest.approx(true_residual, rel=0, abs=1e-12)
+
+
+def test_shared_design_start_that_misses_the_tolerance_iterates_from_it(monkeypatch):
+    # A tolerance below the exact start's rounding: CG iterates from K rhs,
+    # and the report recomputes the residual instead of keeping CG's recurrence.
+    tasks, A = shared_design_problem(30)
+    W0, report0 = solve_weights(tasks, A, gamma=1.0)
+    assert report0.cg_iterations == 0 and report0.relative_residual > 0.0
+    calls = []
+    real_pcg = weight_solver._pcg
+
+    def spy(matvec, precondition, rhs, x, *args):
+        calls.append((matvec, rhs, x.copy()))
+        return real_pcg(matvec, precondition, rhs, x, *args)
+
+    monkeypatch.setattr(weight_solver, "_pcg", spy)
+    W, report = solve_weights(tasks, A, gamma=1.0, solver_tol=report0.relative_residual / 4)
+    ((matvec, rhs, x0),) = calls
+    assert np.array_equal(x0, W0.T.ravel())
+    assert report.cg_iterations >= 1
+    r = rhs - matvec(W.T.ravel())
+    assert report.relative_residual == np.linalg.norm(r) / np.linalg.norm(rhs)
+    M, rhs = oracles.dense_weight_system(tasks, A, 1.0, report.ridge)
+    true_residual = np.linalg.norm(M @ W.T.ravel() - rhs) / np.linalg.norm(rhs)
+    assert report.relative_residual == pytest.approx(true_residual, rel=0, abs=1e-12)
+    np.testing.assert_allclose(W, W0, atol=1e-7)
 
 
 def test_solve_weights_does_not_write_into_the_warm_start():
@@ -564,9 +599,10 @@ def test_solve_weights_does_not_write_into_the_warm_start():
     "name,seeds,fitter,expected",
     [
         # Totals of the Kronecker-sum preconditioner: exact on syn1's shared
-        # design (one iteration a solve), two-level on Wiener's per-agent
-        # designs.  Block-Jacobi alone took 65-92 on syn1, 34 and 168-173.
-        ("syn1", range(10), "fit", [6, 7, 7, 6, 7, 6, 8, 6, 7, 6]),
+        # design (each solve starts at the solution), two-level on Wiener's
+        # per-agent designs.  Block-Jacobi alone took 65-92 on syn1, 34 and
+        # 168-173.
+        ("syn1", range(10), "fit", [0] * 10),
         ("wiener", range(2), "fit", [12, 12]),
         ("wiener", range(2), "fit_rbf", [12, 12]),
     ],
@@ -691,7 +727,7 @@ def test_solve_weights_iteration_budget_flagged():
     tasks = make_tasks(rng, d=6, T=4, N=15)
     A = random_adjacency(rng, 4)
     M, rhs = oracles.dense_weight_system(tasks, A, 2.0, ridge_floor(_WeightSystem(tasks), A, 2.0))
-    x, iterations, converged = weight_solver._pcg(
+    x, iterations, converged, _ = weight_solver._pcg(
         lambda v: M @ v, np.copy, rhs, np.zeros_like(rhs), 1e-14, 1
     )
     assert not converged
