@@ -279,6 +279,7 @@ def learn_graph(
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break  # alpha / lam^2 lost to rounding in H: the same precision floor
+        del H  # no (T, T) array outlives its use: the full step and the ray allocate more
         slope = float(grad @ step)  # phi'(0) of the ray
         if not slope > 0.0:
             break  # the ray does not ascend as rounded: precision floor
@@ -287,6 +288,7 @@ def learn_graph(
         lam_new = lam + step
         state = dual_state(lam_new) if lam_new.min() > 0.0 else None
         if state is None or not abs(float(state[4] @ step)) <= _RAY_TOL * slope:
+            state = None  # the rejected step's arrays die before the ray's
             t = _ray_maximizer(lam, step, a, step[:, None] + step[None, :], alpha, beta, slope)
             lam_new = lam + t * step
             state = dual_state(lam_new)

@@ -44,7 +44,7 @@ from .graph_learning import (
     graph_objective,
     learn_graph,
 )
-from .weight_solver import TaskDataset, _WeightSystem, check_task_ids, ridge_independent, solve_weights
+from .weight_solver import TaskDataset, _WeightSystem, check_task_ids, ridge_independent, solve_weights, validate_tasks
 
 __all__ = [
     "GamtlConfig",
@@ -109,6 +109,13 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
+def _json_array(value, name: str) -> list:
+    """A model file's ``name`` list, ``value``; ValueError unless it is a JSON array (a string is not)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class FitTrace:
     """Objective values after every half step, plus subproblem summaries.
@@ -134,11 +141,15 @@ class FitTrace:
     @classmethod
     def from_dict(cls, payload: dict) -> "FitTrace":
         _json_object(payload, "trace")
+
+        def array(name: str) -> list:
+            return _json_array(payload.get(name, []), f"trace.{name}")
+
         return cls(
-            objective=[float(v) for v in payload.get("objective", [])],
-            stages=[str(s) for s in payload.get("stages", [])],
-            weight_reports=[dict(r) for r in payload.get("weight_reports", [])],
-            graph_reports=[dict(r) for r in payload.get("graph_reports", [])],
+            objective=[float(v) for v in array("objective")],
+            stages=[str(s) for s in array("stages")],
+            weight_reports=[dict(r) for r in array("weight_reports")],
+            graph_reports=[dict(r) for r in array("graph_reports")],
         )
 
 
@@ -304,7 +315,14 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         A, greport, graph_term = learn_graph(gZ, config.graph_params, A0=_ScoredGraph(A, graph_term))
         trace.graph_reports.append({"outer": outer, **vars(greport)})
         if not greport.converged:
-            notes.append(f"outer {outer}: graph solve hit its iteration limit")
+            if greport.iterations == config.graph_params.max_iter:
+                notes.append(f"outer {outer}: graph solve hit its iteration limit")
+            else:  # stopped early: its steps no longer gain as rounded
+                notes.append(
+                    f"outer {outer}: graph solve stopped at the precision floor after "
+                    f"{greport.iterations} iterations, residual {greport.final_residual:.3g} "
+                    f"(tol {config.graph_params.tol:g}); standardize the targets or raise beta"
+                )
         # Unchecked: learn_graph never raises its objective at this gamma * Z, nor F.
         objective = data_term + graph_term
         trace.record("graph", objective)
@@ -340,11 +358,19 @@ def _fields_as_lists(record) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
 
 
+def _dims(model: GamtlModel) -> dict:
+    """A model file's ``dims`` block: W's shape, and the feature map's centers ``P``."""
+    d, T = model.W.shape
+    dims = {"d": d, "T": T}
+    if model.feature_map is not None:
+        dims["P"] = model.feature_map.num_centers
+    return dims
+
+
 def model_to_dict(model: GamtlModel) -> dict:
     """JSON-ready form of a model; floats survive round trips exactly."""
-    d, T = model.W.shape
     payload = {
-        "dims": {"d": d, "T": T},
+        "dims": _dims(model),
         "task_ids": list(model.task_ids),
         "W": model.W.tolist(),
         "A": vectorform(model.A).tolist(),
@@ -358,7 +384,6 @@ def model_to_dict(model: GamtlModel) -> dict:
     if model.standardizer is not None:
         payload["standardizer"] = _fields_as_lists(model.standardizer)
     if model.feature_map is not None:
-        payload["dims"]["P"] = model.feature_map.num_centers
         payload["feature_map"] = _fields_as_lists(model.feature_map)
     return payload
 
@@ -376,18 +401,23 @@ def model_from_dict(payload: dict) -> GamtlModel:
     standardizer = None
     if "standardizer" in payload:
         standardizer = Standardizer(**_json_object(payload["standardizer"], "standardizer"))
-    return GamtlModel(
+    model = GamtlModel(
         W=np.asarray(payload["W"], dtype=float),
         A=matrixform(np.asarray(payload["A"], dtype=float)),
-        task_ids=tuple(payload["task_ids"]),
+        task_ids=tuple(_json_array(payload["task_ids"], "task_ids")),
         config=config_from_dict(payload["config"]),
         trace=FitTrace.from_dict(payload.get("trace", {})),
         feature_map=feature_map,
         converged=converged,
-        notes=tuple(payload.get("notes", ())),
-        task_labels=tuple(payload.get("task_labels", ())),
+        notes=tuple(_json_array(payload.get("notes", []), "notes")),
+        task_labels=tuple(_json_array(payload.get("task_labels", []), "task_labels")),
         standardizer=standardizer,
     )
+    if "dims" in payload:  # readers such as perfbench take the sizes from it
+        dims, expected = _json_object(payload["dims"], "dims"), _dims(model)
+        if dims != expected or not all(type(n) is int for n in dims.values()):
+            raise ValueError(f"dims {dims} do not match the model's {expected}")
+    return model
 
 
 def save_model(model: GamtlModel, path):
@@ -411,9 +441,10 @@ def grid_search_cv(
 ) -> tuple[GamtlConfig, list[dict]]:
     """Pick (gamma, alpha, beta) by k-fold cross-validated pooled RMSE.
 
-    Folds are per task over samples; every candidate, built (so checked)
-    before the first fit, shares each fold's :class:`_WeightSystem`, built
-    once: ``n_folds`` systems are held at once, about 160 KB each for syn1.
+    Folds are per task over samples; a fold that holds no sample out is
+    skipped.  Every candidate, built (so checked) before the first fit,
+    shares each other fold's :class:`_WeightSystem`, built once: up to
+    ``n_folds`` systems are held at once, about 160 KB each for syn1.
     Returns the best config and the full result table, best first.
     """
     def config_at(gamma, alpha, beta) -> GamtlConfig:
@@ -427,6 +458,7 @@ def grid_search_cv(
     if not candidates:
         raise ValueError("the (gamma, alpha, beta) grid is empty")
     tasks = list(tasks)
+    validate_tasks(tasks)  # a fold builds its system only if it holds a sample out
     for task in tasks:
         if task.n_samples < 2:
             raise ValueError(
@@ -440,7 +472,8 @@ def grid_search_cv(
         for f in range(n_folds):
             if np.sum(ids != f) == 0:
                 ids[0] = (f + 1) % n_folds
-    # (training system, holdout tasks) of each fold; the first build checks the tasks
+    # (training system, holdout tasks) of each fold that holds a sample out;
+    # a fit of any other adds nothing to the score
     folds = []
     for f in range(n_folds):
         train, holdout = [], []
@@ -449,7 +482,8 @@ def grid_search_cv(
             train.append(TaskDataset(task.task_id, task.X[:, keep], task.y[keep]))
             if not keep.all():
                 holdout.append(TaskDataset(task.task_id, task.X[:, ~keep], task.y[~keep]))
-        folds.append((_WeightSystem(train), holdout))
+        if holdout:
+            folds.append((_WeightSystem(train), holdout))
 
     results = []
     for candidate in candidates:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -148,11 +147,9 @@ class _WeightSystem:
     compares designs.  ``Q`` (k, d, d) and ``s`` (k, d) hold the Grams'
     eigenpairs, ``s`` clipped at 0; k = 1 when every task shares its design,
     else each Gram is written into its slot of the one (T, d, d) stack and
-    replaced there by its eigenvectors.  ``rhs`` stacks ``X_t y_t``.
-    :attr:`data_trace` and :attr:`coarse` wait for the first weight solve,
-    so a ridge start alone never pays for them (a shared design's build sets
-    ``coarse`` at once, and stacks the (T, N) targets).  ``tasks`` keeps the
-    checked task list, whose designs and targets :meth:`data_term` scores.
+    replaced there by its eigenvectors.  ``coarse`` is the mean Gram's pair,
+    ``data_trace`` the Grams' summed trace, ``rhs`` stacks ``X_t y_t``, and
+    ``tasks`` keeps the checked task list that :meth:`data_term` scores.
     """
 
     def __init__(self, tasks):
@@ -165,30 +162,21 @@ class _WeightSystem:
             s, Q = np.linalg.eigh(xs[0] @ xs[0].T)
             self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
             self.coarse = (self.s[0], Q)
+            # one float added T times, in the per-task sum's order
+            self.data_trace = sum([float(np.sum(xs[0] * xs[0]))] * T)
             self._targets = np.stack([t.y for t in tasks])
             return
+        # before the stack is allocated, so that its (d, N) squares stay off the peak
+        self.data_trace = sum(float(np.sum(X * X)) for X in xs)
         self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
-        self._gram_sum = np.zeros((d, d))
+        gram_sum = np.zeros((d, d))
         for t, X in enumerate(xs):
             np.matmul(X, X.T, out=self.Q[t])
-            self._gram_sum += self.Q[t]
+            gram_sum += self.Q[t]
             self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
         np.maximum(self.s, 0.0, out=self.s)
-
-    @cached_property
-    def data_trace(self) -> float:
-        """Sum of the Grams' traces; a shared design's is one float added T times in the per-task sum's order."""
-        if len(self.Q) == 1:
-            X = self.tasks[0].X
-            return sum([float(np.sum(X * X))] * self.T)
-        return sum(float(np.sum(t.X * t.X)) for t in self.tasks)
-
-    @cached_property
-    def coarse(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (clipped at 0) and eigenvectors of the mean Gram; a shared design's build sets them."""
-        s, Q = np.linalg.eigh(self._gram_sum / self.T)
-        del self._gram_sum
-        return np.maximum(s, 0.0), Q
+        s, Q = np.linalg.eigh(gram_sum / T)
+        self.coarse = (np.maximum(s, 0.0), Q)
 
     def data_term(self, W: np.ndarray) -> float:
         """F's data term ``sum_t ||X_t^T w_t - y_t||^2`` at W (d x T), trusted.

@@ -568,6 +568,8 @@ def test_eval_malformed_model_is_usage_error(tmp_path, capsys):
         ("trace", "objective"),
         ("config", {"graph_params": []}),
         ("converged", "no"),
+        ("task_ids", "01"),
+        ("dims", {"d": 2, "T": 3}),
     ],
 )
 def test_eval_wrongly_typed_model_block_is_usage_error(tmp_path, capsys, key, value):

@@ -5,6 +5,8 @@ two-node and uniform complete graphs, and long-run projected gradient descent
 with a verified first-order residual for general instances.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,30 @@ def test_large_clustered_instance_meets_kkt_oracle():
     A, report = learn_graph(Z, GraphLearningParams(alpha=1.0, beta=1.0))
     assert report.converged
     assert oracles.graph_kkt_residual(A, Z, 1.0, 1.0) < 1e-5
+
+
+def test_graph_step_holds_few_task_by_task_arrays():
+    # Four planted clusters of 75 tasks each in d = 30, at the pinned syn1
+    # graph params and gamma: the solve rejects full steps and searches their
+    # rays.  Its peak is 2 Z, a, r and the ray's b, u, b * b and a float copy
+    # of its mask; the Hessian, and a rejected full step's a and r, are gone
+    # by then (10.2 arrays when they were kept).
+    rng = np.random.default_rng(0)
+    T = 300
+    centers = rng.standard_normal((30, 4))
+    W = centers[:, np.arange(T) % 4] + 0.3 * rng.standard_normal((30, T))
+    Z = PINNED_CONFIGS["syn1"].gamma * pairwise_sq_distances(W)
+    params = PINNED_CONFIGS["syn1"].graph_params
+    A0 = default_initial_graph(Z)
+    start = _ScoredGraph(A0, graph_objective(A0, Z, params))
+    tracemalloc.start()
+    try:
+        _, report, _ = learn_graph(Z, params, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 7.5 * T * T * 8
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -255,8 +255,28 @@ def test_fit_flags_inner_solver_budget_instead_of_raising():
     )
     model = fit(tasks, config)
     assert not model.converged
-    assert any("graph solve" in n for n in model.notes)
+    assert "outer 1: graph solve hit its iteration limit" in model.notes
     assert np.isfinite(model.W).all()
+
+
+def test_fit_names_the_precision_floor_apart_from_the_iteration_limit():
+    # Targets of std 3e3 at the pinned syn1 config: every graph solve stops
+    # at the floor of its dual's rounding, some ten of its 10 000 iterations
+    # in, and its note says so, with the residual it reached.
+    rng = np.random.default_rng(0)
+    tasks = [TaskDataset(t, rng.standard_normal((5, 30)), 3e3 * rng.standard_normal(30)) for t in range(5)]
+    config = PINNED_CONFIGS["syn1"]
+    model = fit(tasks, config)
+    reports = model.trace.graph_reports
+    assert reports and not any(r["converged"] for r in reports)
+    assert all(r["iterations"] < config.graph_params.max_iter for r in reports)
+    assert not any("iteration limit" in note for note in model.notes)
+    for r in reports:
+        note = (
+            f"outer {r['outer']}: graph solve stopped at the precision floor after {r['iterations']} "
+            f"iterations, residual {r['final_residual']:.3g} (tol 1e-06); standardize the targets or raise beta"
+        )
+        assert note in model.notes
 
 
 def test_fit_flags_weight_solver_budget(monkeypatch):
@@ -652,6 +672,34 @@ def test_save_load_preserves_feature_map(tmp_path):
         model_from_dict(payload)  # three centers plus bias need four rows of W
 
 
+# A list given as a string used to load character by character ("ab" as the
+# ids ('a', 'b'), "12" as the objective [1.0, 2.0]), and a contradicting
+# dims block loaded silently.
+MALFORMED_FILE_FIELDS = {
+    "task_ids": (lambda p: p.update(task_ids="ab"), "task_ids must be a JSON array, got str"),
+    "task_labels": (lambda p: p.update(task_labels="ab"), "task_labels must be a JSON array, got str"),
+    "notes": (lambda p: p.update(notes="ok"), "notes must be a JSON array, got str"),
+    "objective": (lambda p: p["trace"].update(objective="12"), "trace.objective must be a JSON array"),
+    "stages": (lambda p: p["trace"].update(stages="init"), "trace.stages must be a JSON array"),
+    "graph_reports": (lambda p: p["trace"].update(graph_reports={}), "trace.graph_reports must be a JSON array"),
+    "dims_object": (lambda p: p.update(dims=[2, 2]), "dims must be a JSON object, got list"),
+    "dims_T": (lambda p: p["dims"].update(T=3), "dims .* do not match the model's"),
+    "dims_float": (lambda p: p["dims"].update(d=2.0), "dims .* do not match the model's"),
+    "dims_P": (lambda p: p["dims"].update(P=2), "dims .* do not match the model's"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILE_FIELDS))
+def test_model_file_lists_are_arrays_and_dims_match(case):
+    edit, message = MALFORMED_FILE_FIELDS[case]
+    model = replace(linear_model(), task_labels=("a", "b"), notes=("ok",))
+    payload = model_to_dict(replace(model, trace=FitTrace(objective=[1.0], stages=["init"])))
+    model_from_dict(json.loads(json.dumps(payload)))
+    edit(payload)
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(payload)
+
+
 def test_model_with_legacy_step_key_loads():
     payload = model_to_dict(linear_model())
     payload["config"]["graph_params"]["step"] = None
@@ -679,8 +727,9 @@ def test_saved_file_is_stable_json(tmp_path):
         (1, (6, 6), "n_folds must be at least 2"),
         (0, (6, 6), "n_folds must be at least 2"),
         (3, (6, 1), "task 1: cross-validation needs at least 2 samples"),
+        (3, (), "need at least 2 tasks, got 0"),
     ],
-    ids=["one_fold", "zero_folds", "one_sample_task"],
+    ids=["one_fold", "zero_folds", "one_sample_task", "no_task"],
 )
 def test_grid_search_cv_rejects_unsplittable_input(n_folds, sizes, message):
     rng = np.random.default_rng(34)
@@ -752,6 +801,26 @@ def test_grid_search_cv_builds_one_weight_system_per_fold(monkeypatch):
     config = mild_config(max_outer_iter=10, outer_tol=1e-4)
     grid_search_cv(tasks, config, gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,), n_folds=3)
     assert builds == [3, 3, 3]
+
+
+def test_grid_search_cv_fits_only_folds_that_hold_a_sample_out(monkeypatch):
+    # Three samples per task over ten folds leave most folds with nothing
+    # held out; each grid point is fitted on the others alone.
+    counts = Counter()
+    count_calls(monkeypatch, counts, model_mod, "fit")
+    tasks = make_related_tasks(np.random.default_rng(39), d=2, T=3, N=3)
+    n_folds, seed = 10, 0
+    rng = np.random.default_rng(seed)
+    fold_ids = [rng.integers(0, n_folds, size=t.n_samples) for t in tasks]
+    assert all(len(set(ids)) > 1 for ids in fold_ids)  # no sample moves to another fold
+    held_out = len(set(np.concatenate(fold_ids).tolist()))
+    assert held_out < n_folds
+    _, results = grid_search_cv(
+        tasks, mild_config(max_outer_iter=10), gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,),
+        n_folds=n_folds, seed=seed,
+    )
+    assert counts["gamtl.model.fit"] == 2 * held_out
+    assert all(np.isfinite(r["cv_rmse"]) for r in results)
 
 
 @pytest.mark.parametrize(

@@ -291,10 +291,10 @@ def test_shared_design_data_term_over_random_shapes_is_the_per_task_loop_bit_for
         assert _WeightSystem(tasks).data_term(W) == loop_data_term(tasks, W), (d, N, T + 1)
 
 
-def test_mean_gram_pair_waits_for_a_weight_solve(monkeypatch):
-    # On distinct designs the ridge start reads the T per-task pairs alone;
-    # the mean Gram's pair is computed at the first weight solve, bit for
-    # bit as before, and kept for the next.
+def test_mean_gram_pair_is_built_with_the_system(monkeypatch):
+    # On distinct designs the build factors the T Grams and then the mean
+    # Gram, as the per-task sum divided by T, bit for bit; a ridge start adds
+    # no eigh and each weight solve only that of its Laplacian.
     rng = np.random.default_rng(35)
     T, d = 6, 4
     tasks = make_tasks(rng, d=d, T=T, N=10)
@@ -302,36 +302,36 @@ def test_mean_gram_pair_waits_for_a_weight_solve(monkeypatch):
     calls = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or real_eigh(M))
-    ridge_independent(tasks, 1.0)
-    assert len(calls) == T
     system = _WeightSystem(tasks)
-    ridge_independent(system, 1.0)
-    assert len(calls) == 2 * T
-    A = random_adjacency(rng, T)
-    solve_weights(system, A, 1.0)
-    assert len(calls) == 2 * T + 2  # eigh(L) and the mean Gram
-    solve_weights(system, A, 1.0)
-    assert len(calls) == 2 * T + 3
+    assert len(calls) == T + 1
     sigma, Q = system.coarse
     assert np.array_equal(sigma, np.maximum(mean_gram_pair[0], 0.0))
     assert np.array_equal(Q, mean_gram_pair[1])
+    ridge_independent(system, 1.0)
+    assert len(calls) == T + 1
+    A = random_adjacency(rng, T)
+    solve_weights(system, A, 1.0)
+    solve_weights(system, A, 1.0)
+    assert len(calls) == T + 3
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_design", "distinct_designs"])
-def test_ridge_start_leaves_the_data_trace_uncomputed(shared):
-    # Only a weight solve's ridge floor reads the Grams' trace; a ridge start
-    # alone (the bench baseline) never pays for it, and the first solve
-    # computes it as the per-task sum, bit for bit.
+def test_data_trace_is_built_as_the_per_task_sum(shared):
+    # The build sets the Grams' trace as the per-task sum, bit for bit, and
+    # every other fact; the ridge start and the weight solves then read the
+    # system and set or delete nothing on it.
     rng = np.random.default_rng(36)
     if shared:
         tasks = shared_design_tasks(rng, 4, 10, 5, scaled=False)
     else:
         tasks = make_tasks(rng, d=4, T=5, N=10)
     system = _WeightSystem(tasks)
+    assert vars(system)["data_trace"] == sum(float(np.sum(t.X * t.X)) for t in tasks)
+    built = dict(vars(system))
     ridge_independent(system, 1.0)
-    assert "data_trace" not in vars(system)
     solve_weights(system, random_adjacency(rng, 5), 1.0)
-    assert system.data_trace == sum(float(np.sum(t.X * t.X)) for t in tasks)
+    assert vars(system).keys() == built.keys()
+    assert all(vars(system)[name] is fact for name, fact in built.items())
 
 
 def test_ridge_independent_rank_rule_on_a_shared_rank_deficient_design():
