@@ -173,7 +173,8 @@ def _ray_maximizer(lam, s, a, b, alpha: float, beta: float, slope: float) -> flo
             d1 = alpha * float(ratio.sum()) - float(np.vdot(u, b)) / eight_beta
             if abs(d1) <= _RAY_TOL * slope:
                 return t
-            d2 = -alpha * float(ratio @ ratio) - float(np.vdot(u > 0.0, b2)) / eight_beta
+            np.greater(u, 0.0, out=u)  # the mask as 1.0 and 0.0, in place: u is rebuilt next trial
+            d2 = -alpha * float(ratio @ ratio) - float(np.vdot(u, b2)) / eight_beta
             t_next = t - d1 / d2
         else:  # past the pole as rounded
             d1 = t_next = -np.inf

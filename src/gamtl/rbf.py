@@ -9,16 +9,20 @@ variant inherits its convergence behavior unchanged.
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
-and all reductions run in a fixed order.  Squared distances come from
+and all reductions run in a fixed order.  The pooled inputs are held
+column-major, an (N, q) array in Fortran order, so each coordinate is one
+contiguous column.  Squared distances come from
 :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
 the seeding, the widths and the lift call it, the lift on cache-sized row
-blocks.  The assignment scores each row block in Gram form with one BLAS
-product, whose operands ``[x, ||x||^2, 1]`` and ``[-2 c; 1; ||c||^2]``
-carry both squared norms, and keeps a row's argmin only when the rounding
-bound :func:`gamtl.graph._gram_error` proves it equal to the coordinate
-kernel's; it sends every other row through ``sq_distances``.  Cluster means
-come from ``np.bincount`` sums in point order, so no (N, P, q) tensor is
-built.
+blocks.  The k-means++ draw is ``Generator.choice``'s, written out in one
+preallocated buffer (:func:`_weighted_draw`).  The assignment scores each
+row block of ``_KMEANS_BLOCK_ENTRIES`` = 2**16 Gram values (512 KiB) with
+one BLAS product into one reused buffer; its operands ``[x, ||x||^2, 1]``
+and ``[-2 c; 1; ||c||^2]`` carry both squared norms.  It keeps a row's
+argmin only when the rounding bound :func:`gamtl.graph._gram_error` proves
+it equal to the coordinate kernel's, and sends every other row through
+``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
+order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -57,6 +61,10 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
+# Entries of one row block of the k-means assignment's Gram values: 64k
+# doubles, 512 KiB.  Four times the lift's blocks, so a round makes fewer
+# BLAS calls; 2**17-entry blocks are no faster.
+_KMEANS_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,9 @@ def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     is the argmin of the coordinate-order ``sq_distances`` row, bit for bit,
     while no (len(rows), P) matrix is kept.
 
-    Each cache-sized block of rows is scored in Gram form by one BLAS
-    product with ``_gram_columns``, so both squared norms ride inside it:
+    Each block of ``_KMEANS_BLOCK_ENTRIES // P`` rows is scored in Gram
+    form by one BLAS product with ``_gram_columns``, written into one
+    buffer that every block reuses, so both squared norms ride inside it:
     ``g_ij = x_i . (-2 c_j) + ||x_i||^2 + ||c_j||^2``.  With ``S_i =
     ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij - d_ij| <= err_i = _gram_error(S_i,
     2 q)`` for every center, where ``d_ij`` is the coordinate kernel's value,
@@ -135,19 +144,21 @@ def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     or gap is never certified.  A certified row's bounds come from the same
     certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
     Other rows take argmin and bounds from ``sq_distances`` on the first q
-    columns, block by block.
+    columns, in blocks of the same number of rows.
     """
     P, q = centers.shape
     nearest = np.empty(rows.size, dtype=np.intp)
     first = np.empty(rows.size)
     second = np.empty(rows.size)
-    step = max(1, _BLOCK_ENTRIES // P)
-    row_starts = np.arange(0, min(step, rows.size) * P, P)  # flat index of each block row
+    step = max(1, _KMEANS_BLOCK_ENTRIES // P)
+    scores = np.empty((min(step, rows.size), P))  # every block's Gram values, in turn
+    row_starts = np.arange(0, scores.size, P)  # flat index of each block row
     cross = _gram_columns(centers)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows fail the certificate
         for start in range(0, rows.size, step):
             stop = start + step
-            block = lifted[rows[start:stop]] @ cross
+            gathered = lifted[rows[start:stop]]
+            block = np.matmul(gathered, cross, out=scores[: len(gathered)])
             pick = nearest[start:stop]
             _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
         err = lifted[rows, q]
@@ -162,6 +173,22 @@ def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
         block = sq_distances(lifted[rows[part], :q], centers)
         nearest[part], first[part], second[part] = _two_smallest(block, row_starts)
     return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
+
+
+def _weighted_draw(weights: np.ndarray, total: float, rng, cdf: np.ndarray) -> int:
+    """The index ``rng.choice(N, p=weights / total)`` draws, from the same random number.
+
+    ``weights`` holds N >= 1 finite nonnegative values that sum to ``total``
+    > 0.  The draw is ``Generator.choice``'s own with replacement, written
+    out in the (N,) buffer ``cdf``: divide by ``total``, take the cumulative
+    sum, divide it by its last entry, and search it for one ``rng.random()``
+    from the right.  So it picks the same index and leaves ``rng`` in the
+    same state, without choice's per-call checks of ``p``.
+    """
+    np.divide(weights, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def _two_smallest(block, row_starts, pick=None, low=None, high=None):
@@ -194,6 +221,11 @@ def _shrunk(x, margin: float, out=None):
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
+    ``pooled_inputs`` is taken as a Fortran-order (N, q) array, without a
+    copy when it already is one (``fit_rbf`` pools the designs that way),
+    so the seeding's ``sq_distances`` and the cluster sums read contiguous
+    coordinate columns.
+
     k-means++ seeding followed by Lloyd iterations; stops when assignments
     stabilize, when a round starts from the centers of an earlier round
     (from there it would only replay the same cycle), or after 300 rounds.
@@ -202,7 +234,9 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     index order; an empty cluster is reseeded to the point currently
     farthest from its own center, and that point leaves its old cluster for
     the rest of the round.  Inputs so far apart that the seeding's squared
-    distances overflow raise ``ValueError``.
+    distances overflow raise ``ValueError``.  Each seeding draw picks the
+    index ``rng.choice(N, p=closest_sq / total)`` would pick and consumes
+    the same random number (``_weighted_draw``).
 
     The assignment step is pruned with distance bounds (Hamerly, SDM 2010)
     and gives the assignment that the argmin of the full squared-distance
@@ -214,11 +248,15 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     (triangle inequality).  A point keeps its center when ``upper < lower``
     holds with a relative margin of 4 (q + 2) eps on top; otherwise its
     whole row is reassigned.  A round that reseeds a cluster reassigns
-    every row.
+    every row.  The shifted bounds and the prune test are written into
+    N-vectors allocated once per call.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per row block: the rows ``[x, ||x||^2, 1]`` are
-    built once per call, so the product alone gives the Gram values.  A row
+    by one BLAS product per block of 2**16 values: the rows ``[x, ||x||^2,
+    1]`` are built once per call, so the product alone gives the Gram
+    values.  The blocks are four times the lift's, so a round of the Wiener
+    pools (N = 5000, P = 50) makes about two products in place of five;
+    the k-means phase's memory peak stays below the lift's.  A row
     keeps the Gram argmin only when the rounding bound ``graph._gram_error``
     proves it the coordinate kernel's strict argmin (see ``_nearest_two``);
     the same bound gives its new upper and lower bounds.  Every other row,
@@ -240,7 +278,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     coordinate-kernel row, so each round starts from the dense argmin of
     its centers, and the stop rule keys on them.
     """
-    points = np.asarray(pooled_inputs, dtype=float)
+    points = np.asfortranarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or min(points.shape) < 1:
         raise ValueError("pooled_inputs must be a nonempty (N, q) array with q >= 1")
     if not np.isfinite(points).all():
@@ -254,22 +292,24 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     centers = np.empty((P, q))
     centers[0] = points[rng.integers(N)]
     closest_sq = sq_distances(points, centers[:1])[:, 0]
+    cdf = np.empty(N)
     for p in range(1, P):
         total = float(closest_sq.sum())
         if not np.isfinite(total):  # the draw's probabilities would be NaN
             raise ValueError("squared distances between pooled_inputs overflow")
         if total > 0.0:
-            idx = rng.choice(N, p=closest_sq / total)
+            idx = _weighted_draw(closest_sq, total, rng, cdf)
         else:
             idx = rng.integers(N)  # all points coincide with a center
         centers[p] = points[idx]
         np.minimum(closest_sq, sq_distances(points, centers[p : p + 1])[:, 0], out=closest_sq)
-    del closest_sq  # the seeding buffer is not needed in the Lloyd rounds
+    del closest_sq, cdf  # the seeding buffers are not needed in the Lloyd rounds
 
     import hashlib  # here, not at module level: it loads OpenSSL
     margin = 2.0 * (q + 2) * np.finfo(float).eps
     lifted = _gram_rows(points)
     assign, upper, lower = _nearest_two(lifted, centers, np.arange(N), margin)
+    moved, shrunk, kept = np.empty(N), np.empty(N), np.empty(N, dtype=bool)  # round buffers
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
         # The centers alone fix a round (see above): a repeat replays a cycle.
@@ -282,13 +322,17 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         if counts.all():
             np.divide(sums, counts[:, None], out=centers)
             shift = _grown(np.sqrt(_paired_sq_distances(centers, previous)), margin)
-            upper += shift[assign]
+            upper += np.take(shift, assign, out=moved)
             _grown(upper, margin, out=upper)
             top = np.argsort(shift)[-2:]  # the two largest shifts, the largest last
-            lower -= np.where(assign == top[-1], shift[top[0]], shift[top[-1]])
+            # each lower bound drops by the largest shift among the other centers
+            moved.fill(shift[top[-1]])
+            np.copyto(moved, shift[top[0]], where=np.equal(assign, top[-1], out=kept))
+            lower -= moved
             _shrunk(lower, margin, out=lower)
             # the prune test, with the rounding margin on both sides
-            stale = np.flatnonzero(~(_grown(upper, margin) < _shrunk(lower, margin)))
+            np.less(_grown(upper, margin, out=moved), _shrunk(lower, margin, out=shrunk), out=kept)
+            stale = np.flatnonzero(np.logical_not(kept, out=kept))
         else:
             for p in range(P):
                 if counts[p] > 0:
@@ -424,7 +468,7 @@ def fit_rbf(
     """
     tasks = list(tasks)
     validate_tasks(tasks)
-    pooled = np.concatenate([t.X.T for t in tasks], axis=0)
+    pooled = np.concatenate([t.X for t in tasks], axis=1).T  # column-major (N, q)
     if P is None:
         P = default_center_count(pooled.shape[0])
     centers = kmeans_centers(pooled, P, seed=config.seed)

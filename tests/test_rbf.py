@@ -266,7 +266,7 @@ def test_kmeans_computes_no_exact_own_distances_on_wiener_inputs(monkeypatch):
     exponent=st.integers(min_value=-160, max_value=150),
     offset=st.sampled_from([0.0, 1e4, 1e8]),
     duplicates=st.booleans(),
-    block_entries=st.sampled_from([1 << 14, 7]),
+    block_entries=st.sampled_from([rbf._KMEANS_BLOCK_ENTRIES, 7]),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=200, deadline=None)
@@ -287,7 +287,7 @@ def test_nearest_two_bounds_the_coordinate_kernel(
         centers[-1] = points[-1]  # a zero distance
     rows = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
     margin = 2.0 * (q + 2) * np.finfo(float).eps
-    with mock.patch.object(rbf, "_BLOCK_ENTRIES", block_entries):
+    with mock.patch.object(rbf, "_KMEANS_BLOCK_ENTRIES", block_entries):
         nearest, upper, lower = rbf._nearest_two(rbf._gram_rows(points), centers, rows, margin)
     z = sq_distances(points[rows], centers)
     assert np.array_equal(nearest, np.argmin(z, axis=1))
@@ -363,6 +363,52 @@ def test_kmeans_refuses_inputs_whose_squared_distances_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="squared distances .* overflow"):
             kmeans_centers(points, P=3, seed=0)
+
+
+@given(
+    weights=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.builds(
+                lambda mantissa, exponent: mantissa * 10.0**exponent,
+                st.floats(min_value=1.0, max_value=10.0),
+                st.integers(min_value=-40, max_value=40),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    ).filter(lambda w: max(w) > 0.0),
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_draw_is_generator_choice(weights, seed):
+    # The seeding's written-out draw must pick choice's index and consume the
+    # same random numbers, on every numpy: zeros, a dynamic range of 1e+-40
+    # and a single weight included.
+    w = np.array(weights)
+    total = float(w.sum())
+    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expected_rng.choice(w.size, p=w / total)
+    assert rbf._weighted_draw(w, total, rng, np.empty(w.size)) == expected
+    assert rng.random() == expected_rng.random()
+    # A random number on a step of the cumulative sum, or one float from it,
+    # tells the rounding of each step and the side of the search.
+    steps = np.cumsum(w / total)
+    for u in np.concatenate([steps, np.nextafter(steps, 0.0), steps / steps[-1]]):
+        if 0.0 <= u < 1.0:
+            draw = rbf._weighted_draw(w, total, _FixedDraw(u), np.empty(w.size))
+            assert draw == _FixedDraw(u).choice(w.size, p=w / total), u
+
+
+class _FixedDraw(np.random.Generator):
+    """A generator whose ``random()`` always returns ``u``."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, *args, **kwargs):
+        return self.u
 
 
 # --------------------------------------------------------------------------
