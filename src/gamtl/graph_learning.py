@@ -92,11 +92,17 @@ def check_graph_params(params) -> None:
 
 @dataclass
 class GraphSolveReport:
-    """Convergence record of one :func:`learn_graph` call."""
+    """Convergence record of one :func:`learn_graph` call.
+
+    ``stop`` names the exit: ``"tol"`` when the residual test fired
+    (``converged``), ``"max_iter"`` when the iteration budget ran out, and
+    ``"floor"`` when the dual's rounding stopped the solve first.
+    """
 
     iterations: int
     converged: bool
     final_residual: float
+    stop: str
 
 
 @dataclass
@@ -215,11 +221,12 @@ def learn_graph(
         iterate's score is not finite (a zero degree) or higher, so the result's
         objective is never above the warm start's, exactly.  The report is
         flagged ``converged=False`` when the residual test (``tol``, every
-        degree positive) has not fired by ``max_iter``, or earlier at the
-        floating-point limit of the dual at that distance scale: the norm of
-        ``alpha / lam`` underflows, the Newton direction does not ascend, the
-        dual's maximizer along it improves neither the dual nor its gradient,
-        or the Newton system is singular as rounded.
+        degree positive) has not fired by ``max_iter`` (``stop="max_iter"``),
+        or earlier at the floating-point limit of the dual at that distance
+        scale (``stop="floor"``): the norm of ``alpha / lam`` underflows, the
+        Newton direction does not ascend, the dual's maximizer along it
+        improves neither the dual nor its gradient, or the Newton system is
+        singular as rounded.  A converged solve reads ``stop="tol"``.
     """
     if not isinstance(A0, _ScoredGraph):
         check_graph_params(params)
@@ -256,7 +263,7 @@ def learn_graph(
     # previous optimum) begins near its fixed point.
     lam = alpha / A0.sum(axis=1)
     a, r, Sr, barrier, grad, grad_norm = dual_state(lam)
-    converged = False
+    stop = "floor"  # every exit but the two below is the precision floor
 
     # Every exit, the last iteration's too, breaks before the update at the
     # loop's end, so r stays the iterate whose residual is reported.
@@ -269,9 +276,10 @@ def learn_graph(
         # A node without an active edge has zero degree and an infinite
         # objective, however small its share of the relative residual.
         if residual <= params.tol and Sr.min() > 0.0:
-            converged = True
+            stop = "tol"
             break
         if iterations == params.max_iter:
+            stop = "max_iter"
             break  # its step would go untested
         # Newton direction from the generalized Hessian of -g; r's diagonal is 0.
         H = (r > 0.0) / (4.0 * beta)
@@ -318,6 +326,6 @@ def learn_graph(
     if not (np.isfinite(score) and score <= score0):
         A, score = A0.copy(), score0
     report = GraphSolveReport(
-        iterations=iterations, converged=converged, final_residual=residual
+        iterations=iterations, converged=stop == "tol", final_residual=residual, stop=stop
     )
     return A, report, score

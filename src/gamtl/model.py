@@ -21,7 +21,8 @@ raises F (the tiny ridge floor inside the W solver can perturb the
 exactly-zero-residual geometry); ``learn_graph`` returns its warm start when
 its iterate scores higher, which on the same ``gamma * Z`` rules out a rise
 of F at the graph step.  ``fit`` carries F as two terms: the weight system
-scores the data term; the graph step takes the graph term and returns its own.
+scores the data term from the Grams' eigenpairs; the graph step takes the
+graph term and returns its own.
 """
 
 from __future__ import annotations
@@ -263,8 +264,11 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     Starts from independent ridge weights and a distance-similarity graph.
     One :class:`_WeightSystem`, ``tasks`` itself or built on them, checks the
     tasks, factors their Grams for the ridge start and every weight solve, and
-    scores the data term of the carried F.  The trace never rises across half
-    steps; an unconverged inner solve sets ``converged=False`` and ``notes``.
+    scores the data term of the carried F from those Grams, within rounding
+    of :func:`joint_objective`'s residuals.  ``tasks`` is read once, task by
+    task.  The trace never rises across half steps; an unconverged inner
+    solve sets ``converged=False`` and ``notes``, which name a graph solve's
+    ``stop``: its iteration limit or the precision floor.
     """
     system = tasks if isinstance(tasks, _WeightSystem) else _WeightSystem(tasks)
     W = ridge_independent(system, config.ridge_lambda)
@@ -314,15 +318,14 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
         # graph_term is A's score at the kept gZ; built inline, the warm start dies with the old A.
         A, greport, graph_term = learn_graph(gZ, config.graph_params, A0=_ScoredGraph(A, graph_term))
         trace.graph_reports.append({"outer": outer, **vars(greport)})
-        if not greport.converged:
-            if greport.iterations == config.graph_params.max_iter:
-                notes.append(f"outer {outer}: graph solve hit its iteration limit")
-            else:  # stopped early: its steps no longer gain as rounded
-                notes.append(
-                    f"outer {outer}: graph solve stopped at the precision floor after "
-                    f"{greport.iterations} iterations, residual {greport.final_residual:.3g} "
-                    f"(tol {config.graph_params.tol:g}); standardize the targets or raise beta"
-                )
+        if greport.stop == "max_iter":
+            notes.append(f"outer {outer}: graph solve hit its iteration limit")
+        elif greport.stop == "floor":  # its steps no longer gain as rounded
+            notes.append(
+                f"outer {outer}: graph solve stopped at the precision floor after "
+                f"{greport.iterations} iterations, residual {greport.final_residual:.3g} "
+                f"(tol {config.graph_params.tol:g}); standardize the targets or raise beta"
+            )
         # Unchecked: learn_graph never raises its objective at this gamma * Z, nor F.
         objective = data_term + graph_term
         trace.record("graph", objective)
@@ -444,8 +447,9 @@ def grid_search_cv(
     Folds are per task over samples; a fold that holds no sample out is
     skipped.  Every candidate, built (so checked) before the first fit,
     shares each other fold's :class:`_WeightSystem`, built once: up to
-    ``n_folds`` systems are held at once, about 160 KB each for syn1.
-    Returns the best config and the full result table, best first.
+    ``n_folds`` systems are held at once, about 160 KB each for syn1 (its
+    Grams' eigenpairs; a system keeps no training copy, which would add
+    85 KB).  Returns the best config and the full result table, best first.
     """
     def config_at(gamma, alpha, beta) -> GamtlConfig:
         graph_params = replace(config.graph_params, alpha=alpha, beta=beta)

@@ -4,7 +4,8 @@ All tasks share one unsupervised first layer: centers picked by k-means on
 the pooled inputs of every task, Gaussian widths set from nearest-center
 distances.  The lifted datasets (features phi_p(x) plus a constant bias
 feature) then go through the ordinary alternating fit, so the nonlinear
-variant inherits its convergence behavior unchanged.
+variant inherits its convergence behavior unchanged; the fit reads them one
+task at a time, each lifted when it is read.
 
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
@@ -40,6 +41,7 @@ check for a repeated round.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -444,10 +446,26 @@ def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
     return lifted
 
 
+class _LiftedTasks(Sequence):
+    """``tasks`` lifted through ``feature_map``, each task when it is read.
+
+    A fit's weight system reads each task once, so it holds one lifted
+    design at a time (two while the designs may be shared), not all of them.
+    """
+
+    def __init__(self, feature_map: RbfFeatureMap, tasks):
+        self.feature_map, self.tasks = feature_map, tasks
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def __getitem__(self, t: int) -> TaskDataset:
+        task = self.tasks[t]
+        return TaskDataset(task.task_id, lift_matrix(self.feature_map, task.X), task.y)
+
+
 def lift_tasks(feature_map: RbfFeatureMap, tasks) -> list[TaskDataset]:
-    return [
-        TaskDataset(t.task_id, lift_matrix(feature_map, t.X), t.y) for t in tasks
-    ]
+    return list(_LiftedTasks(feature_map, list(tasks)))
 
 
 def default_center_count(pooled_count: int) -> int:
@@ -463,8 +481,9 @@ def fit_rbf(
     """Fit the nonlinear variant: shared RBF lift, then the alternating fit.
 
     ``P`` defaults to ``min(50, floor(sqrt(pooled sample count)))``.  The
-    returned model carries the feature map, so its predictions take raw
-    inputs.
+    fit reads the tasks lifted one at a time, so past k-means it holds at
+    most two lifted (P+1) x N designs, not all T.  The returned model
+    carries the feature map, so its predictions take raw inputs.
     """
     tasks = list(tasks)
     validate_tasks(tasks)
@@ -475,4 +494,4 @@ def fit_rbf(
     widths = optimal_widths(centers, pooled_inputs=pooled, width_factor=width_factor)
     feature_map = RbfFeatureMap(centers=centers, widths=widths)
     del pooled  # the fit does not need it; freeing it lowers fit_rbf's memory peak
-    return replace(fit(lift_tasks(feature_map, tasks), config), feature_map=feature_map)
+    return replace(fit(_LiftedTasks(feature_map, tasks), config), feature_map=feature_map)

@@ -186,6 +186,24 @@ def dense_weight_system(tasks, A: np.ndarray, gamma: float, mu: float):
     return M, rhs
 
 
+def data_term_bound(tasks, W: np.ndarray) -> float:
+    """Rounding bound of the Gram-form data term against the per-task residual loop.
+
+    Summed over the tasks, ``2 (d + 4) eps (s_max ||w_t||^2 + 2 |b_t^T w_t| + ||y_t||^2)``
+    with ``s_max`` the largest eigenvalue of ``X_t X_t^T`` and ``b_t = X_t y_t``:
+    each part's size, times a multiple of the rounding of a d-term product.
+    The extra 4 covers the Gram's eigendecomposition, whose error does not
+    shrink with d.
+    """
+    eps = np.finfo(float).eps
+    total = 0.0
+    for t, task in enumerate(tasks):
+        X, y, w = task.X, task.y, W[:, t]
+        s_max = max(float(np.linalg.eigvalsh(X @ X.T).max()), 0.0)
+        total += 2 * (X.shape[0] + 4) * eps * (s_max * float(w @ w) + 2.0 * abs(float((X @ y) @ w)) + float(y @ y))
+    return total
+
+
 def dense_weight_solve(tasks, A: np.ndarray, gamma: float, mu: float) -> np.ndarray:
     """Direct dense solve of the coupled system; returns W with tasks as columns."""
     M, rhs = dense_weight_system(tasks, A, gamma, mu)

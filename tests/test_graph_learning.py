@@ -267,7 +267,7 @@ def test_non_convergence_flagged_with_best_iterate():
     params = GraphLearningParams(alpha=1.0, beta=1.0, tol=1e-12, max_iter=3)
     A0 = default_initial_graph(Z)
     A, report = learn_graph(Z, params, A0=A0)
-    assert not report.converged
+    assert (report.converged, report.stop) == (False, "max_iter")
     assert report.iterations == 3
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params) + 1e-9
@@ -283,6 +283,7 @@ def test_precision_floor_stops_before_max_iter(z):
     A0 = default_initial_graph(Z)
     A, report = learn_graph(Z, params, A0=A0)
     assert report.iterations < 200
+    assert (report.converged, report.stop) == (False, "floor")
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 
@@ -296,7 +297,7 @@ def test_hessian_singular_to_rounding_stops_at_the_floor():
     params = GraphLearningParams(alpha=0.015625, beta=0.015625)
     A0 = default_initial_graph(Z)
     A, report = learn_graph(Z, params, A0=A0)
-    assert not report.converged
+    assert (report.converged, report.stop) == (False, "floor")
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 
@@ -346,7 +347,7 @@ def test_off_scale_warm_start_stops_at_the_floor(monkeypatch, case):
     with np.errstate(over="ignore"):
         A, report = learn_graph(Z, params, A0=A0)
     assert seen == stages
-    assert (report.iterations, report.converged) == (1, False)
+    assert (report.iterations, report.converged, report.stop) == (1, False, "floor")
     assert np.array_equal(A, A0)  # the iterate scores higher, so A0 comes back
 
 
@@ -361,6 +362,17 @@ def test_warm_start_scoring_inf_comes_back_over_a_zero_degree_iterate():
         A, report = learn_graph(Z, params, A0=A0)
     assert np.array_equal(A, A0)
     assert not report.converged
+
+
+def test_report_names_each_exit():
+    # A solve that meets its tolerance reads "tol", one cut at max_iter = 1
+    # reads "max_iter", and converged is True for "tol" alone.
+    rng = np.random.default_rng(12)
+    Z = random_distances(rng, 6)
+    _, report = learn_graph(Z, GraphLearningParams())
+    assert (report.converged, report.stop) == (True, "tol")
+    _, report = learn_graph(Z, GraphLearningParams(max_iter=1))
+    assert (report.iterations, report.converged, report.stop) == (1, False, "max_iter")
 
 
 def test_converged_solution_improves_on_warm_start():
@@ -609,6 +621,7 @@ def test_precision_floor_stops_on_random_distances(n_tasks, seed):
     A0 = default_initial_graph(Z)
     A, report = learn_graph(Z, params, A0=A0)
     assert report.iterations < 100, report
+    assert (report.converged, report.stop) == (False, "floor")
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
 

@@ -31,6 +31,17 @@ from gamtl.rbf import RbfFeatureMap, fit_rbf
 from gamtl.weight_solver import TaskDataset, WeightSolveReport, ridge_independent
 
 
+def assert_objective_is_F(objective, model, tasks, config):
+    """``objective`` is F at the model's (W, A) to within the data term's Gram-form rounding.
+
+    The fit scores the data term from the Grams and ``joint_objective`` from
+    the residuals: they differ by at most :func:`oracles.data_term_bound`,
+    and the sum with the graph term rounds once more.
+    """
+    F = joint_objective(model.W, model.A, tasks, config)
+    assert abs(objective - F) <= oracles.data_term_bound(tasks, model.W) + np.finfo(float).eps * abs(F)
+
+
 def make_related_tasks(rng, d=3, T=4, N=20, noise=0.1, spread=0.3):
     """Tasks whose true weights are small perturbations of a shared vector."""
     base = rng.standard_normal(d)
@@ -256,6 +267,7 @@ def test_fit_flags_inner_solver_budget_instead_of_raising():
     model = fit(tasks, config)
     assert not model.converged
     assert "outer 1: graph solve hit its iteration limit" in model.notes
+    assert [r["stop"] for r in model.trace.graph_reports] == ["max_iter"] * 2
     assert np.isfinite(model.W).all()
 
 
@@ -270,6 +282,7 @@ def test_fit_names_the_precision_floor_apart_from_the_iteration_limit():
     reports = model.trace.graph_reports
     assert reports and not any(r["converged"] for r in reports)
     assert all(r["iterations"] < config.graph_params.max_iter for r in reports)
+    assert all(r["stop"] == "floor" for r in reports)
     assert not any("iteration limit" in note for note in model.notes)
     for r in reports:
         note = (
@@ -320,7 +333,8 @@ def test_fit_reaches_block_stationarity():
 
 
 def test_pinned_syn1_fits_converge():
-    # The pinned syn1 operating point, with the default graph max_iter.
+    # The pinned syn1 operating point, with the default graph max_iter; every
+    # graph solve stops at its tolerance.
     config = PINNED_CONFIGS["syn1"]
     notes = {}
     for seed in range(10):
@@ -328,6 +342,7 @@ def test_pinned_syn1_fits_converge():
         model = fit(train, config)
         if not model.converged:
             notes[seed] = model.notes
+        assert {r["stop"] for r in model.trace.graph_reports} == {"tol"}
     assert notes == {}
 
 
@@ -347,7 +362,7 @@ def test_fit_computes_distances_once_per_weight_candidate(monkeypatch):
     model = fit(train, config)
     assert len(calls) == 1 + len(model.trace.weight_reports)
     monkeypatch.undo()
-    assert model.trace.objective[-1] == joint_objective(model.W, model.A, train, config)
+    assert_objective_is_F(model.trace.objective[-1], model, train, config)
 
 
 def count_calls(monkeypatch, counts, module, name):
@@ -362,12 +377,13 @@ def count_calls(monkeypatch, counts, module, name):
 
 
 def test_fit_computes_each_fact_once(monkeypatch):
-    # The fit checks its tasks once, and its graphs only where the model is
-    # built.  Each outer iteration scores the weight candidate's graph term
-    # and the graph step's result; the warm start's score is carried in.
-    # One system factors the tasks' Grams for the ridge start and every
-    # weight solve, and only its build compares designs: syn1's T tasks
-    # share one, so T - 1 comparisons, plus GamtlModel's symmetry check.
+    # The fit checks each task once, as its system's build reads it, and its
+    # graphs only where the model is built.  Each outer iteration scores the
+    # weight candidate's graph term and the graph step's result; the warm
+    # start's score is carried in.  One system factors the tasks' Grams for
+    # the ridge start and every weight solve, and only its build compares
+    # designs: syn1's T tasks share one, so T - 1 comparisons, plus
+    # GamtlModel's symmetry check.
     import gamtl.graph_learning
     import gamtl.weight_solver
 
@@ -387,6 +403,8 @@ def test_fit_computes_each_fact_once(monkeypatch):
         (model_mod, "graph_objective"),
         (gamtl.graph_learning, "graph_objective"),
         (gamtl.weight_solver, "validate_tasks"),
+        (gamtl.weight_solver, "_check_task"),
+        (gamtl.weight_solver, "check_task_ids"),
         (np.linalg, "cholesky"),
         (np, "array_equal"),
     ]:
@@ -399,10 +417,12 @@ def test_fit_computes_each_fact_once(monkeypatch):
     assert counts["gamtl.model.validate_adjacency"] == 1  # GamtlModel's own check
     scores = counts["gamtl.model.graph_objective"] + counts["gamtl.graph_learning.graph_objective"]
     assert scores == 1 + 2 * outer
-    assert counts["gamtl.weight_solver.validate_tasks"] == 1
+    assert counts["gamtl.weight_solver.validate_tasks"] == 0
+    assert counts["gamtl.weight_solver._check_task"] == len(train)
+    assert counts["gamtl.weight_solver.check_task_ids"] == 1
     assert counts["numpy.linalg.cholesky"] == 0
     assert builds == [len(train)]
-    assert counts["numpy.array_equal"] == len(train)
+    assert counts["numpy.array_equal"] == (len(train) - 1) + 1  # design comparisons, symmetry check
 
 
 def test_fit_calls_each_layer_through_its_model_binding(monkeypatch):
@@ -425,16 +445,25 @@ def test_fit_calls_each_layer_through_its_model_binding(monkeypatch):
 
 def test_fit_rbf_checks_tasks_twice(monkeypatch):
     # Once on the raw tasks, before pooling them for k-means, and once on
-    # the lifted tasks at the fit's entry.
+    # the lifted tasks, each as the fit's weight system reads it.
     import gamtl.rbf
     import gamtl.weight_solver
 
     counts = Counter()
-    for module in (gamtl.rbf, gamtl.weight_solver):
-        count_calls(monkeypatch, counts, module, "validate_tasks")
+    for module, name in [
+        (gamtl.rbf, "validate_tasks"),
+        (gamtl.weight_solver, "validate_tasks"),
+        (gamtl.weight_solver, "_check_task"),
+        (gamtl.weight_solver, "check_task_ids"),
+    ]:
+        count_calls(monkeypatch, counts, module, name)
     train, _ = benchmark_splits("wiener", 0)
     fit_rbf(train, PINNED_CONFIGS["wiener"])
-    assert sum(counts.values()) == 2
+    assert counts == {
+        "gamtl.rbf.validate_tasks": 1,
+        "gamtl.weight_solver._check_task": 2 * len(train),  # the raw tasks', then the lifted tasks'
+        "gamtl.weight_solver.check_task_ids": 2,
+    }
 
 
 def test_fit_carries_the_kept_graph_term_past_a_rejected_weight_step(monkeypatch):
@@ -458,7 +487,7 @@ def test_fit_carries_the_kept_graph_term_past_a_rejected_weight_step(monkeypatch
     assert len(solves) == config.max_outer_iter
     assert objective[-2] == objective[-3]  # the rejected candidate left F as it was
     assert all(after <= before for before, after in zip(objective, objective[1:]))
-    assert objective[-1] == joint_objective(model.W, model.A, tasks, config)
+    assert_objective_is_F(objective[-1], model, tasks, config)
 
 
 @pytest.mark.parametrize(
@@ -744,21 +773,27 @@ def test_grid_search_cv_rejects_unsplittable_input(n_folds, sizes, message):
 def test_grid_search_cv_keeps_a_training_sample_per_task(monkeypatch):
     # At n_folds=5, seed=1 the drawn fold ids are [2, 2], [3, 4] and [0, 0]:
     # tasks 0 and 2 would have no training sample in folds 2 and 0 unless a
-    # sample moves to another fold.
+    # sample moves to another fold.  Each fold's system reads its training
+    # tasks as it is built, and its one grid point's fit uses it.
+    import gamtl.weight_solver
+
     rng = np.random.default_rng(35)
     tasks = [TaskDataset(t, rng.standard_normal((2, 2)), rng.standard_normal(2)) for t in range(3)]
     train_sizes = []
-    real_fit = model_mod.fit
 
-    def recording_fit(train, config):
-        train_sizes.append([t.n_samples for t in train.tasks])
-        return real_fit(train, config)
+    class RecordingSystem(gamtl.weight_solver._WeightSystem):
+        def __init__(self, train):
+            train_sizes.append([t.n_samples for t in train])
+            super().__init__(train)
 
-    monkeypatch.setattr(model_mod, "fit", recording_fit)
+    monkeypatch.setattr(model_mod, "_WeightSystem", RecordingSystem)
+    counts = Counter()
+    count_calls(monkeypatch, counts, model_mod, "fit")
     _, results = grid_search_cv(
         tasks, mild_config(), gammas=(1.0,), alphas=(1.0,), betas=(1.0,), n_folds=5, seed=1
     )
-    assert len(train_sizes) == 5 and min(min(sizes) for sizes in train_sizes) >= 1
+    assert counts["gamtl.model.fit"] == len(train_sizes) == 5
+    assert min(min(sizes) for sizes in train_sizes) >= 1
     # each sample is held out in exactly one fold
     assert [sum(2 - sizes[t] for sizes in train_sizes) for t in range(3)] == [2, 2, 2]
     assert np.isfinite(results[0]["cv_rmse"])
@@ -801,6 +836,31 @@ def test_grid_search_cv_builds_one_weight_system_per_fold(monkeypatch):
     config = mild_config(max_outer_iter=10, outer_tol=1e-4)
     grid_search_cv(tasks, config, gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,), n_folds=3)
     assert builds == [3, 3, 3]
+
+
+def test_grid_search_cv_fold_systems_keep_no_training_copy(monkeypatch):
+    # A fold's system keeps the Grams' eigenpairs and X_t y_t, not the
+    # training copies it was built from: each dies once the build is done,
+    # while the systems live on through every grid point.
+    import gc
+    import weakref
+
+    import gamtl.weight_solver
+
+    copies, systems = [], []
+
+    class RecordingSystem(gamtl.weight_solver._WeightSystem):
+        def __init__(self, train):
+            copies.extend(weakref.ref(a) for task in train for a in (task.X, task.y))
+            super().__init__(train)
+            systems.append(self)
+
+    monkeypatch.setattr(model_mod, "_WeightSystem", RecordingSystem)
+    tasks = make_related_tasks(np.random.default_rng(33), d=2, T=3, N=12)
+    grid_search_cv(tasks, mild_config(max_outer_iter=10), gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,), n_folds=3)
+    gc.collect()
+    assert len(systems) == 3 and len(copies) == 3 * 3 * 2
+    assert [ref for ref in copies if ref() is not None] == []
 
 
 def test_grid_search_cv_fits_only_folds_that_hold_a_sample_out(monkeypatch):

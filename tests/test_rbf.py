@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 import oracles
 from gamtl import rbf
 from gamtl.data import benchmark_splits
-from gamtl.graph import sq_distances
+from gamtl.graph import _BLOCK_ENTRIES, sq_distances
 from gamtl.graph_learning import GraphLearningParams
-from gamtl.model import GamtlConfig, fit, load_model, model_to_dict
+from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit, load_model, model_to_dict
 from gamtl.rbf import (
     RbfFeatureMap,
     default_center_count,
@@ -601,6 +602,48 @@ def test_lift_tasks_preserves_ids_and_targets():
     assert [t.task_id for t in lifted] == ["u", "v"]
     assert np.array_equal(lifted[0].y, tasks[0].y)
     assert lifted[0].dim == 3
+
+
+@pytest.mark.parametrize("designs", ["per_agent", "shared"])
+def test_fit_rbf_holds_at_most_two_lifted_designs_past_kmeans(monkeypatch, designs):
+    # Past k-means the fit lifts each task as its weight system reads it and
+    # drops it before the next: only the first design, kept while the designs
+    # may be shared, and the one in hand live at once.  From k-means' return
+    # the tracemalloc peak is then within the system's (T, P+1, P+1) stack,
+    # two designs and the lift's two row blocks; a list of all T lifted
+    # designs took about 11 designs.  Wiener's agents have designs of their
+    # own; given agent 0's inputs, every task shares one lifted design.
+    train, _ = benchmark_splits("wiener", 0)
+    if designs == "shared":
+        train = [TaskDataset(t.task_id, train[0].X, t.y) for t in train]
+    lifted_designs, alive, start = [], [], {}
+    real_lift, real_kmeans = rbf.lift_matrix, rbf.kmeans_centers
+
+    def counting_lift(feature_map, X):
+        lifted = real_lift(feature_map, X)
+        lifted_designs.append(weakref.ref(lifted))
+        alive.append(sum(ref() is not None for ref in lifted_designs))
+        return lifted
+
+    def marking_kmeans(*args, **kwargs):
+        centers = real_kmeans(*args, **kwargs)
+        start["traced"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return centers
+
+    monkeypatch.setattr(rbf, "lift_matrix", counting_lift)
+    monkeypatch.setattr(rbf, "kmeans_centers", marking_kmeans)
+    tracemalloc.start()
+    try:
+        model = fit_rbf(train, PINNED_CONFIGS["wiener"])
+        peak = tracemalloc.get_traced_memory()[1] - start["traced"]
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == len(train) and max(alive) == 2
+    width = model.feature_map.num_centers + 1
+    design = width * max(t.n_samples for t in train) * 8
+    stack = len(train) * width * width * 8
+    assert peak <= stack + 2 * design + 2 * _BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 1), (26, 5), (100, 10), (10000, 50)])

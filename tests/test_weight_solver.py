@@ -5,11 +5,15 @@ independently with np.kron, against per-task ridge regression when the graph
 is empty, and against pooled least squares in the infinite-coupling limit.
 """
 
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gamtl import model as model_module
@@ -212,28 +216,6 @@ def test_ridge_independent_trusts_a_built_system_bit_for_bit(designs):
         assert np.array_equal(ridge_independent(system, lam), ridge_independent(tasks, lam))
 
 
-@pytest.mark.parametrize("designs", ["shared", "distinct", "two_shared_one_not"])
-def test_data_term_is_the_per_task_loop_bit_for_bit(designs):
-    # One shared design is fitted by one broadcast matmul; the other sets
-    # take the per-task products.  Either way the sum is the plain loop's.
-    rng = np.random.default_rng(32)
-    X1, X2 = rng.standard_normal((5, 12)), rng.standard_normal((5, 12))
-    if designs == "shared":
-        tasks = [TaskDataset(t, X1, rng.standard_normal(12)) for t in range(4)]
-    elif designs == "distinct":
-        tasks = make_tasks(rng, d=5, T=4, N=12)
-    else:
-        tasks = [TaskDataset(t, X, rng.standard_normal(12)) for t, X in enumerate([X1, X1, X2])]
-    system = _WeightSystem(tasks)
-    assert len(system.Q) == (1 if designs == "shared" else len(tasks))
-    W = rng.standard_normal((5, len(tasks)))
-    expected = 0.0
-    for t, task in enumerate(tasks):
-        r = task.X.T @ W[:, t] - task.y
-        expected += float(r @ r)
-    assert system.data_term(W) == expected
-
-
 def loop_data_term(tasks, W):
     """The data term as a per-task loop, adding each ``r @ r`` in task order."""
     total = 0.0
@@ -241,6 +223,51 @@ def loop_data_term(tasks, W):
         r = task.X.T @ W[:, t] - task.y
         total += float(r @ r)
     return total
+
+
+@given(
+    d=st.integers(min_value=1, max_value=12),
+    T=st.integers(min_value=2, max_value=5),
+    designs=st.sampled_from(["shared", "distinct", "two_shared_one_not"]),
+    targets=st.sampled_from(["interpolating", "nearly_interpolating", "noise"]),
+    scaled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=300, deadline=None)
+def test_data_term_is_within_its_rounding_bound_of_the_per_task_loop(d, T, designs, targets, scaled, seed):
+    # The Gram form cancels most where the targets are nearly fitted; N < d
+    # leaves the Grams singular, and column scales of 1e+-6 spread their
+    # eigenvalues over 24 decades.  At W = 0, and on all-zero designs, every
+    # Gram-form part but ||y_t||^2 is an exact zero, so the sum is the loop's.
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, 2 * d + 1))
+
+    def design():
+        X = rng.standard_normal((d, N))
+        return X * 10.0 ** rng.uniform(-6.0, 6.0, size=N) if scaled else X
+
+    shared = design()
+    xs = {
+        "shared": [shared] * T,
+        "distinct": [design() for _ in range(T)],
+        "two_shared_one_not": [shared] * (T - 1) + [design()],
+    }[designs]
+    W = rng.standard_normal((d, T)) * 10.0 ** rng.uniform(-3.0, 3.0, size=T)
+    tasks = []
+    for t, X in enumerate(xs):
+        y = X.T @ W[:, t]
+        if targets == "nearly_interpolating":
+            y += 1e-8 * np.abs(y).max() * rng.standard_normal(N)
+        elif targets == "noise":
+            y = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(N)
+        tasks.append(TaskDataset(t, X, y))
+    system = _WeightSystem(tasks)
+    assert len(system.Q) == (1 if designs == "shared" else T)
+    assert abs(system.data_term(W) - loop_data_term(tasks, W)) <= oracles.data_term_bound(tasks, W)
+    zero = np.zeros_like(W)
+    assert system.data_term(zero) == loop_data_term(tasks, zero)
+    blank = [TaskDataset(t, np.zeros((d, N)), task.y) for t, task in enumerate(tasks)]
+    assert _WeightSystem(blank).data_term(W) == loop_data_term(blank, W)
 
 
 def shared_design_tasks(rng, d, N, T, scaled):
@@ -265,30 +292,14 @@ SHARED_SHAPES = {  # (d, N, T)
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled_columns"])
 @pytest.mark.parametrize("shape", sorted(SHARED_SHAPES))
-def test_shared_design_data_term_and_trace_are_the_per_task_sums_bit_for_bit(shape, scaled):
-    # A shared design's data term takes each row's r @ r from one batched
-    # matmul, and its trace adds one design's trace T times; both are the
-    # per-task loops' floats, in the loops' order.
+def test_shared_design_trace_is_the_per_task_sum(shape, scaled):
+    # A shared design's trace is taken once and added T times: the per-task
+    # loop's floats, in the loop's order, bit for bit.
     d, N, T = SHARED_SHAPES[shape]
-    rng = np.random.default_rng(33)
-    tasks = shared_design_tasks(rng, d, N, T, scaled)
+    tasks = shared_design_tasks(np.random.default_rng(33), d, N, T, scaled)
     system = _WeightSystem(tasks)
     assert len(system.Q) == 1
     assert system.data_trace == sum(float(np.sum(t.X * t.X)) for t in tasks)
-    for _ in range(5):
-        W = rng.standard_normal((d, T))
-        if scaled:
-            W *= 10.0 ** rng.uniform(-3.0, 3.0, size=T)
-        assert system.data_term(W) == loop_data_term(tasks, W)
-
-
-def test_shared_design_data_term_over_random_shapes_is_the_per_task_loop_bit_for_bit():
-    rng = np.random.default_rng(34)
-    for _ in range(200):
-        d, N, T = (int(n) for n in rng.integers(1, [40, 60, 30]))
-        tasks = shared_design_tasks(rng, d, N, T + 1, scaled=bool(rng.integers(2)))
-        W = rng.standard_normal((d, T + 1))
-        assert _WeightSystem(tasks).data_term(W) == loop_data_term(tasks, W), (d, N, T + 1)
 
 
 def test_mean_gram_pair_is_built_with_the_system(monkeypatch):
@@ -493,6 +504,24 @@ def test_weight_system_holds_one_stack():
     assert peak <= (T + 12) * d * d * 8
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_design", "distinct_designs"])
+def test_weight_system_keeps_no_design_or_target(shared):
+    # Once the caller drops its tasks, their designs and targets die: the
+    # system keeps the Grams' eigenpairs, X_t y_t and ||y_t||^2, and its
+    # ridge start, weight solves and data term need nothing more.
+    rng = np.random.default_rng(37)
+    tasks = shared_design_tasks(rng, 4, 9, 3, scaled=False) if shared else make_tasks(rng, d=4, T=3, N=9)
+    arrays = [weakref.ref(a) for task in tasks for a in (task.X, task.y)]
+    W = rng.standard_normal((4, 3))
+    expected, bound = loop_data_term(tasks, W), oracles.data_term_bound(tasks, W)
+    system = _WeightSystem(tasks)
+    del tasks
+    gc.collect()
+    assert [ref for ref in arrays if ref() is not None] == []
+    assert abs(system.data_term(W) - expected) <= bound
+    solve_weights(system, random_adjacency(rng, 3), 1.0, warm_start=ridge_independent(system, 1.0))
+
+
 def captured_preconditioner(monkeypatch, tasks, A, gamma):
     """Dense matrix of the preconditioner one solve hands to ``_pcg``, and the ridge."""
     captured = []
@@ -614,6 +643,7 @@ def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expect
         train, _ = benchmark_splits(name, seed)
         model = fit_fn(train, PINNED_CONFIGS[name])
         assert model.converged
+        assert {r["stop"] for r in model.trace.graph_reports} == {"tol"}
         totals.append(sum(r["cg_iterations"] for r in model.trace.weight_reports))
     assert totals == expected
 
