@@ -270,6 +270,61 @@ def test_data_term_is_within_its_rounding_bound_of_the_per_task_loop(d, T, desig
     assert _WeightSystem(blank).data_term(W) == loop_data_term(blank, W)
 
 
+def exact_tasks(rng, xs):
+    """Tasks on designs ``xs`` whose targets are integer noise about an integer fit."""
+    d, N = xs[0].shape
+    return [
+        TaskDataset(t, X, X.T @ rng.integers(-9, 10, size=d) + rng.integers(-9, 10, size=N))
+        for t, X in enumerate(xs)
+    ]
+
+
+def exact_design(rng, d, N, scaled=False):
+    """A d x N design on which both forms of the data term round nowhere.
+
+    Each column has one integer entry in -9..9, so the rows are orthogonal,
+    the Gram is diagonal and its eigenpairs are exact; ``scaled`` multiplies
+    the columns by powers of 2 in 2^-6..2^6.  With integer weights every
+    product and partial sum is then a float with room to spare.
+    """
+    X = np.zeros((d, N))
+    X[rng.integers(0, d, size=N), np.arange(N)] = rng.integers(-9, 10, size=N)
+    if scaled:
+        X *= 2.0 ** rng.integers(-6, 7, size=N)
+    return X
+
+
+@pytest.mark.parametrize("designs", ["shared", "distinct", "two_shared_one_not"])
+def test_data_term_is_the_per_task_loop_bit_for_bit(designs):
+    # Where neither form rounds, the Gram form's sum is the residual loop's
+    # exactly: a task paired with another task's eigenpairs, b_t or
+    # ||y_t||^2, in either layout, would show as a different float.
+    rng = np.random.default_rng(32)
+    X1, X2 = exact_design(rng, 5, 12), exact_design(rng, 5, 12)
+    xs = {
+        "shared": [X1] * 4,
+        "distinct": [exact_design(rng, 5, 12) for _ in range(4)],
+        "two_shared_one_not": [X1, X1, X2],
+    }[designs]
+    tasks = exact_tasks(rng, xs)
+    system = _WeightSystem(tasks)
+    assert len(system.Q) == (1 if designs == "shared" else len(tasks))
+    for _ in range(5):
+        W = rng.integers(-9, 10, size=(5, len(tasks))).astype(float)
+        assert system.data_term(W) == loop_data_term(tasks, W)
+
+
+def test_shared_design_data_term_over_random_shapes_is_the_per_task_loop_bit_for_bit():
+    # Shapes past 25 features take LAPACK's divide-and-conquer eigensolver;
+    # on a diagonal Gram it is exact as well.
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        d, N, T = (int(n) for n in rng.integers(1, [40, 60, 30]))
+        tasks = exact_tasks(rng, [exact_design(rng, d, N, scaled=bool(rng.integers(2)))] * (T + 1))
+        W = rng.integers(-9, 10, size=(d, T + 1)).astype(float)
+        assert _WeightSystem(tasks).data_term(W) == loop_data_term(tasks, W), (d, N, T + 1)
+
+
 def shared_design_tasks(rng, d, N, T, scaled):
     """T tasks on one d x N design; ``scaled`` spreads its columns and targets over 1e-3 to 1e3."""
     X = rng.standard_normal((d, N))
