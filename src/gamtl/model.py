@@ -22,7 +22,8 @@ exactly-zero-residual geometry); ``learn_graph`` returns its warm start when
 its iterate scores higher, which on the same ``gamma * Z`` rules out a rise
 of F at the graph step.  ``fit`` carries F as two terms: the weight system
 scores the data term from the Grams' eigenpairs; the graph step takes the
-graph term and returns its own.
+graph term and returns its own.  :func:`joint_objective` scores F from the
+same two terms, so it equals the carried F bit for bit.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ class GamtlModel:
             raise KeyError(f"unknown task_id {task_id!r}") from None
 
     def predict_task(self, task_id, X) -> np.ndarray:
-        """Predictions for task ``task_id`` on samples given as columns of X."""
+        """Predictions for task ``task_id`` on samples given as columns of X; ValueError unless X is finite."""
         w = self.W[:, self.column_of(task_id)]
         X = np.asarray(X, dtype=float)
         if X.ndim not in (1, 2):
@@ -239,23 +240,24 @@ class GamtlModel:
             raise ValueError(
                 f"feature dimension {X.shape[0]} does not match model dimension {self.W.shape[0]}"
             )
-        out = X.T @ w
+        with np.errstate(invalid="ignore"):  # an inf - inf in a sample is named below
+            out = X.T @ w
+        # W is finite, so a finite X gives a non-finite output only by overflow
+        if not np.isfinite(out).all() and not np.isfinite(X).all():
+            raise ValueError("inputs must be finite")
         return float(out[0]) if single else out
 
 
 def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) -> float:
-    """Full objective F(W, A): the data term plus the graph objective at ``gamma * Z(W)``.
+    """Full objective F(W, A) as :func:`fit` carries it, bit for bit.
 
-    ``W`` (finite, d x T), ``A`` (valid, T x T) and the T tasks are trusted,
-    not checked; ``+inf`` when a node of ``A`` has no positive degree.  One
-    product per task, the reference for the fit's carried F.
+    The data term is scored by the tasks' :class:`_WeightSystem`, which checks
+    them as a fit does, and the graph objective at ``gamma * Z(W)`` is added.
+    ``W`` (finite, d x T) and ``A`` (valid, T x T) are trusted; ``+inf``
+    when a node of ``A`` has no positive degree.
     """
-    data_term = 0.0
-    for t, task in enumerate(tasks):
-        r = task.X.T @ W[:, t] - task.y
-        data_term += float(r @ r)
-    Z = pairwise_sq_distances(W)
-    return data_term + graph_objective(A, config.gamma * Z, config.graph_params)
+    gZ = config.gamma * pairwise_sq_distances(W)
+    return _WeightSystem(tasks).data_term(W) + graph_objective(A, gZ, config.graph_params)
 
 
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
@@ -264,9 +266,9 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     Starts from independent ridge weights and a distance-similarity graph.
     One :class:`_WeightSystem`, ``tasks`` itself or built on them, checks the
     tasks, factors their Grams for the ridge start and every weight solve, and
-    scores the data term of the carried F from those Grams, within rounding
-    of :func:`joint_objective`'s residuals.  ``tasks`` is read once, task by
-    task.  The trace never rises across half steps; an unconverged inner
+    scores the data term of the carried F from those Grams: the carried F is
+    :func:`joint_objective` at the kept (W, A).  ``tasks`` is read once, task
+    by task.  The trace never rises across half steps; an unconverged inner
     solve sets ``converged=False`` and ``notes``, which name a graph solve's
     ``stop``: its iteration limit or the precision floor.
     """

@@ -152,18 +152,18 @@ def ridge_independent(tasks, lam: float) -> np.ndarray:
 class _WeightSystem:
     """What the ridge start, the weight steps and F's data term need of the tasks alone.
 
-    Built once per fit, in one pass over a sequence of tasks that reads each
-    task once; the one check of the tasks and the one code that compares
-    designs.  It keeps no design and no target: ``Q`` (k, d, d) and ``s``
-    (k, d) hold the Grams' eigenpairs, ``s`` clipped at 0; k = 1 while every
-    task shares the first design, else each Gram is written into its slot of
-    the one (T, d, d) stack and replaced there by its eigenvectors.
-    ``coarse`` is the mean Gram's pair, ``data_trace`` the Grams' summed
-    trace, ``rhs`` stacks ``b_t = X_t y_t`` and ``y_sq`` holds each
-    ``||y_t||^2``.  The build holds the task in hand and, while the designs
-    may still be shared, the first design, and nothing more of the tasks: a
-    sequence that makes each task when it is read (``fit_rbf``'s lifted
-    tasks) has one or two of them alive at a time.
+    Built once per fit, the one check of the tasks and the one code that
+    compares designs.  One pass reads each task once: it checks it, writes
+    ``rhs`` (stacking ``b_t = X_t y_t``), ``y_sq`` (each ``||y_t||^2``) and
+    ``data_trace`` (the Grams' summed trace), and keeps the first Gram while
+    every design equals the first; from the first that differs, each Gram
+    fills its slot of one (T, d, d) stack.  Then it factors: ``Q`` (k, d, d)
+    and ``s`` (k, d), ``s`` clipped at 0, are one ``eigh`` of a shared Gram
+    (k = 1), else each slot's eigenpairs in its place; ``coarse`` is the mean
+    Gram's pair, from the slots' task-order sum.  No design or target is
+    kept: the pass holds the task in hand and, while the designs may still
+    be shared, the first design, so a sequence that makes each task when it
+    is read (``fit_rbf``'s lifted tasks) has one or two alive at a time.
     """
 
     def __init__(self, tasks):
@@ -180,19 +180,12 @@ class _WeightSystem:
                 self.rhs, self.y_sq = np.empty(T * d), np.empty(T)
                 first, trace = X, float(np.sum(X * X))
                 gram = X @ X.T
-                s, Q = np.linalg.eigh(gram)
             elif first is None or not np.array_equal(X, first):
                 shared_so_far, first = first is not None, None  # the first design dies before X * X
                 trace = float(np.sum(X * X))
                 if shared_so_far:  # every slot so far holds the first design's Gram
-                    self.Q, self.s = np.empty((T, d, d)), np.empty((T, d))
-                    self.Q[:t], self.s[:t] = Q, s
-                    gram_sum = np.zeros((d, d))
-                    for _ in range(t):
-                        gram_sum += gram
+                    self.Q = np.broadcast_to(gram, (T, d, d)).copy()
                 np.matmul(X, X.T, out=self.Q[t])
-                gram_sum += self.Q[t]
-                self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
             data_trace += trace
             np.matmul(X, task.y, out=self.rhs[t * d : (t + 1) * d])
             self.y_sq[t] = task.y @ task.y
@@ -200,12 +193,16 @@ class _WeightSystem:
         check_task_ids(ids)
         self.d, self.task_ids, self.data_trace = d, tuple(ids), data_trace
         if first is not None:
+            s, Q = np.linalg.eigh(gram)
             self.s, self.Q = np.maximum(s, 0.0)[None], Q[None]
             self.coarse = (self.s[0], Q)
         else:
-            np.maximum(self.s, 0.0, out=self.s)
-            s, Q = np.linalg.eigh(gram_sum / T)
+            s, Q = np.linalg.eigh(self.Q.sum(axis=0) / T)  # slots added in task order
             self.coarse = (np.maximum(s, 0.0), Q)
+            self.s = np.empty((T, d))
+            for t in range(T):
+                self.s[t], self.Q[t] = np.linalg.eigh(self.Q[t])
+            np.maximum(self.s, 0.0, out=self.s)
 
     def data_term(self, W: np.ndarray) -> float:
         """F's data term ``sum_t ||X_t^T w_t - y_t||^2`` at W (d x T), trusted, from the Grams.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -27,19 +28,27 @@ from gamtl.model import (
     save_model,
 )
 from gamtl.model import grid_search_cv
-from gamtl.rbf import RbfFeatureMap, fit_rbf
+from gamtl.rbf import RbfFeatureMap, fit_rbf, lift_tasks
 from gamtl.weight_solver import TaskDataset, WeightSolveReport, ridge_independent
 
 
 def assert_objective_is_F(objective, model, tasks, config):
-    """``objective`` is F at the model's (W, A) to within the data term's Gram-form rounding.
+    """``objective`` is F at the model's (W, A): ``joint_objective``'s float, and the loop oracle's within rounding.
 
-    The fit scores the data term from the Grams and ``joint_objective`` from
-    the residuals: they differ by at most :func:`oracles.data_term_bound`,
-    and the sum with the graph term rounds once more.
+    The oracle takes the data term from the residuals, within
+    :func:`oracles.data_term_bound` of the Grams' form, and the smoothness
+    from coordinate distances, which the Gram-form distances certify to a
+    relative 2**-36; the barrier and Frobenius sums round far below that.
     """
-    F = joint_objective(model.W, model.A, tasks, config)
-    assert abs(objective - F) <= oracles.data_term_bound(tasks, model.W) + np.finfo(float).eps * abs(F)
+    assert objective == joint_objective(model.W, model.A, tasks, config)
+    gp = config.graph_params
+    loops = oracles.joint_objective_loops(model.W, model.A, tasks, config.gamma, gp.alpha, gp.beta)
+    graph_size = (
+        config.gamma * oracles.smoothness_loops(model.W, model.A)
+        + gp.alpha * float(np.abs(np.log(model.A.sum(axis=1))).sum())
+        + gp.beta * float((model.A**2).sum())
+    )
+    assert abs(objective - loops) <= oracles.data_term_bound(tasks, model.W) + 2.0**-36 * graph_size
 
 
 def make_related_tasks(rng, d=3, T=4, N=20, noise=0.1, spread=0.3):
@@ -138,6 +147,36 @@ def test_joint_objective_matches_loop_oracle(gamma):
     )
     expected = oracles.joint_objective_loops(W, A, tasks, gamma, 0.8, 1.2)
     assert joint_objective(W, A, tasks, config) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "tasks,message",
+    [
+        ([TaskDataset(0, np.eye(2), np.ones(2))], "need at least 2 tasks, got 1"),
+        (
+            [TaskDataset(0, np.eye(2), np.ones(2)), TaskDataset(1, np.ones((3, 2)), np.ones(2))],
+            "task 1: feature dimension 3 differs from 2",
+        ),
+    ],
+    ids=["one_task", "two_dimensions"],
+)
+def test_joint_objective_checks_its_tasks(tasks, message):
+    # The data term is scored by the tasks' weight system, which checks them as a fit does.
+    T = len(tasks)
+    with pytest.raises(ValueError, match=message):
+        joint_objective(np.zeros((2, T)), np.ones((T, T)) - np.eye(T), tasks, GamtlConfig())
+
+
+@pytest.mark.parametrize("name,rbf", [("syn1", False), ("wiener", False), ("wiener", True)])
+def test_carried_objective_is_joint_objective_exactly(name, rbf):
+    # The fit carries F as the weight system's data term plus the graph
+    # objective, and joint_objective adds the same two floats; an RBF fit's
+    # tasks are the lifted ones.
+    train, _ = benchmark_splits(name, 0)
+    config = PINNED_CONFIGS[name]
+    model = fit_rbf(train, config) if rbf else fit(train, config)
+    tasks = lift_tasks(model.feature_map, train) if rbf else train
+    assert model.trace.objective[-1] == joint_objective(model.W, model.A, tasks, config)
 
 
 def test_joint_objective_is_inf_outside_barrier_domain():
@@ -636,6 +675,28 @@ def test_predict_rbf_one_hot_head():
     assert model.predict_task(1, np.array([5.0])) == 1.0
     # One width away from the center the activation drops to exp(-1/2).
     assert model.predict_task(0, np.array([1.0])) == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("rbf", [False, True], ids=["linear", "rbf"])
+def test_predict_rejects_non_finite_inputs(rbf):
+    # Either kind of model names a sample that holds NaN or inf, in a batch
+    # or alone, rather than predicting a non-finite value for it, and warns
+    # of nothing first; two infinities of one sign meet the linear model's
+    # weights of opposite signs, an inf - inf.
+    train, test = benchmark_splits("wiener", 0)
+    config = PINNED_CONFIGS["wiener"]
+    model = fit_rbf(train, config) if rbf else fit(train, config)
+    task = test[0]
+    assert np.isfinite(model.predict_task(task.task_id, task.X)).all()
+    w = model.W[:, model.column_of(task.task_id)]
+    assert rbf or w[0] * w[1] < 0
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, np.inf]):
+        X = task.X.copy()
+        X[: len(bad), 1] = bad
+        for inputs in (X, X[:, 1]):
+            with warnings.catch_warnings(), pytest.raises(ValueError, match="inputs must be finite"):
+                warnings.simplefilter("error")
+                model.predict_task(task.task_id, inputs)
 
 
 # --------------------------------------------------------------------------

@@ -358,8 +358,8 @@ def test_shared_design_trace_is_the_per_task_sum(shape, scaled):
 
 
 def test_mean_gram_pair_is_built_with_the_system(monkeypatch):
-    # On distinct designs the build factors the T Grams and then the mean
-    # Gram, as the per-task sum divided by T, bit for bit; a ridge start adds
+    # On distinct designs the build factors the mean Gram, as the per-task
+    # sum divided by T, bit for bit, and the T Grams; a ridge start adds
     # no eigh and each weight solve only that of its Laplacian.
     rng = np.random.default_rng(35)
     T, d = 6, 4
@@ -379,6 +379,35 @@ def test_mean_gram_pair_is_built_with_the_system(monkeypatch):
     solve_weights(system, A, 1.0)
     solve_weights(system, A, 1.0)
     assert len(calls) == T + 3
+
+
+def test_mixed_layout_factors_each_gram_and_the_task_order_sum(monkeypatch):
+    # Three tasks on one design, then two of their own: the first three
+    # slots hold the shared Gram, and every slot's eigenpairs and the mean
+    # Gram's are eigh's of those Grams, bit for bit, one eigh per task.
+    rng = np.random.default_rng(38)
+    d, N = 6, 9
+    X1 = rng.standard_normal((d, N))
+    designs = [X1, X1, X1, rng.standard_normal((d, N)), rng.standard_normal((d, N))]
+    tasks = [TaskDataset(t, X, rng.standard_normal(N)) for t, X in enumerate(designs)]
+    grams = [X @ X.T for X in designs]
+    total = np.zeros((d, d))
+    for gram in grams:
+        total += gram
+    expected = [np.linalg.eigh(gram) for gram in grams]
+    sigma, Q = np.linalg.eigh(total / len(tasks))
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or real_eigh(M))
+    system = _WeightSystem(tasks)
+    assert len(calls) == len(tasks) + 1
+    assert np.array_equal(system.s, np.maximum([s for s, _ in expected], 0.0))
+    assert np.array_equal(system.Q, [q for _, q in expected])
+    assert np.array_equal(system.coarse[0], np.maximum(sigma, 0.0))
+    assert np.array_equal(system.coarse[1], Q)
+    calls.clear()
+    _WeightSystem(tasks[:3])  # a shared design is factored once
+    assert calls == [(d, d)]
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_design", "distinct_designs"])
