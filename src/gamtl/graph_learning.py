@@ -27,15 +27,13 @@ The gradient is ``alpha / lam - R @ 1 / (4 * beta)``.  The generalized
 Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless Laplacian of
 the active edges (``R > 0``) over ``4 * beta``: positive definite,
 ``T x T``, solved densely.  Along the Newton ray ``lam + t s`` the dual is
-concave and smooth between the edges' activation kinks.  Each step first
-scores the full step ``t = 1`` (Nocedal & Wright, *Numerical Optimization*,
-§3.5) and keeps it when the ray's derivative there passes the ray search's
-own stop test; otherwise the step length is the root of that derivative,
-found by a 1-D search (:func:`_ray_maximizer`, O(T^2) per trial): a cold
-solve crosses many kinks in one step.  Each step then makes one full dual
-update.  Near the optimum the steps are full and converge quadratically, so
-a solve takes tens of iterations where a first-order method takes
-thousands.
+concave and smooth between the edges' activation kinks.  Each step makes
+one 1-D search on that ray (:func:`_ray_maximizer`), whose every trial is
+one :func:`_dual_state` at O(T^2).  Its first trial is the full step
+(Nocedal & Wright, *Numerical Optimization*, §3.5); past it the search
+seeks the root of the ray's derivative, so a cold solve crosses many kinks
+in one step.  Near the optimum full steps pass and converge quadratically:
+a solve takes tens of iterations where a first-order method takes thousands.
 """
 
 from __future__ import annotations
@@ -145,54 +143,66 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     return A0
 
 
-def _ray_maximizer(lam, s, a, b, alpha: float, beta: float, slope: float) -> float:
-    """Step length ``t`` near the maximizer of the dual along ``lam + t s``.
+def _dual_state(lam, z2, alpha: float, beta: float):
+    """At ``lam``: ``r = max(lam_i + lam_j - 2 Z_ij, 0)``, built in one (T, T) array,
+    ``r @ 1``, ``alpha / lam``, the gradient and its norm."""
+    r = lam[:, None] + lam[None, :]
+    r -= z2
+    np.maximum(r, 0.0, out=r)
+    Sr = r.sum(axis=1)
+    barrier = alpha / lam
+    grad = barrier - Sr / (4.0 * beta)
+    # The norm as np.linalg.norm computes it for a 1-d array, without its wrapper.
+    return r, Sr, barrier, grad, math.sqrt(float(grad @ grad))
 
-    Along the ray the dual is
-    ``phi(t) = alpha sum(log(lam + t s)) - ||max(a + t b, 0)||_F^2 / (16 beta)``
-    with the symmetric ``T x T`` matrices ``a_ij = lam_i + lam_j - 2 Z_ij``
-    (``-inf`` on the diagonal) and ``b_ij = s_i + s_j``, in which every edge
-    sits twice: concave, smooth between the edge breakpoints
-    ``-a_ij / b_ij``, and ``-inf`` past the first root of ``lam + t s``.
-    Safeguarded Newton on the decreasing ``phi'`` keeps a bracket
-    ``lo < t < hi`` with ``phi'(lo) > 0 >= phi'(hi)``, bisects (or doubles
-    while ``hi`` is unbounded) whenever a Newton iterate leaves it, and
-    returns the first ``t`` with ``|phi'(t)| <= _RAY_TOL * slope``,
-    ``slope = phi'(0) > 0``.  If the bracket collapses in floating point
-    first, it returns ``lo``, the longest step known to ascend.  Each trial
-    costs O(T^2) on the given arrays.
+
+def _ray_maximizer(lam, s, z2, alpha: float, beta: float, slope: float):
+    """``(t, lam + t s, its dual state)`` near the dual's maximizer along ``lam + t s``.
+
+    Each trial scores ``lam + t s`` with :func:`_dual_state`: ``phi'(t)`` is
+    its gradient along ``s`` and ``phi''(t) = -alpha ||s / (lam + t s)||^2 -
+    sum((s_i + s_j)^2) / (8 beta)`` over its active entries (``r > 0``).
+    The first trial is the full step ``t = 1``.  If it fails the stop test
+    ``|phi'(t)| <= _RAY_TOL * slope`` (``slope = phi'(0) > 0``), safeguarded
+    Newton on the decreasing ``phi'`` goes on from ``min(1, 0.99 * pole)``:
+    it keeps ``lo < t < hi`` with ``phi'(lo) > 0 >= phi'(hi)``, bisects (or
+    doubles while ``hi`` is unbounded) when an iterate leaves it, and
+    returns the first trial that passes, or ``lo``, scored again, if the
+    bracket collapses in floating point first.  A failed trial's ``r``
+    becomes its mask in place.
     """
-    lo, hi = 0.0, np.inf
-    fastest = float((s / lam).min())
-    if fastest < 0.0:
-        hi = -1.0 / fastest  # lam + t s reaches 0
-    t = min(1.0, 0.99 * hi)
-    eight_beta, b2 = 8.0 * beta, b * b
-    u = np.empty_like(a)  # one (T, T) buffer for every trial: no fresh pages at large T
+    t, lam_t = 1.0, lam + s
+    lo, b2 = 0.0, None
     while True:
-        lam_t = lam + t * s
+        state, d1 = None, -np.inf  # past the pole as rounded
         if lam_t.min() > 0.0:
-            ratio = s / lam_t
-            np.multiply(b, t, out=u)
-            u += a
-            np.maximum(u, 0.0, out=u)
-            d1 = alpha * float(ratio.sum()) - float(np.vdot(u, b)) / eight_beta
+            state = _dual_state(lam_t, z2, alpha, beta)
+            d1 = float(state[3] @ s)
             if abs(d1) <= _RAY_TOL * slope:
-                return t
-            np.greater(u, 0.0, out=u)  # the mask as 1.0 and 0.0, in place: u is rebuilt next trial
-            d2 = -alpha * float(ratio @ ratio) - float(np.vdot(u, b2)) / eight_beta
+                return t, lam_t, state
+        if b2 is None:  # the full step failed: bracket the pole, square s_i + s_j
+            fastest = float((s / lam).min())
+            hi = -1.0 / fastest if fastest < 0.0 else np.inf  # where lam + t s reaches 0
+            b2 = s[:, None] + s[None, :]
+            b2 *= b2
+            if 0.99 * hi < 1.0:  # start short of the pole instead
+                t = 0.99 * hi
+                lam_t = lam + t * s
+                continue
+        t_next = -np.inf
+        if state is not None:
+            np.greater(state[0], 0.0, out=state[0])  # r as its mask: vdot makes no float copy
+            ratio = s / lam_t
+            d2 = -alpha * float(ratio @ ratio) - float(np.vdot(state[0], b2)) / (8.0 * beta)
             t_next = t - d1 / d2
-        else:  # past the pole as rounded
-            d1 = t_next = -np.inf
-        if d1 > 0.0:
-            lo = t
-        else:
-            hi = t
+            state = None
+        lo, hi = (t, hi) if d1 > 0.0 else (lo, t)
         if not lo < t_next < hi:
             t_next = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
             if not lo < t_next < hi:
-                return lo
-        t = t_next
+                lam_t = lam + lo * s
+                return lo, lam_t, _dual_state(lam_t, z2, alpha, beta)
+        t, lam_t = t_next, lam + t_next * s
 
 
 def learn_graph(
@@ -243,26 +253,14 @@ def learn_graph(
         return A, report
     A0, score0 = A0.A, A0.score
 
-    T = Z.shape[0]
     alpha, beta = params.alpha, params.beta
     z2 = 2.0 * Z
-    np.fill_diagonal(z2, np.inf)  # a = -inf there: no self-edge turns active
+    np.fill_diagonal(z2, np.inf)  # lam_i + lam_i - 2 Z_ii = -inf: no self-edge turns active
 
-    def dual_state(lam):
-        """``a = lam_i + lam_j - 2 Z_ij``, ``r = max(a, 0)``, ``r @ 1``, ``alpha / lam``, gradient, norm."""
-        a = lam[:, None] + lam[None, :] - z2
-        r = np.maximum(a, 0.0)
-        Sr = r.sum(axis=1)
-        barrier = alpha / lam
-        grad = barrier - Sr / (4.0 * beta)
-        # The norm as np.linalg.norm computes it for a 1-d array, without its wrapper.
-        return a, r, Sr, barrier, grad, math.sqrt(float(grad @ grad))
-
-    # Dual warm start at the barrier-consistent value for A0: at the optimum
-    # the dual equals alpha/degree, so a warm-started solve (A0 near the
-    # previous optimum) begins near its fixed point.
+    # Dual warm start at alpha / degree of A0, the dual's value at an optimum:
+    # a warm start near the previous optimum begins near its fixed point.
     lam = alpha / A0.sum(axis=1)
-    a, r, Sr, barrier, grad, grad_norm = dual_state(lam)
+    r, Sr, barrier, grad, grad_norm = _dual_state(lam, z2, alpha, beta)
     stop = "floor"  # every exit but the two below is the precision floor
 
     # Every exit, the last iteration's too, breaks before the update at the
@@ -283,25 +281,17 @@ def learn_graph(
             break  # its step would go untested
         # Newton direction from the generalized Hessian of -g; r's diagonal is 0.
         H = (r > 0.0) / (4.0 * beta)
-        H.flat[:: T + 1] = alpha / (lam * lam) + H.sum(axis=1)
+        H.flat[:: lam.size + 1] = alpha / (lam * lam) + H.sum(axis=1)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             break  # alpha / lam^2 lost to rounding in H: the same precision floor
-        del H  # no (T, T) array outlives its use: the full step and the ray allocate more
+        del H  # no (T, T) array outlives its use: the ray's trials allocate more
         slope = float(grad @ step)  # phi'(0) of the ray
         if not slope > 0.0:
             break  # the ray does not ascend as rounded: precision floor
-        # The full step first: it stands when phi'(1), the new gradient (state[4])
-        # along the step, passes the ray's own stop test.
-        lam_new = lam + step
-        state = dual_state(lam_new) if lam_new.min() > 0.0 else None
-        if state is None or not abs(float(state[4] @ step)) <= _RAY_TOL * slope:
-            state = None  # the rejected step's arrays die before the ray's
-            t = _ray_maximizer(lam, step, a, step[:, None] + step[None, :], alpha, beta, slope)
-            lam_new = lam + t * step
-            state = dual_state(lam_new)
-        a_new, r_new, Sr_new, barrier_new, grad_new, grad_norm_new = state
+        _, lam_new, state = _ray_maximizer(lam, step, z2, alpha, beta, slope)
+        r_new, Sr_new, barrier_new, grad_new, grad_norm_new = state
         # A step counts if it shrinks the gradient or gains dual value beyond
         # rounding; one that does neither is the precision floor.  The gain
         # g(lam_new) - g(lam) is formed without subtracting two large values.
@@ -317,8 +307,7 @@ def learn_graph(
             rounding = abs(log_gain) + bound / (4.0 * beta)
             if not gain > np.finfo(float).eps * rounding:
                 break  # the ray's maximizer improves neither: precision floor
-        lam, a, r, Sr, barrier = lam_new, a_new, r_new, Sr_new, barrier_new
-        grad, grad_norm = grad_new, grad_norm_new
+        lam, r, Sr, barrier, grad, grad_norm = lam_new, *state
 
     A = r / (4.0 * beta)
     score = graph_objective(A, Z, params)

@@ -93,6 +93,12 @@ class GamtlConfig:
         check_seed(self.seed)
 
 
+def check_config(config) -> None:
+    """The ``config`` rule of the fits: a :class:`GamtlConfig`, which checks its own fields."""
+    if not isinstance(config, GamtlConfig):
+        raise ValueError(f"config must be a GamtlConfig, got {type(config).__name__}")
+
+
 # Tuned operating points of the shipped benchmarks, selected by grid search
 # over gamma/alpha/beta on held-out seeds and pinned for reproducibility.
 # `gamtl tune` reruns the search; its default grid holds the syn1 and wiener
@@ -272,6 +278,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
     solve sets ``converged=False`` and ``notes``, which name a graph solve's
     ``stop``: its iteration limit or the precision floor.
     """
+    check_config(config)
     system = tasks if isinstance(tasks, _WeightSystem) else _WeightSystem(tasks)
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
@@ -457,6 +464,7 @@ def grid_search_cv(
         graph_params = replace(config.graph_params, alpha=alpha, beta=beta)
         return replace(config, gamma=gamma, graph_params=graph_params)
 
+    check_config(config)
     if type(n_folds) is not int or n_folds < 2:  # excludes bool
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     check_seed(seed)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import check_seed
 from .graph import _BLOCK_ENTRIES, _TINY, _gram_error, _paired_sq_distances, sq_distances
-from .model import GamtlConfig, GamtlModel, fit
+from .model import GamtlConfig, GamtlModel, check_config, fit
 from .weight_solver import TaskDataset, validate_tasks
 
 __all__ = [
@@ -485,6 +485,7 @@ def fit_rbf(
     most two lifted (P+1) x N designs, not all T.  The returned model
     carries the feature map, so its predictions take raw inputs.
     """
+    check_config(config)
     tasks = list(tasks)
     validate_tasks(tasks)
     pooled = np.concatenate([t.X for t in tasks], axis=1).T  # column-major (N, q)

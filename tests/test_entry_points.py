@@ -1,4 +1,4 @@
-"""Every entry point rejects a malformed graph or task set with ValueError.
+"""Every entry point rejects a malformed graph, task set or config with ValueError.
 
 The helpers a fit calls on every half step trust their arrays (see
 ``gamtl.graph``), so these checks are all that stands between a caller's
@@ -14,7 +14,8 @@ from gamtl.cli import main
 from gamtl.evaluate import export_graph, import_graph
 from gamtl.graph import vectorform
 from gamtl.graph_learning import GraphLearningParams, learn_graph
-from gamtl.model import FitTrace, GamtlConfig, GamtlModel, fit, load_model, model_to_dict
+from gamtl.model import FitTrace, GamtlConfig, GamtlModel, fit, grid_search_cv, load_model, model_to_dict
+from gamtl.rbf import fit_rbf
 from gamtl.weight_solver import TaskDataset, solve_weights
 
 GOOD = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -97,3 +98,17 @@ def test_entry_point_rejects_malformed_input(entry, case, tmp_path):
     call, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValueError):
         call(case, tmp_path)
+
+
+class UnreadTasks:
+    """A task list that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("the tasks were read before the config was checked")
+
+
+@pytest.mark.parametrize("config", [{"gamma": 0.1}, None], ids=["dict", "None"])
+@pytest.mark.parametrize("entry", [fit, fit_rbf, grid_search_cv])
+def test_fit_rejects_a_config_of_another_type_before_reading_tasks(entry, config):
+    with pytest.raises(ValueError, match=f"config must be a GamtlConfig, got {type(config).__name__}"):
+        entry(UnreadTasks(), config)

@@ -24,6 +24,7 @@ from gamtl.data import benchmark_splits
 from gamtl.graph_learning import (
     GraphLearningParams,
     _RAY_TOL,
+    _dual_state,
     _ray_maximizer,
     _ScoredGraph,
     default_initial_graph,
@@ -204,10 +205,8 @@ def test_large_clustered_instance_meets_kkt_oracle():
 def test_graph_step_holds_few_task_by_task_arrays():
     # Four planted clusters of 75 tasks each in d = 30, at the pinned syn1
     # graph params and gamma: the solve rejects full steps and searches their
-    # rays.  Its peak is 2 Z, a, r and the ray's b, u and b * b; the ray's mask
-    # is written into u, and the Hessian and a rejected full step's a and r
-    # are gone by then (10.2 arrays when they were kept, 7.2 with a float
-    # copy of the mask).
+    # rays.  Its peak is 2 Z, r, the ray's (s_i + s_j)^2 and a trial's r,
+    # which becomes the trial's mask in place; the Hessian is gone by then.
     rng = np.random.default_rng(0)
     T = 300
     centers = rng.standard_normal((30, 4))
@@ -223,7 +222,7 @@ def test_graph_step_holds_few_task_by_task_arrays():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak <= 6.5 * T * T * 8
+    assert peak <= 5.0 * T * T * 8
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -523,22 +522,32 @@ def edge_ray(s):
     return oracles.edge_incidence(s.size).T @ s
 
 
-def dense_ray(a, s):
-    """The ``(T, T)`` forms of ``a`` and ``b`` that learn_graph hands the search.
+def ray_distances(lam, a):
+    """The ``2 Z`` that puts the oracle's edge vector ``a`` at ``lam``: ``lam_i + lam_j - a_ij``.
 
-    ``a``'s diagonal is ``-inf``, where learn_graph's ``lam_i + lam_i - 2 Z_ii``
-    is, and ``b_ij = s_i + s_j``.
+    Its diagonal is ``+inf``, as learn_graph's is, so no self-edge turns
+    active and the ray's ``r`` at ``t`` is ``max(a + t b, 0)`` up to rounding.
     """
-    A = matrixform(a)
-    np.fill_diagonal(A, -np.inf)
-    return A, s[:, None] + s[None, :]
+    z2 = lam[:, None] + lam[None, :] - matrixform(a)
+    np.fill_diagonal(z2, np.inf)
+    return z2
+
+
+def ray_search(lam, s, a, alpha, beta, slope):
+    """``t`` of the search on the oracle's ray; its point and state are ``_dual_state``'s there."""
+    z2 = ray_distances(lam, a)
+    t, lam_t, state = _ray_maximizer(lam, s, z2, alpha, beta, slope)
+    assert np.array_equal(lam_t, lam + t * s)
+    for got, want in zip(state, _dual_state(lam_t, z2, alpha, beta), strict=True):
+        assert np.array_equal(got, want)
+    return t
 
 
 def check_ray_step(lam, s, a, b, alpha, beta):
     """The search's t lies where the oracle's phi' is within _RAY_TOL * phi'(0) of 0."""
     slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
     assert slope > 0.0
-    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
+    t = ray_search(lam, s, a, alpha, beta, slope)
     assert np.all(lam + t * s > 0.0)
     t_plus = oracles.ray_level_crossing(_RAY_TOL * slope, lam, s, a, b, alpha, beta)
     t_minus = oracles.ray_level_crossing(-_RAY_TOL * slope, lam, s, a, b, alpha, beta)
@@ -586,7 +595,7 @@ def test_ray_step_next_to_the_pole_returns_the_last_ascending_step():
     a, b = np.array([10.0]), edge_ray(s)
     alpha, beta = 1e-300, 1.0
     slope = oracles.ray_dual_slope(0.0, lam, s, a, b, alpha, beta)
-    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
+    t = ray_search(lam, s, a, alpha, beta, slope)
     assert lam[0] + t * s[0] > 0.0
     assert oracles.ray_dual_slope(t, lam, s, a, b, alpha, beta) > 0.0
     assert t == pytest.approx(1.7 / 2.1, rel=1e-15)
@@ -605,7 +614,7 @@ def test_ray_step_two_nodes_closed_form():
         roots = np.roots([-c, c + 2.0 * alpha, 2.0 * c - alpha])
         return float(min(r.real for r in roots if 0.0 < r.real < 2.0))
 
-    t = _ray_maximizer(lam, s, *dense_ray(a, s), alpha, beta, slope)
+    t = ray_search(lam, s, a, alpha, beta, slope)
     assert crossing(_RAY_TOL * slope) <= t <= crossing(-_RAY_TOL * slope)
     assert crossing(0.0) == pytest.approx(0.5)
 
@@ -650,12 +659,32 @@ def test_far_start_fit_converges_every_graph_solve_within_50_iterations():
         assert report["converged"] and report["iterations"] <= 50, report
 
 
-def test_full_newton_steps_skip_the_ray_search(monkeypatch):
-    # Near the optimum the full step passes the ray's stop test, so most of
-    # the pinned syn1 fit's Newton steps never search their ray.
-    seen = count_newton_stages(monkeypatch)
-    train, _ = benchmark_splits("syn1", 0)
-    assert fit(train, PINNED_CONFIGS["syn1"]).converged
-    assert seen["singular"] == 0
-    assert 0 < seen["rays"] < seen["solves"], seen
+def test_each_newton_step_scores_its_full_step_first(monkeypatch):
+    # Every dual state of the pinned syn1 fit is one _dual_state call.  A
+    # Newton step's first scores its full step; near the optimum that step
+    # passes the ray's stop test, so most steps score nothing else, and no
+    # step scores its own start or any point twice.
+    real_state, real_ray = graph_learning._dual_state, graph_learning._ray_maximizer
+    steps, scored = [], []
 
+    def dual_state(lam, *args):
+        scored.append(lam.tobytes())
+        return real_state(lam, *args)
+
+    def ray(lam, s, *args):
+        scored.clear()
+        out = real_ray(lam, s, *args)
+        steps.append(((lam + s).tobytes(), lam.tobytes(), list(scored)))
+        return out
+
+    monkeypatch.setattr(graph_learning, "_dual_state", dual_state)
+    monkeypatch.setattr(graph_learning, "_ray_maximizer", ray)
+    train, _ = benchmark_splits("syn1", 0)
+    model = fit(train, PINNED_CONFIGS["syn1"])
+    assert model.converged
+    assert len(steps) == sum(r["iterations"] - 1 for r in model.trace.graph_reports)
+    for full, start, points in steps:
+        assert points[0] == full
+        assert len(set(points + [start])) == len(points) + 1
+    single = sum(len(points) == 1 for _, _, points in steps)
+    assert len(steps) / 2 < single < len(steps), (single, len(steps))

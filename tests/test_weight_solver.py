@@ -711,24 +711,36 @@ def test_solve_weights_does_not_write_into_the_warm_start():
 @pytest.mark.parametrize(
     "name,seeds,fitter,expected",
     [
-        # Totals of the Kronecker-sum preconditioner: exact on syn1's shared
+        # CG totals of the Kronecker-sum preconditioner: exact on syn1's shared
         # design (each solve starts at the solution), two-level on Wiener's
         # per-agent designs.  Block-Jacobi alone took 65-92 on syn1, 34 and
-        # 168-173.
-        ("syn1", range(10), "fit", [0] * 10),
-        ("wiener", range(2), "fit", [12, 12]),
-        ("wiener", range(2), "fit_rbf", [12, 12]),
+        # 168-173.  Outer and graph-step Newton totals ride along.
+        (
+            "syn1",
+            range(10),
+            "fit",
+            {
+                "cg": [0] * 10,
+                "outer": [6, 7, 7, 6, 7, 6, 8, 6, 7, 6],
+                "newton": [30, 32, 34, 25, 30, 26, 36, 29, 30, 28],
+            },
+        ),
+        ("wiener", range(2), "fit", {"cg": [12, 12], "outer": [3, 3], "newton": [10, 10]}),
+        ("wiener", range(2), "fit_rbf", {"cg": [12, 12], "outer": [3, 3], "newton": [10, 10]}),
     ],
 )
 def test_pinned_fits_take_the_recorded_cg_iterations(name, seeds, fitter, expected):
     fit_fn = fit_rbf if fitter == "fit_rbf" else fit
-    totals = []
+    totals = {"cg": [], "outer": [], "newton": []}
     for seed in seeds:
         train, _ = benchmark_splits(name, seed)
         model = fit_fn(train, PINNED_CONFIGS[name])
         assert model.converged
-        assert {r["stop"] for r in model.trace.graph_reports} == {"tol"}
-        totals.append(sum(r["cg_iterations"] for r in model.trace.weight_reports))
+        reports = model.trace.graph_reports
+        assert {r["stop"] for r in reports} == {"tol"}
+        totals["cg"].append(sum(r["cg_iterations"] for r in model.trace.weight_reports))
+        totals["outer"].append(len(reports))
+        totals["newton"].append(sum(r["iterations"] for r in reports))
     assert totals == expected
 
 
