@@ -10,20 +10,22 @@ task at a time, each lifted when it is read.
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
-and all reductions run in a fixed order.  The pooled inputs are held
-column-major, an (N, q) array in Fortran order, so each coordinate is one
-contiguous column.  Squared distances come from
-:func:`gamtl.graph.sq_distances`, which sums them one coordinate at a time;
-the seeding, the widths and the lift call it, the lift on cache-sized row
-blocks.  The k-means++ draw is ``Generator.choice``'s, written out in one
-preallocated buffer (:func:`_weighted_draw`).  The assignment scores each
-row block of ``_KMEANS_BLOCK_ENTRIES`` = 2**16 Gram values (512 KiB) with
-one BLAS product into one reused buffer; its operands ``[x, ||x||^2, 1]``
-and ``[-2 c; 1; ||c||^2]`` carry both squared norms.  It keeps a row's
-argmin only when the rounding bound :func:`gamtl.graph._gram_error` proves
-it equal to the coordinate kernel's, and sends every other row through
-``sq_distances``.  Cluster means come from ``np.bincount`` sums in point
-order, so no (N, P, q) tensor is built.
+and all reductions run in a fixed order.  k-means copies the pooled inputs,
+whatever their layout, once into one Fortran-order (N, q + 2) buffer of
+rows ``[x, ||x||^2, 1]`` and holds no other copy: its first q columns are
+the points, each coordinate one contiguous column.  Squared distances come
+from :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a
+time; the seeding, the widths and the lift call it, the lift on
+cache-sized row blocks.  The k-means++ draw is ``Generator.choice``'s,
+written out in one preallocated buffer (:func:`_weighted_draw`).  The
+assignment scores each row block of ``_KMEANS_BLOCK_ENTRIES`` = 2**15 Gram
+values (256 KiB) with one BLAS product into one reused buffer; its
+operands, the buffer's rows and ``[-2 c; 1; ||c||^2]``, carry both squared
+norms.  It keeps a row's argmin only when the rounding bound
+:func:`gamtl.graph._gram_error` proves it equal to the coordinate kernel's,
+and sends every other row of the block through ``sq_distances`` before the
+next block is scored.  Cluster means come from ``np.bincount`` sums in
+point order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -63,10 +65,11 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
-# Entries of one row block of the k-means assignment's Gram values: 64k
-# doubles, 512 KiB.  Four times the lift's blocks, so a round makes fewer
-# BLAS calls; 2**17-entry blocks are no faster.
-_KMEANS_BLOCK_ENTRIES = 1 << 16
+# Entries of one row block of the k-means assignment's Gram values: 32k
+# doubles, 256 KiB, twice the lift's blocks.  The block is the largest part
+# of k-means' memory peak: 2**16-entry blocks save about 2% of the time for
+# 256 KiB more, and 2**14-entry blocks cost about 8% more time.
+_KMEANS_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,17 +111,31 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
 
 
 def _gram_rows(points: np.ndarray) -> np.ndarray:
-    """Rows ``[x, ||x||^2, 1]`` of the Gram-form assignment, shape (N, q + 2)."""
+    """Rows ``[x, ||x||^2, 1]`` of the Gram-form assignment, one (N, q + 2) buffer.
+
+    The buffer is in Fortran order and its first q columns are a copy of
+    ``points``, each coordinate one contiguous column, so k-means reads
+    them as its points and holds no other copy.
+    """
+    N, q = points.shape
+    rows = np.empty((N, q + 2), order="F")
+    rows[:, :q] = points
+    coords = rows[:, :q]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
-        norms = np.einsum("ij,ij->i", points, points)
-    return np.column_stack([points, norms, np.ones(len(points))])
+        np.einsum("ij,ij->i", coords, coords, out=rows[:, q])
+    rows[:, q + 1] = 1.0
+    return rows
 
 
 def _gram_columns(centers: np.ndarray) -> np.ndarray:
     """Columns ``[-2 c; 1; ||c||^2]`` of the Gram-form assignment, shape (q + 2, P)."""
+    q = centers.shape[1]
+    columns = np.empty((q + 2, centers.shape[0]))
+    np.multiply(centers.T, -2.0, out=columns[:q])
+    columns[q] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.einsum("ij,ij->i", centers, centers)
-        return np.vstack([np.multiply(centers.T, -2.0, order="C"), np.ones(len(centers)), norms])
+        np.einsum("ij,ij->i", centers, centers, out=columns[q + 1])
+    return columns
 
 
 def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
@@ -146,35 +163,43 @@ def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     or gap is never certified.  A certified row's bounds come from the same
     certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
     Other rows take argmin and bounds from ``sq_distances`` on the first q
-    columns, in blocks of the same number of rows.
+    columns.  Each block is certified, and its other rows recomputed, as
+    soon as it is scored, in buffers of one block's length; the square
+    roots and the outward rounding are taken in place in the returned
+    arrays.  So nothing beside those arrays is longer than a block.
     """
     P, q = centers.shape
     nearest = np.empty(rows.size, dtype=np.intp)
-    first = np.empty(rows.size)
-    second = np.empty(rows.size)
+    upper = np.empty(rows.size)  # squared distances until the end
+    lower = np.empty(rows.size)
     step = max(1, _KMEANS_BLOCK_ENTRIES // P)
-    scores = np.empty((min(step, rows.size), P))  # every block's Gram values, in turn
+    size = min(step, rows.size)
+    scores = np.empty((size, P))  # every block's Gram values, in turn
     row_starts = np.arange(0, scores.size, P)  # flat index of each block row
+    err, twice, gap = np.empty(size), np.empty(size), np.empty(size)  # one block's certificate
+    sure = np.empty(size, dtype=bool)
     cross = _gram_columns(centers)
+    top = cross[q + 1].max()
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows fail the certificate
         for start in range(0, rows.size, step):
             stop = start + step
             gathered = lifted[rows[start:stop]]
-            block = np.matmul(gathered, cross, out=scores[: len(gathered)])
-            pick = nearest[start:stop]
-            _two_smallest(block, row_starts, pick, first[start:stop], second[start:stop])
-        err = lifted[rows, q]
-        err += cross[q + 1].max()
-        _gram_error(err, 2 * q)
-        doubt = np.flatnonzero(~(second - first > 2.0 * err))
-        first += err
-        second -= err
-        np.maximum(second, 0.0, out=second)
-    for start in range(0, doubt.size, step):
-        part = doubt[start : start + step]
-        block = sq_distances(lifted[rows[part], :q], centers)
-        nearest[part], first[part], second[part] = _two_smallest(block, row_starts)
-    return nearest, _grown(np.sqrt(first), margin), _shrunk(np.sqrt(second), margin)
+            n = len(gathered)
+            pick, first, second = nearest[start:stop], upper[start:stop], lower[start:stop]
+            _two_smallest(np.matmul(gathered, cross, out=scores[:n]), row_starts, pick, first, second)
+            e = _gram_error(np.add(gathered[:, q], top, out=err[:n]), 2 * q)
+            np.subtract(second, first, out=gap[:n])
+            certified = np.greater(gap[:n], np.add(e, e, out=twice[:n]), out=sure[:n])
+            first += e
+            second -= e
+            np.maximum(second, 0.0, out=second)
+            if not certified.all():
+                doubt = np.flatnonzero(~certified)
+                block = sq_distances(gathered[doubt, :q], centers)
+                pick[doubt], first[doubt], second[doubt] = _two_smallest(block, row_starts)
+    np.sqrt(upper, out=upper)
+    np.sqrt(lower, out=lower)
+    return nearest, _grown(upper, margin, out=upper), _shrunk(lower, margin, out=lower)
 
 
 def _weighted_draw(weights: np.ndarray, total: float, rng, cdf: np.ndarray) -> int:
@@ -200,13 +225,13 @@ def _two_smallest(block, row_starts, pick=None, low=None, high=None):
     and it is overwritten.  Ties go to the lowest index; with one column the
     second-smallest value is inf.
     """
-    n = block.shape[0]
-    pick = np.argmin(block, axis=1, out=pick)
+    starts = row_starts[: block.shape[0]]
+    pick = block.argmin(axis=1, out=pick)
     flat = block.reshape(-1)
-    spots = row_starts[:n] + pick
-    low = np.take(flat, spots, out=low)
+    spots = starts + pick
+    low = flat.take(spots, out=low)
     flat[spots] = np.inf
-    high = np.take(flat, row_starts[:n] + np.argmin(block, axis=1), out=high)
+    high = flat.take(np.add(starts, block.argmin(axis=1), out=spots), out=high)
     return pick, low, high
 
 
@@ -223,10 +248,11 @@ def _shrunk(x, margin: float, out=None):
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
-    ``pooled_inputs`` is taken as a Fortran-order (N, q) array, without a
-    copy when it already is one (``fit_rbf`` pools the designs that way),
-    so the seeding's ``sq_distances`` and the cluster sums read contiguous
-    coordinate columns.
+    ``pooled_inputs``, in any layout, is copied once, into the first q
+    columns of the Fortran-order ``[x, ||x||^2, 1]`` buffer of the Gram-form
+    assignment (``_gram_rows``), and k-means holds no other copy of the
+    points: the seeding's ``sq_distances``, the cluster sums and the
+    reseeds read those contiguous coordinate columns.
 
     k-means++ seeding followed by Lloyd iterations; stops when assignments
     stabilize, when a round starts from the centers of an earlier round
@@ -254,16 +280,17 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     N-vectors allocated once per call.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per block of 2**16 values: the rows ``[x, ||x||^2,
+    by one BLAS product per block of 2**15 values: the rows ``[x, ||x||^2,
     1]`` are built once per call, so the product alone gives the Gram
-    values.  The blocks are four times the lift's, so a round of the Wiener
-    pools (N = 5000, P = 50) makes about two products in place of five;
-    the k-means phase's memory peak stays below the lift's.  A row
-    keeps the Gram argmin only when the rounding bound ``graph._gram_error``
-    proves it the coordinate kernel's strict argmin (see ``_nearest_two``);
-    the same bound gives its new upper and lower bounds.  Every other row,
-    including those whose bound or Gram values are inf or NaN, is recomputed
-    with ``sq_distances``.
+    values.  A row keeps the Gram argmin only when the rounding bound
+    ``graph._gram_error`` proves it the coordinate kernel's strict argmin
+    (see ``_nearest_two``); the same bound gives its new upper and lower
+    bounds.  Every other row, including those whose bound or Gram values
+    are inf or NaN, is recomputed with ``sq_distances``.  Each block is
+    certified as soon as it is scored, so the memory peak is the (N, q + 2)
+    buffer, one block of Gram values with its gathered rows, and about ten
+    N-vectors: 0.94 MB under tracemalloc on the Wiener seed-0 pool (N =
+    5000, q = 4, P = 50), the pooled inputs not counted.
 
     Why skipping is exact: a reassigned row's bounds enclose its kernel
     distances, by the certificate or because they are the kernel's values.
@@ -280,7 +307,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     coordinate-kernel row, so each round starts from the dense argmin of
     its centers, and the stop rule keys on them.
     """
-    points = np.asfortranarray(pooled_inputs, dtype=float)
+    points = np.asarray(pooled_inputs, dtype=float)
     if points.ndim != 2 or min(points.shape) < 1:
         raise ValueError("pooled_inputs must be a nonempty (N, q) array with q >= 1")
     if not np.isfinite(points).all():
@@ -289,6 +316,8 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     if type(P) is not int or not 1 <= P <= N:  # excludes bool and numpy integers
         raise ValueError(f"P must lie in [1, {N}] and be an int, got {P!r}")
     check_seed(seed)
+    lifted = _gram_rows(points)  # the one copy of the points that k-means holds
+    points = lifted[:, :q]
 
     rng = np.random.default_rng(seed)
     centers = np.empty((P, q))
@@ -309,7 +338,6 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
 
     import hashlib  # here, not at module level: it loads OpenSSL
     margin = 2.0 * (q + 2) * np.finfo(float).eps
-    lifted = _gram_rows(points)
     assign, upper, lower = _nearest_two(lifted, centers, np.arange(N), margin)
     moved, shrunk, kept = np.empty(N), np.empty(N), np.empty(N, dtype=bool)  # round buffers
     seen = set()
@@ -488,7 +516,7 @@ def fit_rbf(
     check_config(config)
     tasks = list(tasks)
     validate_tasks(tasks)
-    pooled = np.concatenate([t.X for t in tasks], axis=1).T  # column-major (N, q)
+    pooled = np.concatenate([t.X for t in tasks], axis=1).T  # (N, q), k-means copies it once
     if P is None:
         P = default_center_count(pooled.shape[0])
     centers = kmeans_centers(pooled, P, seed=config.seed)

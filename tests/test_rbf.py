@@ -325,17 +325,49 @@ def test_kmeans_is_exact_when_squared_norms_overflow(scale, offset):
     assert np.array_equal(centers, oracles.kmeans_dense(points, P=8, seed=0))
 
 
-def test_kmeans_keeps_no_point_by_center_matrix():
+def test_kmeans_peak_is_one_buffer_one_block_and_few_vectors():
+    # The pool is built before tracing starts, so the peak is k-means' own:
+    # the (N, q + 2) buffer that holds the points, one block of Gram values
+    # with its gathered rows, and N-vectors.  Nine N-vectors are live at the
+    # peak: the Lloyd loop's assign, upper, lower, moved and shrunk, its
+    # stale-row list, and the assignment's three results.  Four more cover
+    # the buffers of one block's length, the interpreter's own objects and
+    # other pools (seed 1's peaks 14 KB above seed 0's).  An (N, P) matrix
+    # alone would be 2 MB.
     train, _ = benchmark_splits("wiener", 0)
-    points = np.concatenate([t.X.T for t in train], axis=0)
-    assert points.shape[0] == 5000
+    points = np.concatenate([t.X for t in train], axis=1).T
+    N, q = points.shape
+    P = 50
+    assert (N, q) == (5000, 4)
     tracemalloc.start()
     try:
-        kmeans_centers(points, P=50, seed=0)
+        kmeans_centers(points, P=P, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5000 * 50 * 8  # one (5000, 50) float matrix, 2 MB
+    step = rbf._KMEANS_BLOCK_ENTRIES // P
+    buffer, block, vectors = N * (q + 2) * 8, step * (P + q + 2) * 8, 13 * N * 8
+    assert peak <= buffer + block + vectors
+
+
+def test_gram_rows_hold_the_points_in_one_fortran_buffer():
+    points = np.random.default_rng(3).standard_normal((37, 3)) * 1e3
+    points[5, 1] = -0.0
+    for layout in (points, np.asfortranarray(points)):
+        rows = rbf._gram_rows(layout)
+        assert rows.shape == (37, 5) and rows.flags.f_contiguous
+        assert rows[:, :3].tobytes() == points.tobytes()  # the points, bit for bit
+        np.testing.assert_allclose(rows[:, 3], (points**2).sum(axis=1), rtol=1e-15)
+        assert np.all(rows[:, 4] == 1.0)
+
+
+def test_kmeans_centers_do_not_depend_on_the_input_layout():
+    train, _ = benchmark_splits("wiener", 0)
+    pooled = np.concatenate([t.X for t in train], axis=1).T
+    strided = np.repeat(pooled, 2, axis=0)[::2]
+    centers = [kmeans_centers(np.array(pooled, order=order), P=50, seed=0) for order in "CF"]
+    centers.append(kmeans_centers(strided, P=50, seed=0))
+    assert all(np.array_equal(c, centers[0]) for c in centers[1:])
 
 
 def test_kmeans_rejects_bad_center_counts():
