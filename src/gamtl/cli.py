@@ -25,7 +25,9 @@ The configs of ``fit`` and ``bench`` are checked before any file is read:
 an unknown or missing key, a value of the wrong JSON type or out of range
 is a usage error that names the key, as in ``config error at $.model.alpha``.
 The config dataclasses (``GamtlConfig``, ``GraphLearningParams``, ``SynSpec``)
-are the one statement of the ranges they own.
+are the one statement of the ranges they own.  ``synth`` checks each data
+flag by the rule of the same ``benchmark`` key, even a flag its benchmark
+ignores, as in ``--split-ratio 2.0: split_ratio must lie in (0, 1)``.
 
 Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
 """
@@ -252,6 +254,12 @@ def _write_json(path: Path, payload):
 def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     options = {k: getattr(args, k) for k in _DATA_OPTIONS if getattr(args, k) is not None}
+    for key, value in options.items():
+        # a bench config's rule for the same key, whichever benchmark reads it
+        try:
+            _check_value(f"$.benchmark.{key}", _BENCHMARK_KEYS[key], value)
+        except ValueError as exc:
+            raise UsageError(f"--{key.replace('_', '-')} {value}: {exc}") from None
     try:
         train, test = data_mod.benchmark_splits(args.name, args.seed, **options)
     except ValueError as exc:
@@ -290,7 +298,7 @@ def _read_model(path):
         return load_model(path)
     except OSError as exc:
         raise UsageError(f"cannot read model: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"malformed model file: {exc}") from None
 
 

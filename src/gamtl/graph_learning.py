@@ -298,14 +298,17 @@ def learn_graph(
         # Its rounding is bounded by that of the barrier sum and of r, which
         # carries the rounding of lam_i + lam_j - 2 Z_ij on each edge; summed
         # over the edges against r_new + r, that is lam_new @ (Sr_new + Sr)
-        # plus sum(Z * (r_new + r)), without z2's inf * 0 diagonal.
+        # plus sum(Z * (r_new + r)), without z2's inf * 0 diagonal.  r_new - r
+        # is formed in r's place, which a failed test rebuilds from lam.
         if not grad_norm_new < grad_norm:
             log_gain = alpha * float(np.log1p((lam_new - lam) / lam).sum())
             r_sum = r_new + r
-            gain = log_gain - float(np.vdot(r_new - r, r_sum)) / (16.0 * beta)
             bound = float(lam_new @ (Sr_new + Sr)) + float(np.vdot(Z, r_sum))
+            gain = log_gain - float(np.vdot(np.subtract(r_new, r, out=r), r_sum)) / (16.0 * beta)
+            del r_sum
             rounding = abs(log_gain) + bound / (4.0 * beta)
             if not gain > np.finfo(float).eps * rounding:
+                r = _dual_state(lam, z2, alpha, beta)[0]
                 break  # the ray's maximizer improves neither: precision floor
         lam, r, Sr, barrier, grad, grad_norm = lam_new, *state
 

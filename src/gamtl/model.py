@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,38 @@ def _json_array(value, name: str) -> list:
     return value
 
 
+def _json_number(value, name: str):
+    """A model file's ``name`` number, ``value``; ValueError unless it is a JSON number (a bool is not)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {type(value).__name__}")
+    return value
+
+
+def _json_numbers(value, name: str) -> np.ndarray:
+    """A model file's ``name`` numbers, ``value``, as a float array; ValueError if it holds anything else."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
+def _json_fields(value, name: str, cls) -> dict:
+    """A model file's ``name`` block, ``value``: a JSON object of ``cls``'s fields.
+
+    ValueError names a key that is no field of ``cls``, or a field without a
+    default that is missing.
+    """
+    _json_object(value, name)
+    known = {f.name: f for f in fields(cls)}
+    for key in value:
+        if key not in known:
+            raise ValueError(f"{name}.{key} is not a {cls.__name__} field")
+    for key, f in known.items():
+        if key not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{name}.{key} is missing")
+    return value
+
+
 @dataclass
 class FitTrace:
     """Objective values after every half step, plus subproblem summaries.
@@ -153,11 +185,14 @@ class FitTrace:
         def array(name: str) -> list:
             return _json_array(payload.get(name, []), f"trace.{name}")
 
+        def reports(name: str) -> list[dict]:
+            return [dict(_json_object(r, f"trace.{name} item")) for r in array(name)]
+
         return cls(
-            objective=[float(v) for v in array("objective")],
+            objective=[float(_json_number(v, "trace.objective item")) for v in array("objective")],
             stages=[str(s) for s in array("stages")],
-            weight_reports=[dict(r) for r in array("weight_reports")],
-            graph_reports=[dict(r) for r in array("graph_reports")],
+            weight_reports=reports("weight_reports"),
+            graph_reports=reports("graph_reports"),
         )
 
 
@@ -269,17 +304,24 @@ def joint_objective(W: np.ndarray, A: np.ndarray, tasks, config: GamtlConfig) ->
 def fit(tasks, config: GamtlConfig) -> GamtlModel:
     """Alternate weight solves and graph solves until the objective settles.
 
-    Starts from independent ridge weights and a distance-similarity graph.
-    One :class:`_WeightSystem`, ``tasks`` itself or built on them, checks the
-    tasks, factors their Grams for the ridge start and every weight solve, and
-    scores the data term of the carried F from those Grams: the carried F is
-    :func:`joint_objective` at the kept (W, A).  ``tasks`` is read once, task
-    by task.  The trace never rises across half steps; an unconverged inner
-    solve sets ``converged=False`` and ``notes``, which name a graph solve's
-    ``stop``: its iteration limit or the precision floor.
+    Checks ``config``, then runs :func:`_fit` on the tasks' one
+    :class:`_WeightSystem`, which checks the tasks as it reads them, once,
+    task by task.  The trace never rises across half steps; an unconverged
+    inner solve sets ``converged=False`` and ``notes``, which name a graph
+    solve's ``stop``: its iteration limit or the precision floor.
     """
     check_config(config)
-    system = tasks if isinstance(tasks, _WeightSystem) else _WeightSystem(tasks)
+    return _fit(_WeightSystem(tasks), config)
+
+
+def _fit(system: _WeightSystem, config: GamtlConfig) -> GamtlModel:
+    """The alternating fit on ``system``, the checked tasks' factored Grams; ``config`` is trusted.
+
+    Starts from independent ridge weights and a distance-similarity graph.
+    ``system`` factors the Grams for the ridge start and every weight solve,
+    and scores the data term of the carried F from them: the carried F is
+    :func:`joint_objective` at the kept (W, A).
+    """
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
     notes = []
@@ -298,7 +340,7 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
             "gamma = 0 disables graph coupling: weights stay at the "
             "independent ridge solution and the graph stays at its "
             "initialization",
-            stacklevel=2,
+            stacklevel=3,  # the caller of fit
         )
         return GamtlModel(
             W=W,
@@ -359,9 +401,14 @@ def fit(tasks, config: GamtlConfig) -> GamtlModel:
 
 
 def config_from_dict(payload: dict) -> GamtlConfig:
-    payload = dict(_json_object(payload, "config"))
-    gp = dict(_json_object(payload.pop("graph_params", {}), "graph_params"))
+    """A model file's ``config`` block; every field but ``graph_params`` is a number, as are its own."""
+    payload = dict(_json_fields(payload, "config", GamtlConfig))
+    gp = dict(_json_object(payload.pop("graph_params", {}), "config.graph_params"))
     gp.pop("step", None)  # files written with the former step-size knob still load
+    _json_fields(gp, "config.graph_params", GraphLearningParams)
+    for block, values in (("config", payload), ("config.graph_params", gp)):
+        for key, value in values.items():
+            _json_number(value, f"{block}.{key}")
     return GamtlConfig(graph_params=GraphLearningParams(**gp), **payload)
 
 
@@ -401,27 +448,40 @@ def model_to_dict(model: GamtlModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> GamtlModel:
+    """The model a model file's JSON holds; ValueError, naming the field, for any malformed one."""
+    _json_object(payload, "model file")
+    for name in ("W", "A", "task_ids", "config"):
+        if name not in payload:
+            raise ValueError(f"model file has no {name}")
     feature_map = None
     if "feature_map" in payload:
         from .rbf import RbfFeatureMap
 
-        fm = payload["feature_map"]
-        feature_map = RbfFeatureMap(centers=fm["centers"], widths=fm["widths"])
+        fm = _json_fields(payload["feature_map"], "feature_map", RbfFeatureMap)
+        feature_map = RbfFeatureMap(**{k: _json_numbers(v, f"feature_map.{k}") for k, v in fm.items()})
     converged = payload.get("converged", True)
     if not isinstance(converged, bool):
         raise ValueError(f"converged must be true or false, got {converged!r}")
     standardizer = None
     if "standardizer" in payload:
-        standardizer = Standardizer(**_json_object(payload["standardizer"], "standardizer"))
+        stats = _json_fields(payload["standardizer"], "standardizer", Standardizer)
+        standardizer = Standardizer(**{
+            k: (_json_numbers if k.startswith("feature_") else _json_number)(v, f"standardizer.{k}")
+            for k, v in stats.items()
+        })
+    notes = _json_array(payload.get("notes", []), "notes")
+    for note in notes:
+        if not isinstance(note, str):
+            raise ValueError(f"note {note!r} is not a str")
     model = GamtlModel(
-        W=np.asarray(payload["W"], dtype=float),
-        A=matrixform(np.asarray(payload["A"], dtype=float)),
+        W=_json_numbers(payload["W"], "W"),
+        A=matrixform(_json_numbers(payload["A"], "A")),
         task_ids=tuple(_json_array(payload["task_ids"], "task_ids")),
         config=config_from_dict(payload["config"]),
         trace=FitTrace.from_dict(payload.get("trace", {})),
         feature_map=feature_map,
         converged=converged,
-        notes=tuple(_json_array(payload.get("notes", []), "notes")),
+        notes=tuple(notes),
         task_labels=tuple(_json_array(payload.get("task_labels", []), "task_labels")),
         standardizer=standardizer,
     )
@@ -454,11 +514,14 @@ def grid_search_cv(
     """Pick (gamma, alpha, beta) by k-fold cross-validated pooled RMSE.
 
     Folds are per task over samples; a fold that holds no sample out is
-    skipped.  Every candidate, built (so checked) before the first fit,
-    shares each other fold's :class:`_WeightSystem`, built once: up to
-    ``n_folds`` systems are held at once, about 160 KB each for syn1 (its
-    Grams' eigenpairs; a system keeps no training copy, which would add
-    85 KB).  Returns the best config and the full result table, best first.
+    skipped.  Every candidate is built (so checked) before the first fit.
+    The folds run one at a time: each builds its training
+    :class:`_WeightSystem`, which every candidate's :func:`_fit` shares, and
+    drops it before the next fold's is built, so one system is held at a
+    time, about 160 KB for syn1 (its Grams' eigenpairs; a system keeps no
+    training copy).  A candidate's squared held-out errors add up fold by
+    fold, task by task.  Returns the best config and the full result table,
+    best first.
     """
     def config_at(gamma, alpha, beta) -> GamtlConfig:
         graph_params = replace(config.graph_params, alpha=alpha, beta=beta)
@@ -486,33 +549,28 @@ def grid_search_cv(
         for f in range(n_folds):
             if np.sum(ids != f) == 0:
                 ids[0] = (f + 1) % n_folds
-    # (training system, holdout tasks) of each fold that holds a sample out;
-    # a fit of any other adds nothing to the score
-    folds = []
+    sq_sums = [0.0] * len(candidates)
     for f in range(n_folds):
-        train, holdout = [], []
-        for ids, task in zip(fold_ids, tasks):
-            keep = ids != f
-            train.append(TaskDataset(task.task_id, task.X[:, keep], task.y[keep]))
-            if not keep.all():
-                holdout.append(TaskDataset(task.task_id, task.X[:, ~keep], task.y[~keep]))
-        if holdout:
-            folds.append((_WeightSystem(train), holdout))
-
-    results = []
-    for candidate in candidates:
-        params = candidate.graph_params
-        point = {"gamma": candidate.gamma, "alpha": params.alpha, "beta": params.beta}
-        sq_sum, count = 0.0, 0
-        for system, holdout in folds:
+        held = [ids == f for ids in fold_ids]
+        holdout = [TaskDataset(t.task_id, t.X[:, h], t.y[h]) for h, t in zip(held, tasks) if h.any()]
+        if not holdout:
+            continue  # a fit of this fold would add nothing to the score
+        system = _WeightSystem([TaskDataset(t.task_id, t.X[:, ~h], t.y[~h]) for h, t in zip(held, tasks)])
+        for i, candidate in enumerate(candidates):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                m = fit(system, candidate)
+                m = _fit(system, candidate)
             for task in holdout:
                 err = m.predict_task(task.task_id, task.X) - task.y
-                sq_sum += float(err @ err)
-                count += task.n_samples
-        results.append({**point, "cv_rmse": float(np.sqrt(sq_sum / max(count, 1)))})
+                sq_sums[i] += float(err @ err)
+        del system, m  # before the next fold's system is built
+
+    count = sum(task.n_samples for task in tasks)  # each sample is held out in one fold
+    results = []
+    for candidate, sq_sum in zip(candidates, sq_sums):
+        params = candidate.graph_params
+        point = {"gamma": candidate.gamma, "alpha": params.alpha, "beta": params.beta}
+        results.append({**point, "cv_rmse": float(np.sqrt(sq_sum / count))})
     results.sort(key=lambda r: (r["cv_rmse"], r["gamma"], r["alpha"], r["beta"]))
     best = results[0]
     return config_at(best["gamma"], best["alpha"], best["beta"]), results

@@ -96,6 +96,24 @@ def test_synth_invalid_ratio_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,flag,value,message",
+    [
+        ("syn1", "--split-ratio", "2", "split_ratio must lie in (0, 1)"),
+        ("wiener", "--n-train", "0", "sample counts must be at least 1"),
+        ("syn1", "--n-samples", "1", "n_samples must be at least 2"),
+        ("wiener", "--noise-std", "-1", "noise_std must be nonnegative"),
+    ],
+)
+def test_synth_checks_a_flag_its_benchmark_ignores(tmp_path, capsys, name, flag, value, message):
+    # A bench config with the same value fails at $.benchmark.<key>, so synth fails too.
+    out = tmp_path / "d"
+    assert main(["synth", name, "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.endswith(f": {message}\n")
+    assert not out.exists()
+
+
 def test_synth_unwritable_target_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory", encoding="utf-8")
@@ -901,7 +919,7 @@ def test_tune_fit_failure_exits_2(monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("normal equations are singular")
 
-    monkeypatch.setattr("gamtl.model.fit", singular)
+    monkeypatch.setattr("gamtl.model._fit", singular)
     assert main(["tune", "syn1", "--folds", "2", "--gammas", "0.1", "--alphas", "10", "--betas", "0.01"]) == 2
     assert "normal equations are singular" in capsys.readouterr().err
 

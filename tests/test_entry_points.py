@@ -1,4 +1,4 @@
-"""Every entry point rejects a malformed graph, task set or config with ValueError.
+"""Every entry point rejects a malformed graph, task set, config or model file with ValueError.
 
 The helpers a fit calls on every half step trust their arrays (see
 ``gamtl.graph``), so these checks are all that stands between a caller's
@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from gamtl.cli import main
+from gamtl.data import Standardizer
 from gamtl.evaluate import export_graph, import_graph
 from gamtl.graph import vectorform
 from gamtl.graph_learning import GraphLearningParams, learn_graph
 from gamtl.model import FitTrace, GamtlConfig, GamtlModel, fit, grid_search_cv, load_model, model_to_dict
-from gamtl.rbf import fit_rbf
+from gamtl.rbf import RbfFeatureMap, fit_rbf
 from gamtl.weight_solver import TaskDataset, solve_weights
 
 GOOD = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -112,3 +113,45 @@ class UnreadTasks:
 def test_fit_rejects_a_config_of_another_type_before_reading_tasks(entry, config):
     with pytest.raises(ValueError, match=f"config must be a GamtlConfig, got {type(config).__name__}"):
         entry(UnreadTasks(), config)
+
+
+def drop(key):
+    return lambda payload: payload.pop(key)
+
+
+# Each edit of a model file's JSON used to raise KeyError or TypeError, or,
+# for the notes, to load.
+MALFORMED_MODEL_FILES = {
+    "no_W": (drop("W"), "model file has no W"),
+    "no_A": (drop("A"), "model file has no A"),
+    "no_task_ids": (drop("task_ids"), "model file has no task_ids"),
+    "no_config": (drop("config"), "model file has no config"),
+    "feature_map_without_widths": (lambda p: p["feature_map"].pop("widths"), "feature_map.widths is missing"),
+    "feature_map_not_object": (lambda p: p.update(feature_map=5), "feature_map must be a JSON object"),
+    "standardizer_without_std": (lambda p: p["standardizer"].pop("feature_std"), "standardizer.feature_std is missing"),
+    "config_unknown_key": (lambda p: p["config"].update(surprise=1), "config.surprise is not a GamtlConfig field"),
+    "config_gamma_string": (lambda p: p["config"].update(gamma="x"), "config.gamma must be a JSON number"),
+    "trace_report_not_object": (
+        lambda p: p["trace"].update(weight_reports=[5]), "trace.weight_reports item must be a JSON object"
+    ),
+    "note_not_string": (lambda p: p.update(notes=[1]), "note 1 is not a str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FILES))
+def test_malformed_model_file_is_a_value_error_naming_the_field(case, tmp_path, capsys):
+    model = GamtlModel(
+        W=np.zeros((3, 3)), A=GOOD, task_ids=(0, 1, 2), config=GamtlConfig(), trace=FitTrace(),
+        feature_map=RbfFeatureMap(centers=np.zeros((2, 1)), widths=np.ones(2)),
+        standardizer=Standardizer(feature_mean=np.zeros(1), feature_std=np.ones(1)),
+    )
+    payload = json.loads(json.dumps(model_to_dict(model)))
+    edit, message = MALFORMED_MODEL_FILES[case]
+    edit(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+    # eval rejects the model before it reads the data path
+    assert main(["eval", "--model", str(path), "--data", str(path)]) == 1
+    assert f"malformed model file: {message}" in capsys.readouterr().err

@@ -211,18 +211,24 @@ def test_graph_step_holds_few_task_by_task_arrays():
     T = 300
     centers = rng.standard_normal((30, 4))
     W = centers[:, np.arange(T) % 4] + 0.3 * rng.standard_normal((30, T))
-    Z = PINNED_CONFIGS["syn1"].gamma * pairwise_sq_distances(W)
-    params = PINNED_CONFIGS["syn1"].graph_params
-    A0 = default_initial_graph(Z)
-    start = _ScoredGraph(A0, graph_objective(A0, Z, params))
-    tracemalloc.start()
-    try:
-        _, report, _ = learn_graph(Z, params, start)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.converged
-    assert peak <= 5.0 * T * T * 8
+    config = PINNED_CONFIGS["syn1"]
+    clustered = (config.gamma * pairwise_sq_distances(W), config.graph_params)
+    # The same T spread wide in d = 3 at alpha = beta = 0.01: steps that do
+    # not shrink the gradient reach the gain test, which holds 2 Z, r, the
+    # step's r and r_new + r, and forms r_new - r in r's place.
+    W = 100.0 * np.random.default_rng(0).standard_normal((3, T))
+    spread = (pairwise_sq_distances(W), GraphLearningParams(alpha=0.01, beta=0.01))
+    for case, (Z, params) in [("ray_search", clustered), ("gain_test", spread)]:
+        A0 = default_initial_graph(Z)
+        start = _ScoredGraph(A0, graph_objective(A0, Z, params))
+        tracemalloc.start()
+        try:
+            _, report, _ = learn_graph(Z, params, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged, case
+        assert peak <= 5.0 * T * T * 8, (case, peak / (T * T * 8))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -633,6 +639,10 @@ def test_precision_floor_stops_on_random_distances(n_tasks, seed):
     assert (report.converged, report.stop) == (False, "floor")
     validate_adjacency(A)
     assert graph_objective(A, Z, params) <= graph_objective(A0, Z, params)
+    # The step the floor refused leaves no trace: a solve capped at the same
+    # iteration returns the same graph, bit for bit.
+    capped = GraphLearningParams(alpha=0.01, beta=0.01, max_iter=report.iterations)
+    assert np.array_equal(learn_graph(Z, capped, A0=A0)[0], A)
 
 
 def test_cold_solve_crosses_kinks_without_creeping():

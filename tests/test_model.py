@@ -849,11 +849,11 @@ def test_grid_search_cv_keeps_a_training_sample_per_task(monkeypatch):
 
     monkeypatch.setattr(model_mod, "_WeightSystem", RecordingSystem)
     counts = Counter()
-    count_calls(monkeypatch, counts, model_mod, "fit")
+    count_calls(monkeypatch, counts, model_mod, "_fit")
     _, results = grid_search_cv(
         tasks, mild_config(), gammas=(1.0,), alphas=(1.0,), betas=(1.0,), n_folds=5, seed=1
     )
-    assert counts["gamtl.model.fit"] == len(train_sizes) == 5
+    assert counts["gamtl.model._fit"] == len(train_sizes) == 5
     assert min(min(sizes) for sizes in train_sizes) >= 1
     # each sample is held out in exactly one fold
     assert [sum(2 - sizes[t] for sizes in train_sizes) for t in range(3)] == [2, 2, 2]
@@ -899,10 +899,38 @@ def test_grid_search_cv_builds_one_weight_system_per_fold(monkeypatch):
     assert builds == [3, 3, 3]
 
 
+def test_grid_search_cv_holds_one_fold_system_at_a_time(monkeypatch):
+    # The folds run one by one: a fold's system is dropped before the next
+    # fold's is built, so every fit sees exactly one live fold system.
+    import weakref
+
+    import gamtl.weight_solver
+
+    systems, live = [], []
+
+    class RecordingSystem(gamtl.weight_solver._WeightSystem):
+        def __init__(self, train):
+            super().__init__(train)
+            systems.append(weakref.ref(self))
+
+    real_fit = model_mod._fit
+
+    def recording_fit(system, config):
+        live.append(sum(ref() is not None for ref in systems))
+        return real_fit(system, config)
+
+    monkeypatch.setattr(model_mod, "_WeightSystem", RecordingSystem)
+    monkeypatch.setattr(model_mod, "_fit", recording_fit)
+    tasks = make_related_tasks(np.random.default_rng(33), d=2, T=3, N=12)
+    grid_search_cv(tasks, mild_config(max_outer_iter=10), gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,), n_folds=3)
+    assert len(systems) == 3
+    assert live == [1] * 6
+
+
 def test_grid_search_cv_fold_systems_keep_no_training_copy(monkeypatch):
     # A fold's system keeps the Grams' eigenpairs and X_t y_t, not the
     # training copies it was built from: each dies once the build is done,
-    # while the systems live on through every grid point.
+    # while its system lives on through every grid point of its fold.
     import gc
     import weakref
 
@@ -928,7 +956,7 @@ def test_grid_search_cv_fits_only_folds_that_hold_a_sample_out(monkeypatch):
     # Three samples per task over ten folds leave most folds with nothing
     # held out; each grid point is fitted on the others alone.
     counts = Counter()
-    count_calls(monkeypatch, counts, model_mod, "fit")
+    count_calls(monkeypatch, counts, model_mod, "_fit")
     tasks = make_related_tasks(np.random.default_rng(39), d=2, T=3, N=3)
     n_folds, seed = 10, 0
     rng = np.random.default_rng(seed)
@@ -940,7 +968,7 @@ def test_grid_search_cv_fits_only_folds_that_hold_a_sample_out(monkeypatch):
         tasks, mild_config(max_outer_iter=10), gammas=(1e-2, 1e-1), alphas=(1.0,), betas=(1.0,),
         n_folds=n_folds, seed=seed,
     )
-    assert counts["gamtl.model.fit"] == 2 * held_out
+    assert counts["gamtl.model._fit"] == 2 * held_out
     assert all(np.isfinite(r["cv_rmse"]) for r in results)
 
 
@@ -954,12 +982,12 @@ def test_grid_search_cv_fits_only_folds_that_hold_a_sample_out(monkeypatch):
 )
 def test_grid_search_cv_checks_every_point_before_the_first_fit(monkeypatch, axes, message):
     counts = Counter()
-    count_calls(monkeypatch, counts, model_mod, "fit")
+    count_calls(monkeypatch, counts, model_mod, "_fit")
     tasks = make_related_tasks(np.random.default_rng(37), d=2, T=3, N=12)
     grid = {"gammas": (0.1,), "alphas": (10.0,), "betas": (0.01,), **axes}
     with pytest.raises(ValueError, match=message):
         grid_search_cv(tasks, mild_config(), **grid)
-    assert counts["gamtl.model.fit"] == 0
+    assert counts["gamtl.model._fit"] == 0
 
 
 def test_grid_search_cv_leaderboard_is_each_fold_fitted_by_hand():
