@@ -125,17 +125,43 @@ def _json_array(value, name: str) -> list:
 
 
 def _json_number(value, name: str):
-    """A model file's ``name`` number, ``value``; ValueError unless it is a JSON number (a bool is not)."""
+    """A model file's ``name`` number, ``value``.
+
+    ValueError unless it is a JSON number (a bool is not) within float range.
+    """
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a JSON number, got {type(value).__name__}")
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{name} is beyond float range") from None
+    return value
+
+
+def _json_string(value, name: str) -> str:
+    """A model file's ``name`` string, ``value``; ValueError unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a JSON string, got {type(value).__name__}")
     return value
 
 
 def _json_numbers(value, name: str) -> np.ndarray:
-    """A model file's ``name`` numbers, ``value``, as a float array; ValueError if it holds anything else."""
+    """A model file's ``name`` numbers, ``value``, as a float array.
+
+    ValueError unless every leaf of the nested JSON arrays passes
+    :func:`_json_number` (so a bool or a number written as a string does
+    not) and the arrays are rectangular.
+    """
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _json_number(item, f"{name} item")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:  # ragged arrays
         raise ValueError(f"{name} must be an array of numbers") from None
 
 
@@ -190,7 +216,7 @@ class FitTrace:
 
         return cls(
             objective=[float(_json_number(v, "trace.objective item")) for v in array("objective")],
-            stages=[str(s) for s in array("stages")],
+            stages=[_json_string(s, "trace.stages item") for s in array("stages")],
             weight_reports=reports("weight_reports"),
             graph_reports=reports("graph_reports"),
         )

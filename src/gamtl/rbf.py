@@ -10,22 +10,25 @@ task at a time, each lifted when it is read.
 k-means is implemented here rather than imported so that center selection is
 bit-reproducible from a single integer seed across environments: k-means++
 seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
-and all reductions run in a fixed order.  k-means copies the pooled inputs,
-whatever their layout, once into one Fortran-order (N, q + 2) buffer of
-rows ``[x, ||x||^2, 1]`` and holds no other copy: its first q columns are
-the points, each coordinate one contiguous column.  Squared distances come
-from :func:`gamtl.graph.sq_distances`, which sums them one coordinate at a
-time; the seeding, the widths and the lift call it, the lift on
-cache-sized row blocks.  The k-means++ draw is ``Generator.choice``'s,
-written out in one preallocated buffer (:func:`_weighted_draw`).  The
-assignment scores each row block of ``_KMEANS_BLOCK_ENTRIES`` = 2**15 Gram
-values (256 KiB) with one BLAS product into one reused buffer; its
-operands, the buffer's rows and ``[-2 c; 1; ||c||^2]``, carry both squared
-norms.  It keeps a row's argmin only when the rounding bound
-:func:`gamtl.graph._gram_error` proves it equal to the coordinate kernel's,
-and sends every other row of the block through ``sq_distances`` before the
-next block is scored.  Cluster means come from ``np.bincount`` sums in
-point order, so no (N, P, q) tensor is built.
+and all reductions run in a fixed order.  k-means reads the pooled inputs
+in place when they are a Fortran-order float array, each coordinate one
+contiguous column, as :func:`fit_rbf` pools them, and copies any other
+layout once into one.  Beside them it keeps only the (N, 2) Fortran-order
+columns ``[||x||^2, 1]`` of the Gram-form rows ``[x, ||x||^2, 1]``.
+Squared distances come from :func:`gamtl.graph.sq_distances`, which sums
+them one coordinate at a time; the seeding, the widths and the lift call
+it, the lift on cache-sized row blocks.  The k-means++ draw is
+``Generator.choice``'s, written out in one preallocated buffer
+(:func:`_weighted_draw`).  The assignment gathers each row block's rows
+``[x, ||x||^2, 1]``, column by column, into one reused buffer and scores
+its ``_KMEANS_BLOCK_ENTRIES`` = 2**15 Gram values (256 KiB) with one BLAS
+product into another; its operands, those rows and ``[-2 c; 1;
+||c||^2]``, carry both squared norms.  It keeps a row's argmin only when
+the rounding bound :func:`gamtl.graph._gram_error` proves it equal to the
+coordinate kernel's, sends every other row of the block through
+``sq_distances``, and writes the block's centers and bounds into the Lloyd
+loop's N-vectors before the next block is scored.  Cluster means come from
+``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -111,20 +114,17 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
 
 
 def _gram_rows(points: np.ndarray) -> np.ndarray:
-    """Rows ``[x, ||x||^2, 1]`` of the Gram-form assignment, one (N, q + 2) buffer.
+    """Columns ``[||x||^2, 1]`` of the Gram-form rows ``[x, ||x||^2, 1]``, one (N, 2) buffer.
 
-    The buffer is in Fortran order and its first q columns are a copy of
-    ``points``, each coordinate one contiguous column, so k-means reads
-    them as its points and holds no other copy.
+    The buffer is in Fortran order, so each column is contiguous, like the
+    coordinate columns of the Fortran-order ``points`` that k-means reads in
+    place: a row's first q entries are read from ``points`` itself.
     """
-    N, q = points.shape
-    rows = np.empty((N, q + 2), order="F")
-    rows[:, :q] = points
-    coords = rows[:, :q]
+    norms = np.empty((points.shape[0], 2), order="F")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
-        np.einsum("ij,ij->i", coords, coords, out=rows[:, q])
-    rows[:, q + 1] = 1.0
-    return rows
+        np.einsum("ij,ij->i", points, points, out=norms[:, 0])
+    norms[:, 1] = 1.0
+    return norms
 
 
 def _gram_columns(centers: np.ndarray) -> np.ndarray:
@@ -138,23 +138,27 @@ def _gram_columns(centers: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, margin: float):
-    """Nearest center of each of ``lifted[rows]``, lowest index on ties.
+def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> bool:
+    """Reassign ``points[rows]`` (every row when ``rows`` is None) to their nearest centers.
 
-    ``lifted`` holds the points as ``_gram_rows`` gives them, so its first q
-    columns are the points.  Returns the nearest index, an upper bound on
-    the distance to it and a lower bound on the distance to every other
-    center (inf with one center), both rounded outward.  The nearest index
-    is the argmin of the coordinate-order ``sq_distances`` row, bit for bit,
-    while no (len(rows), P) matrix is kept.
+    ``norms`` holds the columns ``[||x||^2, 1]`` that ``_gram_rows`` gives
+    for ``points``.  Writes each row's nearest index (lowest on ties) into
+    ``assign``, an upper bound on the distance to it into ``upper`` and a
+    lower bound on the distance to every other center (inf with one center)
+    into ``lower``, both rounded outward, and returns whether any entry of
+    ``assign`` changed.  The nearest index is the argmin of the
+    coordinate-order ``sq_distances`` row, bit for bit, while no
+    (len(rows), P) matrix is kept.
 
-    Each block of ``_KMEANS_BLOCK_ENTRIES // P`` rows is scored in Gram
-    form by one BLAS product with ``_gram_columns``, written into one
-    buffer that every block reuses, so both squared norms ride inside it:
-    ``g_ij = x_i . (-2 c_j) + ||x_i||^2 + ||c_j||^2``.  With ``S_i =
-    ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij - d_ij| <= err_i = _gram_error(S_i,
-    2 q)`` for every center, where ``d_ij`` is the coordinate kernel's value,
-    whatever order or FMA the BLAS uses.
+    Each block of ``_KMEANS_BLOCK_ENTRIES // P`` rows is gathered, column
+    by column, into one Fortran-order buffer of rows ``[x, ||x||^2, 1]``
+    and scored in Gram form by one BLAS product with ``_gram_columns``,
+    written into one buffer; every block reuses both.  So both squared
+    norms ride inside the product: ``g_ij = x_i . (-2 c_j) + ||x_i||^2 +
+    ||c_j||^2``.  With ``S_i = ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij -
+    d_ij| <= err_i = _gram_error(S_i, 2 q)`` for every center, where
+    ``d_ij`` is the coordinate kernel's value, whatever order or FMA the
+    BLAS uses.
 
     A row is certified when its two smallest Gram values differ by more than
     ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
@@ -163,43 +167,52 @@ def _nearest_two(lifted: np.ndarray, centers: np.ndarray, rows: np.ndarray, marg
     or gap is never certified.  A certified row's bounds come from the same
     certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
     Other rows take argmin and bounds from ``sq_distances`` on the first q
-    columns.  Each block is certified, and its other rows recomputed, as
-    soon as it is scored, in buffers of one block's length; the square
-    roots and the outward rounding are taken in place in the returned
-    arrays.  So nothing beside those arrays is longer than a block.
+    columns.  Each block is certified, its other rows recomputed, and its
+    results written into the caller's vectors as soon as it is scored, all
+    in buffers of one block's length.  So nothing is longer than a block.
     """
     P, q = centers.shape
-    nearest = np.empty(rows.size, dtype=np.intp)
-    upper = np.empty(rows.size)  # squared distances until the end
-    lower = np.empty(rows.size)
+    count = points.shape[0] if rows is None else rows.size
     step = max(1, _KMEANS_BLOCK_ENTRIES // P)
-    size = min(step, rows.size)
+    size = min(step, count)
     scores = np.empty((size, P))  # every block's Gram values, in turn
+    gathered = np.empty((size, q + 2), order="F")  # every block's rows [x, ||x||^2, 1]
     row_starts = np.arange(0, scores.size, P)  # flat index of each block row
+    nearest = np.empty(size, dtype=np.intp)
+    first, second = np.empty(size), np.empty(size)  # squared distances until the roots
     err, twice, gap = np.empty(size), np.empty(size), np.empty(size)  # one block's certificate
     sure = np.empty(size, dtype=bool)
+    columns = [*points.T, *norms.T]  # each contiguous
     cross = _gram_columns(centers)
     top = cross[q + 1].max()
+    moved = False
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows fail the certificate
-        for start in range(0, rows.size, step):
-            stop = start + step
-            gathered = lifted[rows[start:stop]]
-            n = len(gathered)
-            pick, first, second = nearest[start:stop], upper[start:stop], lower[start:stop]
-            _two_smallest(np.matmul(gathered, cross, out=scores[:n]), row_starts, pick, first, second)
-            e = _gram_error(np.add(gathered[:, q], top, out=err[:n]), 2 * q)
-            np.subtract(second, first, out=gap[:n])
+        for start in range(0, count, step):
+            n = min(step, count - start)
+            which = slice(start, start + n) if rows is None else rows[start : start + n]
+            block = gathered[:n]
+            for column, out in zip(columns, block.T):
+                if rows is None:
+                    out[:] = column[which]
+                else:
+                    column.take(which, out=out)
+            pick, low, high = nearest[:n], first[:n], second[:n]
+            _two_smallest(np.matmul(block, cross, out=scores[:n]), row_starts, pick, low, high)
+            e = _gram_error(np.add(block[:, q], top, out=err[:n]), 2 * q)
+            np.subtract(high, low, out=gap[:n])
             certified = np.greater(gap[:n], np.add(e, e, out=twice[:n]), out=sure[:n])
-            first += e
-            second -= e
-            np.maximum(second, 0.0, out=second)
+            low += e
+            high -= e
+            np.maximum(high, 0.0, out=high)
             if not certified.all():
                 doubt = np.flatnonzero(~certified)
-                block = sq_distances(gathered[doubt, :q], centers)
-                pick[doubt], first[doubt], second[doubt] = _two_smallest(block, row_starts)
-    np.sqrt(upper, out=upper)
-    np.sqrt(lower, out=lower)
-    return nearest, _grown(upper, margin, out=upper), _shrunk(lower, margin, out=lower)
+                kernel = sq_distances(block[doubt, :q], centers)
+                pick[doubt], low[doubt], high[doubt] = _two_smallest(kernel, row_starts)
+            moved = moved or not np.array_equal(pick, assign[which])
+            assign[which] = pick
+            upper[which] = _grown(np.sqrt(low, out=low), margin, out=low)
+            lower[which] = _shrunk(np.sqrt(high, out=high), margin, out=high)
+    return moved
 
 
 def _weighted_draw(weights: np.ndarray, total: float, rng, cdf: np.ndarray) -> int:
@@ -248,11 +261,11 @@ def _shrunk(x, margin: float, out=None):
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
-    ``pooled_inputs``, in any layout, is copied once, into the first q
-    columns of the Fortran-order ``[x, ||x||^2, 1]`` buffer of the Gram-form
-    assignment (``_gram_rows``), and k-means holds no other copy of the
-    points: the seeding's ``sq_distances``, the cluster sums and the
-    reseeds read those contiguous coordinate columns.
+    ``pooled_inputs`` is read in place when it is a Fortran-order float
+    array and copied once into one otherwise; it is never written.  k-means
+    holds no other copy of the points: the seeding's ``sq_distances``, the
+    assignment's gathered rows, the cluster sums and the reseeds read its
+    contiguous coordinate columns.
 
     k-means++ seeding followed by Lloyd iterations; stops when assignments
     stabilize, when a round starts from the centers of an earlier round
@@ -277,20 +290,24 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     holds with a relative margin of 4 (q + 2) eps on top; otherwise its
     whole row is reassigned.  A round that reseeds a cluster reassigns
     every row.  The shifted bounds and the prune test are written into
-    N-vectors allocated once per call.
+    N-vectors allocated once per call, and the reassignment writes its
+    rows' centers and bounds straight into the persistent ones.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per block of 2**15 values: the rows ``[x, ||x||^2,
-    1]`` are built once per call, so the product alone gives the Gram
-    values.  A row keeps the Gram argmin only when the rounding bound
+    by one BLAS product per block of 2**15 values: the columns ``[||x||^2,
+    1]`` are built once per call, in one Fortran-order (N, 2) buffer
+    (``_gram_rows``), and each block's rows ``[x, ||x||^2, 1]`` are gathered
+    into one reused buffer, so the product alone gives the Gram values.
+    A row keeps the Gram argmin only when the rounding bound
     ``graph._gram_error`` proves it the coordinate kernel's strict argmin
     (see ``_nearest_two``); the same bound gives its new upper and lower
     bounds.  Every other row, including those whose bound or Gram values
     are inf or NaN, is recomputed with ``sq_distances``.  Each block is
-    certified as soon as it is scored, so the memory peak is the (N, q + 2)
-    buffer, one block of Gram values with its gathered rows, and about ten
-    N-vectors: 0.94 MB under tracemalloc on the Wiener seed-0 pool (N =
-    5000, q = 4, P = 50), the pooled inputs not counted.
+    certified, and written into the bounds, as soon as it is scored, so the
+    memory peak is the (N, 2) buffer, one block of Gram values with its
+    gathered rows, and the N-vectors of the Lloyd loop: 0.65 MB under
+    tracemalloc on the Wiener seed-0 pool (N = 5000, q = 4, P = 50), the
+    pooled inputs not counted.
 
     Why skipping is exact: a reassigned row's bounds enclose its kernel
     distances, by the certificate or because they are the kernel's values.
@@ -307,7 +324,7 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     coordinate-kernel row, so each round starts from the dense argmin of
     its centers, and the stop rule keys on them.
     """
-    points = np.asarray(pooled_inputs, dtype=float)
+    points = np.asarray(pooled_inputs, dtype=float, order="F")  # a copy unless already so
     if points.ndim != 2 or min(points.shape) < 1:
         raise ValueError("pooled_inputs must be a nonempty (N, q) array with q >= 1")
     if not np.isfinite(points).all():
@@ -316,8 +333,6 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     if type(P) is not int or not 1 <= P <= N:  # excludes bool and numpy integers
         raise ValueError(f"P must lie in [1, {N}] and be an int, got {P!r}")
     check_seed(seed)
-    lifted = _gram_rows(points)  # the one copy of the points that k-means holds
-    points = lifted[:, :q]
 
     rng = np.random.default_rng(seed)
     centers = np.empty((P, q))
@@ -338,7 +353,9 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
 
     import hashlib  # here, not at module level: it loads OpenSSL
     margin = 2.0 * (q + 2) * np.finfo(float).eps
-    assign, upper, lower = _nearest_two(lifted, centers, np.arange(N), margin)
+    norms = _gram_rows(points)
+    assign, upper, lower = np.empty(N, dtype=np.intp), np.empty(N), np.empty(N)
+    _nearest_two(points, norms, centers, None, margin, assign, upper, lower)
     moved, shrunk, kept = np.empty(N), np.empty(N), np.empty(N, dtype=bool)  # round buffers
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
@@ -375,11 +392,9 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
                 assign[farthest] = p
                 if donor > p:  # the donor's center is still to be updated this round
                     sums, counts = _cluster_sums(points, assign, P)
-            stale = np.arange(N)
-        nearest, upper[stale], lower[stale] = _nearest_two(lifted, centers, stale, margin)
-        if np.array_equal(nearest, assign[stale]):
+            stale = None  # every row
+        if not _nearest_two(points, norms, centers, stale, margin, assign, upper, lower):
             break
-        assign[stale] = nearest
     return centers
 
 
@@ -509,14 +524,17 @@ def fit_rbf(
     """Fit the nonlinear variant: shared RBF lift, then the alternating fit.
 
     ``P`` defaults to ``min(50, floor(sqrt(pooled sample count)))``.  The
-    fit reads the tasks lifted one at a time, so past k-means it holds at
-    most two lifted (P+1) x N designs, not all T.  The returned model
-    carries the feature map, so its predictions take raw inputs.
+    task designs are pooled into one C-order (q, N) array, whose transpose
+    is the Fortran-order (N, q) pool that k-means reads in place.  The fit
+    reads the tasks lifted one at a time, so past k-means it holds at most
+    two lifted (P+1) x N designs, not all T.  The returned model carries
+    the feature map, so its predictions take raw inputs.
     """
     check_config(config)
     tasks = list(tasks)
     validate_tasks(tasks)
-    pooled = np.concatenate([t.X for t in tasks], axis=1).T  # (N, q), k-means copies it once
+    N = sum(t.X.shape[1] for t in tasks)
+    pooled = np.concatenate([t.X for t in tasks], axis=1, out=np.empty((tasks[0].X.shape[0], N))).T
     if P is None:
         P = default_center_count(pooled.shape[0])
     centers = kmeans_centers(pooled, P, seed=config.seed)

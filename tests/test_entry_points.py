@@ -119,8 +119,10 @@ def drop(key):
     return lambda payload: payload.pop(key)
 
 
-# Each edit of a model file's JSON used to raise KeyError or TypeError, or,
-# for the notes, to load.
+# Each edit of a model file's JSON used to raise KeyError, TypeError or, for
+# an int beyond float range, OverflowError, or to load: a note of another
+# type, a number written as a string (parsed), true (read as 1.0) and a stage
+# of another JSON type (turned into its repr).
 MALFORMED_MODEL_FILES = {
     "no_W": (drop("W"), "model file has no W"),
     "no_A": (drop("A"), "model file has no A"),
@@ -135,6 +137,28 @@ MALFORMED_MODEL_FILES = {
         lambda p: p["trace"].update(weight_reports=[5]), "trace.weight_reports item must be a JSON object"
     ),
     "note_not_string": (lambda p: p.update(notes=[1]), "note 1 is not a str"),
+    "W_number_as_string": (lambda p: p["W"][0].__setitem__(0, "0.5"), "W item must be a JSON number, got str"),
+    "W_bool": (lambda p: p["W"][1].__setitem__(2, True), "W item must be a JSON number, got bool"),
+    "A_number_as_string": (lambda p: p["A"].__setitem__(0, "1"), "A item must be a JSON number, got str"),
+    "feature_map_center_as_string": (
+        lambda p: p["feature_map"]["centers"][0].__setitem__(0, "0"),
+        "feature_map.centers item must be a JSON number, got str",
+    ),
+    "feature_map_width_bool": (
+        lambda p: p["feature_map"]["widths"].__setitem__(0, True),
+        "feature_map.widths item must be a JSON number, got bool",
+    ),
+    "standardizer_mean_as_string": (
+        lambda p: p["standardizer"]["feature_mean"].__setitem__(0, "0"),
+        "standardizer.feature_mean item must be a JSON number, got str",
+    ),
+    "W_int_beyond_float": (lambda p: p["W"][0].__setitem__(0, 10**400), "W item is beyond float range"),
+    "target_std_int_beyond_float": (
+        lambda p: p["standardizer"].update(target_std=10**400), "standardizer.target_std is beyond float range"
+    ),
+    "stage_not_string": (
+        lambda p: p["trace"].update(stages=[[1]]), "trace.stages item must be a JSON string, got list"
+    ),
 }
 
 

@@ -183,9 +183,10 @@ def _task_gram(W):
 def _kmeans_gram(points, centers):
     """k-means Gram values of rows against centers and their ``S = ||x||^2 + max ||c||^2``.
 
-    One product of the assignment's operands, in which both squared norms ride.
+    One product of the assignment's operands, in which both squared norms ride:
+    the rows ``[x, ||x||^2, 1]`` it gathers from the points and ``_gram_rows``.
     """
-    lifted, cross = rbf._gram_rows(points), rbf._gram_columns(centers)
+    lifted, cross = np.hstack([points, rbf._gram_rows(points)]), rbf._gram_columns(centers)
     g = lifted @ cross
     size = lifted[:, -2] + cross[-1].max()
     return g, np.broadcast_to(size[:, None], g.shape)

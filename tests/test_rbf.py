@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from gamtl import rbf
 from gamtl.data import benchmark_splits
+from gamtl.evaluate import rmse
 from gamtl.graph import _BLOCK_ENTRIES, sq_distances
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit, load_model, model_to_dict
@@ -202,9 +203,9 @@ def test_kmeans_recomputes_few_rows_on_wiener_inputs(monkeypatch):
     rows = []
     nearest_two = rbf._nearest_two
 
-    def counting(pts, centers, which, margin):
-        rows.append(which.size)
-        return nearest_two(pts, centers, which, margin)
+    def counting(pts, norms, centers, which, *rest):
+        rows.append(pts.shape[0] if which is None else which.size)  # None: every row
+        return nearest_two(pts, norms, centers, which, *rest)
 
     monkeypatch.setattr(rbf, "_nearest_two", counting)
     kmeans_centers(points, P=50, seed=0)
@@ -288,8 +289,16 @@ def test_nearest_two_bounds_the_coordinate_kernel(
         centers[-1] = points[-1]  # a zero distance
     rows = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)), replace=False))
     margin = 2.0 * (q + 2) * np.finfo(float).eps
+    # It writes the rows' results into the caller's vectors, and only those rows.
+    assign, above, below = np.full(N, -1, dtype=np.intp), np.full(N, np.nan), np.full(N, np.nan)
+    norms = rbf._gram_rows(points)
     with mock.patch.object(rbf, "_KMEANS_BLOCK_ENTRIES", block_entries):
-        nearest, upper, lower = rbf._nearest_two(rbf._gram_rows(points), centers, rows, margin)
+        moved = rbf._nearest_two(points, norms, centers, rows, margin, assign, above, below)
+    assert moved  # from -1
+    others = np.setdiff1d(np.arange(N), rows)
+    assert np.all(assign[others] == -1)
+    assert np.isnan(above[others]).all() and np.isnan(below[others]).all()
+    nearest, upper, lower = assign[rows], above[rows], below[rows]
     z = sq_distances(points[rows], centers)
     assert np.array_equal(nearest, np.argmin(z, axis=1))
     spots = (np.arange(rows.size), nearest)
@@ -325,40 +334,62 @@ def test_kmeans_is_exact_when_squared_norms_overflow(scale, offset):
     assert np.array_equal(centers, oracles.kmeans_dense(points, P=8, seed=0))
 
 
-def test_kmeans_peak_is_one_buffer_one_block_and_few_vectors():
-    # The pool is built before tracing starts, so the peak is k-means' own:
-    # the (N, q + 2) buffer that holds the points, one block of Gram values
-    # with its gathered rows, and N-vectors.  Nine N-vectors are live at the
-    # peak: the Lloyd loop's assign, upper, lower, moved and shrunk, its
-    # stale-row list, and the assignment's three results.  Four more cover
-    # the buffers of one block's length, the interpreter's own objects and
-    # other pools (seed 1's peaks 14 KB above seed 0's).  An (N, P) matrix
-    # alone would be 2 MB.
-    train, _ = benchmark_splits("wiener", 0)
-    points = np.concatenate([t.X for t in train], axis=1).T
-    N, q = points.shape
-    P = 50
-    assert (N, q) == (5000, 4)
+def _kmeans_peak(points, P, seed):
+    """tracemalloc peak of ``kmeans_centers(points, P, seed)``, its input not counted."""
     tracemalloc.start()
     try:
-        kmeans_centers(points, P=P, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        kmeans_centers(points, P=P, seed=seed)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_kmeans_peak_is_one_buffer_one_block_and_few_vectors():
+    # The pool is built before tracing starts, in Fortran order as fit_rbf
+    # builds it, so k-means reads it in place and the peak is its own: the
+    # (N, 2) buffer of columns [||x||^2, 1], one block of Gram values with
+    # its gathered rows, and N-vectors.  Six N-vectors are live at the peak,
+    # in a Lloyd round that reassigns almost every row: the loop's assign,
+    # upper, lower, moved and shrunk, and its stale-row list, beside the N
+    # bools of kept.  Three more cover the buffers of one block's length
+    # (about one), the interpreter's own objects and other pools.  An
+    # (N, P) matrix alone would be 2 MB.
+    train, _ = benchmark_splits("wiener", 0)
+    points = np.ascontiguousarray(np.concatenate([t.X for t in train], axis=1)).T
+    N, q = points.shape
+    P = 50
+    assert (N, q) == (5000, 4) and points.flags.f_contiguous
+    kmeans_centers(np.zeros((3, 1)), P=2, seed=0)  # first-call imports are not k-means' peak
+    peak = _kmeans_peak(points, P, 0)
     step = rbf._KMEANS_BLOCK_ENTRIES // P
-    buffer, block, vectors = N * (q + 2) * 8, step * (P + q + 2) * 8, 13 * N * 8
+    buffer, block, vectors = N * 2 * 8, step * (P + q + 2) * 8, 9 * N * 8
     assert peak <= buffer + block + vectors
+    # Any other layout is copied once: one more (N, q) array, up to the
+    # interpreter's own objects.
+    copied = _kmeans_peak(np.ascontiguousarray(points), P, 0)
+    assert abs(copied - peak - N * q * 8) <= 4096
 
 
-def test_gram_rows_hold_the_points_in_one_fortran_buffer():
+def test_kmeans_reads_its_input_without_writing_it():
+    # A Fortran-order pool is read in place and any other layout copied;
+    # neither is written, so a read-only array gives the same centers.
+    points = np.random.default_rng(4).standard_normal((600, 3))
+    for layout in (points, np.asfortranarray(points), np.asfortranarray(points)[::2]):
+        expected = kmeans_centers(np.array(layout), P=7, seed=2)
+        before = layout.tobytes()
+        layout.flags.writeable = False
+        assert np.array_equal(kmeans_centers(layout, P=7, seed=2), expected)
+        assert layout.tobytes() == before
+
+
+def test_gram_rows_hold_the_norms_in_one_fortran_buffer():
     points = np.random.default_rng(3).standard_normal((37, 3)) * 1e3
     points[5, 1] = -0.0
     for layout in (points, np.asfortranarray(points)):
-        rows = rbf._gram_rows(layout)
-        assert rows.shape == (37, 5) and rows.flags.f_contiguous
-        assert rows[:, :3].tobytes() == points.tobytes()  # the points, bit for bit
-        np.testing.assert_allclose(rows[:, 3], (points**2).sum(axis=1), rtol=1e-15)
-        assert np.all(rows[:, 4] == 1.0)
+        norms = rbf._gram_rows(layout)
+        assert norms.shape == (37, 2) and norms.flags.f_contiguous
+        np.testing.assert_allclose(norms[:, 0], (points**2).sum(axis=1), rtol=1e-15)
+        assert np.all(norms[:, 1] == 1.0)
 
 
 def test_kmeans_centers_do_not_depend_on_the_input_layout():
@@ -678,6 +709,22 @@ def test_fit_rbf_holds_at_most_two_lifted_designs_past_kmeans(monkeypatch, desig
     assert peak <= stack + 2 * design + 2 * _BLOCK_ENTRIES * 8
 
 
+def test_wiener_rbf_op_peaks_at_most_0_85_mb():
+    # One op of the benchmark's wiener_rbf workload: fit_rbf and the test
+    # RMSE on Wiener seed 0.  k-means reads fit_rbf's pool in place and
+    # writes each scored block into its bounds, so it and the fit after it
+    # (one lifted design beside the weight system and the lift's first
+    # block) tie at about 0.805 MB.  A copy of the pool beside it read 1.094 MB.
+    train, test = benchmark_splits("wiener", 0)
+    tracemalloc.start()
+    try:
+        rmse(fit_rbf(train, PINNED_CONFIGS["wiener"]), test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.85 * 2**20
+
+
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 1), (26, 5), (100, 10), (10000, 50)])
 def test_default_center_count(n, expected):
     assert default_center_count(n) == expected
@@ -723,6 +770,24 @@ def test_fit_rbf_model_passes_the_model_checks(monkeypatch):
     tasks = nonlinear_tasks(np.random.default_rng(46), T=3, N=20)
     with pytest.raises(ValueError, match="feature map"):
         fit_rbf(tasks, mild_config(), P=4)
+
+
+def test_fit_rbf_reaches_the_traced_layers_by_their_module_names(monkeypatch):
+    # The benchmark's tracer (perfbench/tracing.py) times k-means, the widths
+    # and the lift by wrapping these gamtl.rbf names; a fit that reached one
+    # another way would leave its span at 0.
+    calls = dict.fromkeys(("kmeans_centers", "optimal_widths", "lift_matrix"), 0)
+    for name in calls:
+
+        def counting(*args, _real=getattr(rbf, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rbf, name, counting)
+    tasks = nonlinear_tasks(np.random.default_rng(46), T=3, N=20)
+    fit_rbf(tasks, mild_config(), P=4)
+    assert calls["kmeans_centers"] == calls["optimal_widths"] == 1
+    assert calls["lift_matrix"] >= len(tasks)
 
 
 def test_model_file_with_centers_without_coordinates_is_refused(tmp_path):
