@@ -89,15 +89,21 @@ def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     checked; ``q = 0`` gives zeros.  Each entry sums squared coordinate
     differences in coordinate order -- no Gram-matrix shortcut, so no
     cancellation can drive it negative, and a pair gives the same bits
-    wherever it sits.  Memory: two ``(N, P)`` buffers, no ``(N, P, q)``.
+    wherever it sits.  Memory: two ``(N, P)`` buffers, no ``(N, P, q)``.  A
+    coordinate's differences are the broadcast point column, copied into
+    its buffer, minus the center row: one broadcast operand per ufunc call,
+    for which numpy allocates no buffer of its own.
     """
     if points.shape[1] == 0:
         return np.zeros((points.shape[0], centers.shape[0]))
-    out = np.subtract(points[:, 0, None], centers[None, :, 0])
+    out = np.empty((points.shape[0], centers.shape[0]))
+    np.copyto(out, points[:, 0, None])
+    out -= centers[:, 0]
     np.square(out, out=out)
     tmp = np.empty_like(out)
     for j in range(1, points.shape[1]):
-        np.subtract(points[:, j, None], centers[None, :, j], out=tmp)
+        np.copyto(tmp, points[:, j, None])
+        tmp -= centers[:, j]
         np.square(tmp, out=tmp)
         out += tmp
     return out

@@ -13,19 +13,22 @@ seeding and Lloyd updates draw only from ``numpy.random.default_rng(seed)``
 and all reductions run in a fixed order.  k-means reads the pooled inputs
 in place when they are a Fortran-order float array, each coordinate one
 contiguous column, as :func:`fit_rbf` pools them, and copies any other
-layout once into one.  Beside them it keeps only the (N, 2) Fortran-order
-columns ``[||x||^2, 1]`` of the Gram-form rows ``[x, ||x||^2, 1]``.
-Squared distances come from :func:`gamtl.graph.sq_distances`, which sums
-them one coordinate at a time; the seeding, the widths and the lift call
-it, the lift on cache-sized row blocks.  The k-means++ draw is
-``Generator.choice``'s, written out in one preallocated buffer
+layout once into one.  Beside them it keeps only the (N,) squared norms,
+the one column of the Gram-form rows ``[x, ||x||^2, 1]`` that is neither
+read from the pool nor constant, and three N-vectors of assignments and
+bounds.  Squared distances come from :func:`gamtl.graph.sq_distances`,
+which sums them one coordinate at a time; the seeding, the widths and the
+lift call it, the lift on row blocks of ``_LIFT_BLOCK_ENTRIES`` = 2**13
+distances (64 KiB), each freed before the next is made.  The k-means++
+draw is ``Generator.choice``'s, written out in one preallocated buffer
 (:func:`_weighted_draw`).  The assignment gathers each row block's rows
-``[x, ||x||^2, 1]``, column by column, into one reused buffer and scores
-its ``_KMEANS_BLOCK_ENTRIES`` = 2**15 Gram values (256 KiB) with one BLAS
-product into another; its operands, those rows and ``[-2 c; 1;
-||c||^2]``, carry both squared norms.  It keeps a row's argmin only when
-the rounding bound :func:`gamtl.graph._gram_error` proves it equal to the
-coordinate kernel's, sends every other row of the block through
+``[x, ||x||^2, 1]``, column by column, into one reused buffer whose column
+of ones is written once, and scores its ``_KMEANS_BLOCK_ENTRIES`` = 2**15
+Gram values (256 KiB) with one BLAS product into another; its operands,
+those rows and ``[-2 c; 1; ||c||^2]``, carry both squared norms.  It
+keeps a row's argmin only when the rounding bound
+:func:`gamtl.graph._gram_error` proves it equal to the coordinate
+kernel's, sends every other row of the block through
 ``sq_distances``, and writes the block's centers and bounds into the Lloyd
 loop's N-vectors before the next block is scored.  Cluster means come from
 ``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
@@ -34,7 +37,10 @@ Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
 distance to every other center, moved by the center shifts after each round
 (Hamerly, "Making k-means even faster", SDM 2010), and reset from the
-certificate's ``g +- err`` (or the kernel) when it is reassigned.  Every bound
+certificate's ``g +- err`` (or the kernel) when it is reassigned.  The
+shifts and the prune test use one N-vector of scratch, freed before the
+reassignment, and a round in which at least half of the rows fail the test
+reassigns every row through slices, without a list of them.  Every bound
 is rounded outward beyond the rounding of a computed squared distance, so a
 skipped point provably keeps the center of the full distance matrix's argmin,
 and the centers are bit-identical to dense rounds.  A row that fails the test
@@ -52,7 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import check_seed
-from .graph import _BLOCK_ENTRIES, _TINY, _gram_error, _paired_sq_distances, sq_distances
+from .graph import _TINY, _gram_error, _paired_sq_distances, sq_distances
 from .model import GamtlConfig, GamtlModel, check_config, fit
 from .weight_solver import TaskDataset, validate_tasks
 
@@ -69,10 +75,16 @@ __all__ = [
 
 KMEANS_MAX_ITER = 300
 # Entries of one row block of the k-means assignment's Gram values: 32k
-# doubles, 256 KiB, twice the lift's blocks.  The block is the largest part
-# of k-means' memory peak: 2**16-entry blocks save about 2% of the time for
-# 256 KiB more, and 2**14-entry blocks cost about 8% more time.
+# doubles, 256 KiB, four times the lift's blocks.  The block is the largest
+# part of k-means' memory peak: 2**16-entry blocks save about 2% of the time
+# for 256 KiB more, and 2**14-entry blocks cost about 8% more time.
 _KMEANS_BLOCK_ENTRIES = 1 << 15
+# Entries of one row block of the lift: 8k doubles, 64 KiB, half the
+# task distances' blocks in gamtl.graph.  sq_distances holds two such
+# blocks and one 64 KiB ufunc buffer, so the lift holds about 193 KiB
+# beside its result, against 321 KiB at 2**14 entries, which take about 13%
+# less lift time; 2**12 entries hold 97 KiB for about 15% more.
+_LIFT_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -114,17 +126,15 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, P: int):
 
 
 def _gram_rows(points: np.ndarray) -> np.ndarray:
-    """Columns ``[||x||^2, 1]`` of the Gram-form rows ``[x, ||x||^2, 1]``, one (N, 2) buffer.
+    """Squared norms ``||x||^2`` of the rows of ``points``, one (N,) vector.
 
-    The buffer is in Fortran order, so each column is contiguous, like the
-    coordinate columns of the Fortran-order ``points`` that k-means reads in
-    place: a row's first q entries are read from ``points`` itself.
+    They are the one column of the Gram-form rows ``[x, ||x||^2, 1]`` that
+    is not read from ``points`` itself or constant: ``_nearest_two`` writes
+    the column of ones once into its reused block buffer.
     """
-    norms = np.empty((points.shape[0], 2), order="F")
+    norms = np.empty(points.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
-        np.einsum("ij,ij->i", points, points, out=norms[:, 0])
-    norms[:, 1] = 1.0
-    return norms
+        return np.einsum("ij,ij->i", points, points, out=norms)
 
 
 def _gram_columns(centers: np.ndarray) -> np.ndarray:
@@ -141,8 +151,8 @@ def _gram_columns(centers: np.ndarray) -> np.ndarray:
 def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> bool:
     """Reassign ``points[rows]`` (every row when ``rows`` is None) to their nearest centers.
 
-    ``norms`` holds the columns ``[||x||^2, 1]`` that ``_gram_rows`` gives
-    for ``points``.  Writes each row's nearest index (lowest on ties) into
+    ``norms`` holds the squared norms that ``_gram_rows`` gives for
+    ``points``.  Writes each row's nearest index (lowest on ties) into
     ``assign``, an upper bound on the distance to it into ``upper`` and a
     lower bound on the distance to every other center (inf with one center)
     into ``lower``, both rounded outward, and returns whether any entry of
@@ -151,14 +161,14 @@ def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> 
     (len(rows), P) matrix is kept.
 
     Each block of ``_KMEANS_BLOCK_ENTRIES // P`` rows is gathered, column
-    by column, into one Fortran-order buffer of rows ``[x, ||x||^2, 1]``
-    and scored in Gram form by one BLAS product with ``_gram_columns``,
-    written into one buffer; every block reuses both.  So both squared
-    norms ride inside the product: ``g_ij = x_i . (-2 c_j) + ||x_i||^2 +
-    ||c_j||^2``.  With ``S_i = ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij -
-    d_ij| <= err_i = _gram_error(S_i, 2 q)`` for every center, where
-    ``d_ij`` is the coordinate kernel's value, whatever order or FMA the
-    BLAS uses.
+    by column, into one Fortran-order buffer of rows ``[x, ||x||^2, 1]``,
+    whose column of ones is written once, and scored in Gram form by one
+    BLAS product with ``_gram_columns``, written into one buffer; every
+    block reuses both.  So both squared norms ride inside the product:
+    ``g_ij = x_i . (-2 c_j) + ||x_i||^2 + ||c_j||^2``.  With ``S_i =
+    ||x_i||^2 + max_j ||c_j||^2``, ``|g_ij - d_ij| <= err_i = _gram_error(S_i,
+    2 q)`` for every center, where ``d_ij`` is the coordinate kernel's
+    value, whatever order or FMA the BLAS uses.
 
     A row is certified when its two smallest Gram values differ by more than
     ``2 err_i``.  Then for every other center ``d_ij >= g_ij - err_i >
@@ -177,12 +187,13 @@ def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> 
     size = min(step, count)
     scores = np.empty((size, P))  # every block's Gram values, in turn
     gathered = np.empty((size, q + 2), order="F")  # every block's rows [x, ||x||^2, 1]
+    gathered[:, q + 1] = 1.0
     row_starts = np.arange(0, scores.size, P)  # flat index of each block row
     nearest = np.empty(size, dtype=np.intp)
     first, second = np.empty(size), np.empty(size)  # squared distances until the roots
     err, twice, gap = np.empty(size), np.empty(size), np.empty(size)  # one block's certificate
     sure = np.empty(size, dtype=bool)
-    columns = [*points.T, *norms.T]  # each contiguous
+    columns = [*points.T, norms]  # each contiguous; the ones stay in place
     cross = _gram_columns(centers)
     top = cross[q + 1].max()
     moved = False
@@ -191,7 +202,7 @@ def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> 
             n = min(step, count - start)
             which = slice(start, start + n) if rows is None else rows[start : start + n]
             block = gathered[:n]
-            for column, out in zip(columns, block.T):
+            for column, out in zip(columns, block.T[: q + 1]):
                 if rows is None:
                     out[:] = column[which]
                 else:
@@ -258,6 +269,50 @@ def _shrunk(x, margin: float, out=None):
     return np.subtract(np.multiply(x, 1.0 - margin, out=out), _TINY, out=out)
 
 
+def _stale_rows(centers, previous, margin, assign, upper, lower):
+    """Move the bounds by the center shifts; the rows that fail the prune test.
+
+    ``upper`` grows by each point's own center shift and ``lower`` shrinks
+    by the largest shift among the other centers, both rounded outward.
+    The test's own outward rounding of ``lower`` stays in it: a smaller
+    lower bound is still one.  Returns the failing rows' indices, or None
+    when at least half of the rows fail, so that the round reassigns every
+    row through slices, unlisted.  Its N-length scratch dies on return, so
+    it never sits beside the reassignment's block.
+    """
+    shift = _grown(np.sqrt(_paired_sq_distances(centers, previous)), margin)
+    moved = np.take(shift, assign)
+    upper += moved
+    _grown(upper, margin, out=upper)
+    top = np.argsort(shift)[-2:]  # the two largest shifts, the largest last
+    moved.fill(shift[top[-1]])
+    kept = np.equal(assign, top[-1])
+    np.copyto(moved, shift[top[0]], where=kept)
+    lower -= moved
+    _shrunk(lower, margin, out=lower)
+    # the prune test, with the rounding margin on both sides; NaN fails it
+    np.less(_grown(upper, margin, out=moved), _shrunk(lower, margin, out=lower), out=kept)
+    stale = np.logical_not(kept, out=kept)
+    return np.flatnonzero(stale) if 2 * np.count_nonzero(stale) < stale.size else None
+
+
+def _farthest_from_own_center(points, centers, assign, total, term) -> int:
+    """Index of the point farthest from its own center, the lowest on ties.
+
+    The squared distances are summed in coordinate order into the (N,)
+    vector ``total``, with the (N,) vector ``term`` as scratch, so each is
+    ``_paired_sq_distances(points, centers[assign])``'s value bit for bit,
+    without its two (N, q) temporaries.
+    """
+    for j in range(points.shape[1]):
+        out = term if j else total
+        np.subtract(points[:, j], centers[:, j].take(assign, out=out), out=out)
+        np.square(out, out=out)
+        if j:
+            total += term
+    return int(np.argmax(total))
+
+
 def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     """k-means centers of pooled samples (rows), deterministic per seed.
 
@@ -288,26 +343,32 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     lower bound shrinks by the largest shift among the other centers
     (triangle inequality).  A point keeps its center when ``upper < lower``
     holds with a relative margin of 4 (q + 2) eps on top; otherwise its
-    whole row is reassigned.  A round that reseeds a cluster reassigns
-    every row.  The shifted bounds and the prune test are written into
-    N-vectors allocated once per call, and the reassignment writes its
-    rows' centers and bounds straight into the persistent ones.
+    whole row is reassigned.  The shifts and the prune test take one
+    N-vector of scratch per round (``_stale_rows``), freed before the
+    reassignment, which writes its rows' centers and bounds straight into
+    the persistent ones.  A round in which at least half of the rows fail
+    the test reassigns every row through slices, without listing them.  A
+    round that reseeds a cluster reassigns every row, so a reseed sums each
+    point's squared distance to its own center one coordinate at a time
+    into the bounds (``_farthest_from_own_center``), with no (N, q)
+    temporary.
 
     A reassigned row is scored in Gram form, ``||x||^2 + ||c||^2 - 2 x.c``,
-    by one BLAS product per block of 2**15 values: the columns ``[||x||^2,
-    1]`` are built once per call, in one Fortran-order (N, 2) buffer
-    (``_gram_rows``), and each block's rows ``[x, ||x||^2, 1]`` are gathered
-    into one reused buffer, so the product alone gives the Gram values.
+    by one BLAS product per block of 2**15 values: the squared norms are
+    computed once per call, into one (N,) vector (``_gram_rows``), and each
+    block's rows ``[x, ||x||^2, 1]`` are gathered into one reused buffer
+    whose column of ones is written once, so the product alone gives the
+    Gram values.
     A row keeps the Gram argmin only when the rounding bound
     ``graph._gram_error`` proves it the coordinate kernel's strict argmin
     (see ``_nearest_two``); the same bound gives its new upper and lower
     bounds.  Every other row, including those whose bound or Gram values
     are inf or NaN, is recomputed with ``sq_distances``.  Each block is
     certified, and written into the bounds, as soon as it is scored, so the
-    memory peak is the (N, 2) buffer, one block of Gram values with its
-    gathered rows, and the N-vectors of the Lloyd loop: 0.65 MB under
-    tracemalloc on the Wiener seed-0 pool (N = 5000, q = 4, P = 50), the
-    pooled inputs not counted.
+    memory peak is the (N,) norms, one block of Gram values with its
+    gathered rows, and the Lloyd loop's assignments and bounds: 0.51 MB
+    under tracemalloc on the Wiener seed-0 pool (N = 5000, q = 4, P = 50),
+    the pooled inputs not counted.
 
     Why skipping is exact: a reassigned row's bounds enclose its kernel
     distances, by the certificate or because they are the kernel's values.
@@ -356,7 +417,6 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     norms = _gram_rows(points)
     assign, upper, lower = np.empty(N, dtype=np.intp), np.empty(N), np.empty(N)
     _nearest_two(points, norms, centers, None, margin, assign, upper, lower)
-    moved, shrunk, kept = np.empty(N), np.empty(N), np.empty(N, dtype=bool)  # round buffers
     seen = set()
     for _ in range(KMEANS_MAX_ITER):
         # The centers alone fix a round (see above): a repeat replays a cycle.
@@ -368,25 +428,15 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
         sums, counts = _cluster_sums(points, assign, P)
         if counts.all():
             np.divide(sums, counts[:, None], out=centers)
-            shift = _grown(np.sqrt(_paired_sq_distances(centers, previous)), margin)
-            upper += np.take(shift, assign, out=moved)
-            _grown(upper, margin, out=upper)
-            top = np.argsort(shift)[-2:]  # the two largest shifts, the largest last
-            # each lower bound drops by the largest shift among the other centers
-            moved.fill(shift[top[-1]])
-            np.copyto(moved, shift[top[0]], where=np.equal(assign, top[-1], out=kept))
-            lower -= moved
-            _shrunk(lower, margin, out=lower)
-            # the prune test, with the rounding margin on both sides
-            np.less(_grown(upper, margin, out=moved), _shrunk(lower, margin, out=shrunk), out=kept)
-            stale = np.flatnonzero(np.logical_not(kept, out=kept))
+            stale = _stale_rows(centers, previous, margin, assign, upper, lower)
         else:
             for p in range(P):
                 if counts[p] > 0:
                     centers[p] = sums[p] / counts[p]
                     continue
-                # reseed to the point worst served by its current center
-                farthest = int(np.argmax(_paired_sq_distances(points, centers[assign])))
+                # Reseed to the point worst served by its current center.  The
+                # round reassigns every row, so its bounds are free as scratch.
+                farthest = _farthest_from_own_center(points, centers, assign, upper, lower)
                 donor = assign[farthest]
                 centers[p] = points[farthest]
                 assign[farthest] = p
@@ -460,10 +510,13 @@ def transform(feature_map: RbfFeatureMap, x: np.ndarray) -> np.ndarray:
 def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
     """Lift a (q, n) design matrix to (P+1, n): RBF features plus a bias row.
 
-    Samples are taken in blocks of about ``_BLOCK_ENTRIES`` activations, each
-    computed in place as ``exp(-sq / (2 sigma^2))`` and copied into the
-    result, so no (n, P) temporary is made.  The result is in Fortran order,
-    the layout of the weight step's products on lifted data.
+    Samples are taken in blocks of about ``_LIFT_BLOCK_ENTRIES`` = 2**13
+    activations, each computed in place as ``exp(-sq / (2 sigma^2))``,
+    copied into the result and freed before the next block's distances are
+    made, so no (n, P) temporary is made: beside the result the lift holds
+    one block's ``sq_distances`` buffers, about 193 KiB on a 500-sample
+    Wiener task at P = 50.  The result is in Fortran order, the layout of
+    the weight step's products on lifted data.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -479,12 +532,13 @@ def lift_matrix(feature_map: RbfFeatureMap, X: np.ndarray) -> np.ndarray:
     P = feature_map.num_centers
     lifted = np.empty((P + 1, points.shape[0]), order="F")
     divisor = -2.0 * feature_map.widths**2  # sq / -d is -(sq / d) bit for bit
-    step = max(1, _BLOCK_ENTRIES // P)
+    step = max(1, _LIFT_BLOCK_ENTRIES // P)
     for start in range(0, points.shape[0], step):
         block = sq_distances(points[start : start + step], feature_map.centers)
         block /= divisor
         np.exp(block, out=block)
         lifted[:P, start : start + step] = block.T
+        del block  # so the next block's distances are not made beside it
     lifted[-1] = 1.0
     return lifted
 

@@ -186,7 +186,8 @@ def _kmeans_gram(points, centers):
     One product of the assignment's operands, in which both squared norms ride:
     the rows ``[x, ||x||^2, 1]`` it gathers from the points and ``_gram_rows``.
     """
-    lifted, cross = np.hstack([points, rbf._gram_rows(points)]), rbf._gram_columns(centers)
+    lifted = np.column_stack([points, rbf._gram_rows(points), np.ones(points.shape[0])])
+    cross = rbf._gram_columns(centers)
     g = lifted @ cross
     size = lifted[:, -2] + cross[-1].max()
     return g, np.broadcast_to(size[:, None], g.shape)

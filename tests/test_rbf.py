@@ -16,7 +16,7 @@ import oracles
 from gamtl import rbf
 from gamtl.data import benchmark_splits
 from gamtl.evaluate import rmse
-from gamtl.graph import _BLOCK_ENTRIES, sq_distances
+from gamtl.graph import _paired_sq_distances, sq_distances
 from gamtl.graph_learning import GraphLearningParams
 from gamtl.model import PINNED_CONFIGS, GamtlConfig, fit, load_model, model_to_dict
 from gamtl.rbf import (
@@ -239,8 +239,8 @@ def test_kmeans_assigns_wiener_inputs_without_the_coordinate_kernel(monkeypatch)
 def test_kmeans_computes_no_exact_own_distances_on_wiener_inputs(monkeypatch):
     # A reassigned row takes its upper bound from the Gram-form certificate, so
     # _paired_sq_distances measures only the center shifts: once per Lloyd
-    # round, on the P centers.  Its one other use, a reseed, which measures
-    # all N rows, never happens on this pool.
+    # round, on the P centers.  A reseed sums its own distances, and none
+    # happens on this pool.
     train, _ = benchmark_splits("wiener", 0)
     points = np.concatenate([t.X.T for t in train], axis=0)
     rows, assignments = [], []
@@ -346,14 +346,17 @@ def _kmeans_peak(points, P, seed):
 
 def test_kmeans_peak_is_one_buffer_one_block_and_few_vectors():
     # The pool is built before tracing starts, in Fortran order as fit_rbf
-    # builds it, so k-means reads it in place and the peak is its own: the
-    # (N, 2) buffer of columns [||x||^2, 1], one block of Gram values with
-    # its gathered rows, and N-vectors.  Six N-vectors are live at the peak,
-    # in a Lloyd round that reassigns almost every row: the loop's assign,
-    # upper, lower, moved and shrunk, and its stale-row list, beside the N
-    # bools of kept.  Three more cover the buffers of one block's length
-    # (about one), the interpreter's own objects and other pools.  An
-    # (N, P) matrix alone would be 2 MB.
+    # builds it, so k-means reads it in place and the peak is its own, in a
+    # Lloyd round's reassignment: the (N,) squared norms, one block of Gram
+    # values with its gathered rows, and N-vectors.  About three and a half
+    # N-vectors are live there: the loop's assign, upper and lower, and a
+    # stale-row list of fewer than N / 2 rows, since a round with more reads
+    # its rows as slices.  The bound updates' scratch is freed before the
+    # reassignment starts.  Two and a half more cover the buffers of one
+    # block's length (about one and a half), the interpreter's own objects
+    # and other pools.  A round's scratch beside the (N, 2) buffer of
+    # [||x||^2, 1] and a 4997-row list read 0.65 MB; an (N, P) matrix alone
+    # would be 2 MB.
     train, _ = benchmark_splits("wiener", 0)
     points = np.ascontiguousarray(np.concatenate([t.X for t in train], axis=1)).T
     N, q = points.shape
@@ -362,12 +365,56 @@ def test_kmeans_peak_is_one_buffer_one_block_and_few_vectors():
     kmeans_centers(np.zeros((3, 1)), P=2, seed=0)  # first-call imports are not k-means' peak
     peak = _kmeans_peak(points, P, 0)
     step = rbf._KMEANS_BLOCK_ENTRIES // P
-    buffer, block, vectors = N * 2 * 8, step * (P + q + 2) * 8, 9 * N * 8
-    assert peak <= buffer + block + vectors
+    norms, block, vectors = N * 8, step * (P + q + 2) * 8, 6 * N * 8
+    assert peak <= norms + block + vectors
     # Any other layout is copied once: one more (N, q) array, up to the
     # interpreter's own objects.
     copied = _kmeans_peak(np.ascontiguousarray(points), P, 0)
     assert abs(copied - peak - N * q * 8) <= 4096
+
+
+def test_kmeans_reseeds_without_point_by_coordinate_temporaries(monkeypatch):
+    # Forty distinct 12-d rows, repeated to N = 5000, leave clusters empty in
+    # every round, and each reseed measures every point's distance to its
+    # own center.  Summed one coordinate at a time into two N-vectors that
+    # the round frees anyway, it keeps the peak within a few N-vectors of a
+    # Gaussian pool's; centers[assign] and its gap, two (N, q) temporaries,
+    # read 15 N-vectors above it.  What stays above it, about 4.3 N-vectors,
+    # is the coordinate kernel on each block's rows that tie between
+    # duplicate centers.
+    N, q, P = 5000, 12, 50
+    distinct = np.random.default_rng(1).standard_normal((40, q))
+    repeated = np.asfortranarray(np.tile(distinct, (N // 40, 1)))
+    gaussian = np.asfortranarray(np.random.default_rng(0).standard_normal((N, q)))
+    kmeans_centers(np.zeros((3, 1)), P=2, seed=0)  # first-call imports are not k-means' peak
+    reseeds = [0]
+    farthest = rbf._farthest_from_own_center
+
+    def counting(*args):
+        reseeds[0] += 1
+        return farthest(*args)
+
+    monkeypatch.setattr(rbf, "_farthest_from_own_center", counting)
+    assert _kmeans_peak(repeated, P, 0) <= _kmeans_peak(gaussian, P, 0) + 6 * N * 8
+    assert reseeds[0] > 100
+    # The dense oracle on 25 copies of each row: the loop oracle, whose
+    # means and stop rule round differently, leaves these cycling pools
+    # elsewhere.
+    small = repeated[: N // 5]
+    assert np.array_equal(kmeans_centers(small, P, 0), oracles.kmeans_dense(small, P, 0))
+
+
+@pytest.mark.parametrize("q", [1, 4, 13])
+def test_farthest_from_own_center_sums_like_the_paired_kernel(q):
+    rng = np.random.default_rng(q)
+    points = np.asfortranarray(rng.standard_normal((300, q)) * 10.0 ** rng.integers(-3, 4, (300, q)))
+    centers = rng.standard_normal((9, q))
+    assign = rng.integers(9, size=300)
+    total, term = np.empty(300), np.empty(300)
+    farthest = rbf._farthest_from_own_center(points, centers, assign, total, term)
+    paired = _paired_sq_distances(points, centers[assign])
+    assert np.array_equal(total, paired)
+    assert farthest == np.argmax(paired)
 
 
 def test_kmeans_reads_its_input_without_writing_it():
@@ -387,9 +434,8 @@ def test_gram_rows_hold_the_norms_in_one_fortran_buffer():
     points[5, 1] = -0.0
     for layout in (points, np.asfortranarray(points)):
         norms = rbf._gram_rows(layout)
-        assert norms.shape == (37, 2) and norms.flags.f_contiguous
-        np.testing.assert_allclose(norms[:, 0], (points**2).sum(axis=1), rtol=1e-15)
-        assert np.all(norms[:, 1] == 1.0)
+        assert norms.shape == (37,) and norms.flags.f_contiguous
+        np.testing.assert_allclose(norms, (points**2).sum(axis=1), rtol=1e-15)
 
 
 def test_kmeans_centers_do_not_depend_on_the_input_layout():
@@ -655,6 +701,23 @@ def test_lift_matrix_keeps_no_point_by_center_temporary():
     assert peak < lifted.nbytes + 5000 * 50 * 8 // 2
 
 
+def test_lift_matrix_holds_one_block_of_distances_beside_its_result():
+    # sq_distances on one lift block holds its out and tmp buffers and one
+    # ufunc buffer of 2**13 doubles, 192 KiB; the block before it is freed
+    # first.  One 2**14-entry block, made beside the last, read 393 KiB.
+    fm, train, _ = wiener_feature_map()
+    X = train[0].X
+    assert X.shape == (fm.input_dim, 500)
+    lift_matrix(fm, X)
+    tracemalloc.start()
+    try:
+        lifted = lift_matrix(fm, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - lifted.nbytes <= 4 * rbf._LIFT_BLOCK_ENTRIES * 8
+
+
 def test_lift_tasks_preserves_ids_and_targets():
     fm = unit_map()
     tasks = [
@@ -673,7 +736,8 @@ def test_fit_rbf_holds_at_most_two_lifted_designs_past_kmeans(monkeypatch, desig
     # drops it before the next: only the first design, kept while the designs
     # may be shared, and the one in hand live at once.  From k-means' return
     # the tracemalloc peak is then within the system's (T, P+1, P+1) stack,
-    # two designs and the lift's two row blocks; a list of all T lifted
+    # two designs and the lift's three buffers of one block's length
+    # (sq_distances' out and tmp and one ufunc buffer); a list of all T lifted
     # designs took about 11 designs.  Wiener's agents have designs of their
     # own; given agent 0's inputs, every task shares one lifted design.
     train, _ = benchmark_splits("wiener", 0)
@@ -706,15 +770,18 @@ def test_fit_rbf_holds_at_most_two_lifted_designs_past_kmeans(monkeypatch, desig
     width = model.feature_map.num_centers + 1
     design = width * max(t.n_samples for t in train) * 8
     stack = len(train) * width * width * 8
-    assert peak <= stack + 2 * design + 2 * _BLOCK_ENTRIES * 8
+    assert peak <= stack + 2 * design + 3 * rbf._LIFT_BLOCK_ENTRIES * 8
 
 
-def test_wiener_rbf_op_peaks_at_most_0_85_mb():
+def test_wiener_rbf_op_peaks_at_most_0_72_mb():
     # One op of the benchmark's wiener_rbf workload: fit_rbf and the test
-    # RMSE on Wiener seed 0.  k-means reads fit_rbf's pool in place and
-    # writes each scored block into its bounds, so it and the fit after it
-    # (one lifted design beside the weight system and the lift's first
-    # block) tie at about 0.805 MB.  A copy of the pool beside it read 1.094 MB.
+    # RMSE on Wiener seed 0.  k-means, beside fit_rbf's pool, sets the peak
+    # at about 0.67 MB: the (N,) norms, one score block and three N-vectors.
+    # The fit after it (two lifted designs beside the weight system and one
+    # lift block's distances) peaks at about 0.62 MB.  Both phases read
+    # about 0.805 MB while k-means kept the (N, 2) columns [||x||^2, 1] and
+    # a round's scratch, and the lift made each 2**14-entry block beside
+    # the last; a copy of the pool beside k-means read 1.094 MB.
     train, test = benchmark_splits("wiener", 0)
     tracemalloc.start()
     try:
@@ -722,7 +789,7 @@ def test_wiener_rbf_op_peaks_at_most_0_85_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.85 * 2**20
+    assert peak <= 0.72 * 2**20
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 1), (26, 5), (100, 10), (10000, 50)])
