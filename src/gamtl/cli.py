@@ -24,6 +24,8 @@ runtime failure, and a report with failed or non-converged seeds gets one
 The configs of ``fit`` and ``bench`` are checked before any file is read:
 an unknown or missing key, a value of the wrong JSON type or out of range
 is a usage error that names the key, as in ``config error at $.model.alpha``.
+JSON types follow ``gamtl.data.json_kind``, as in model files and graph
+documents, so an integer beyond float range is no number.
 The config dataclasses (``GamtlConfig``, ``GraphLearningParams``, ``SynSpec``)
 are the one statement of the ranges they own.  ``synth`` checks each data
 flag by the rule of the same ``benchmark`` key, even a flag its benchmark
@@ -101,10 +103,6 @@ _SHARED_KEYS = {"rbf": _RBF_KEYS, "out_dir": "string"}
 _FIT_KEYS = {"data": _DATA_KEYS, "model": {**_MODEL_KEYS, "seed": "integer"}, **_SHARED_KEYS}
 _BENCH_KEYS = {"benchmark": _BENCHMARK_KEYS, "model": _MODEL_KEYS, **_SHARED_KEYS}
 _REQUIRED = {"$.data", "$.data.train_csv", "$.benchmark", "$.benchmark.name"}
-_JSON_TYPES = {
-    "number": (int, float), "integer": int, "string": str, "boolean": bool,
-    "array": list, "null": type(None), "object": dict,
-}
 _LIMITS = {
     "$.rbf.num_centers": (lambda v: v is None or v >= 1, "must be at least 1"),
     "$.rbf.width_factor": (lambda v: 0 < v < math.inf, "must be positive"),
@@ -113,7 +111,7 @@ _LIMITS = {
     "$.benchmark.n_samples": (lambda v: v >= 2, "must be at least 2"),  # the split's rule
     "$.benchmark.split_ratio": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "$.data.feature_columns": (
-        lambda v: v is None or (v and all(isinstance(c, str) for c in v)),
+        lambda v: v is None or (v and all(data_mod.json_kind(c, "string") for c in v)),
         "must be a non-empty list of strings",
     ),
 }
@@ -121,10 +119,11 @@ _LIMITS = {
 
 def _check_value(path: str, kind: str, value):
     """Raise ValueError if the key at ``path``, of JSON type ``kind``, may not hold ``value``."""
-    types = tuple(_JSON_TYPES[name] for name in kind.split(" or "))
-    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, types):
-        raise ValueError(f"expected {kind}")
     block, _, key = path.rpartition(".")
+    if not data_mod.json_kind(value, kind):
+        if "number" in kind and data_mod.json_kind(value, "integer"):  # no float holds it
+            raise ValueError(f"{key} is beyond float range")
+        raise ValueError(f"expected {kind}")
     if block == "$.model":
         _gamtl_config({key: value})
     elif key in ("n_train", "n_test", "noise_std"):
@@ -179,7 +178,7 @@ def _load_config(args, keys: dict) -> dict:
         raise UsageError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
+    if not data_mod.json_kind(config, "object"):
         raise UsageError("config root must be a JSON object")
     flags = [
         f"{path}={json.dumps(getattr(args, name))}"

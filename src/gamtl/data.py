@@ -78,6 +78,7 @@ class SynSpec:
             raise ValueError("sample counts must be at least 1")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be nonnegative")
+        check_float_fields(self, "noise_std")
 
 
 def _split_shared_inputs(spec: SynSpec, W: np.ndarray, rng):
@@ -322,8 +323,9 @@ class Standardizer:
     target_std: float = 1.0
 
     def __post_init__(self):
-        mean = np.asarray(self.feature_mean, dtype=float)
-        std = np.asarray(self.feature_std, dtype=float)
+        mean = float_array(self.feature_mean, "feature_mean")
+        std = float_array(self.feature_std, "feature_std")
+        check_float_fields(self, "target_mean", "target_std")
         target_mean, target_std = float(self.target_mean), float(self.target_std)
         if mean.ndim != 1 or std.shape != mean.shape:
             raise ValueError("feature_mean and feature_std must be 1-d arrays of one length")
@@ -503,6 +505,44 @@ def json_text(payload) -> str:
     JSON cannot hold raises and leaves the file as it was.
     """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# The least int magnitude that float() refuses: the largest float plus half its last place.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+# The JSON kind of each type json.load returns; an int is also a number if a float holds it.
+_JSON_KINDS = {int: "integer", float: "number", str: "string", bool: "boolean",
+               list: "array", dict: "object", type(None): "null"}
+
+
+def json_kind(value, kind: str) -> bool:
+    """Whether ``value``, as :func:`json.load` returns it, is a JSON ``kind``: the one rule of JSON input.
+
+    ``kind`` is ``number``, ``integer``, ``string``, ``boolean``, ``array``, ``object`` or
+    ``null``, or several joined by `` or ``.  Types match exactly, so a bool is only a
+    boolean; an int beyond float range is an integer but no number.
+    """
+    kinds, name = kind.split(" or "), _JSON_KINDS.get(type(value))
+    if name == "integer" and name not in kinds:
+        return "number" in kinds and abs(value) < _FLOAT_OVERFLOW
+    return name in kinds
+
+
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError ``<name> is beyond float range`` for an int no float holds."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond float range") from None
+
+
+def check_float_fields(record, *names):
+    """:func:`float_array`'s ValueError for the first of ``record``'s fields ``names`` beyond float range.
+
+    Range tests pass such an int, which compares with floats exactly.  The
+    value is only checked, so a record keeps the value it was given.
+    """
+    for name in names:
+        float_array(getattr(record, name), name)
 
 
 def train_test_split(tasks, ratio: float, seed: int):

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import BENCHMARKS, SYN1_GROUPS, check_seed, json_text
+from .data import BENCHMARKS, SYN1_GROUPS, check_seed, json_kind, json_text
 from .graph import edge_endpoints, validate_adjacency, vectorform
 from .model import FitTrace, GamtlConfig, GamtlModel
 from .weight_solver import ridge_independent
@@ -239,23 +239,23 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
     are isolated; ``json`` documents are self-contained.  dot output is for
     rendering and is not re-imported.  Node indices and ``n`` must be
     integers (a ``bool`` is not), an edge-csv index ASCII digits after an
-    optional ``-``; weights must be JSON numbers (``true`` is not) or
-    edge-csv ``float`` text without ``_``.  Each pair of nodes may be listed
-    once, and the result must pass
-    :func:`~gamtl.graph.validate_adjacency`; else ``ValueError``, also for
-    a ``json`` document that is not an object with an ``n`` and a list of
-    ``[source, target, weight]`` edges, or an edge-csv line of other than
-    three fields.
+    optional ``-``; weights must be JSON numbers by :func:`gamtl.data.json_kind`
+    (``true`` and an int beyond float range are not) or edge-csv ``float``
+    text without ``_``.  Each pair of nodes may be listed once, and the
+    result must pass :func:`~gamtl.graph.validate_adjacency`; else
+    ``ValueError``, also for a ``json`` document that is not an object with
+    an ``n`` and a list of ``[source, target, weight]`` edges, or an
+    edge-csv line of other than three fields.
     """
     if format == "json":
         doc = json.loads(document)
-        if type(doc) is not dict or not {"n", "edges"} <= doc.keys():
+        if not json_kind(doc, "object") or not {"n", "edges"} <= doc.keys():
             raise ValueError("json graph document must be an object with keys 'n' and 'edges'")
         size, rows = doc["n"], doc["edges"]
-        if type(rows) is not list:
+        if not json_kind(rows, "array"):
             raise ValueError(f"edges must be a list, got {rows!r}")
         for row in rows:
-            if type(row) is not list or len(row) != 3:
+            if not json_kind(row, "array") or len(row) != 3:
                 raise ValueError(f"edge {row!r} is not a [source, target, weight] list")
     elif format == "edge-csv":
         lines = document.strip().splitlines()
@@ -273,13 +273,14 @@ def import_graph(document: str, format: str = "json", n: int | None = None) -> n
     else:
         raise ValueError(f"cannot import format {format!r}")
     for i, j, w in rows:
-        if type(i) is not int or type(j) is not int:  # excludes bool
+        if not (json_kind(i, "integer") and json_kind(j, "integer")):
             raise ValueError(f"edge ({i!r}, {j!r}) names a node by a non-integer")
-        if type(w) not in (int, float):  # excludes bool and str
-            raise ValueError(f"edge ({i}, {j}) has a weight that is not a number: {w!r}")
+        if not json_kind(w, "number"):
+            what = "beyond float range" if json_kind(w, "integer") else f"that is not a number: {w!r}"
+            raise ValueError(f"edge ({i}, {j}) has a weight {what}")
     if format == "edge-csv" and n is None:
         size = max((max(i, j) for i, j, _ in rows), default=-1) + 1
-    if type(size) is not int:  # excludes bool
+    if not json_kind(size, "integer"):
         raise ValueError(f"n must be an integer, got {size!r}")
     A = np.zeros((size, size))
     pairs = set()

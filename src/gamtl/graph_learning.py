@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_float_fields
 from .graph import validate_adjacency
 
 __all__ = [
@@ -80,6 +81,7 @@ class GraphLearningParams:
             raise ValueError("tol must lie in (0, 1)")
         if type(self.max_iter) is not int or self.max_iter < 1:  # excludes bool
             raise ValueError("max_iter must be an integer of at least 1")
+        check_float_fields(self, "alpha", "beta")
 
 
 def check_graph_params(params) -> None:

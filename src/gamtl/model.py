@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Standardizer, check_seed, json_text
+from .data import Standardizer, check_float_fields, check_seed, json_kind, json_text
 from .graph import matrixform, pairwise_sq_distances, validate_adjacency, vectorform
 from .graph_learning import (
     GraphLearningParams,
@@ -90,6 +90,7 @@ class GamtlConfig:
             raise ValueError("weight_solver_tol must be positive")
         if not 0.0 <= self.ridge_lambda < np.inf:
             raise ValueError("ridge_lambda must be nonnegative")
+        check_float_fields(self, "gamma", "weight_solver_tol", "ridge_lambda")
         check_seed(self.seed)
 
 
@@ -110,55 +111,29 @@ PINNED_CONFIGS = {
 }
 
 
-def _json_object(value, name: str) -> dict:
-    """A model file's ``name`` block, ``value``; ValueError unless it is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _json_array(value, name: str) -> list:
-    """A model file's ``name`` list, ``value``; ValueError unless it is a JSON array (a string is not)."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a JSON array, got {type(value).__name__}")
-    return value
-
-
-def _json_number(value, name: str):
-    """A model file's ``name`` number, ``value``.
-
-    ValueError unless it is a JSON number (a bool is not) within float range.
-    """
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a JSON number, got {type(value).__name__}")
-    try:
-        float(value)
-    except OverflowError:  # an int beyond float range
-        raise ValueError(f"{name} is beyond float range") from None
-    return value
-
-
-def _json_string(value, name: str) -> str:
-    """A model file's ``name`` string, ``value``; ValueError unless it is a JSON string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{name} must be a JSON string, got {type(value).__name__}")
-    return value
+def _json_value(value, name: str, kind: str = "number"):
+    """A model file's ``name`` value, ``value``; ValueError unless :func:`json_kind` finds it a JSON ``kind``."""
+    if json_kind(value, kind):
+        return value
+    if kind == "number" and json_kind(value, "integer"):  # no float holds it
+        raise ValueError(f"{name} is beyond float range")
+    raise ValueError(f"{name} must be a JSON {kind}, got {type(value).__name__}")
 
 
 def _json_numbers(value, name: str) -> np.ndarray:
     """A model file's ``name`` numbers, ``value``, as a float array.
 
-    ValueError unless every leaf of the nested JSON arrays passes
-    :func:`_json_number` (so a bool or a number written as a string does
-    not) and the arrays are rectangular.
+    ValueError unless every leaf of the nested JSON arrays is a JSON number
+    (so a bool or a number written as a string is not) and the arrays are
+    rectangular.
     """
     pending = [value]
     while pending:
         item = pending.pop()
-        if isinstance(item, list):
+        if json_kind(item, "array"):
             pending.extend(item)
         else:
-            _json_number(item, f"{name} item")
+            _json_value(item, f"{name} item")
     try:
         return np.asarray(value, dtype=float)
     except ValueError:  # ragged arrays
@@ -171,7 +146,7 @@ def _json_fields(value, name: str, cls) -> dict:
     ValueError names a key that is no field of ``cls``, or a field without a
     default that is missing.
     """
-    _json_object(value, name)
+    _json_value(value, name, "object")
     known = {f.name: f for f in fields(cls)}
     for key in value:
         if key not in known:
@@ -206,19 +181,17 @@ class FitTrace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitTrace":
-        _json_object(payload, "trace")
+        _json_value(payload, "trace", "object")
 
-        def array(name: str) -> list:
-            return _json_array(payload.get(name, []), f"trace.{name}")
-
-        def reports(name: str) -> list[dict]:
-            return [dict(_json_object(r, f"trace.{name} item")) for r in array(name)]
+        def items(name: str, kind: str) -> list:
+            values = _json_value(payload.get(name, []), f"trace.{name}", "array")
+            return [_json_value(v, f"trace.{name} item", kind) for v in values]
 
         return cls(
-            objective=[float(_json_number(v, "trace.objective item")) for v in array("objective")],
-            stages=[_json_string(s, "trace.stages item") for s in array("stages")],
-            weight_reports=reports("weight_reports"),
-            graph_reports=reports("graph_reports"),
+            objective=[float(v) for v in items("objective", "number")],
+            stages=items("stages", "string"),
+            weight_reports=[dict(r) for r in items("weight_reports", "object")],
+            graph_reports=[dict(r) for r in items("graph_reports", "object")],
         )
 
 
@@ -429,12 +402,12 @@ def _fit(system: _WeightSystem, config: GamtlConfig) -> GamtlModel:
 def config_from_dict(payload: dict) -> GamtlConfig:
     """A model file's ``config`` block; every field but ``graph_params`` is a number, as are its own."""
     payload = dict(_json_fields(payload, "config", GamtlConfig))
-    gp = dict(_json_object(payload.pop("graph_params", {}), "config.graph_params"))
+    gp = dict(_json_value(payload.pop("graph_params", {}), "config.graph_params", "object"))
     gp.pop("step", None)  # files written with the former step-size knob still load
     _json_fields(gp, "config.graph_params", GraphLearningParams)
     for block, values in (("config", payload), ("config.graph_params", gp)):
         for key, value in values.items():
-            _json_number(value, f"{block}.{key}")
+            _json_value(value, f"{block}.{key}")
     return GamtlConfig(graph_params=GraphLearningParams(**gp), **payload)
 
 
@@ -475,7 +448,7 @@ def model_to_dict(model: GamtlModel) -> dict:
 
 def model_from_dict(payload: dict) -> GamtlModel:
     """The model a model file's JSON holds; ValueError, naming the field, for any malformed one."""
-    _json_object(payload, "model file")
+    _json_value(payload, "model file", "object")
     for name in ("W", "A", "task_ids", "config"):
         if name not in payload:
             raise ValueError(f"model file has no {name}")
@@ -486,34 +459,34 @@ def model_from_dict(payload: dict) -> GamtlModel:
         fm = _json_fields(payload["feature_map"], "feature_map", RbfFeatureMap)
         feature_map = RbfFeatureMap(**{k: _json_numbers(v, f"feature_map.{k}") for k, v in fm.items()})
     converged = payload.get("converged", True)
-    if not isinstance(converged, bool):
+    if not json_kind(converged, "boolean"):
         raise ValueError(f"converged must be true or false, got {converged!r}")
     standardizer = None
     if "standardizer" in payload:
         stats = _json_fields(payload["standardizer"], "standardizer", Standardizer)
         standardizer = Standardizer(**{
-            k: (_json_numbers if k.startswith("feature_") else _json_number)(v, f"standardizer.{k}")
+            k: (_json_numbers if k.startswith("feature_") else _json_value)(v, f"standardizer.{k}")
             for k, v in stats.items()
         })
-    notes = _json_array(payload.get("notes", []), "notes")
+    notes = _json_value(payload.get("notes", []), "notes", "array")
     for note in notes:
-        if not isinstance(note, str):
+        if not json_kind(note, "string"):
             raise ValueError(f"note {note!r} is not a str")
     model = GamtlModel(
         W=_json_numbers(payload["W"], "W"),
         A=matrixform(_json_numbers(payload["A"], "A")),
-        task_ids=tuple(_json_array(payload["task_ids"], "task_ids")),
+        task_ids=tuple(_json_value(payload["task_ids"], "task_ids", "array")),
         config=config_from_dict(payload["config"]),
         trace=FitTrace.from_dict(payload.get("trace", {})),
         feature_map=feature_map,
         converged=converged,
         notes=tuple(notes),
-        task_labels=tuple(_json_array(payload.get("task_labels", []), "task_labels")),
+        task_labels=tuple(_json_value(payload.get("task_labels", []), "task_labels", "array")),
         standardizer=standardizer,
     )
     if "dims" in payload:  # readers such as perfbench take the sizes from it
-        dims, expected = _json_object(payload["dims"], "dims"), _dims(model)
-        if dims != expected or not all(type(n) is int for n in dims.values()):
+        dims, expected = _json_value(payload["dims"], "dims", "object"), _dims(model)
+        if dims != expected or not all(json_kind(n, "integer") for n in dims.values()):
             raise ValueError(f"dims {dims} do not match the model's {expected}")
     return model
 

@@ -28,10 +28,11 @@ Gram values (256 KiB) with one BLAS product into another; its operands,
 those rows and ``[-2 c; 1; ||c||^2]``, carry both squared norms.  It
 keeps a row's argmin only when the rounding bound
 :func:`gamtl.graph._gram_error` proves it equal to the coordinate
-kernel's, sends every other row of the block through
-``sq_distances``, and writes the block's centers and bounds into the Lloyd
-loop's N-vectors before the next block is scored.  Cluster means come from
-``np.bincount`` sums in point order, so no (N, P, q) tensor is built.
+kernel's, sends every other row of the block through ``sq_distances`` in
+chunks of ``_KMEANS_KERNEL_ENTRIES`` = 2**11 distances, and writes the
+block's centers and bounds into the Lloyd loop's N-vectors before the next
+block is scored.  Cluster means come from ``np.bincount`` sums in point
+order, so no (N, P, q) tensor is built.
 
 Lloyd rounds skip the points whose center cannot change.  Each point carries
 an upper bound on the distance to its own center and a lower bound on the
@@ -57,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import check_seed
+from .data import check_seed, float_array
 from .graph import _TINY, _gram_error, _paired_sq_distances, sq_distances
 from .model import GamtlConfig, GamtlModel, check_config, fit
 from .weight_solver import TaskDataset, validate_tasks
@@ -85,6 +86,12 @@ _KMEANS_BLOCK_ENTRIES = 1 << 15
 # beside its result, against 321 KiB at 2**14 entries, which take about 13%
 # less lift time; 2**12 entries hold 97 KiB for about 15% more.
 _LIFT_BLOCK_ENTRIES = 1 << 13
+# Entries of one chunk of the k-means rows whose Gram argmin is not
+# certified, recomputed by the coordinate kernel: 2k doubles, 16 KiB, so its
+# out, tmp and ufunc buffer add a sixteenth of a score block each.  Pools
+# of repeated rows, whose ties fail the certificate, re-check most rows of
+# a block, and those buffers in one call would hold about two blocks.
+_KMEANS_KERNEL_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,8 @@ class RbfFeatureMap:
     widths: np.ndarray
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
+        centers = float_array(self.centers, "centers")
+        widths = float_array(self.widths, "widths")
         if centers.ndim != 2 or min(centers.shape) < 1:
             raise ValueError("centers must be a (P, q) array with P >= 1 and q >= 1")
         if widths.shape != (centers.shape[0],):
@@ -177,13 +184,16 @@ def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> 
     or gap is never certified.  A certified row's bounds come from the same
     certificate, ``g_ia + err_i >= d_ia`` and ``second - err_i <= d_ij``.
     Other rows take argmin and bounds from ``sq_distances`` on the first q
-    columns.  Each block is certified, its other rows recomputed, and its
-    results written into the caller's vectors as soon as it is scored, all
-    in buffers of one block's length.  So nothing is longer than a block.
+    columns, ``_KMEANS_KERNEL_ENTRIES // P`` rows at a time, so a block of
+    ties adds a sixteenth of a block per kernel buffer, not a block.  Each
+    block is certified, its other rows recomputed, and its results written
+    into the caller's vectors as soon as it is scored, all in buffers of one
+    block's length.  So nothing is longer than a block.
     """
     P, q = centers.shape
     count = points.shape[0] if rows is None else rows.size
     step = max(1, _KMEANS_BLOCK_ENTRIES // P)
+    chunk = max(1, _KMEANS_KERNEL_ENTRIES // P)
     size = min(step, count)
     scores = np.empty((size, P))  # every block's Gram values, in turn
     gathered = np.empty((size, q + 2), order="F")  # every block's rows [x, ||x||^2, 1]
@@ -217,8 +227,11 @@ def _nearest_two(points, norms, centers, rows, margin, assign, upper, lower) -> 
             np.maximum(high, 0.0, out=high)
             if not certified.all():
                 doubt = np.flatnonzero(~certified)
-                kernel = sq_distances(block[doubt, :q], centers)
-                pick[doubt], low[doubt], high[doubt] = _two_smallest(kernel, row_starts)
+                for lo in range(0, doubt.size, chunk):
+                    part = doubt[lo : lo + chunk]
+                    kernel = sq_distances(block[part, :q], centers)
+                    pick[part], low[part], high[part] = _two_smallest(kernel, row_starts)
+                    del kernel  # before the next chunk's is made
             moved = moved or not np.array_equal(pick, assign[which])
             assign[which] = pick
             upper[which] = _grown(np.sqrt(low, out=low), margin, out=low)
@@ -363,12 +376,14 @@ def kmeans_centers(pooled_inputs: np.ndarray, P: int, seed: int) -> np.ndarray:
     ``graph._gram_error`` proves it the coordinate kernel's strict argmin
     (see ``_nearest_two``); the same bound gives its new upper and lower
     bounds.  Every other row, including those whose bound or Gram values
-    are inf or NaN, is recomputed with ``sq_distances``.  Each block is
-    certified, and written into the bounds, as soon as it is scored, so the
-    memory peak is the (N,) norms, one block of Gram values with its
-    gathered rows, and the Lloyd loop's assignments and bounds: 0.51 MB
-    under tracemalloc on the Wiener seed-0 pool (N = 5000, q = 4, P = 50),
-    the pooled inputs not counted.
+    are inf or NaN, is recomputed with ``sq_distances``, a few rows at a
+    time.  Each block is certified, and written into the bounds, as soon as
+    it is scored, so the memory peak is the (N,) norms, one block of Gram
+    values with its gathered rows, and the Lloyd loop's assignments and
+    bounds: 0.51 MB under tracemalloc on the Wiener seed-0 pool (N = 5000,
+    q = 4, P = 50), the pooled inputs not counted, and within 0.04 MB of a
+    Gaussian pool's peak on a pool of repeated rows, whose ties fail most
+    rows' certificate.
 
     Why skipping is exact: a reassigned row's bounds enclose its kernel
     distances, by the certificate or because they are the kernel's values.

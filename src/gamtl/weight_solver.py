@@ -153,7 +153,9 @@ class _WeightSystem:
     """What the ridge start, the weight steps and F's data term need of the tasks alone.
 
     Built once per fit, the one check of the tasks and the one code that
-    compares designs.  One pass reads each task once: it checks it, writes
+    compares designs.  One pass reads each task once: it checks it, refusing
+    one whose ``||X_t||_F^2`` or ``||y_t||^2`` overflows (when both are
+    finite, Cauchy-Schwarz keeps its Gram and ``b_t`` finite), writes
     ``rhs`` (stacking ``b_t = X_t y_t``), ``y_sq`` (each ``||y_t||^2``) and
     ``data_trace`` (the Grams' summed trace), and keeps the first Gram while
     every design equals the first; from the first that differs, each Gram
@@ -186,9 +188,14 @@ class _WeightSystem:
                 if shared_so_far:  # every slot so far holds the first design's Gram
                     self.Q = np.broadcast_to(gram, (T, d, d)).copy()
                 np.matmul(X, X.T, out=self.Q[t])
+            self.y_sq[t] = task.y @ task.y
+            if not (math.isfinite(trace) and math.isfinite(self.y_sq[t])):
+                raise ValueError(
+                    f"task {task.task_id}: the squared norm of its design or targets overflows; "
+                    "standardize the data"
+                )
             data_trace += trace
             np.matmul(X, task.y, out=self.rhs[t * d : (t + 1) * d])
-            self.y_sq[t] = task.y @ task.y
             del task, X  # before the next task is read, which may make its design then
         check_task_ids(ids)
         self.d, self.task_ids, self.data_trace = d, tuple(ids), data_trace

@@ -965,3 +965,39 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["fit"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+BIG = "1" + "0" * 400  # an integer no float holds
+
+
+@pytest.mark.parametrize(
+    "command,path,flags",
+    [
+        ("fit", "model.gamma", []),
+        ("fit", "rbf.width_factor", ["--rbf"]),
+        ("bench", "benchmark.noise_std", []),
+        ("bench", "model.ridge_lambda", []),
+    ],
+)
+def test_an_integer_beyond_float_range_at_a_number_key_is_config_error(tmp_path, capsys, command, path, flags):
+    # It used to pass validation and fail the run: exit 2, "int too large to
+    # convert to float".
+    if command == "fit":
+        train_csv = tmp_path / "train.csv"
+        small_csv(train_csv)
+        config_path, _ = fit_config(tmp_path, train_csv)
+    else:
+        config_path = bench_config(tmp_path)
+    assert main([command, "--config", str(config_path), "--set", f"{path}={BIG}", *flags]) == 1
+    key = path.rpartition(".")[2]
+    assert f"config error at $.{path}: {key} is beyond float range" in capsys.readouterr().err
+
+
+def test_an_integer_beyond_float_range_at_an_integer_key_is_taken(tmp_path):
+    # Integer keys take any int, as before: the loop stops on its tolerance.
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path), "--set", f"model.max_outer_iter={BIG}"]) == 0
+    echo = json.loads((tmp_path / "run" / "trace.json").read_text(encoding="utf-8"))
+    assert echo["config"]["model"]["max_outer_iter"] == int(BIG)

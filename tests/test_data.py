@@ -19,6 +19,7 @@ from gamtl.data import (
     gen_syn1,
     gen_syn2,
     gen_wiener_network,
+    json_kind,
     load_csv_tasks,
     metropolis_mixing,
     save_tasks_csv,
@@ -27,6 +28,9 @@ from gamtl.data import (
     wiener_state,
     write_dataset,
 )
+from gamtl.graph_learning import GraphLearningParams
+from gamtl.model import GamtlConfig
+from gamtl.rbf import RbfFeatureMap
 from gamtl.weight_solver import TaskDataset
 
 
@@ -700,3 +704,79 @@ def test_benchmark_splits_reject_unknown_names():
         benchmark_splits("syn1", 0, n_trian=3)
     with pytest.raises(ValueError, match="unknown benchmark"):
         benchmark_splits("syn3", 0)
+
+
+BIG = 10**400  # an int no float holds
+
+
+@pytest.mark.parametrize(
+    "value,kinds",
+    [
+        (0, {"integer", "number"}),
+        (-(10**300), {"integer", "number"}),
+        (BIG, {"integer"}),
+        (-BIG, {"integer"}),
+        (2.5, {"number"}),
+        (float("inf"), {"number"}),  # range rules, not the kind, refuse it
+        (True, {"boolean"}),
+        (False, {"boolean"}),
+        ("1.0", {"string"}),
+        ([1, 2], {"array"}),
+        ({"a": 1}, {"object"}),
+        (None, {"null"}),
+        ((1, 2), set()),  # no value json.load returns
+        (np.float64(1.0), set()),
+    ],
+)
+def test_json_kind_matches_exact_types_and_numbers_within_float_range(value, kinds):
+    every = ("number", "integer", "string", "boolean", "array", "object", "null")
+    assert {kind for kind in every if json_kind(value, kind)} == kinds
+    assert json_kind(value, "integer or null") == bool(kinds & {"integer", "null"})
+    assert json_kind(value, "array or null") == bool(kinds & {"array", "null"})
+
+
+def test_an_int_is_a_json_number_exactly_when_float_takes_it():
+    largest = int(np.finfo(float).max)
+    half_ulp = 2**970  # half the spacing of floats just below 2**1024
+    for value in (largest, largest + half_ulp - 1, largest + half_ulp, 2**1024, BIG):
+        for signed in (value, -value):
+            try:
+                float(signed)
+                converts = True
+            except OverflowError:
+                converts = False
+            assert json_kind(signed, "number") == converts
+            assert json_kind(signed, "integer") and json_kind(signed, "integer or number")
+    assert json_kind(largest + half_ulp - 1, "number") and not json_kind(largest + half_ulp, "number")
+
+
+FLOAT_FIELD_OVERFLOWS = {
+    "GamtlConfig.gamma": lambda: GamtlConfig(gamma=BIG),
+    "GamtlConfig.ridge_lambda": lambda: GamtlConfig(ridge_lambda=BIG),
+    "GamtlConfig.weight_solver_tol": lambda: GamtlConfig(weight_solver_tol=BIG),
+    "GraphLearningParams.alpha": lambda: GraphLearningParams(alpha=BIG),
+    "GraphLearningParams.beta": lambda: GraphLearningParams(beta=BIG),
+    "SynSpec.noise_std": lambda: SynSpec(noise_std=BIG),
+    "Standardizer.target_std": lambda: Standardizer([0.0], [1.0], target_std=BIG),
+    "Standardizer.target_mean": lambda: Standardizer([0.0], [1.0], target_mean=-BIG),
+    "Standardizer.feature_mean": lambda: Standardizer([0.0, BIG], [1.0, 1.0]),
+    "RbfFeatureMap.widths": lambda: RbfFeatureMap([[0.0]], [BIG]),
+    "RbfFeatureMap.centers": lambda: RbfFeatureMap([[BIG]], [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_FIELD_OVERFLOWS)
+def test_records_refuse_a_float_field_beyond_float_range(case):
+    # Each constructed (and a fit or lift later raised OverflowError) or
+    # raised OverflowError in its own conversion.
+    field = case.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{field} is beyond float range$"):
+        FLOAT_FIELD_OVERFLOWS[case]()
+
+
+def test_records_keep_the_numbers_they_are_given():
+    # The float-range check converts nothing it stores: an int-valued
+    # config is written as ints, as before.
+    config = GamtlConfig(gamma=1, ridge_lambda=0, graph_params=GraphLearningParams(alpha=10**300, beta=2))
+    assert type(config.gamma) is int and type(config.graph_params.alpha) is int
+    assert SynSpec(noise_std=3).noise_std == 3 and type(SynSpec(noise_std=3).noise_std) is int

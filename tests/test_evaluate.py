@@ -448,3 +448,17 @@ def test_planted_structure_scores_per_benchmark():
     assert planted_structure_scores("wiener", A) == {}
     with pytest.raises(ValueError, match="unknown benchmark"):
         planted_structure_scores("bogus", A)
+
+
+def test_import_graph_refuses_a_weight_beyond_float_range():
+    # It raised OverflowError, where a malformed document raises ValueError.
+    big = 10**400
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has a weight beyond float range$"):
+        import_graph(json.dumps({"n": 2, "edges": [[0, 1, big]]}))
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) has a weight beyond float range$"):
+        import_graph(json.dumps({"n": 2, "edges": [[0, 1, -big]]}))
+    # A node index or n is an integer, however large, and is refused by its range as before.
+    with pytest.raises(ValueError, match="names a node outside 0..1"):
+        import_graph(json.dumps({"n": 2, "edges": [[0, big, 1.0]]}))
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        import_graph(json.dumps({"n": big, "edges": []}))

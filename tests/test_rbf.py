@@ -404,6 +404,25 @@ def test_kmeans_reseeds_without_point_by_coordinate_temporaries(monkeypatch):
     assert np.array_equal(kmeans_centers(small, P, 0), oracles.kmeans_dense(small, P, 0))
 
 
+def test_kmeans_recomputes_tied_rows_in_chunks_of_a_fraction_of_a_block(monkeypatch):
+    # Forty distinct 4-d rows, each repeated 125 times: rows that tie between
+    # duplicate centers fail the certificate, most of a block at a time.  The
+    # coordinate kernel on all of them at once held its (n, P) out, tmp and
+    # ufunc buffer beside the score block, 0.49 MB above a Gaussian pool of
+    # the same shape; in chunks of 2**11 distances it holds under 0.04 MB.
+    N, q, P = 5000, 4, 50
+    distinct = np.random.default_rng(0).standard_normal((40, q))
+    repeated = np.asfortranarray(np.repeat(distinct, N // 40, axis=0))
+    gaussian = np.asfortranarray(np.random.default_rng(0).standard_normal((N, q)))
+    kmeans_centers(np.zeros((3, 1)), P=2, seed=0)  # first-call imports are not k-means' peak
+    quarter_block = rbf._KMEANS_BLOCK_ENTRIES * 8 // 4
+    assert _kmeans_peak(repeated, P, 0) <= _kmeans_peak(gaussian, P, 0) + quarter_block
+    # The chunks give each row the bits of one call on the whole block.
+    centers = kmeans_centers(repeated, P, 0)
+    monkeypatch.setattr(rbf, "_KMEANS_KERNEL_ENTRIES", rbf._KMEANS_BLOCK_ENTRIES)
+    assert np.array_equal(centers, kmeans_centers(repeated, P, 0))
+
+
 @pytest.mark.parametrize("q", [1, 4, 13])
 def test_farthest_from_own_center_sums_like_the_paired_kernel(q):
     rng = np.random.default_rng(q)

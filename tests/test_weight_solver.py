@@ -950,3 +950,31 @@ def test_solve_weights_wall_time_scales_mildly_with_tasks():
         times[T] = best
     ratio = times[64] / max(times[8], 1e-3)
     assert ratio < 4.0 * (64 / 8) ** 2
+
+
+@pytest.mark.parametrize("entry", ["fit", "fit_rbf", "joint_objective"])
+def test_targets_whose_squares_overflow_are_refused_naming_the_task(entry):
+    # Targets near 1e155 are finite, but ||y||^2 is inf: the weight system
+    # would carry an inf, and a fit reached eigh(L) with NaN weights
+    # (LinAlgError: Eigenvalues did not converge).
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5, 30))
+    tasks = [TaskDataset(t, X, 1e155 * rng.standard_normal(30)) for t in range(4)]
+    config = PINNED_CONFIGS["syn1"]
+    calls = {
+        "fit": lambda: fit(tasks, config),
+        "fit_rbf": lambda: fit_rbf(tasks, config, P=4),
+        "joint_objective": lambda: model_module.joint_objective(
+            np.zeros((5, 4)), np.ones((4, 4)) - np.eye(4), tasks, config
+        ),
+    }
+    with pytest.raises(ValueError, match="task 0: the squared norm .* overflows; standardize"):
+        calls[entry]()
+
+
+def test_a_design_whose_squares_overflow_is_refused_naming_the_task():
+    rng = np.random.default_rng(1)
+    tasks = make_tasks(rng, d=3, T=3, N=10)
+    tasks[1] = TaskDataset(tasks[1].task_id, 1e200 * tasks[1].X, tasks[1].y)
+    with pytest.raises(ValueError, match="task 1: the squared norm"):
+        ridge_independent(tasks, 1.0)
