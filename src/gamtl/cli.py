@@ -25,7 +25,9 @@ The configs of ``fit`` and ``bench`` are checked before any file is read:
 an unknown or missing key, a value of the wrong JSON type or out of range
 is a usage error that names the key, as in ``config error at $.model.alpha``.
 JSON types follow ``gamtl.data.json_kind``, as in model files and graph
-documents, so an integer beyond float range is no number.
+documents, so an integer beyond float range is no number.  An RBF ``fit``
+checks ``rbf.num_centers`` once more after its CSV is read: it may not
+exceed the pooled training samples.
 The config dataclasses (``GamtlConfig``, ``GraphLearningParams``, ``SynSpec``)
 are the one statement of the ranges they own.  ``synth`` checks each data
 flag by the rule of the same ``benchmark`` key, even a flag its benchmark
@@ -275,6 +277,13 @@ def cmd_fit(args) -> int:
     config = _load_config(args, _FIT_KEYS)
     data_cfg = dict(config["data"])
     loaded = _read_tasks(data_cfg.pop("train_csv"), **data_cfg)
+    rbf_cfg = config.get("rbf", {})
+    if rbf_cfg.get("enabled", False) and rbf_cfg.get("num_centers") is not None:
+        pooled = sum(task.n_samples for task in loaded.tasks)  # k-means needs a sample per center
+        if rbf_cfg["num_centers"] > pooled:
+            raise UsageError(
+                f"config error at $.rbf.num_centers: num_centers must be at most the {pooled} pooled training samples"
+            )
     _, model_config, fit_tasks = _fitter(config)
     try:
         model = fit_tasks(loaded.tasks, model_config.seed)

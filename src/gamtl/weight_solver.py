@@ -174,29 +174,31 @@ class _WeightSystem:
         if T < 2:
             raise ValueError(f"need at least 2 tasks, got {T}")
         ids, d, first, data_trace = [], None, None, 0.0
-        for t in range(T):
-            task = tasks[t]
-            d, X = _check_task(task, d), task.X
-            ids.append(task.task_id)
-            if t == 0:
-                self.rhs, self.y_sq = np.empty(T * d), np.empty(T)
-                first, trace = X, float(np.sum(X * X))
-                gram = X @ X.T
-            elif first is None or not np.array_equal(X, first):
-                shared_so_far, first = first is not None, None  # the first design dies before X * X
-                trace = float(np.sum(X * X))
-                if shared_so_far:  # every slot so far holds the first design's Gram
-                    self.Q = np.broadcast_to(gram, (T, d, d)).copy()
-                np.matmul(X, X.T, out=self.Q[t])
-            self.y_sq[t] = task.y @ task.y
-            if not (math.isfinite(trace) and math.isfinite(self.y_sq[t])):
-                raise ValueError(
-                    f"task {task.task_id}: the squared norm of its design or targets overflows; "
-                    "standardize the data"
-                )
-            data_trace += trace
-            np.matmul(X, task.y, out=self.rhs[t * d : (t + 1) * d])
-            del task, X  # before the next task is read, which may make its design then
+        # an overflowing task is refused by the check below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T):
+                task = tasks[t]
+                d, X = _check_task(task, d), task.X
+                ids.append(task.task_id)
+                if t == 0:
+                    self.rhs, self.y_sq = np.empty(T * d), np.empty(T)
+                    first, trace = X, float(np.sum(X * X))
+                    gram = X @ X.T
+                elif first is None or not np.array_equal(X, first):
+                    shared_so_far, first = first is not None, None  # the first design dies before X * X
+                    trace = float(np.sum(X * X))
+                    if shared_so_far:  # every slot so far holds the first design's Gram
+                        self.Q = np.broadcast_to(gram, (T, d, d)).copy()
+                    np.matmul(X, X.T, out=self.Q[t])
+                self.y_sq[t] = task.y @ task.y
+                if not (math.isfinite(trace) and math.isfinite(self.y_sq[t])):
+                    raise ValueError(
+                        f"task {task.task_id}: the squared norm of its design or targets overflows; "
+                        "standardize the data"
+                    )
+                data_trace += trace
+                np.matmul(X, task.y, out=self.rhs[t * d : (t + 1) * d])
+                del task, X  # before the next task is read, which may make its design then
         check_task_ids(ids)
         self.d, self.task_ids, self.data_trace = d, tuple(ids), data_trace
         if first is not None:

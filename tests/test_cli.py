@@ -156,15 +156,26 @@ def test_fit_without_model_block_uses_config_defaults(tmp_path):
     assert payload["task_labels"] == ["0", "1", "2"]
 
 
-def test_fit_reruns_byte_identically(tmp_path):
+@pytest.mark.parametrize(
+    "data,flags",
+    [("small", []), ("wiener", []), ("wiener", ["--rbf"]), ("syn1", [])],
+    ids=["small", "wiener_linear", "wiener_rbf", "syn1"],
+)
+def test_fit_reruns_byte_identically(tmp_path, data, flags):
+    # Wiener tasks have one design each; syn1's tasks share one.
     train_csv = tmp_path / "train.csv"
-    small_csv(train_csv)
-    config_path, config = fit_config(tmp_path, train_csv)
-    assert main(["fit", "--config", str(config_path)]) == 0
+    if data == "small":
+        small_csv(train_csv)
+    else:
+        save_tasks_csv(gamtl.data.benchmark_splits(data, 0)[0], train_csv)
+    config_path = tmp_path / "config.json"
+    config = {"data": {"train_csv": str(train_csv)}, "out_dir": str(tmp_path / "run")}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["fit", "--config", str(config_path), *flags]) == 0
     out = tmp_path / "run"
     first_model = (out / "model.json").read_bytes()
     first_trace = (out / "trace.json").read_bytes()
-    assert main(["fit", "--config", str(config_path)]) == 0
+    assert main(["fit", "--config", str(config_path), *flags]) == 0
     assert (out / "model.json").read_bytes() == first_model
     assert (out / "trace.json").read_bytes() == first_trace
 
@@ -233,6 +244,19 @@ def test_fit_rbf_flag_attaches_feature_map(tmp_path):
     payload = json.loads((tmp_path / "run" / "model.json").read_text())
     assert payload["dims"]["P"] == 3
     assert len(payload["feature_map"]["widths"]) == 3
+
+
+def test_fit_rbf_with_more_centers_than_samples_is_config_error(tmp_path, capsys, monkeypatch):
+    # 3 tasks of 8 samples pool 24; a linear fit ignores num_centers.
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path), "--set", "rbf.num_centers=25"]) == 0
+    assert main(["fit", "--config", str(config_path), "--rbf", "--set", "rbf.num_centers=24"]) == 0
+    monkeypatch.setattr("gamtl.cli.fit_rbf", lambda *a, **kw: pytest.fail("fit_rbf ran"))
+    assert main(["fit", "--config", str(config_path), "--rbf", "--set", "rbf.num_centers=25"]) == 1
+    err = capsys.readouterr().err
+    assert "config error at $.rbf.num_centers: num_centers must be at most the 24 pooled" in err
 
 
 def test_fit_flags_are_set_items_applied_last(tmp_path):
@@ -322,6 +346,14 @@ def test_flag_on_a_non_object_block_is_config_error(tmp_path, capsys, command, b
     assert f"config error at $.{block}: expected object" in capsys.readouterr().err
 
 
+def test_fit_nan_flag_is_config_error(tmp_path, capsys):
+    train_csv = tmp_path / "train.csv"
+    small_csv(train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path), "--gamma", "nan"]) == 1
+    assert "config error at $.model.gamma" in capsys.readouterr().err
+
+
 def test_fit_unknown_config_key_rejected(tmp_path, capsys):
     train_csv = tmp_path / "train.csv"
     small_csv(train_csv)
@@ -368,6 +400,16 @@ def test_fit_numerical_failure_exits_two(tmp_path, capsys):
     config_path, _ = fit_config(tmp_path, train_csv)
     assert main(["fit", "--config", str(config_path)]) == 2
     assert "fit failed" in capsys.readouterr().err
+
+
+def test_fit_ridge_lambda_zero_on_rank_deficient_data_exits_two(tmp_path, capsys):
+    # Each syn1 task has N = 20 samples of d = 30 features: its Gram has
+    # rank 20, so ridge_lambda = 0 leaves the normal equations singular.
+    train_csv = tmp_path / "train.csv"
+    save_tasks_csv(gamtl.data.benchmark_splits("syn1", 0)[0], train_csv)
+    config_path, _ = fit_config(tmp_path, train_csv)
+    assert main(["fit", "--config", str(config_path), "--set", "model.ridge_lambda=0"]) == 2
+    assert "normal equations are singular" in capsys.readouterr().err
 
 
 def test_fit_checks_the_model_with_its_task_labels(tmp_path, capsys, monkeypatch):
@@ -900,6 +942,23 @@ def test_tune_writes_the_grid_search_leaderboard(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(f"wrote {out}\n")
 
 
+@pytest.mark.parametrize(
+    "name,grid",
+    [
+        ("syn1", ["--gammas", "0.1", "--alphas", "10", "--betas", "0.01"]),
+        ("wiener", ["--gammas", "1", "--alphas", "1", "--betas", "0.1"]),
+    ],
+    ids=["syn1", "wiener"],
+)
+def test_tune_reruns_byte_identically(tmp_path, name, grid):
+    # Each Wiener agent has its own inputs; syn1's tasks share theirs until the folds split them.
+    outs = [tmp_path / f"tune_{run}.json" for run in (1, 2)]
+    for out in outs:
+        assert main(["tune", name, "--folds", "2", *grid, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(json.loads(outs[0].read_text(encoding="utf-8"))) == 1
+
+
 def test_tune_without_grid_flags_searches_the_library_grid(monkeypatch):
     calls, leaderboard = [], [{"gamma": 1.0, "alpha": 1.0, "beta": 1.0, "cv_rmse": 0.5}]
     monkeypatch.setattr("gamtl.cli.grid_search_cv", lambda t, c, **kw: calls.append(kw) or (c, leaderboard))
@@ -907,7 +966,9 @@ def test_tune_without_grid_flags_searches_the_library_grid(monkeypatch):
     assert calls == [{"n_folds": 5, "seed": 4}]
 
 
-@pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--gammas", "abc"), ("--betas", "1,-1"), ("--seed", "-1")])
+@pytest.mark.parametrize(
+    "flag,value", [("--folds", "1"), ("--gammas", "abc"), ("--gammas", "-1"), ("--betas", "1,-1"), ("--seed", "-1")]
+)
 def test_tune_bad_argument_is_usage_error(capsys, flag, value):
     assert main(["tune", "syn1", flag, value]) == 1
     err = capsys.readouterr().err

@@ -139,6 +139,7 @@ MALFORMED_MODEL_FILES = {
     "note_not_string": (lambda p: p.update(notes=[1]), "note 1 is not a str"),
     "W_number_as_string": (lambda p: p["W"][0].__setitem__(0, "0.5"), "W item must be a JSON number, got str"),
     "W_bool": (lambda p: p["W"][1].__setitem__(2, True), "W item must be a JSON number, got bool"),
+    "W_ragged": (lambda p: p.update(W=[[1.0, 2.0], [3.0]]), "W must be an array of numbers"),
     "A_number_as_string": (lambda p: p["A"].__setitem__(0, "1"), "A item must be a JSON number, got str"),
     "feature_map_center_as_string": (
         lambda p: p["feature_map"]["centers"][0].__setitem__(0, "0"),

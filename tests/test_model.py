@@ -267,6 +267,77 @@ def test_fit_duplicate_tasks_bind_strongest_edge():
     assert dup_dist < 0.1 * np.mean(dists)
 
 
+def solver_counts(model):
+    """Each graph solve's Newton iterations and each weight solve's CG iterations."""
+    trace = model.trace
+    return [r["iterations"] for r in trace.graph_reports], [r["cg_iterations"] for r in trace.weight_reports]
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+PINNED_FITS = [("syn1", 0), ("syn1", 1), ("wiener", 0), ("wiener", 1)]
+
+
+@pytest.mark.parametrize("name,seed", PINNED_FITS)
+def test_pinned_fit_permutes_with_its_tasks(name, seed):
+    # syn1's tasks share one design with N < d, so the 1e-8 ridge floor
+    # alone sets some directions of W, which move by up to 1e-8 relative
+    # under a permutation; only Wiener's W is asserted.
+    tasks, _ = benchmark_splits(name, seed)
+    config = PINNED_CONFIGS[name]
+    model = fit(tasks, config)
+    perm = np.random.default_rng(seed).permutation(len(tasks))
+    permuted = fit([tasks[p] for p in perm], config)
+    assert solver_counts(permuted) == solver_counts(model)
+    assert relative_error(permuted.A, model.A[np.ix_(perm, perm)]) <= 1e-12
+    if name == "wiener":
+        assert relative_error(permuted.W, model.W[:, perm]) <= 1e-12
+
+
+@pytest.mark.parametrize("name,seed", PINNED_FITS)
+def test_pinned_fit_scales_with_its_features(name, seed):
+    # X -> 4X with (gamma, ridge_lambda) -> 16 (gamma, ridge_lambda) is the
+    # same problem in W / 4; every factor is a power of 2, so it is exact.
+    tasks, _ = benchmark_splits(name, seed)
+    config = PINNED_CONFIGS[name]
+    model = fit(tasks, config)
+    scaled_config = replace(config, gamma=16 * config.gamma, ridge_lambda=16 * config.ridge_lambda)
+    scaled = fit([replace(task, X=4.0 * task.X) for task in tasks], scaled_config)
+    assert np.array_equal(4.0 * scaled.W, model.W)
+    assert np.array_equal(scaled.A, model.A)
+    assert solver_counts(scaled) == solver_counts(model)
+
+
+@pytest.mark.parametrize("name,seed", PINNED_FITS)
+def test_pinned_fit_gives_a_duplicated_task_its_twins_weights_and_edges(name, seed):
+    tasks, _ = benchmark_splits(name, seed)
+    T = len(tasks)
+    model = fit([*tasks, replace(tasks[0], task_id=T)], PINNED_CONFIGS[name])
+    assert relative_error(model.W[:, T], model.W[:, 0]) <= 1e-12
+    others = list(range(1, T))
+    assert relative_error(model.A[T, others], model.A[0, others]) <= 1e-10
+
+
+def test_large_fit_recovers_its_planted_clusters():
+    # 200 tasks in 4 planted clusters, d = 30, 40 samples and a design of
+    # its own per task, at the pinned syn1 settings.
+    T, d, n = 200, 30, 40
+    rng = np.random.default_rng(0)
+    cluster = np.arange(T) % 4
+    W = rng.standard_normal((d, 4))[:, cluster] + 0.1 * rng.standard_normal((d, T))
+    tasks = []
+    for t in range(T):
+        X = rng.standard_normal((d, n))
+        tasks.append(TaskDataset(t, X, X.T @ W[:, t] + 0.1 * rng.standard_normal(n)))
+    model = fit(tasks, PINNED_CONFIGS["syn1"])
+    assert model.converged and all(r["converged"] for r in model.trace.graph_reports)
+    i, j = np.triu_indices(T, 1)
+    kept = model.A[i, j] > 0.0
+    assert np.array_equal(cluster[i[kept]], cluster[j[kept]])
+
+
 
 @pytest.mark.parametrize("gamma,alpha,beta", [(0.5, 1.0, 1.0), (10.0, 1.0, 0.01)])
 def test_fit_with_two_tasks_ends_at_the_two_node_optimum(gamma, alpha, beta):

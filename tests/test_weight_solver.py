@@ -952,6 +952,7 @@ def test_solve_weights_wall_time_scales_mildly_with_tasks():
     assert ratio < 4.0 * (64 / 8) ** 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", ["fit", "fit_rbf", "joint_objective"])
 def test_targets_whose_squares_overflow_are_refused_naming_the_task(entry):
     # Targets near 1e155 are finite, but ||y||^2 is inf: the weight system
@@ -972,6 +973,7 @@ def test_targets_whose_squares_overflow_are_refused_naming_the_task(entry):
         calls[entry]()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_design_whose_squares_overflow_is_refused_naming_the_task():
     rng = np.random.default_rng(1)
     tasks = make_tasks(rng, d=3, T=3, N=10)
