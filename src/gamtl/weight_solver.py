@@ -325,10 +325,17 @@ def solve_weights(
     ``L = U diag(lam) U^T`` and a Gram ``G = Q diag(sigma) Q^T``, the
     Kronecker-sum inverse ``K`` maps the (T, d) block ``R`` of its argument to
     ``U ((U^T R Q) / (sigma_j + mu + 2 gamma lam_i)) Q^T``, ``lam`` and
-    ``sigma`` clipped at 0 so that every denominator is at least ``mu``.  For
-    a shared design the preconditioner is ``K`` of that one Gram, which
-    inverts the system exactly: CG starts at ``K rhs``, which its first
-    residual test certifies, or else iterates from there.  Otherwise it is
+    ``sigma`` clipped at 0 so that every denominator is at least ``mu``.  The
+    solve keeps only the (T, 1) shift ``2 gamma lam``; each apply builds the
+    (T, d) table of reciprocals and drops it.  For a shared design the
+    preconditioner is ``K`` of that one Gram, which inverts the system
+    exactly: CG starts at ``K rhs``, which its first residual test
+    certifies, or else iterates from there.  That start zeroes the table's
+    columns of the ``k`` Gram eigenvalues at most ``4 d eps sigma_max``:
+    ``rhs`` lies in ``range(X)`` for every task, so the exact solution has no
+    part along their eigenvectors, and ``K`` would put there ``eigh``'s
+    rounding divided by ``mu``, which moves with the task order and the BLAS
+    kernel.  The preconditioner keeps every column.  Otherwise it is
     the symmetric two-level step
     ``z = B r; z += K (r - M z); z += B (r - M z)``, with ``K`` built from the
     mean Gram and ``B`` the block-Jacobi inverse of the diagonal blocks
@@ -373,14 +380,18 @@ def solve_weights(
 
     lam, U = np.linalg.eigh(L)
     sigma, Q_coarse = system.coarse
-    kron_scale = 1.0 / (sigma + mu + (2.0 * gamma) * np.maximum(lam, 0.0)[:, None])
+    shift = (2.0 * gamma) * np.maximum(lam, 0.0)[:, None]
 
-    def kron(r: np.ndarray) -> np.ndarray:
-        return (U @ ((U.T @ r.reshape(T, d) @ Q_coarse) * kron_scale) @ Q_coarse.T).ravel()
+    def kron(r: np.ndarray, null_rank: int = 0) -> np.ndarray:
+        scale = 1.0 / (sigma + mu + shift)  # built per apply, so no (T, d) table outlives it
+        scale[:, :null_rank] = 0.0
+        return (U @ ((U.T @ r.reshape(T, d) @ Q_coarse) * scale) @ Q_coarse.T).ravel()
 
     if len(Q) == 1:
         precondition = kron
-        x = kron(rhs)
+        # K rhs without its part along the Gram's (numerically) null eigenvectors,
+        # where the exact solution is 0 and K would only scale up eigh's rounding
+        x = kron(rhs, int(np.count_nonzero(sigma <= 4 * d * np.finfo(float).eps * sigma[-1])))
     else:
         x = np.zeros(d * T) if warm_start is None else warm_start.T.flatten()
         jacobi_scale = 1.0 / (s + (mu + 2.0 * gamma * A.sum(axis=1))[:, None])

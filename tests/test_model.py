@@ -282,9 +282,6 @@ PINNED_FITS = [("syn1", 0), ("syn1", 1), ("wiener", 0), ("wiener", 1)]
 
 @pytest.mark.parametrize("name,seed", PINNED_FITS)
 def test_pinned_fit_permutes_with_its_tasks(name, seed):
-    # syn1's tasks share one design with N < d, so the 1e-8 ridge floor
-    # alone sets some directions of W, which move by up to 1e-8 relative
-    # under a permutation; only Wiener's W is asserted.
     tasks, _ = benchmark_splits(name, seed)
     config = PINNED_CONFIGS[name]
     model = fit(tasks, config)
@@ -292,8 +289,23 @@ def test_pinned_fit_permutes_with_its_tasks(name, seed):
     permuted = fit([tasks[p] for p in perm], config)
     assert solver_counts(permuted) == solver_counts(model)
     assert relative_error(permuted.A, model.A[np.ix_(perm, perm)]) <= 1e-12
-    if name == "wiener":
-        assert relative_error(permuted.W, model.W[:, perm]) <= 1e-12
+    assert relative_error(permuted.W, model.W[:, perm]) <= 1e-12
+
+
+@pytest.mark.parametrize("name,seed", PINNED_FITS)
+def test_pinned_fit_scales_with_its_targets(name, seed):
+    # y -> 10 y with (alpha, beta) -> 100 (alpha, beta) is the same problem
+    # in W / 10 (distances scale by 100); 10 is no power of 2, so the fits
+    # agree to rounding, not bit for bit.
+    tasks, _ = benchmark_splits(name, seed)
+    config = PINNED_CONFIGS[name]
+    model = fit(tasks, config)
+    graph = config.graph_params
+    scaled_graph = replace(graph, alpha=100 * graph.alpha, beta=100 * graph.beta)
+    scaled = fit([replace(task, y=10.0 * task.y) for task in tasks], replace(config, graph_params=scaled_graph))
+    assert solver_counts(scaled) == solver_counts(model)
+    assert relative_error(scaled.W / 10.0, model.W) <= 1e-12
+    assert relative_error(scaled.A, model.A) <= 1e-12
 
 
 @pytest.mark.parametrize("name,seed", PINNED_FITS)

@@ -588,6 +588,26 @@ def test_weight_system_holds_one_stack():
     assert peak <= (T + 12) * d * d * 8
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_design_solve_holds_no_kronecker_table(seed):
+    # A solve's own arrays: L and its eigenvectors, (T, T) each, and a few
+    # (T, d) vectors at a time; the reciprocal table K applies is built in
+    # each apply, not held for the whole solve.
+    tasks, _ = benchmark_splits("syn1", seed)
+    system = _WeightSystem(tasks)
+    T, d = system.T, system.d
+    A = random_adjacency(np.random.default_rng(seed), T)
+    solve_weights(system, A, PINNED_CONFIGS["syn1"].gamma)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_weights(system, A, PINNED_CONFIGS["syn1"].gamma)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * T * T + 4.2 * T * d) * 8
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared_design", "distinct_designs"])
 def test_weight_system_keeps_no_design_or_target(shared):
     # Once the caller drops its tasks, their designs and targets die: the
@@ -671,6 +691,20 @@ def test_shared_design_solve_matches_dense_oracle(gamma):
     M, rhs = oracles.dense_weight_system(tasks, A, gamma, report.ridge)
     true_residual = np.linalg.norm(M @ W.T.ravel() - rhs) / np.linalg.norm(rhs)
     assert report.relative_residual == pytest.approx(true_residual, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 100.0])
+def test_shared_design_solve_has_no_part_in_the_gram_null_space(gamma):
+    # rhs lies in range(X) kron R^T, so the exact W has no part along the
+    # Gram's null eigenvectors; dividing eigh's rounding there by the 1e-8
+    # ridge floor would put one there that moves with task order and BLAS.
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((8, 5))
+    tasks = [TaskDataset(task_id=t, X=X, y=rng.standard_normal(5)) for t in range(4)]
+    W, report = solve_weights(tasks, random_adjacency(rng, 4), gamma=gamma)
+    assert report.converged
+    null_basis = np.linalg.svd(X)[0][:, 5:]
+    assert np.abs(null_basis.T @ W).max() <= 1e-13 * np.abs(W).max()
 
 
 def test_shared_design_start_that_misses_the_tolerance_iterates_from_it(monkeypatch):
