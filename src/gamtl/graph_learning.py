@@ -20,11 +20,13 @@ the dual is
     R = max(lam_i + lam_j - 2 Z_ij, 0),
 
 a symmetric ``T x T`` matrix holding each edge twice, with primal graph
-``A = R / (4 * beta)``.  The state is ``T x T`` arrays built from ``Z``:
-``2 Z`` gets a ``+inf`` diagonal, so ``lam_i + lam_i - 2 Z_ii = -inf``, no
-self-edge turns active, and ``A`` is exactly symmetric with a zero diagonal.
-The gradient is ``alpha / lam - R @ 1 / (4 * beta)``.  The generalized
-Hessian of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless Laplacian of
+``A = R / (4 * beta)``.  The state holds ``r = R / 2 = max(lam_i / 2 +
+lam_j / 2 - Z_ij, 0)``, built from ``Z`` itself, so the solve makes no
+scaled copy of it; halving is exact for normal floats, so ``r`` is ``R / 2``
+bit for bit.  Its diagonal is zeroed, so no self-edge turns active and
+``A = r / (2 * beta)`` is exactly symmetric with a zero diagonal.  The
+gradient is ``alpha / lam - r @ 1 / (2 * beta)``.  The generalized Hessian
+of ``-g`` is ``alpha * diag(lam^-2)`` plus the signless Laplacian of
 the active edges (``R > 0``) over ``4 * beta``: positive definite,
 ``T x T``, solved densely.  Along the Newton ray ``lam + t s`` the dual is
 concave and smooth between the edges' activation kinks.  Each step makes
@@ -145,25 +147,31 @@ def default_initial_graph(Z: np.ndarray) -> np.ndarray:
     return A0
 
 
-def _dual_state(lam, z2, alpha: float, beta: float):
-    """At ``lam``: ``r = max(lam_i + lam_j - 2 Z_ij, 0)``, built in one (T, T) array,
-    ``r @ 1``, ``alpha / lam``, the gradient and its norm."""
-    r = lam[:, None] + lam[None, :]
-    r -= z2
+def _dual_state(lam, Z, alpha: float, beta: float):
+    """At ``lam``: ``r = max(lam_i / 2 + lam_j / 2 - Z_ij, 0)`` with a zero diagonal,
+    built in one (T, T) array, ``r @ 1``, ``alpha / lam``, the gradient and its norm.
+
+    ``r`` is half the dual's ``R``, so the gradient divides ``r @ 1`` by ``2 beta``.
+    """
+    half = 0.5 * lam
+    r = half[:, None] + half[None, :]
+    r -= Z
     np.maximum(r, 0.0, out=r)
+    r.ravel()[:: lam.size + 1] = 0.0  # lam_i > 0 = Z_ii: no self-edge turns active
     Sr = r.sum(axis=1)
     barrier = alpha / lam
-    grad = barrier - Sr / (4.0 * beta)
+    grad = barrier - Sr / (2.0 * beta)
     # The norm as np.linalg.norm computes it for a 1-d array, without its wrapper.
     return r, Sr, barrier, grad, math.sqrt(float(grad @ grad))
 
 
-def _ray_maximizer(lam, s, z2, alpha: float, beta: float, slope: float):
+def _ray_maximizer(lam, s, Z, alpha: float, beta: float, slope: float):
     """``(t, lam + t s, its dual state)`` near the dual's maximizer along ``lam + t s``.
 
-    Each trial scores ``lam + t s`` with :func:`_dual_state`: ``phi'(t)`` is
-    its gradient along ``s`` and ``phi''(t) = -alpha ||s / (lam + t s)||^2 -
-    sum((s_i + s_j)^2) / (8 beta)`` over its active entries (``r > 0``).
+    Each trial scores ``lam + t s`` against the solve's distances ``Z`` with
+    :func:`_dual_state`: ``phi'(t)`` is its gradient along ``s`` and
+    ``phi''(t) = -alpha ||s / (lam + t s)||^2 - sum((s_i + s_j)^2) / (8 beta)``
+    over its active entries (``r > 0``).
     The first trial is the full step ``t = 1``.  If it fails the stop test
     ``|phi'(t)| <= _RAY_TOL * slope`` (``slope = phi'(0) > 0``), safeguarded
     Newton on the decreasing ``phi'`` goes on from ``min(1, 0.99 * pole)``:
@@ -178,7 +186,7 @@ def _ray_maximizer(lam, s, z2, alpha: float, beta: float, slope: float):
     while True:
         state, d1 = None, -np.inf  # past the pole as rounded
         if lam_t.min() > 0.0:
-            state = _dual_state(lam_t, z2, alpha, beta)
+            state = _dual_state(lam_t, Z, alpha, beta)
             d1 = float(state[3] @ s)
             if abs(d1) <= _RAY_TOL * slope:
                 return t, lam_t, state
@@ -203,7 +211,7 @@ def _ray_maximizer(lam, s, z2, alpha: float, beta: float, slope: float):
             t_next = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
             if not lo < t_next < hi:
                 lam_t = lam + lo * s
-                return lo, lam_t, _dual_state(lam_t, z2, alpha, beta)
+                return lo, lam_t, _dual_state(lam_t, Z, alpha, beta)
         t, lam_t = t_next, lam + t_next * s
 
 
@@ -256,13 +264,11 @@ def learn_graph(
     A0, score0 = A0.A, A0.score
 
     alpha, beta = params.alpha, params.beta
-    z2 = 2.0 * Z
-    np.fill_diagonal(z2, np.inf)  # lam_i + lam_i - 2 Z_ii = -inf: no self-edge turns active
 
     # Dual warm start at alpha / degree of A0, the dual's value at an optimum:
     # a warm start near the previous optimum begins near its fixed point.
     lam = alpha / A0.sum(axis=1)
-    r, Sr, barrier, grad, grad_norm = _dual_state(lam, z2, alpha, beta)
+    r, Sr, barrier, grad, grad_norm = _dual_state(lam, Z, alpha, beta)
     stop = "floor"  # every exit but the two below is the precision floor
 
     # Every exit, the last iteration's too, breaks before the update at the
@@ -292,29 +298,30 @@ def learn_graph(
         slope = float(grad @ step)  # phi'(0) of the ray
         if not slope > 0.0:
             break  # the ray does not ascend as rounded: precision floor
-        _, lam_new, state = _ray_maximizer(lam, step, z2, alpha, beta, slope)
+        _, lam_new, state = _ray_maximizer(lam, step, Z, alpha, beta, slope)
         r_new, Sr_new, barrier_new, grad_new, grad_norm_new = state
         # A step counts if it shrinks the gradient or gains dual value beyond
         # rounding; one that does neither is the precision floor.  The gain
         # g(lam_new) - g(lam) is formed without subtracting two large values.
-        # Its rounding is bounded by that of the barrier sum and of r, which
-        # carries the rounding of lam_i + lam_j - 2 Z_ij on each edge; summed
-        # over the edges against r_new + r, that is lam_new @ (Sr_new + Sr)
-        # plus sum(Z * (r_new + r)), without z2's inf * 0 diagonal.  r_new - r
-        # is formed in r's place, which a failed test rebuilds from lam.
+        # Its rounding is bounded by that of the barrier sum and of R = 2 r,
+        # which carries the rounding of lam_i + lam_j - 2 Z_ij on each edge;
+        # summed over the edges against R_new + R, that is twice
+        # lam_new @ (Sr_new + Sr) plus sum(Z * (r_new + r)), in r's half
+        # units, over the zero diagonal both share.  r_new - r is formed in
+        # r's place, which a failed test rebuilds from lam.
         if not grad_norm_new < grad_norm:
             log_gain = alpha * float(np.log1p((lam_new - lam) / lam).sum())
             r_sum = r_new + r
-            bound = float(lam_new @ (Sr_new + Sr)) + float(np.vdot(Z, r_sum))
-            gain = log_gain - float(np.vdot(np.subtract(r_new, r, out=r), r_sum)) / (16.0 * beta)
+            bound = 2.0 * (float(lam_new @ (Sr_new + Sr)) + float(np.vdot(Z, r_sum)))
+            gain = log_gain - float(np.vdot(np.subtract(r_new, r, out=r), r_sum)) / (4.0 * beta)
             del r_sum
             rounding = abs(log_gain) + bound / (4.0 * beta)
             if not gain > np.finfo(float).eps * rounding:
-                r = _dual_state(lam, z2, alpha, beta)[0]
+                r = _dual_state(lam, Z, alpha, beta)[0]
                 break  # the ray's maximizer improves neither: precision floor
         lam, r, Sr, barrier, grad, grad_norm = lam_new, *state
 
-    A = r / (4.0 * beta)
+    A = r / (2.0 * beta)
     score = graph_objective(A, Z, params)
     # fit relies on A never scoring above A0; a zero degree scores inf, so it falls back too.
     if not (np.isfinite(score) and score <= score0):

@@ -324,8 +324,9 @@ def _fit(system: _WeightSystem, config: GamtlConfig) -> GamtlModel:
     W = ridge_independent(system, config.ridge_lambda)
     trace = FitTrace()
     notes = []
-    # gZ always holds gamma times the distances of the current W: each
-    # distinct W costs one pairwise_sq_distances call and one product.
+    # gZ is gamma times the distances of the kept W, which only the graph
+    # step reads: each outer iteration releases it before its weight step,
+    # then keeps the new W's, or rebuilds the kept W's after a rejected step.
     Z = pairwise_sq_distances(W)
     A = default_initial_graph(Z)
     gZ = config.gamma * Z
@@ -352,6 +353,7 @@ def _fit(system: _WeightSystem, config: GamtlConfig) -> GamtlModel:
 
     converged = False
     for outer in range(1, config.max_outer_iter + 1):
+        del gZ  # no (T, T) array of distances is held through the weight step
         W_new, wreport = solve_weights(
             system, A, config.gamma, solver_tol=config.weight_solver_tol, warm_start=W
         )
@@ -361,8 +363,12 @@ def _fit(system: _WeightSystem, config: GamtlConfig) -> GamtlModel:
         gZ_new = config.gamma * pairwise_sq_distances(W_new)
         data_new = system.data_term(W_new)
         graph_new = graph_objective(A, gZ_new, config.graph_params)
-        if data_new + graph_new <= data_term + graph_term:
+        accepted = data_new + graph_new <= data_term + graph_term
+        if accepted:
             W, gZ, data_term, graph_term = W_new, gZ_new, data_new, graph_new
+        del gZ_new  # an alias of gZ, or a rejected W's distances
+        if not accepted:  # no pinned fit rejects a weight step
+            gZ = config.gamma * pairwise_sq_distances(W)
         trace.record("weights", data_term + graph_term)
 
         # graph_term is A's score at the kept gZ; built inline, the warm start dies with the old A.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -332,10 +333,8 @@ def test_pinned_fit_gives_a_duplicated_task_its_twins_weights_and_edges(name, se
     assert relative_error(model.A[T, others], model.A[0, others]) <= 1e-10
 
 
-def test_large_fit_recovers_its_planted_clusters():
-    # 200 tasks in 4 planted clusters, d = 30, 40 samples and a design of
-    # its own per task, at the pinned syn1 settings.
-    T, d, n = 200, 30, 40
+def planted_cluster_tasks(T, d=30, n=40):
+    """``T`` tasks in 4 planted clusters, task t in cluster t % 4, with n samples and a design of its own each."""
     rng = np.random.default_rng(0)
     cluster = np.arange(T) % 4
     W = rng.standard_normal((d, 4))[:, cluster] + 0.1 * rng.standard_normal((d, T))
@@ -343,11 +342,35 @@ def test_large_fit_recovers_its_planted_clusters():
     for t in range(T):
         X = rng.standard_normal((d, n))
         tasks.append(TaskDataset(t, X, X.T @ W[:, t] + 0.1 * rng.standard_normal(n)))
+    return tasks, cluster
+
+
+def test_large_fit_recovers_its_planted_clusters():
+    # 200 tasks, d = 30, at the pinned syn1 settings.
+    T = 200
+    tasks, cluster = planted_cluster_tasks(T)
     model = fit(tasks, PINNED_CONFIGS["syn1"])
     assert model.converged and all(r["converged"] for r in model.trace.graph_reports)
     i, j = np.triu_indices(T, 1)
     kept = model.A[i, j] > 0.0
     assert np.array_equal(cluster[i[kept]], cluster[j[kept]])
+
+
+def test_large_fit_holds_few_task_by_task_arrays():
+    # Beyond the weight system's (T, d, d) Gram stack, the fit peaks in a
+    # graph step: the kept gamma * Z and A, and the step's own arrays.  No
+    # phase holds a second copy of the distances: none is kept through the
+    # weight step, and the graph step makes no scaled copy.
+    T, d = 300, 30
+    tasks, _ = planted_cluster_tasks(T, d)
+    tracemalloc.start()
+    try:
+        model = fit(tasks, PINNED_CONFIGS["syn1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.converged
+    assert peak <= (T * d * d + 5.8 * T * T) * 8, (peak / 8 - T * d * d) / (T * T)
 
 
 
@@ -470,7 +493,8 @@ def test_pinned_syn1_fits_converge():
 
 def test_fit_computes_distances_once_per_weight_candidate(monkeypatch):
     # The initial W and each weight-step candidate need their distances
-    # once; the graph step and the objective reuse them.
+    # once; the graph step and the objective reuse them.  (Only a rejected
+    # candidate, which no pinned fit has, rebuilds the kept W's.)
     import gamtl.model
 
     calls = []
@@ -592,22 +616,33 @@ def test_fit_carries_the_kept_graph_term_past_a_rejected_weight_step(monkeypatch
     # The stand-in's last weight candidate, W = 0, raises F and is rejected.
     # Its distances are zero, so its graph term lies below the kept one: a
     # fit that carried it into the graph step would record too low an F.
-    real_solve = model_mod.solve_weights
+    # The fit holds no distances through a weight step, so it rebuilds the
+    # kept W's gamma * Z for the last graph step: the bits the previous
+    # graph step was given, as that W is still the kept one.
+    real_solve, real_learn = model_mod.solve_weights, model_mod.learn_graph
     config = mild_config(max_outer_iter=3)
-    solves = []
+    solves, kept, graph_distances = [], [], []
 
-    def zero_on_last_solve(*args, **kwargs):
-        W, report = real_solve(*args, **kwargs)
+    def zero_on_last_solve(*args, warm_start, **kwargs):
+        W, report = real_solve(*args, warm_start=warm_start, **kwargs)
         solves.append(report)
+        kept.append(warm_start.copy())
         return (np.zeros_like(W) if len(solves) == config.max_outer_iter else W), report
 
+    def learn(Z, *args, **kwargs):
+        graph_distances.append(Z.copy())
+        return real_learn(Z, *args, **kwargs)
+
     monkeypatch.setattr(model_mod, "solve_weights", zero_on_last_solve)
+    monkeypatch.setattr(model_mod, "learn_graph", learn)
     tasks = make_related_tasks(np.random.default_rng(29))
     model = fit(tasks, config)
     monkeypatch.undo()
     objective = model.trace.objective
-    assert len(solves) == config.max_outer_iter
+    assert len(solves) == len(graph_distances) == config.max_outer_iter
     assert objective[-2] == objective[-3]  # the rejected candidate left F as it was
+    rebuilt = config.gamma * pairwise_sq_distances(kept[-1])
+    assert graph_distances[-1].tobytes() == rebuilt.tobytes() == graph_distances[-2].tobytes()
     assert all(after <= before for before, after in zip(objective, objective[1:]))
     assert_objective_is_F(objective[-1], model, tasks, config)
 
